@@ -26,7 +26,6 @@ from .errors import (
 from .estimation import (
     ClassSummary,
     InverseOperator,
-    SparseSymMatrix,
     compute_an,
     compute_tn,
     invert_sparse_sym,

@@ -14,6 +14,7 @@ from .estimation import (
     class_means,
     default_pseudo_rtol,
     invert_sparse_sym,
+    nnz_offdiag,
     pseudo_inverse_sym,
     summarize,
     compute_an,
@@ -104,18 +105,18 @@ def build_slda(dataset: Dataset, config: ThresholdConfig,
     t_n = compute_tn(config.m1, n, p)
     a_n = compute_an(config.m2, n, p, config.alpha)
     sigma_tilde = threshold_covariance(summary.pooled_cov, t_n)
+    nnz = nnz_offdiag(sigma_tilde)
     delta_tilde = threshold_delta(summary.delta_hat, a_n)
     if delta_tilde.q_hat == 0:
         rule = LinearRule(weights=np.zeros(p), cutoff=0.0, degenerate=True)
-        report = SparsityReport(p=p, q_hat=0, nnz_offdiag=sigma_tilde.nnz_offdiag,
+        report = SparsityReport(p=p, q_hat=0, nnz_offdiag=nnz,
                                 pd_flag=True, degenerate=True)
         return rule, report
     op = invert_sparse_sym(sigma_tilde, floor_eps=floor_eps)
     w = op.apply(delta_tilde.vector)
     c = float(w @ summary.grand_mid)
     rule = LinearRule(weights=w, cutoff=c, degenerate=not np.any(w))
-    report = SparsityReport(p=p, q_hat=delta_tilde.q_hat,
-                            nnz_offdiag=sigma_tilde.nnz_offdiag,
+    report = SparsityReport(p=p, q_hat=delta_tilde.q_hat, nnz_offdiag=nnz,
                             pd_flag=op.pd_flag, degenerate=rule.degenerate)
     return rule, report
 

@@ -108,40 +108,16 @@ def cmd_fit(args) -> int:
 
 def cmd_predict(args) -> int:
     rule, _meta = sio.read_model(args.model)
-    features, rows = _read_feature_csv(args.test, rule.p)
+    features = sio.read_feature_csv(args.test)
+    if features.shape[1] != rule.p:
+        raise ShapeError(f"{args.test}: {features.shape[1]} feature columns, model expects {rule.p}")
     scores = features @ rule.weights - rule.cutoff
     labels = np.where(scores >= 0.0, 1, 2)
     lines = ["predicted,score"]
-    lines += [f"{labels[i]},{sio.fmt_float(scores[i])}" for i in range(rows)]
+    lines += [f"{label},{sio.fmt_float(score)}" for label, score in zip(labels, scores)]
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"predictions written to {args.out}")
     return OK
-
-
-def _read_feature_csv(path, p_expected: int):
-    # Feature-only or labeled CSV; a "class" column is ignored if present.
-    import csv as _csv
-
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        skip = header.index(sio.LABEL_COLUMN) if sio.LABEL_COLUMN in header else None
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                rows.append([float(v) for j, v in enumerate(row) if j != skip])
-            except ValueError as exc:
-                raise DataError(f"{path}: line {line_no}: {exc}") from None
-    features = np.array(rows, dtype=float)
-    if features.ndim != 2 or features.shape[1] != p_expected:
-        raise ShapeError(
-            f"{path}: {features.shape[1] if features.ndim == 2 else '?'} feature columns, "
-            f"model expects {p_expected}")
-    return features, features.shape[0]
 
 
 def cmd_cv(args) -> int:

@@ -84,54 +84,27 @@ def compute_an(m2: float, n: int, p: int, alpha: float) -> float:
     return float(m2) * (math.log(p) / n) ** alpha
 
 
-@dataclass(frozen=True)
-class SparseSymMatrix:
-    """Symmetric matrix with dense diagonal and sparse off-diagonal.
+def threshold_covariance(s: np.ndarray, t_n: float) -> np.ndarray:
+    """Sigma-tilde: S with off-diagonal entries |s_jl| <= t_n set to 0.0.
 
-    Off-diagonal entries are stored once with rows < cols; every stored
-    magnitude exceeds the threshold that produced the matrix, and the
-    diagonal is the source diagonal copied untouched.
-    """
-
-    dim: int
-    diagonal: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    values: np.ndarray
-
-    @property
-    def nnz_offdiag(self) -> int:
-        """Number of kept strictly-upper-triangle entries."""
-        return int(self.values.shape[0])
-
-    def densify(self) -> np.ndarray:
-        a = np.zeros((self.dim, self.dim))
-        a[self.rows, self.cols] = self.values
-        a += a.T
-        a[np.diag_indices(self.dim)] = self.diagonal
-        return a
-
-
-def threshold_covariance(s: np.ndarray, t_n: float) -> SparseSymMatrix:
-    """Keep off-diagonal entries with |s_jl| > t_n (strict); copy the diagonal.
-
-    With t_n = 0 only exact zeros are dropped, so densifying reproduces
-    the input except for those.
+    Off-diagonal entries with |s_jl| > t_n (strict) keep their value and
+    the diagonal is copied exactly. With t_n = 0 only exact zeros are
+    dropped, so the result equals the input.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ShapeError(f"threshold_covariance requires a square matrix, got {s.shape}")
-    p = s.shape[0]
-    iu = np.triu_indices(p, k=1)
-    vals = s[iu]
-    keep = np.abs(vals) > t_n
-    return SparseSymMatrix(
-        dim=p,
-        diagonal=np.diag(s).copy(),
-        rows=iu[0][keep],
-        cols=iu[1][keep],
-        values=vals[keep],
-    )
+    keep = s > t_n
+    keep |= s < -t_n  # |s_jl| > t_n without a p x p float temporary
+    sigma = np.where(keep, s, 0.0)
+    np.fill_diagonal(sigma, np.diagonal(s))
+    return sigma
+
+
+def nnz_offdiag(sigma_tilde: np.ndarray) -> int:
+    """Number of nonzero strictly-upper-triangle entries of a symmetric
+    matrix; for a t_n >= 0 threshold, the number of kept pairs."""
+    return (np.count_nonzero(sigma_tilde) - np.count_nonzero(np.diagonal(sigma_tilde))) // 2
 
 
 @dataclass(frozen=True)
@@ -186,25 +159,24 @@ class InverseOperator:
         return self._vectors @ (self._inv_values[:, None] * w)
 
 
-def invert_sparse_sym(sigma_tilde: SparseSymMatrix, floor_eps: float = DEFAULT_FLOOR_EPS) -> InverseOperator:
+def invert_sparse_sym(sigma_tilde: np.ndarray, floor_eps: float = DEFAULT_FLOOR_EPS) -> InverseOperator:
     """Invert a thresholded covariance, falling back to an eigenvalue floor.
 
-    Cholesky on the densified matrix is attempted first. If a pivot
-    fails, eigenvalues are floored at floor_eps * lambda_max and the
-    operator is flagged (pd_flag False, floor_count = number floored).
-    Thresholding can destroy positive definiteness, so callers should
-    surface the flag.
+    Cholesky on the symmetric matrix sigma_tilde is attempted first. If
+    a pivot fails, eigenvalues are floored at floor_eps * lambda_max and
+    the operator is flagged (pd_flag False, floor_count = number
+    floored). Thresholding can destroy positive definiteness, so callers
+    should surface the flag. An asymmetric input raises DomainError.
     """
     if floor_eps <= 0:
         raise DomainError(f"floor_eps must be > 0, got {floor_eps}")
-    dense = sigma_tilde.densify()
     try:
-        factor = cholesky_spd(dense)
-        return InverseOperator(kind="cholesky", dim=sigma_tilde.dim,
+        factor = cholesky_spd(sigma_tilde)
+        return InverseOperator(kind="cholesky", dim=factor.dim,
                                pd_flag=True, floor_count=0, _chol=factor)
     except NotPositiveDefiniteError:
         pass
-    eig = eigen_sym(dense)
+    eig = eigen_sym(sigma_tilde)
     lam_max = float(eig.eigenvalues[0])
     if lam_max <= 0:
         raise UnusableMatrixError(
@@ -213,7 +185,7 @@ def invert_sparse_sym(sigma_tilde: SparseSymMatrix, floor_eps: float = DEFAULT_F
     floor = floor_eps * lam_max
     floored = np.maximum(eig.eigenvalues, floor)
     n_floored = int(np.sum(eig.eigenvalues < floor))
-    return InverseOperator(kind="eigen_floor", dim=sigma_tilde.dim,
+    return InverseOperator(kind="eigen_floor", dim=eig.eigenvalues.shape[0],
                            pd_flag=False, floor_count=n_floored,
                            _vectors=eig.eigenvectors, _inv_values=1.0 / floored)
 

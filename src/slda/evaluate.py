@@ -11,10 +11,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import build_slda, classify, classify_many, classify_multi_many
+from .diagnostics import mahalanobis_delta
 from .errors import DataError, DomainError, ShapeError, SldaError
 from .estimation import compute_an, compute_tn, summarize
 from .model import Dataset, LinearRule, MultiRule, PopulationSpec, ThresholdConfig, NORMAL
-from .numerics import spd_solve, std_normal_cdf
+from .numerics import std_normal_cdf
 
 CLOSED_FORM = "closed_form"
 MONTE_CARLO = "monte_carlo"
@@ -34,12 +35,6 @@ class RateReport:
     degenerate: bool = False
 
 
-def mahalanobis_from(pop: PopulationSpec) -> float:
-    """sqrt(delta' Sigma^{-1} delta) of a two-class population."""
-    w = spd_solve(pop.chol, pop.delta)
-    return math.sqrt(float(pop.delta @ w))
-
-
 def optimal_rate(pop: PopulationSpec) -> RateReport:
     """Rate of the optimal (Bayes, equal priors) rule: Phi(-Delta_p/2).
 
@@ -50,7 +45,7 @@ def optimal_rate(pop: PopulationSpec) -> RateReport:
         raise DomainError("optimal_rate has a closed form only for normal populations")
     if pop.n_classes != 2:
         raise DomainError("optimal_rate requires a two-class population")
-    rate = std_normal_cdf(-0.5 * mahalanobis_from(pop))
+    rate = std_normal_cdf(-0.5 * mahalanobis_delta(pop))
     return RateReport(conditional_rate=rate, per_class_error=(rate, rate), method=CLOSED_FORM)
 
 

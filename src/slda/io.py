@@ -11,7 +11,15 @@ import numpy as np
 
 from .classify import SparsityReport
 from .errors import DataError, DomainError
-from .model import Dataset, LinearRule, NORMAL, STUDENT_T, ThresholdConfig, validate_dataset
+from .model import (
+    Dataset,
+    LinearRule,
+    NORMAL,
+    STUDENT_T,
+    ThresholdConfig,
+    require_finite,
+    validate_dataset,
+)
 from .simulate import GridSpec, PopulationRecipe, Scenario
 
 LABEL_COLUMN = "class"
@@ -25,18 +33,18 @@ def fmt_float(x: float) -> str:
 # dataset CSV
 # ---------------------------------------------------------------------------
 
-def read_dataset_csv(path) -> Dataset:
-    """Load a labeled dataset: header row, numeric feature columns, and
-    an integer label column named "class"."""
+def _read_table(path, labeled: bool) -> tuple[np.ndarray, list[int]]:
+    """Header row, then numeric rows as a float matrix. The integer
+    "class" column is required and returned when ``labeled``; otherwise
+    it is skipped if present and the label list is empty."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if LABEL_COLUMN not in header:
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file")
+        label_idx = header.index(LABEL_COLUMN) if LABEL_COLUMN in header else None
+        if labeled and label_idx is None:
             raise DataError(f'{path}: no "{LABEL_COLUMN}" column in header')
-        label_idx = header.index(LABEL_COLUMN)
         features = []
         labels = []
         for row_no, row in enumerate(reader, start=2):
@@ -45,13 +53,31 @@ def read_dataset_csv(path) -> Dataset:
             if len(row) != len(header):
                 raise DataError(f"{path}: line {row_no} has {len(row)} fields, header has {len(header)}")
             try:
-                labels.append(int(row[label_idx]))
-                features.append([float(v) for j, v in enumerate(row) if j != label_idx])
+                if label_idx is not None:
+                    label = row.pop(label_idx)
+                    if labeled:
+                        labels.append(int(label))
+                features.append([float(v) for v in row])
             except ValueError as exc:
                 raise DataError(f"{path}: line {row_no}: {exc}") from None
     if not features:
         raise DataError(f"{path}: no data rows")
-    return validate_dataset(np.array(features), np.array(labels))
+    return np.array(features), labels
+
+
+def read_dataset_csv(path) -> Dataset:
+    """Load a labeled dataset: header row, numeric feature columns, and
+    an integer label column named "class"."""
+    features, labels = _read_table(path, labeled=True)
+    return validate_dataset(features, np.array(labels))
+
+
+def read_feature_csv(path) -> np.ndarray:
+    """Load the feature rows of a CSV with a header; a "class" column is
+    ignored if present. NaN or Inf cells raise DataError."""
+    features, _ = _read_table(path, labeled=False)
+    require_finite(features)
+    return features
 
 
 def write_dataset_csv(path, dataset: Dataset) -> None:
@@ -133,6 +159,11 @@ def read_model(path) -> tuple[LinearRule, dict]:
         raise DataError(f"{path}: {exc}") from exc
     if weights.shape != (p,):
         raise DataError(f"{path}: expected {p} weight lines, found {weights.shape[0]}")
+    if not np.isfinite(cutoff):
+        raise DataError(f"{path}: non-finite cutoff c = {cutoff}")
+    bad = np.flatnonzero(~np.isfinite(weights))
+    if bad.size:
+        raise DataError(f"{path}: non-finite weight on line {i + 2 + bad[0]}")
     return LinearRule(weights=weights, cutoff=cutoff, degenerate=degenerate), meta
 
 

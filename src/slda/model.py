@@ -57,6 +57,14 @@ class Dataset:
         )
 
 
+def require_finite(features: np.ndarray) -> None:
+    """Raise DataError naming the first NaN or Inf cell (0-based row, column)."""
+    bad = ~np.isfinite(features)
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        raise DataError(f"non-finite feature value at row {r}, column {c}")
+
+
 def validate_dataset(features, labels) -> Dataset:
     """Check raw features/labels and build a Dataset.
 
@@ -79,10 +87,7 @@ def validate_dataset(features, labels) -> Dataset:
         raise DataError("labels must be integers")
     labs = labs.astype(int)
 
-    bad = ~np.isfinite(feats)
-    if bad.any():
-        r, c = np.argwhere(bad)[0]
-        raise DataError(f"non-finite feature value at row {r}, column {c}")
+    require_finite(feats)
 
     if labs.min(initial=1) < 1:
         r = int(np.argmin(labs))

@@ -90,6 +90,32 @@ class TestPredict:
                      "--out", str(tmp_path / "p.csv")]) == 2
 
 
+    @pytest.mark.parametrize("body, message", [("1,2\n3,nan\n", "row 1, column 1"),
+                                               ("inf,2\n", "row 0, column 0"),
+                                               ("1,2\n3\n", "line 3 has 1 fields")])
+    def test_bad_test_rows_exit_2(self, separable_csv, tmp_path, capsys, body, message):
+        model = tmp_path / "model.txt"
+        main(["fit", "--train", str(separable_csv), "--m1", "1", "--m2", "0.5",
+              "--out", str(model)])
+        test = tmp_path / "test.csv"
+        test.write_text("f1,f2\n" + body, encoding="utf-8")
+        pred = tmp_path / "pred.csv"
+        assert main(["predict", "--model", str(model), "--test", str(test),
+                     "--out", str(pred)]) == 2
+        assert message in capsys.readouterr().err
+        assert not pred.exists()
+
+    def test_non_finite_model_exits_2(self, separable_csv, tmp_path, capsys):
+        model = tmp_path / "model.txt"
+        model.write_text("slda-model v1\np 2\nalpha 0.3\nm1 1\nm2 1\nc inf\n"
+                         "degenerate 0\nweights\nnan\n1.0\n", encoding="utf-8")
+        pred = tmp_path / "pred.csv"
+        assert main(["predict", "--model", str(model), "--test", str(separable_csv),
+                     "--out", str(pred)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not pred.exists()
+
+
 class TestCv:
     def test_single_point_grid(self, separable_csv, tmp_path, capsys):
         surface = tmp_path / "surface.csv"

@@ -4,14 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import random_spd, two_class_dataset
 from slda.errors import DomainError, UnusableMatrixError
 from slda.estimation import (
-    SparseSymMatrix,
     compute_an,
     compute_tn,
     invert_sparse_sym,
+    nnz_offdiag,
     pseudo_inverse_sym,
     summarize,
     threshold_covariance,
@@ -93,41 +96,48 @@ class TestThresholdFormulas:
             compute_an(1.0, 100, 10, 0.0)
 
 
+def kept_upper(s, t):
+    """Upper-triangle pairs with |s_jl| > t, the reference kept set."""
+    return set(zip(*(idx.tolist() for idx in np.nonzero(np.triu(np.abs(s) > t, 1)))))
+
+
 class TestThresholdCovariance:
     def test_drops_small_offdiagonal(self):
         s = np.array([[2.0, 0.1], [0.1, 3.0]])
         t = threshold_covariance(s, 0.2)
-        assert t.nnz_offdiag == 0
-        assert np.array_equal(t.densify(), np.diag([2.0, 3.0]))
+        assert nnz_offdiag(t) == 0
+        assert np.array_equal(t, np.diag([2.0, 3.0]))
 
     def test_zero_threshold_keeps_all_nonzero(self):
         s = np.array([[1.0, 0.0, -0.3],
                       [0.0, 2.0, 0.4],
                       [-0.3, 0.4, 3.0]])
         t = threshold_covariance(s, 0.0)
-        assert t.nnz_offdiag == 2  # the exact zero stays out
-        assert np.array_equal(t.densify(), s)
+        assert nnz_offdiag(t) == 2  # the exact zero stays out
+        assert np.array_equal(t, s)
 
     def test_enumerated_keeps(self):
         s = np.array([[1.0, 0.3, 0.05],
                       [0.3, 1.0, 0.25],
                       [0.05, 0.25, 1.0]])
         t = threshold_covariance(s, 0.2)
-        assert t.nnz_offdiag == 2
-        kept = set(zip(t.rows.tolist(), t.cols.tolist()))
-        assert kept == {(0, 1), (1, 2)}
+        assert nnz_offdiag(t) == 2
+        assert kept_upper(t, 0.0) == {(0, 1), (1, 2)}
+        assert np.array_equal(t, [[1.0, 0.3, 0.0], [0.3, 1.0, 0.25], [0.0, 0.25, 1.0]])
 
     def test_tie_at_threshold_dropped(self):
         s = np.array([[1.0, 0.2], [0.2, 1.0]])
-        assert threshold_covariance(s, 0.2).nnz_offdiag == 0
+        t = threshold_covariance(s, 0.2)
+        assert nnz_offdiag(t) == 0
+        assert t[0, 1] == 0.0 and t[1, 0] == 0.0
 
     def test_monotone_in_threshold(self, rng):
         s = random_spd(rng, 12)
         prev = None
         for t in (0.0, 0.05, 0.1, 0.3, 1.0):
-            kept = set(zip(*np.nonzero(np.triu(np.abs(s), 1) > t)))
+            kept = kept_upper(s, t)
             got = threshold_covariance(s, t)
-            assert set(zip(got.rows.tolist(), got.cols.tolist())) == kept
+            assert kept_upper(got, 0.0) == kept
             if prev is not None:
                 assert kept <= prev
             prev = kept
@@ -135,8 +145,27 @@ class TestThresholdCovariance:
     def test_diagonal_copied_exactly(self, rng):
         s = random_spd(rng, 9)
         t = threshold_covariance(s, 10.0)
-        assert np.array_equal(t.diagonal, np.diag(s))
-        assert t.nnz_offdiag == 0
+        assert np.array_equal(np.diag(t), np.diag(s))
+        assert nnz_offdiag(t) == 0
+        assert np.array_equal(t, np.diag(np.diag(s)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), p=st.integers(1, 8))
+    def test_strict_rule_property(self, data, p):
+        # the sampled values give exact zeros and ties with t
+        ties = [0.0, -0.0, 0.25, -0.25, 0.5, -1.0, 1e-300, 3.0]
+        elements = st.one_of(st.sampled_from(ties), st.floats(-5.0, 5.0))
+        a = data.draw(arrays(float, (p, p), elements=elements))
+        s = np.triu(a) + np.triu(a, 1).T
+        t = data.draw(st.sampled_from([0.0, 1e-300, 0.25, 0.5, 2.0, 10.0]))
+        got = threshold_covariance(s, t)
+        assert np.array_equal(got, got.T)
+        assert np.array_equal(np.diag(got), np.diag(s))
+        off = ~np.eye(p, dtype=bool)
+        expected = np.where(np.abs(s) > t, s, 0.0)
+        assert np.array_equal(got[off], expected[off])
+        assert not np.any(np.signbit(got[off]) & (np.abs(s[off]) <= t))  # dropped is +0.0
+        assert nnz_offdiag(got) == len(kept_upper(s, t))
 
 
 class TestThresholdDelta:
@@ -197,21 +226,19 @@ class TestInvertSparseSym:
         assert np.allclose(op.apply(v1 + v2), op.apply(v1) + op.apply(v2), rtol=1e-12)
 
     def test_nonpositive_matrix_unusable(self):
-        t = SparseSymMatrix(dim=2, diagonal=np.array([-1.0, -2.0]),
-                            rows=np.array([], dtype=int), cols=np.array([], dtype=int),
-                            values=np.array([]))
         with pytest.raises(UnusableMatrixError):
-            invert_sparse_sym(t)
+            invert_sparse_sym(np.diag([-1.0, -2.0]))
 
     def test_degenerate_diagonal_recorded(self):
-        t = SparseSymMatrix(dim=2, diagonal=np.array([2.0, 1e-18]),
-                            rows=np.array([], dtype=int), cols=np.array([], dtype=int),
-                            values=np.array([]))
-        op = invert_sparse_sym(t, floor_eps=1e-8)
+        op = invert_sparse_sym(np.diag([2.0, 1e-18]), floor_eps=1e-8)
         # either a successful (ill-conditioned) Cholesky or the floor path;
         # the pd flag records which
         assert op.kind in ("cholesky", "eigen_floor")
         assert op.pd_flag == (op.kind == "cholesky")
+
+    def test_asymmetric_matrix_rejected(self):
+        with pytest.raises(DomainError, match="asymmetry"):
+            invert_sparse_sym(np.array([[2.0, 0.5], [0.1, 2.0]]))
 
 
 class TestPseudoInverse:
@@ -259,7 +286,7 @@ class TestOperatorNormConsistency:
                 x2 = sample_mvn(np.zeros(p), factor, gen, size=n // 2)
                 s = summarize(two_class_dataset(x1, x2)).pooled_cov
                 t_n = compute_tn(1.0, n, p)
-                diff = threshold_covariance(s, t_n).densify() - sigma
+                diff = threshold_covariance(s, t_n) - sigma
                 errs.append(np.max(np.abs(np.linalg.eigvalsh(diff))))
             return float(np.median(errs))
 

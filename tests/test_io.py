@@ -8,6 +8,7 @@ from slda.classify import SparsityReport
 from slda.errors import DataError
 from slda.io import (
     read_dataset_csv,
+    read_feature_csv,
     read_matrix,
     read_model,
     read_scenario,
@@ -47,6 +48,30 @@ class TestDatasetCsv:
         path.write_text("f1,class\nx,1\n", encoding="utf-8")
         with pytest.raises(DataError, match="line 2"):
             read_dataset_csv(path)
+
+
+class TestFeatureCsv:
+    def test_class_column_optional(self, tmp_path):
+        plain = tmp_path / "plain.csv"
+        plain.write_text("f1,f2\n1.5,-2\n3,4\n", encoding="utf-8")
+        labeled = tmp_path / "labeled.csv"
+        labeled.write_text("f1,class,f2\n1.5,1,-2\n3,2,4\n", encoding="utf-8")
+        expected = np.array([[1.5, -2.0], [3.0, 4.0]])
+        assert np.array_equal(read_feature_csv(plain), expected)
+        assert np.array_equal(read_feature_csv(labeled), expected)
+
+    def test_ragged_row_names_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("f1,f2\n1,2\n3,4,5\n", encoding="utf-8")
+        with pytest.raises(DataError, match="line 3"):
+            read_feature_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"f1,f2\n1,2\n3,{cell}\n", encoding="utf-8")
+        with pytest.raises(DataError, match="row 1, column 1"):
+            read_feature_csv(path)
 
 
 class TestMatrixCsv:
@@ -90,6 +115,16 @@ class TestModelFile:
         path.write_text("slda-model v1\np 3\nalpha 0.3\nm1 1\nm2 1\nc 0\n"
                         "degenerate 0\nweights\n1.0\n2.0\n", encoding="utf-8")
         with pytest.raises(DataError, match="weight"):
+            read_model(path)
+
+
+    @pytest.mark.parametrize("cutoff, weight", [("inf", "1.0"), ("nan", "1.0"),
+                                                ("0", "nan"), ("0", "-inf")])
+    def test_non_finite_values_rejected(self, tmp_path, cutoff, weight):
+        path = tmp_path / "model.txt"
+        path.write_text(f"slda-model v1\np 2\nalpha 0.3\nm1 1\nm2 1\nc {cutoff}\n"
+                        f"degenerate 0\nweights\n2.0\n{weight}\n", encoding="utf-8")
+        with pytest.raises(DataError, match="non-finite"):
             read_model(path)
 
 
