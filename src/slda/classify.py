@@ -181,24 +181,6 @@ def build_slda_multi(dataset: Dataset, config: ThresholdConfig,
     return MultiRule(pairwise=pairwise, n_classes=k)
 
 
-def multi_scores(rule: MultiRule, x: np.ndarray) -> np.ndarray:
-    """Matrix of pairwise scores s_kl(x) for rows of x, shape (m, K, K).
-
-    s_kl is the signed score of the (k, l) contrast; s_lk = -s_kl and
-    the diagonal is 0.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[1] != rule.p:
-        raise ShapeError(f"multi_scores: features shape {x.shape} incompatible with p={rule.p}")
-    m, k = x.shape[0], rule.n_classes
-    s = np.zeros((m, k, k))
-    for (a, b), pair_rule in rule.pairwise.items():
-        val = x @ pair_rule.weights - pair_rule.cutoff
-        s[:, a - 1, b - 1] = val
-        s[:, b - 1, a - 1] = -val
-    return s
-
-
 def classify_multi(rule: MultiRule, x: np.ndarray) -> int:
     """Class label in 1..K by the maximin pairwise score.
 
@@ -213,10 +195,31 @@ def classify_multi(rule: MultiRule, x: np.ndarray) -> int:
     return int(classify_multi_many(rule, x[None, :])[0])
 
 
+def maximin_labels(pair_scores: np.ndarray, pairs: list[tuple[int, int]],
+                   k: int) -> np.ndarray:
+    """Maximin class labels in 1..k from pairwise contrast scores.
+
+    Column j of the (m, len(pairs)) ``pair_scores`` holds s_ab for
+    ``pairs[j] = (a, b)``; the reversed contrast s_ba is its negation.
+    Each row goes to the class c maximizing min_{l != c} s_cl, ties to
+    the lowest index. With k = 2 and the single pair (1, 2) this is the
+    linear rule "class 1 iff s_12 >= 0", the tie at 0 (or -0.0)
+    included.
+    """
+    pair_scores = np.asarray(pair_scores, dtype=float)
+    worst = np.full((pair_scores.shape[0], k), np.inf)  # self-contrast never binds
+    for j, (a, b) in enumerate(pairs):
+        np.minimum(worst[:, a - 1], pair_scores[:, j], out=worst[:, a - 1])
+        np.minimum(worst[:, b - 1], -pair_scores[:, j], out=worst[:, b - 1])
+    return np.argmax(worst, axis=1) + 1
+
+
 def classify_multi_many(rule: MultiRule, x: np.ndarray) -> np.ndarray:
     """Vectorized classify_multi over the rows of an (m, p) matrix."""
-    s = multi_scores(rule, x)
-    k = rule.n_classes
-    s[:, np.arange(k), np.arange(k)] = np.inf  # self-contrast never binds
-    worst = s.min(axis=2)
-    return np.argmax(worst, axis=1) + 1
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.shape[1] != rule.p:
+        raise ShapeError(f"classify_multi_many: features shape {x.shape} incompatible with p={rule.p}")
+    pairs = sorted(rule.pairwise)
+    scores = np.column_stack([x @ rule.pairwise[ab].weights - rule.pairwise[ab].cutoff
+                              for ab in pairs])
+    return maximin_labels(scores, pairs, rule.n_classes)

@@ -143,16 +143,19 @@ def cmd_cv(args) -> int:
     return OK
 
 
-def cmd_simulate(args) -> int:
+def _load_scenario(name: str) -> Scenario:
+    """A preset by name, else a scenario file at that path."""
     presets = preset_scenarios()
-    name = args.scenario
     if name in presets:
-        scenario = presets[name]
-    elif Path(name).exists():
-        scenario = sio.read_scenario(name)
-    else:
-        catalog = ", ".join(sorted(presets))
-        raise DataError(f"unknown scenario {name!r}; presets: {catalog}")
+        return presets[name]
+    if Path(name).exists():
+        return sio.read_scenario(name)
+    catalog = ", ".join(sorted(presets))
+    raise DataError(f"unknown scenario {name!r}; presets: {catalog}")
+
+
+def cmd_simulate(args) -> int:
+    scenario = _load_scenario(args.scenario)
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = int(args.seed)
@@ -192,7 +195,7 @@ def cmd_diagnose(args) -> int:
         delta_p = float(np.sqrt(max(delta @ op.apply(delta), 0.0)))
         source = "sample"
     else:
-        scenario = _load_scenario_for_diagnose(args.scenario)
+        scenario = _load_scenario(args.scenario)
         pop = scenario.resolve_population()
         if pop.distribution != NORMAL:
             print("note: t population; diagnostics use the scale matrix", file=sys.stderr)
@@ -228,15 +231,6 @@ def cmd_diagnose(args) -> int:
     Path(args.out).write_text("\n".join(out_lines) + "\n", encoding="utf-8")
     print(f"cumulative proportions written to {args.out}")
     return OK
-
-
-def _load_scenario_for_diagnose(name: str) -> Scenario:
-    presets = preset_scenarios()
-    if name in presets:
-        return presets[name]
-    if Path(name).exists():
-        return sio.read_scenario(name)
-    raise DataError(f"unknown scenario {name!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import build_slda, classify, classify_many, classify_multi_many
+from .classify import build_slda, classify, classify_many, classify_multi_many, maximin_labels
 from .diagnostics import mahalanobis_delta
 from .errors import DataError, DomainError, ShapeError, SldaError
 from .estimation import compute_an, compute_tn, summarize
@@ -81,11 +81,9 @@ def _class_scores(pop: PopulationSpec, cls: int, weights: np.ndarray,
     # Drawing z and projecting through L' @ weights gives the same draws
     # as materializing x = mu + L z (same z, reassociated product).
     z = gen.standard_normal((n_mc, pop.p))
-    proj = pop.chol.lower.T @ weights
-    raw = z @ proj
+    raw = z @ (pop.chol.lower.T @ weights)
     if pop.distribution != NORMAL:
-        scale = np.sqrt(pop.df / gen.chisquare(pop.df, n_mc))
-        raw = raw * (scale[:, None] if raw.ndim == 2 else scale)
+        raw = raw * np.sqrt(pop.df / gen.chisquare(pop.df, n_mc))[:, None]
     return raw + pop.means[cls - 1] @ weights
 
 
@@ -97,70 +95,54 @@ def _binomial_report(errors: list[float], n_mc: int, degenerate: bool = False) -
                       degenerate=degenerate)
 
 
-def conditional_rate_mc_joint(rules: dict[str, LinearRule], pop: PopulationSpec,
-                              n_mc: int, gen: np.random.Generator) -> dict[str, RateReport]:
-    """Monte Carlo rates for several linear rules on one shared draw set.
-
-    Each rule's estimate is distributed exactly as a separate
-    conditional_rate_mc call; sharing the n_mc draws per class couples
-    the estimates (common random numbers) and costs one pass.
-    """
-    if n_mc < 1:
-        raise DomainError(f"n_mc must be >= 1, got {n_mc}")
-    if pop.n_classes != 2:
-        raise DomainError("joint evaluation expects a two-class population")
-    names = list(rules)
-    weights = np.column_stack([rules[m].weights for m in names])
-    cutoffs = np.array([rules[m].cutoff for m in names])
-    errors = np.empty((2, len(names)))
-    for cls in (1, 2):
-        scores = _class_scores(pop, cls, weights, n_mc, gen) - cutoffs
-        wrong = scores < 0.0 if cls == 1 else scores >= 0.0
-        errors[cls - 1] = wrong.mean(axis=0)
-    return {m: _binomial_report([errors[0, j], errors[1, j]], n_mc,
-                                degenerate=rules[m].degenerate)
-            for j, m in enumerate(names)}
+def _pair_columns(rule, pop: PopulationSpec) -> tuple[list, list[LinearRule]]:
+    # A MultiRule scores its sorted pairs; a LinearRule is the K = 2 rule
+    # with the single pair (1, 2).
+    if isinstance(rule, MultiRule):
+        k, pairs = rule.n_classes, sorted(rule.pairwise)
+        columns = [rule.pairwise[ab] for ab in pairs]
+    else:
+        k, pairs, columns = 2, [(1, 2)], [rule]
+    if k != pop.n_classes:
+        raise ShapeError(f"rule has {k} classes, population {pop.n_classes}")
+    if rule.p != pop.p:
+        raise ShapeError(f"rule dimension {rule.p} != population dimension {pop.p}")
+    return pairs, columns
 
 
-def conditional_rate_mc(rule, pop: PopulationSpec, n_mc: int,
-                        gen: np.random.Generator) -> RateReport:
-    """Monte Carlo conditional rate for a LinearRule or MultiRule.
+def conditional_rate_mc(rules: dict, pop: PopulationSpec, n_mc: int,
+                        gen: np.random.Generator) -> dict[str, RateReport]:
+    """Monte Carlo conditional rates of named LinearRules or MultiRules.
 
     Draws n_mc samples per class from the population's distribution
-    (normal or t), classifies them, and averages the per-class error
-    rates with equal weights. The reported stderr is the binomial
-    standard error of that average.
+    (normal or t), scores them against every rule's pair columns in one
+    pass, labels them by the maximin decision, and averages each rule's
+    per-class error rates with equal weights. The reported stderr is the
+    binomial standard error of that average. The draws do not depend on
+    the rules, so every rule sees the draws it would see alone (common
+    random numbers across rules).
     """
     if n_mc < 1:
         raise DomainError(f"n_mc must be >= 1, got {n_mc}")
+    if not rules:
+        raise DomainError("conditional_rate_mc needs at least one rule")
     k = pop.n_classes
-    if isinstance(rule, MultiRule):
-        if rule.n_classes != k:
-            raise ShapeError(f"rule has {rule.n_classes} classes, population {k}")
-        pairs = sorted(rule.pairwise)
-        weights = np.column_stack([rule.pairwise[ab].weights for ab in pairs])
-        cutoffs = np.array([rule.pairwise[ab].cutoff for ab in pairs])
-        errors = []
-        for cls in range(1, k + 1):
-            scores = _class_scores(pop, cls, weights, n_mc, gen) - cutoffs
-            s = np.zeros((n_mc, k, k))
-            for idx, (a, b) in enumerate(pairs):
-                s[:, a - 1, b - 1] = scores[:, idx]
-                s[:, b - 1, a - 1] = -scores[:, idx]
-            s[:, np.arange(k), np.arange(k)] = np.inf
-            labels = np.argmax(s.min(axis=2), axis=1) + 1
-            errors.append(float(np.mean(labels != cls)))
-    else:
-        if rule.p != pop.p:
-            raise ShapeError(f"rule dimension {rule.p} != population dimension {pop.p}")
-        if k != 2:
-            raise DomainError("a LinearRule evaluates against a two-class population")
-        errors = []
-        for cls in (1, 2):
-            scores = _class_scores(pop, cls, rule.weights, n_mc, gen) - rule.cutoff
-            wrong = scores < 0.0 if cls == 1 else scores >= 0.0
-            errors.append(float(np.mean(wrong)))
-    return _binomial_report(errors, n_mc, degenerate=getattr(rule, "degenerate", False))
+    names = list(rules)
+    layout = [_pair_columns(rules[name], pop) for name in names]
+    columns = [rule for _, cols in layout for rule in cols]
+    weights = np.column_stack([rule.weights for rule in columns])
+    cutoffs = np.array([rule.cutoff for rule in columns])
+    errors = np.empty((len(names), k))
+    for cls in range(1, k + 1):
+        scores = _class_scores(pop, cls, weights, n_mc, gen) - cutoffs
+        start = 0
+        for j, (pairs, _) in enumerate(layout):
+            labels = maximin_labels(scores[:, start:start + len(pairs)], pairs, k)
+            errors[j, cls - 1] = np.mean(labels != cls)
+            start += len(pairs)
+    return {name: _binomial_report([float(e) for e in errors[j]], n_mc,
+                                   degenerate=getattr(rules[name], "degenerate", False))
+            for j, name in enumerate(names)}
 
 
 def empirical_rate(rule, test: Dataset) -> RateReport:
@@ -274,7 +256,8 @@ def default_grids(dataset: Dataset, alpha: float = 0.3, size: int = 7):
         hi = max(float(np.quantile(values, 0.999)), lo * (1.0 + 1e-9))
         return list(np.exp(np.linspace(math.log(lo), math.log(hi), size)) / scale)
 
-    offdiag = np.abs(summary.pooled_cov[np.triu_indices(p, k=1)])
+    offdiag = summary.pooled_cov[np.triu(np.ones((p, p), dtype=bool), k=1)]
+    np.abs(offdiag, out=offdiag)
     m1_grid = log_spaced(offdiag, scale_t)
     m2_grid = log_spaced(np.abs(summary.delta_hat), scale_a)
     return m1_grid, m2_grid

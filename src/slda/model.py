@@ -214,14 +214,3 @@ class ThresholdConfig:
             raise DomainError("M1 and M2 must be finite")
         if self.m1 < 0 or self.m2 < 0:
             raise DomainError("M1 and M2 must be nonnegative")
-
-
-# Desk-scale fallback constants used when a caller asks for a fixed
-# configuration without choosing one (cross-validation is the preferred
-# route; these are sane for moderate signal-to-noise problems).
-DEFAULT_M1 = 2.0
-DEFAULT_M2 = 1.9
-
-
-def default_config(alpha: float = 0.3) -> ThresholdConfig:
-    return ThresholdConfig(m1=DEFAULT_M1, m2=DEFAULT_M2, alpha=alpha)

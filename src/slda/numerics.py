@@ -102,10 +102,6 @@ class SpdFactor:
     lower: np.ndarray
     log_determinant: float
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        """Apply L to a vector or batch of vectors (columns of v)."""
-        return self.lower @ v
-
 
 @dataclass(frozen=True)
 class EigenSym:
@@ -116,24 +112,29 @@ class EigenSym:
 
 
 def _symmetrize(a: np.ndarray, what: str) -> np.ndarray:
+    # Checks, but does not rebuild: potrf and eigh read only the lower
+    # triangle, and every matrix the package builds is exactly symmetric.
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"{what} requires a square matrix, got shape {a.shape}")
     if a.shape[0] < 1:
         raise ShapeError(f"{what} requires dimension >= 1")
-    scale = np.max(np.abs(a))
-    skew = np.max(np.abs(a - a.T))
+    scale = max(float(a.max()), -float(a.min()))  # max |a_jl| without a |a| copy
+    if not math.isfinite(scale):
+        raise DomainError(f"{what}: input has NaN or Inf entries")
+    skew = a - a.T
+    skew = float(np.abs(skew, out=skew).max())
     if scale > 0 and skew > _SYM_RTOL * scale:
         raise DomainError(
             f"{what}: input asymmetry {skew:.3e} exceeds {_SYM_RTOL:.0e} relative"
         )
-    return 0.5 * (a + a.T)
+    return a
 
 
 def cholesky_spd(a: np.ndarray) -> SpdFactor:
     """Lower Cholesky factor of a symmetric positive definite matrix.
 
-    The input is symmetrized first; asymmetry beyond 1e-8 relative is an
+    Only the lower triangle is read; asymmetry beyond 1e-8 relative is an
     error rather than silently absorbed. A non-positive pivot raises
     NotPositiveDefiniteError carrying the 0-based pivot index.
     """

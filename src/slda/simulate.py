@@ -16,7 +16,7 @@ from .errors import DomainError, SldaError
 from .evaluate import (
     RateReport,
     conditional_rate,
-    conditional_rate_mc_joint,
+    conditional_rate_mc,
     cv_grid_search,
     default_grids,
     optimal_rate,
@@ -195,7 +195,7 @@ def _run_replicate(scenario: Scenario, pop: PopulationSpec, k: int) -> Replicate
             rates = {m: conditional_rate(rule, pop) for m, rule in rules.items()}
         else:
             # one Monte Carlo pass per replicate, shared across methods
-            rates = conditional_rate_mc_joint(rules, pop, scenario.n_mc, gen)
+            rates = conditional_rate_mc(rules, pop, scenario.n_mc, gen)
         return ReplicateRecord(replicate_index=k, rates=rates, chosen_m1=chosen_m1,
                                chosen_m2=chosen_m2, sparsity=sparsity)
     except SldaError as exc:

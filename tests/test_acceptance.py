@@ -52,7 +52,7 @@ def test_c01_rate_formula_oracle_equivalence():
         c = float(w @ pop.mid) + rng.uniform(-0.5, 0.5) * sigma_w
         rule = LinearRule(weights=w, cutoff=c)
         cf = conditional_rate(rule, pop).conditional_rate
-        mc = conditional_rate_mc(rule, pop, 100_000, substream(909, case))
+        mc = conditional_rate_mc({"r": rule}, pop, 100_000, substream(909, case))["r"]
         worst = max(worst, abs(cf - mc.conditional_rate) / mc.stderr)
     elapsed = time.time() - start
     report("C1 rate-formula oracle equivalence",

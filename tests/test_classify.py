@@ -3,6 +3,9 @@ pairwise multi-class extension."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import random_population, random_spd, two_class_dataset
 from slda.classify import (
@@ -15,6 +18,7 @@ from slda.classify import (
     classify_many,
     classify_multi,
     classify_multi_many,
+    maximin_labels,
 )
 from slda.diagnostics import lemma2_counts
 from slda.errors import DomainError
@@ -25,7 +29,6 @@ from slda.model import (
     MultiRule,
     PopulationSpec,
     ThresholdConfig,
-    default_config,
 )
 from slda.numerics import cholesky_spd, sample_mvn, spd_solve, substream
 
@@ -124,7 +127,7 @@ class TestBuildSlda:
         delta = np.zeros(p)
         delta[np.arange(10) * (p // 10)] = 1.0
         pop = PopulationSpec(means=np.vstack([delta, np.zeros(p)]), covariance=np.eye(p))
-        cfg = default_config()
+        cfg = ThresholdConfig(m1=2.0, m2=1.9)
         a_n = compute_an(cfg.m2, n1 + n2, p, cfg.alpha)
         q_n0, q_n = lemma2_counts(delta, a_n, r=2.0)
         inside = 0
@@ -218,14 +221,39 @@ class TestMultiClass:
                      labels=np.repeat(np.arange(1, k + 1), 8),
                      class_counts=(8, 8, 8))
         rule = build_slda_multi(ds, ThresholdConfig(m1=1.0, m2=0.1, alpha=0.3))
-        probe = rng.standard_normal(p)
+        probes = rng.standard_normal((50, p))
+        pairs = sorted(rule.pairwise)
+        s = np.column_stack([probes @ rule.pairwise[ab].weights - rule.pairwise[ab].cutoff
+                             for ab in pairs])
+        labels = classify_multi_many(rule, probes)
+        assert np.array_equal(labels, maximin_labels(s, pairs, k))
+        # s_ba = -s_ab: stating every contrast reversed gives the same labels
+        assert np.array_equal(maximin_labels(-s, [(b, a) for a, b in pairs], k), labels)
+        # pairwise sign: the (1, 2) contrast on its own is the linear rule
         r12 = rule.pairwise[(1, 2)]
-        s12 = r12.weights @ probe - r12.cutoff
-        from slda.classify import multi_scores
+        pair_only = MultiRule(pairwise={(1, 2): r12}, n_classes=2)
+        assert np.array_equal(classify_multi_many(pair_only, probes), classify_many(r12, probes))
 
-        s = multi_scores(rule, probe)[0]
-        assert s[0, 1] == pytest.approx(s12, rel=1e-15)
-        assert s[1, 0] == -s[0, 1]
+    def test_maximin_hand_cases(self):
+        pairs = [(1, 2), (1, 3), (2, 3)]
+        s = np.array([
+            [1.0, 2.0, 3.0],    # class 1 beats both rivals
+            [-1.0, 2.0, 3.0],   # class 2 beats both rivals
+            [1.0, -1.0, -2.0],  # class 3 beats both rivals
+            [1.0, -1.0, 1.0],   # a cycle: every worst score is -1, lowest index wins
+            [0.0, 0.0, 0.0],    # all ties go to class 1
+        ])
+        assert maximin_labels(s, pairs, 3).tolist() == [1, 2, 3, 1, 1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(scores=arrays(np.float64, st.integers(1, 40),
+                         elements=st.one_of(st.sampled_from([0.0, -0.0]),
+                                            st.floats(allow_nan=False))))
+    def test_maximin_two_class_is_linear_rule(self, scores):
+        # K = 2 with the single pair (1, 2) is "class 1 iff w'x >= c"
+        unit = LinearRule(weights=np.ones(1), cutoff=0.0)
+        assert np.array_equal(maximin_labels(scores[:, None], [(1, 2)], 2),
+                              classify_many(unit, scores[:, None]))
 
     def test_three_separated_classes_zero_training_error(self, rng):
         k, p = 3, 4

@@ -197,6 +197,12 @@ class TestSimulate:
 
 
 class TestDiagnose:
+    def test_unknown_scenario_lists_catalog(self, tmp_path, capsys):
+        # simulate and diagnose resolve a scenario name the same way
+        assert main(["diagnose", "--scenario", "nope", "--out", str(tmp_path / "d.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "thm2_worst" in err and "sec5_t3" in err
+
     def test_identity_population_row_count_one(self, tmp_path, capsys):
         sc = Scenario(name="diag",
                       population=PopulationRecipe(p=12, delta_pattern=(3, 1.0)),

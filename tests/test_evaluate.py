@@ -10,12 +10,11 @@ import pytest
 from conftest import random_population, two_class_dataset
 from slda.classify import build_oracle, build_slda
 from slda.diagnostics import lemma2_counts
-from slda.errors import DataError, DomainError
+from slda.errors import DataError, DomainError, ShapeError
 from slda.estimation import compute_an
 from slda.evaluate import (
     conditional_rate,
     conditional_rate_mc,
-    conditional_rate_mc_joint,
     cv_grid_search,
     empirical_rate,
     loocv_rate,
@@ -116,15 +115,15 @@ class TestConditionalRateMc:
     def test_always_class_one(self, rng):
         pop = random_population(rng, 3)
         rule = LinearRule(weights=np.zeros(3), cutoff=0.0, degenerate=True)
-        report = conditional_rate_mc(rule, pop, 5000, substream(1, 0))
+        report = conditional_rate_mc({"r": rule}, pop, 5000, substream(1, 0))["r"]
         assert report.per_class_error == (0.0, 1.0)
         assert report.conditional_rate == 0.5
 
     def test_deterministic(self, rng):
         pop = random_population(rng, 4)
         rule = build_oracle(pop)
-        a = conditional_rate_mc(rule, pop, 20_000, substream(5, 1))
-        b = conditional_rate_mc(rule, pop, 20_000, substream(5, 1))
+        a = conditional_rate_mc({"r": rule}, pop, 20_000, substream(5, 1))["r"]
+        b = conditional_rate_mc({"r": rule}, pop, 20_000, substream(5, 1))["r"]
         assert a.conditional_rate == b.conditional_rate
 
     def test_matches_closed_form(self, rng):
@@ -132,7 +131,7 @@ class TestConditionalRateMc:
         w = rng.standard_normal(8)
         rule = LinearRule(weights=w, cutoff=float(w @ pop.mid))
         cf = conditional_rate(rule, pop).conditional_rate
-        mc = conditional_rate_mc(rule, pop, 100_000, substream(6, 2))
+        mc = conditional_rate_mc({"r": rule}, pop, 100_000, substream(6, 2))["r"]
         assert abs(cf - mc.conditional_rate) <= 3.5 * mc.stderr
 
     def test_t_population_matches_univariate_t_tail(self, rng):
@@ -152,15 +151,69 @@ class TestConditionalRateMc:
         e1 = student_t.cdf((c - w @ delta) / sw, df=3)
         e2 = student_t.cdf((w @ np.zeros(p) - c) / sw, df=3)
         expected = 0.5 * (e1 + e2)
-        mc = conditional_rate_mc(rule, pop, 200_000, substream(7, 3))
+        mc = conditional_rate_mc({"r": rule}, pop, 200_000, substream(7, 3))["r"]
         assert abs(mc.conditional_rate - expected) <= 4 * mc.stderr
 
     def test_joint_reports_match_individual_distribution(self, rng):
         # same rule twice in a joint pass gives identical estimates
         pop = random_population(rng, 5)
         rule = build_oracle(pop)
-        out = conditional_rate_mc_joint({"a": rule, "b": rule}, pop, 50_000, substream(8, 0))
+        out = conditional_rate_mc({"a": rule, "b": rule}, pop, 50_000, substream(8, 0))
         assert out["a"].conditional_rate == out["b"].conditional_rate
+
+    @pytest.mark.parametrize("distribution", ["normal", "student_t"])
+    def test_joint_estimate_equals_alone(self, rng, distribution):
+        # the draws do not depend on the rules, so adding a rule leaves
+        # another rule's estimate unchanged on the same substream
+        base = random_population(rng, 6)
+        pop = PopulationSpec(means=base.means, covariance=base.covariance,
+                             distribution=distribution, df=3)
+        r1 = build_oracle(pop)
+        w = rng.standard_normal(6)
+        r2 = LinearRule(weights=w, cutoff=float(w @ pop.mid))
+        joint = conditional_rate_mc({"a": r1, "b": r2}, pop, 20_000, substream(10, 1))
+        for name, rule in (("a", r1), ("b", r2)):
+            alone = conditional_rate_mc({name: rule}, pop, 20_000, substream(10, 1))[name]
+            assert joint[name] == alone
+
+    def test_wrong_p_linear_rule_rejected(self, rng):
+        pop = random_population(rng, 4)
+        rule = LinearRule(weights=np.ones(3), cutoff=0.0)
+        with pytest.raises(ShapeError):
+            conditional_rate_mc({"r": rule}, pop, 100, substream(11, 0))
+        with pytest.raises(ShapeError):
+            conditional_rate_mc({"ok": build_oracle(pop), "r": rule}, pop, 100, substream(11, 0))
+
+    def test_wrong_p_multi_rule_rejected(self, rng):
+        from test_classify import oracle_multi_rule
+        from conftest import random_spd
+
+        means = rng.standard_normal((3, 4))
+        pop = PopulationSpec(means=means, covariance=random_spd(rng, 4))
+        rule = oracle_multi_rule(means[:, :3], random_spd(rng, 3))
+        with pytest.raises(ShapeError):
+            conditional_rate_mc({"r": rule}, pop, 100, substream(12, 0))
+
+    def test_class_count_mismatch_rejected(self, rng):
+        from test_classify import oracle_multi_rule
+        from conftest import random_spd
+
+        means = rng.standard_normal((3, 4))
+        sigma = random_spd(rng, 4)
+        three = PopulationSpec(means=means, covariance=sigma)
+        two = PopulationSpec(means=means[:2], covariance=sigma)
+        with pytest.raises(ShapeError):
+            conditional_rate_mc({"r": LinearRule(weights=np.ones(4), cutoff=0.0)},
+                                three, 100, substream(13, 0))
+        with pytest.raises(ShapeError):
+            conditional_rate_mc({"r": oracle_multi_rule(means, sigma)}, two, 100, substream(13, 0))
+
+    def test_empty_rules_and_bad_n_mc_rejected(self, rng):
+        pop = random_population(rng, 3)
+        with pytest.raises(DomainError):
+            conditional_rate_mc({}, pop, 100, substream(14, 0))
+        with pytest.raises(DomainError):
+            conditional_rate_mc({"r": build_oracle(pop)}, pop, 0, substream(14, 0))
 
     def test_multiclass_against_nearest_mean_oracle(self, rng):
         # average per-class error of the all-pairs rule under a K = 3
@@ -175,7 +228,7 @@ class TestConditionalRateMc:
         sigma = random_spd(rng, p)
         pop = PopulationSpec(means=means, covariance=sigma)
         rule = oracle_multi_rule(means, sigma)
-        mc = conditional_rate_mc(rule, pop, 100_000, substream(9, 4))
+        mc = conditional_rate_mc({"r": rule}, pop, 100_000, substream(9, 4))["r"]
         checker = np.random.default_rng(321)
         errs = []
         for cls in range(k):
@@ -326,6 +379,21 @@ class TestCvGridSearch:
         summary_delta = np.abs(summarize_delta(ds))
         top_a = compute_an(m2_grid[-1], ds.n, ds.p, 0.3)
         assert top_a >= np.quantile(summary_delta, 0.95)
+
+    def test_default_grids_match_triu_indices_recipe(self, rng):
+        # the boolean-mask gather takes the same values as the
+        # np.triu_indices expression, so the grids are bit-identical
+        from slda.estimation import compute_tn, summarize
+        from slda.evaluate import default_grids
+
+        ds = draw(random_population(rng, 12), 9, 8, substream(45, 0))
+        m1_grid, _ = default_grids(ds, alpha=0.3, size=5)
+        s = summarize(ds).pooled_cov
+        offdiag = np.abs(s[np.triu_indices(ds.p, k=1)])
+        lo = max(float(np.quantile(offdiag, 0.5)), 1e-12)
+        hi = max(float(np.quantile(offdiag, 0.999)), lo * (1.0 + 1e-9))
+        want = np.exp(np.linspace(math.log(lo), math.log(hi), 5)) / compute_tn(1.0, ds.n, ds.p)
+        assert [float(v) for v in m1_grid] == [float(v) for v in want]
 
     def test_chosen_threshold_recovers_support_bracket(self):
         # p = 100, n = 60, five strong and five window signals; the

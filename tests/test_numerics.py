@@ -161,10 +161,40 @@ class TestCholesky:
             cholesky_spd(a)
 
     def test_mild_asymmetry_repaired(self):
+        # tolerated, and only the lower triangle is read
         a = np.array([[1.0, 0.5], [0.5 + 1e-12, 1.0]])
         f = cholesky_spd(a)
         recon = f.lower @ f.lower.T
-        assert np.allclose(recon, 0.5 * (a + a.T), rtol=1e-12)
+        assert np.allclose(recon, np.tril(a) + np.tril(a, -1).T, rtol=1e-12, atol=0.0)
+
+    def test_huge_entry_does_not_overflow(self):
+        f = cholesky_spd(np.array([[1e308]]))
+        assert f.lower[0, 0] == math.sqrt(1e308)
+        assert eigen_sym(np.array([[1e308]])).eigenvalues[0] == 1e308
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_non_finite_rejected(self, bad, where):
+        a = np.eye(2)
+        a[where] = a[where[::-1]] = bad
+        for fn in (cholesky_spd, eigen_sym):
+            with pytest.raises(DomainError, match="NaN or Inf"):
+                fn(a)
+
+    def test_exactly_symmetric_input_factors_as_before(self, rng):
+        # skipping the 0.5 (A + A') rebuild changes nothing for an exactly
+        # symmetric input: same factor bits, and the input is left alone
+        from conftest import random_spd
+
+        a = random_spd(rng, 30)
+        a = 0.5 * (a + a.T)  # (q * eigs) @ q.T is symmetric only to rounding
+        assert np.array_equal(a, a.T)
+        before = a.copy()
+        f = cholesky_spd(a)
+        assert np.array_equal(a, before)
+        rebuilt = cholesky_spd(0.5 * (a + a.T))
+        assert f.lower.tobytes() == rebuilt.lower.tobytes()
+        assert f.log_determinant == rebuilt.log_determinant
 
     def test_roundtrip_random_spd(self, rng):
         from conftest import random_spd
