@@ -24,6 +24,7 @@ from .model import NORMAL, ThresholdConfig
 from .simulate import (
     Scenario,
     preset_scenarios,
+    read_scenario,
     records_to_csv,
     run_scenario,
     summary_to_text,
@@ -56,7 +57,7 @@ _REQUIRED = {
 def _merge_config(args: argparse.Namespace) -> None:
     # flags (not None) > config file > built-in defaults
     if getattr(args, "config", None):
-        for key, value in sio._parse_kv(args.config).items():
+        for key, value in sio.read_kv(args.config).items():
             attr = key.replace("-", "_")
             if hasattr(args, attr) and getattr(args, attr) is None:
                 setattr(args, attr, value)
@@ -149,7 +150,7 @@ def _load_scenario(name: str) -> Scenario:
     if name in presets:
         return presets[name]
     if Path(name).exists():
-        return sio.read_scenario(name)
+        return read_scenario(name)
     catalog = ", ".join(sorted(presets))
     raise DataError(f"unknown scenario {name!r}; presets: {catalog}")
 

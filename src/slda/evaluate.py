@@ -77,11 +77,16 @@ def conditional_rate(rule: LinearRule, pop: PopulationSpec) -> RateReport:
 
 def _class_scores(pop: PopulationSpec, cls: int, weights: np.ndarray,
                   n_mc: int, gen: np.random.Generator) -> np.ndarray:
-    # Scores of n_mc draws from class ``cls`` against each weight column.
-    # Drawing z and projecting through L' @ weights gives the same draws
-    # as materializing x = mu + L z (same z, reassociated product).
-    z = gen.standard_normal((n_mc, pop.p))
-    raw = z @ (pop.chol.lower.T @ weights)
+    # Scores of n_mc draws from class ``cls`` against each weight column,
+    # drawn in score space. The centred scores W'(x - mu) = W'L z are
+    # N(0, W'Sigma W), or elliptical t with that scale; with R from the
+    # QR of L'W, R'R = W'L L'W = W'Sigma W, so z @ R with z of width
+    # rows(R) = min(p, m) has exactly the same joint law. QR, unlike a
+    # Cholesky of W'Sigma W, cannot fail: a zero column of W (degenerate
+    # rule) gives an exactly zero column of R, so its scores stay +-0.0.
+    r = np.linalg.qr(pop.chol.lower.T @ weights, mode="r")
+    z = gen.standard_normal((n_mc, r.shape[0]))
+    raw = z @ r
     if pop.distribution != NORMAL:
         raw = raw * np.sqrt(pop.df / gen.chisquare(pop.df, n_mc))[:, None]
     return raw + pop.means[cls - 1] @ weights
@@ -118,9 +123,11 @@ def conditional_rate_mc(rules: dict, pop: PopulationSpec, n_mc: int,
     (normal or t), scores them against every rule's pair columns in one
     pass, labels them by the maximin decision, and averages each rule's
     per-class error rates with equal weights. The reported stderr is the
-    binomial standard error of that average. The draws do not depend on
-    the rules, so every rule sees the draws it would see alone (common
-    random numbers across rules).
+    binomial standard error of that average. Each class's scores are
+    drawn in score space, n_mc rows of min(p, m) normals for m columns,
+    with their exact joint law; the rules share these draws (common
+    random numbers), so a rule's estimate in a joint call differs from
+    its estimate alone only by Monte Carlo noise.
     """
     if n_mc < 1:
         raise DomainError(f"n_mc must be >= 1, got {n_mc}")

@@ -1,6 +1,6 @@
 """Stable text formats: dataset CSV, matrix CSV, the v1 model file and
-flat key-value scenario files. All floats print with 17 significant
-digits so re-ingestion is value-exact."""
+the flat key-value parser behind scenario and config files. All floats
+print with 17 significant digits so re-ingestion is value-exact."""
 
 from __future__ import annotations
 
@@ -10,17 +10,8 @@ from pathlib import Path
 import numpy as np
 
 from .classify import SparsityReport
-from .errors import DataError, DomainError
-from .model import (
-    Dataset,
-    LinearRule,
-    NORMAL,
-    STUDENT_T,
-    ThresholdConfig,
-    require_finite,
-    validate_dataset,
-)
-from .simulate import GridSpec, PopulationRecipe, Scenario
+from .errors import DataError
+from .model import Dataset, LinearRule, ThresholdConfig, require_finite, validate_dataset
 
 LABEL_COLUMN = "class"
 
@@ -168,10 +159,11 @@ def read_model(path) -> tuple[LinearRule, dict]:
 
 
 # ---------------------------------------------------------------------------
-# scenario file (flat key = value text)
+# flat key = value text (scenario and config files)
 # ---------------------------------------------------------------------------
 
-def _parse_kv(path) -> dict:
+def read_kv(path) -> dict:
+    """Key-value pairs of a ``key = value`` file; "#" starts a comment."""
     out = {}
     for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -182,100 +174,3 @@ def _parse_kv(path) -> dict:
         key, value = line.split("=", 1)
         out[key.strip()] = value.strip()
     return out
-
-
-def read_scenario(path) -> Scenario:
-    """Parse a flat key-value scenario file.
-
-    Required keys: p, n1, n2, methods, reps, seed plus a delta pattern
-    (delta_count + delta_magnitude, or delta_values) and a sigma pattern
-    (sigma = identity | ar1 | banded | from_file with its parameters).
-    Threshold selection: fixed m1 + m2 (+ alpha), or grid_m1 + grid_m2.
-    """
-    kv = _parse_kv(path)
-    try:
-        p = int(kv["p"])
-        if "delta_values" in kv:
-            delta = tuple(float(v) for v in kv["delta_values"].split(","))
-            delta_pattern: tuple = np.array(delta)
-        else:
-            delta_pattern = (int(kv["delta_count"]), float(kv["delta_magnitude"]))
-        sigma_kind = kv.get("sigma", "identity")
-        if sigma_kind == "identity":
-            sigma_pattern: tuple = ("identity",)
-        elif sigma_kind == "ar1":
-            sigma_pattern = ("ar1", float(kv["rho"]))
-        elif sigma_kind == "banded":
-            sigma_pattern = ("banded", int(kv["width"]), float(kv["value"]))
-        elif sigma_kind == "from_file":
-            sigma_pattern = ("from_file", kv["sigma_file"])
-        else:
-            raise DataError(f"{path}: unknown sigma pattern {sigma_kind!r}")
-        distribution = kv.get("distribution", NORMAL)
-        df = int(kv["df"]) if distribution == STUDENT_T else None
-        recipe = PopulationRecipe(p=p, delta_pattern=delta_pattern,
-                                  sigma_pattern=sigma_pattern,
-                                  distribution=distribution, df=df)
-        alpha = float(kv.get("alpha", "0.3"))
-        if "m1" in kv and "m2" in kv:
-            cv: ThresholdConfig | GridSpec | None = ThresholdConfig(
-                m1=float(kv["m1"]), m2=float(kv["m2"]), alpha=alpha)
-        elif "grid_m1" in kv or "grid_m2" in kv:
-            cv = GridSpec(
-                m1_grid=tuple(float(v) for v in kv["grid_m1"].split(",")) if "grid_m1" in kv else None,
-                m2_grid=tuple(float(v) for v in kv["grid_m2"].split(",")) if "grid_m2" in kv else None,
-                alpha=alpha)
-        else:
-            cv = None
-        return Scenario(
-            name=kv.get("name", Path(path).stem),
-            population=recipe,
-            n1=int(kv["n1"]), n2=int(kv["n2"]),
-            methods=tuple(m.strip() for m in kv["methods"].split(",")),
-            cv=cv,
-            reps=int(kv["reps"]),
-            seed=int(kv["seed"]),
-            n_mc=int(kv.get("n_mc", "100000")))
-    except KeyError as exc:
-        raise DataError(f"{path}: missing scenario key {exc}") from None
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from None
-
-
-def write_scenario(path, scenario: Scenario) -> None:
-    """Serialize a recipe-backed Scenario to the flat key-value format."""
-    if not isinstance(scenario.population, PopulationRecipe):
-        raise DomainError("only recipe-backed scenarios can be written to file")
-    rec = scenario.population
-    lines = [f"name = {scenario.name}", f"p = {rec.p}"]
-    if isinstance(rec.delta_pattern, tuple) and len(rec.delta_pattern) == 2 \
-            and np.isscalar(rec.delta_pattern[0]):
-        lines += [f"delta_count = {int(rec.delta_pattern[0])}",
-                  f"delta_magnitude = {fmt_float(rec.delta_pattern[1])}"]
-    else:
-        lines.append("delta_values = " + ",".join(fmt_float(v) for v in rec.delta_pattern))
-    kind = rec.sigma_pattern[0]
-    lines.append(f"sigma = {kind}")
-    if kind == "ar1":
-        lines.append(f"rho = {fmt_float(rec.sigma_pattern[1])}")
-    elif kind == "banded":
-        lines += [f"width = {int(rec.sigma_pattern[1])}",
-                  f"value = {fmt_float(rec.sigma_pattern[2])}"]
-    elif kind == "from_file":
-        lines.append(f"sigma_file = {rec.sigma_pattern[1]}")
-    lines.append(f"distribution = {rec.distribution}")
-    if rec.df is not None:
-        lines.append(f"df = {rec.df}")
-    lines += [f"n1 = {scenario.n1}", f"n2 = {scenario.n2}",
-              "methods = " + ",".join(scenario.methods)]
-    if isinstance(scenario.cv, ThresholdConfig):
-        lines += [f"m1 = {fmt_float(scenario.cv.m1)}", f"m2 = {fmt_float(scenario.cv.m2)}",
-                  f"alpha = {fmt_float(scenario.cv.alpha)}"]
-    elif isinstance(scenario.cv, GridSpec):
-        if scenario.cv.m1_grid is not None:
-            lines.append("grid_m1 = " + ",".join(fmt_float(v) for v in scenario.cv.m1_grid))
-        if scenario.cv.m2_grid is not None:
-            lines.append("grid_m2 = " + ",".join(fmt_float(v) for v in scenario.cv.m2_grid))
-        lines.append(f"alpha = {fmt_float(scenario.cv.alpha)}")
-    lines += [f"reps = {scenario.reps}", f"seed = {scenario.seed}", f"n_mc = {scenario.n_mc}"]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -6,9 +6,9 @@ import pytest
 
 from conftest import two_class_dataset
 from slda.cli import main
-from slda.io import read_model, write_dataset_csv, write_scenario
+from slda.io import read_model, write_dataset_csv
 from slda.model import ThresholdConfig
-from slda.simulate import PopulationRecipe, Scenario
+from slda.simulate import PopulationRecipe, Scenario, write_scenario
 
 
 @pytest.fixture

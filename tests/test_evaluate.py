@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import random_population, two_class_dataset
+from slda import evaluate
 from slda.classify import build_oracle, build_slda
 from slda.diagnostics import lemma2_counts
 from slda.errors import DataError, DomainError, ShapeError
@@ -20,10 +21,47 @@ from slda.evaluate import (
     loocv_rate,
     optimal_rate,
 )
-from slda.model import Dataset, LinearRule, PopulationSpec, ThresholdConfig
+from slda.model import NORMAL, Dataset, LinearRule, PopulationSpec, ThresholdConfig
 from slda.numerics import sample_mvn, substream
 
 mp.mp.dps = 30
+
+
+def t_rate(rule, pop):
+    """Exact rate of a linear rule under a two-class t population: the
+    score w'x is univariate t(df) with scale sqrt(w' Sigma w)."""
+    from scipy.special import stdtr
+
+    w, c = rule.weights, rule.cutoff
+    sw = math.sqrt(w @ pop.covariance @ w)
+    e1 = stdtr(pop.df, (c - w @ pop.means[0]) / sw)
+    e2 = stdtr(pop.df, (w @ pop.means[1] - c) / sw)
+    return 0.5 * (e1 + e2)
+
+
+def full_dimensional_scores(pop, cls, weights, n_mc, gen):
+    """The draw that evaluate._class_scores made before it drew in score
+    space: n_mc x p standard normals z, projected as z @ (L' W). Kept as
+    the reference path of the equivalence test; it has the same joint
+    law as the score-space draw, so the two give the same rates within
+    Monte Carlo error."""
+    z = gen.standard_normal((n_mc, pop.p))
+    raw = z @ (pop.chol.lower.T @ weights)
+    if pop.distribution != NORMAL:
+        raw = raw * np.sqrt(pop.df / gen.chisquare(pop.df, n_mc))[:, None]
+    return raw + pop.means[cls - 1] @ weights
+
+
+class IdentityNormals:
+    """Stand-in generator whose normal matrix is the identity, so that a
+    score draw returns its factor; records the shapes it was asked for."""
+
+    def __init__(self):
+        self.shapes = []
+
+    def standard_normal(self, shape):
+        self.shapes.append(shape)
+        return np.eye(*shape)
 
 
 def draw(pop, n1, n2, gen):
@@ -118,6 +156,16 @@ class TestConditionalRateMc:
         report = conditional_rate_mc({"r": rule}, pop, 5000, substream(1, 0))["r"]
         assert report.per_class_error == (0.0, 1.0)
         assert report.conditional_rate == 0.5
+        # next to a live rule, the zero column of the score factor keeps
+        # the degenerate scores at +-0.0, under the normal and under t(3)
+        for distribution in ("normal", "student_t"):
+            both = PopulationSpec(means=pop.means, covariance=pop.covariance,
+                                  distribution=distribution, df=3)
+            joint = conditional_rate_mc({"d": rule, "o": build_oracle(both)}, both, 5000,
+                                        substream(1, 1))
+            assert joint["d"].per_class_error == (0.0, 1.0)
+            assert joint["d"].conditional_rate == 0.5
+            assert 0.0 < joint["o"].conditional_rate < 0.5
 
     def test_deterministic(self, rng):
         pop = random_population(rng, 4)
@@ -137,20 +185,14 @@ class TestConditionalRateMc:
     def test_t_population_matches_univariate_t_tail(self, rng):
         # linear scores of an elliptical t are univariate t after
         # standardizing by sqrt(w' Sigma w): an independent closed form
-        from scipy.stats import t as student_t
-
         p = 6
         sigma = np.eye(p) + 0.2
         delta = rng.standard_normal(p)
         pop = PopulationSpec(means=np.vstack([delta, np.zeros(p)]), covariance=sigma,
                              distribution="student_t", df=3)
         w = rng.standard_normal(p)
-        c = float(w @ (0.5 * delta))
-        rule = LinearRule(weights=w, cutoff=c)
-        sw = math.sqrt(w @ sigma @ w)
-        e1 = student_t.cdf((c - w @ delta) / sw, df=3)
-        e2 = student_t.cdf((w @ np.zeros(p) - c) / sw, df=3)
-        expected = 0.5 * (e1 + e2)
+        rule = LinearRule(weights=w, cutoff=float(w @ (0.5 * delta)))
+        expected = t_rate(rule, pop)
         mc = conditional_rate_mc({"r": rule}, pop, 200_000, substream(7, 3))["r"]
         assert abs(mc.conditional_rate - expected) <= 4 * mc.stderr
 
@@ -162,19 +204,64 @@ class TestConditionalRateMc:
         assert out["a"].conditional_rate == out["b"].conditional_rate
 
     @pytest.mark.parametrize("distribution", ["normal", "student_t"])
-    def test_joint_estimate_equals_alone(self, rng, distribution):
-        # the draws do not depend on the rules, so adding a rule leaves
-        # another rule's estimate unchanged on the same substream
+    def test_joint_estimates_match_exact_rates(self, rng, distribution):
+        # every rule of a joint call lies within 4 stderr of its own exact
+        # rate: the closed form under the normal, the univariate t tail
+        # under t(3)
         base = random_population(rng, 6)
         pop = PopulationSpec(means=base.means, covariance=base.covariance,
                              distribution=distribution, df=3)
-        r1 = build_oracle(pop)
         w = rng.standard_normal(6)
-        r2 = LinearRule(weights=w, cutoff=float(w @ pop.mid))
-        joint = conditional_rate_mc({"a": r1, "b": r2}, pop, 20_000, substream(10, 1))
-        for name, rule in (("a", r1), ("b", r2)):
-            alone = conditional_rate_mc({name: rule}, pop, 20_000, substream(10, 1))[name]
-            assert joint[name] == alone
+        rules = {"a": build_oracle(pop), "b": LinearRule(weights=w, cutoff=float(w @ pop.mid))}
+        joint = conditional_rate_mc(rules, pop, 20_000, substream(10, 1))
+        for name, rule in rules.items():
+            if distribution == "normal":
+                exact = conditional_rate(rule, pop).conditional_rate
+            else:
+                exact = t_rate(rule, pop)
+            assert abs(joint[name].conditional_rate - exact) <= 4 * joint[name].stderr
+
+    @pytest.mark.parametrize("case", ["linear_normal", "linear_t3", "multi_k3"])
+    def test_score_space_matches_full_dimensional_draw(self, rng, monkeypatch, case):
+        # the score-space draw against the n_mc x p draw it replaced, on
+        # independent substreams: the two rates agree within 4 stderr of
+        # their difference
+        from conftest import random_spd
+        from test_classify import oracle_multi_rule
+
+        p, n_mc = 8, 50_000
+        if case == "multi_k3":
+            means = rng.standard_normal((3, p))
+            sigma = random_spd(rng, p)
+            pop = PopulationSpec(means=means, covariance=sigma)
+            rule = oracle_multi_rule(means, sigma)
+        else:
+            base = random_population(rng, p)
+            pop = PopulationSpec(means=base.means, covariance=base.covariance,
+                                 distribution="normal" if case == "linear_normal" else "student_t",
+                                 df=3)
+            w = rng.standard_normal(p)
+            rule = LinearRule(weights=w, cutoff=float(w @ pop.mid))
+        new = conditional_rate_mc({"r": rule}, pop, n_mc, substream(15, 0))["r"]
+        monkeypatch.setattr(evaluate, "_class_scores", full_dimensional_scores)
+        old = conditional_rate_mc({"r": rule}, pop, n_mc, substream(15, 1))["r"]
+        bound = 4 * math.sqrt(old.stderr ** 2 + new.stderr ** 2)
+        assert abs(new.conditional_rate - old.conditional_rate) <= bound
+
+    @pytest.mark.parametrize("p, m", [(7, 3), (2, 6)])
+    def test_score_factor_reproduces_gram(self, rng, p, m):
+        # with z = I the scores are the factor R itself: R'R = W'Sigma W,
+        # and the draw is n_mc x min(p, m), never n_mc x p
+        pop = PopulationSpec(means=np.vstack([np.zeros(p), rng.standard_normal(p)]),
+                             covariance=random_population(rng, p).covariance)
+        w = rng.standard_normal((p, m))
+        rows = min(p, m)
+        gen = IdentityNormals()
+        r = evaluate._class_scores(pop, 1, w, rows, gen)
+        assert gen.shapes == [(rows, rows)]
+        assert r.shape == (rows, m)
+        gram = w.T @ pop.covariance @ w
+        np.testing.assert_allclose(r.T @ r, gram, rtol=1e-12, atol=1e-12 * np.abs(gram).max())
 
     def test_wrong_p_linear_rule_rejected(self, rng):
         pop = random_population(rng, 4)
@@ -215,13 +302,14 @@ class TestConditionalRateMc:
         with pytest.raises(DomainError):
             conditional_rate_mc({"r": build_oracle(pop)}, pop, 0, substream(14, 0))
 
-    def test_multiclass_against_nearest_mean_oracle(self, rng):
+    @pytest.mark.parametrize("k, p", [(3, 4), (4, 2)], ids=["k3_p4", "k4_p2"])
+    def test_multiclass_against_nearest_mean_oracle(self, rng, k, p):
         # average per-class error of the all-pairs rule under a K = 3
-        # population, cross-checked by an independent full-dimensional
-        # sampler + nearest-Mahalanobis-mean brute force
+        # population, and under K = 4 at p = 2 (6 pair columns > p, so the
+        # score factor is 2 x 6), cross-checked by an independent
+        # full-dimensional sampler + nearest-Mahalanobis-mean brute force
         from test_classify import nearest_mahalanobis, oracle_multi_rule
 
-        k, p = 3, 4
         means = rng.standard_normal((k, p)) * 1.2
         from conftest import random_spd
 
@@ -238,7 +326,7 @@ class TestConditionalRateMc:
             errs.append(np.mean(labels != cls + 1))
         expected = float(np.mean(errs))
         assert abs(mc.conditional_rate - expected) <= 5 * mc.stderr + 0.003
-        assert len(mc.per_class_error) == 3
+        assert len(mc.per_class_error) == k
 
 
 class TestEmpiricalRate:

@@ -11,14 +11,12 @@ from slda.io import (
     read_feature_csv,
     read_matrix,
     read_model,
-    read_scenario,
     write_dataset_csv,
     write_matrix,
     write_model,
-    write_scenario,
 )
 from slda.model import LinearRule, ThresholdConfig
-from slda.simulate import GridSpec, PopulationRecipe, Scenario
+from slda.simulate import GridSpec, PopulationRecipe, Scenario, read_scenario, write_scenario
 
 
 class TestDatasetCsv:
@@ -175,3 +173,39 @@ class TestScenarioFile:
             "n1 = 5\nn2 = 5\nmethods = lda\nreps = 2\nseed = 9\n", encoding="utf-8")
         sc = read_scenario(path)
         assert sc.population.p == 6 and sc.cv is None
+
+
+class TestImportGraph:
+    def test_package_imports_are_top_level_and_acyclic(self):
+        # every intra-package import sits at module level, and the module
+        # graph has no cycle (io used to import simulate and back)
+        import ast
+        from pathlib import Path
+
+        import slda
+
+        graph = {}
+        for path in Path(slda.__file__).parent.glob("*.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            top = set(tree.body)
+            deps = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.level == 1:
+                    assert node in top, f"{path.stem} imports .{node.module} inside a function"
+                    deps |= {node.module} if node.module else {a.name for a in node.names}
+            graph[path.stem] = deps - {"__init__"}
+        graph.pop("__init__")
+        done, stack = set(), []
+
+        def visit(mod):
+            assert mod not in stack, "import cycle: " + " -> ".join(stack + [mod])
+            if mod in done:
+                return
+            stack.append(mod)
+            for dep in graph[mod]:
+                visit(dep)
+            stack.pop()
+            done.add(mod)
+
+        for mod in graph:
+            visit(mod)

@@ -14,6 +14,7 @@ import pytest
 
 from slda.errors import DomainError, NotPositiveDefiniteError, ShapeError
 from slda.numerics import (
+    _SYM_BLOCK,
     cholesky_spd,
     eigen_sym,
     sample_mvn,
@@ -166,6 +167,33 @@ class TestCholesky:
         f = cholesky_spd(a)
         recon = f.lower @ f.lower.T
         assert np.allclose(recon, np.tril(a) + np.tril(a, -1).T, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("where", [(-1, -2), (-1, 0), (0, -1)])
+    def test_asymmetry_in_last_partial_block_rejected(self, where):
+        # the check runs over row blocks; an entry in the last, partial
+        # block, paired with one in the same or the first block, is seen
+        p = 2 * _SYM_BLOCK + 5
+        a = 2.0 * np.eye(p)
+        a[where] = 0.5
+        a[where[::-1]] = 0.49
+        for fn in (cholesky_spd, eigen_sym):
+            with pytest.raises(DomainError, match="asymmetry"):
+                fn(a)
+
+    @pytest.mark.parametrize("where", [(-1, -2), (-1, 0), (0, -1)])
+    def test_blockwise_tolerance_is_exact(self, where):
+        # max |a| = 2, so 2e-8 is the largest asymmetry accepted; the
+        # blockwise max is the exact max, so the edge sits where it did
+        p = 2 * _SYM_BLOCK + 5
+        a = 2.0 * np.eye(p)
+        a[where[::-1]] = 0.5
+        a[where] = 0.5 + 2e-8 * (1.0 - 1e-6)
+        f = cholesky_spd(a)
+        recon = f.lower @ f.lower.T
+        assert np.allclose(recon, np.tril(a) + np.tril(a, -1).T, rtol=1e-12, atol=0.0)
+        a[where] = 0.5 + 2e-8 * (1.0 + 1e-6)
+        with pytest.raises(DomainError):
+            cholesky_spd(a)
 
     def test_huge_entry_does_not_overflow(self):
         f = cholesky_spd(np.array([[1e308]]))
