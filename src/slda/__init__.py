@@ -11,8 +11,6 @@ from .classify import (
     build_slda_multi,
     classify,
     classify_many,
-    classify_multi,
-    classify_multi_many,
 )
 from .errors import (
     DataError,

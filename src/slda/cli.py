@@ -16,7 +16,7 @@ import numpy as np
 
 from . import diagnostics as diag
 from . import io as sio
-from .classify import build_slda
+from .classify import build_slda, maximin_labels, pair_columns
 from .errors import DataError, DomainError, ShapeError, SldaError
 from .estimation import compute_an, compute_tn, default_pseudo_rtol, pseudo_inverse_sym, summarize
 from .evaluate import cv_grid_search, default_grids
@@ -113,7 +113,8 @@ def cmd_predict(args) -> int:
     if features.shape[1] != rule.p:
         raise ShapeError(f"{args.test}: {features.shape[1]} feature columns, model expects {rule.p}")
     scores = features @ rule.weights - rule.cutoff
-    labels = np.where(scores >= 0.0, 1, 2)
+    k, pairs, _ = pair_columns(rule)
+    labels = maximin_labels(scores[:, None], pairs, k)
     lines = ["predicted,score"]
     lines += [f"{label},{sio.fmt_float(score)}" for label, score in zip(labels, scores)]
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")

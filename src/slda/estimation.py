@@ -13,7 +13,8 @@ from .errors import DomainError, NotPositiveDefiniteError, ShapeError, UnusableM
 from .model import Dataset
 from .numerics import SpdFactor, cholesky_spd, eigen_sym, spd_solve
 
-DEFAULT_FLOOR_EPS = 1e-8
+# Eigenvalue floor of invert_sparse_sym, relative to lambda_max.
+FLOOR_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,8 @@ def summarize(dataset: Dataset) -> ClassSummary:
     """Maximum likelihood class means and pooled covariance.
 
     S = (1/n) sum_k sum_i (x_ki - xbar_k)(x_ki - xbar_k)', divisor n
-    rather than n-K; the result is symmetrized exactly.
+    rather than n-K. numpy forms the Gram matrix of the centred rows
+    with a symmetric rank-k update, so S is exactly symmetric.
     """
     x = dataset.features
     n, p = x.shape
@@ -53,8 +55,8 @@ def summarize(dataset: Dataset) -> ClassSummary:
     for cls in range(1, k + 1):
         mask = dataset.labels == cls
         centered[mask] = x[mask] - means[cls - 1]
-    s = centered.T @ centered / n
-    s = 0.5 * (s + s.T)
+    s = centered.T @ centered
+    s /= n
     if k == 2:
         delta = means[0] - means[1]
         mid = 0.5 * (means[0] + means[1])
@@ -159,17 +161,15 @@ class InverseOperator:
         return self._vectors @ (self._inv_values[:, None] * w)
 
 
-def invert_sparse_sym(sigma_tilde: np.ndarray, floor_eps: float = DEFAULT_FLOOR_EPS) -> InverseOperator:
+def invert_sparse_sym(sigma_tilde: np.ndarray) -> InverseOperator:
     """Invert a thresholded covariance, falling back to an eigenvalue floor.
 
     Cholesky on the symmetric matrix sigma_tilde is attempted first. If
-    a pivot fails, eigenvalues are floored at floor_eps * lambda_max and
+    a pivot fails, eigenvalues are floored at FLOOR_EPS * lambda_max and
     the operator is flagged (pd_flag False, floor_count = number
     floored). Thresholding can destroy positive definiteness, so callers
     should surface the flag. An asymmetric input raises DomainError.
     """
-    if floor_eps <= 0:
-        raise DomainError(f"floor_eps must be > 0, got {floor_eps}")
     try:
         factor = cholesky_spd(sigma_tilde)
         return InverseOperator(kind="cholesky", dim=factor.dim,
@@ -182,7 +182,7 @@ def invert_sparse_sym(sigma_tilde: np.ndarray, floor_eps: float = DEFAULT_FLOOR_
         raise UnusableMatrixError(
             f"thresholded covariance has no positive part (lambda_max={lam_max:.3e})"
         )
-    floor = floor_eps * lam_max
+    floor = FLOOR_EPS * lam_max
     floored = np.maximum(eig.eigenvalues, floor)
     n_floored = int(np.sum(eig.eigenvalues < floor))
     return InverseOperator(kind="eigen_floor", dim=eig.eigenvalues.shape[0],

@@ -10,11 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import build_slda, classify, classify_many, classify_multi_many, maximin_labels
+from .classify import build_slda, classify, classify_many, maximin_labels, pair_columns
 from .diagnostics import mahalanobis_delta
 from .errors import DataError, DomainError, ShapeError, SldaError
 from .estimation import compute_an, compute_tn, summarize
-from .model import Dataset, LinearRule, MultiRule, PopulationSpec, ThresholdConfig, NORMAL
+from .model import Dataset, LinearRule, PopulationSpec, ThresholdConfig, NORMAL
 from .numerics import std_normal_cdf
 
 CLOSED_FORM = "closed_form"
@@ -100,21 +100,6 @@ def _binomial_report(errors: list[float], n_mc: int, degenerate: bool = False) -
                       degenerate=degenerate)
 
 
-def _pair_columns(rule, pop: PopulationSpec) -> tuple[list, list[LinearRule]]:
-    # A MultiRule scores its sorted pairs; a LinearRule is the K = 2 rule
-    # with the single pair (1, 2).
-    if isinstance(rule, MultiRule):
-        k, pairs = rule.n_classes, sorted(rule.pairwise)
-        columns = [rule.pairwise[ab] for ab in pairs]
-    else:
-        k, pairs, columns = 2, [(1, 2)], [rule]
-    if k != pop.n_classes:
-        raise ShapeError(f"rule has {k} classes, population {pop.n_classes}")
-    if rule.p != pop.p:
-        raise ShapeError(f"rule dimension {rule.p} != population dimension {pop.p}")
-    return pairs, columns
-
-
 def conditional_rate_mc(rules: dict, pop: PopulationSpec, n_mc: int,
                         gen: np.random.Generator) -> dict[str, RateReport]:
     """Monte Carlo conditional rates of named LinearRules or MultiRules.
@@ -135,15 +120,20 @@ def conditional_rate_mc(rules: dict, pop: PopulationSpec, n_mc: int,
         raise DomainError("conditional_rate_mc needs at least one rule")
     k = pop.n_classes
     names = list(rules)
-    layout = [_pair_columns(rules[name], pop) for name in names]
-    columns = [rule for _, cols in layout for rule in cols]
+    layout = [pair_columns(rules[name]) for name in names]
+    for name, (k_rule, _, _) in zip(names, layout):
+        if k_rule != k:
+            raise ShapeError(f"rule has {k_rule} classes, population {k}")
+        if rules[name].p != pop.p:
+            raise ShapeError(f"rule dimension {rules[name].p} != population dimension {pop.p}")
+    columns = [rule for _, _, cols in layout for rule in cols]
     weights = np.column_stack([rule.weights for rule in columns])
     cutoffs = np.array([rule.cutoff for rule in columns])
     errors = np.empty((len(names), k))
     for cls in range(1, k + 1):
         scores = _class_scores(pop, cls, weights, n_mc, gen) - cutoffs
         start = 0
-        for j, (pairs, _) in enumerate(layout):
+        for j, (_, pairs, _) in enumerate(layout):
             labels = maximin_labels(scores[:, start:start + len(pairs)], pairs, k)
             errors[j, cls - 1] = np.mean(labels != cls)
             start += len(pairs)
@@ -155,16 +145,13 @@ def conditional_rate_mc(rules: dict, pop: PopulationSpec, n_mc: int,
 def empirical_rate(rule, test: Dataset) -> RateReport:
     """Per-class misclassified fraction on a labeled test set,
     averaged with equal class weights."""
-    n_classes = rule.n_classes if isinstance(rule, MultiRule) else 2
+    n_classes = pair_columns(rule)[0]
     if test.n_classes != n_classes:
         raise DataError(
             f"test set has {test.n_classes} classes; rule expects {n_classes} "
             "(a class with no test samples has undefined error)"
         )
-    if isinstance(rule, MultiRule):
-        predicted = classify_multi_many(rule, test.features)
-    else:
-        predicted = classify_many(rule, test.features)
+    predicted = classify_many(rule, test.features)
     errors = []
     for cls in range(1, n_classes + 1):
         mask = test.labels == cls

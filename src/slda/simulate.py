@@ -20,7 +20,6 @@ from .evaluate import (
     conditional_rate_mc,
     cv_grid_search,
     default_grids,
-    optimal_rate,
 )
 from .io import fmt_float, read_kv, read_matrix
 from .model import Dataset, NORMAL, STUDENT_T, PopulationSpec, ThresholdConfig
@@ -256,11 +255,6 @@ def run_scenario(scenario: Scenario, threads: int = 1):
     else:
         records = [_run_replicate(scenario, pop, k) for k in indices]
     return records, summarize_records(scenario, records)
-
-
-def optimal_rate_of(scenario: Scenario) -> float:
-    """Closed-form optimal rate of the scenario's population (normal only)."""
-    return optimal_rate(scenario.resolve_population()).conditional_rate
 
 
 # ---------------------------------------------------------------------------

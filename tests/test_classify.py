@@ -16,8 +16,6 @@ from slda.classify import (
     build_slda_multi,
     classify,
     classify_many,
-    classify_multi,
-    classify_multi_many,
     maximin_labels,
 )
 from slda.diagnostics import lemma2_counts
@@ -171,6 +169,9 @@ class TestClassify:
         rule = LinearRule(weights=np.array([1.0, 0.0]), cutoff=0.5)
         assert classify(rule, np.array([0.5, 123.0])) == 1
         assert classify(rule, np.array([0.49999, 0.0])) == 2
+        rule = LinearRule(weights=np.array([2.0, -1.0]), cutoff=3.0)
+        x = np.array([[2.0, 1.0], [1.0, -1.0], [1.0, 0.0], [4.0, 0.0]])  # w'x = 3, 3, 2, 8
+        assert classify_many(rule, x).tolist() == [1, 1, 2, 1]
 
     def test_feature_rescaling_covariance(self, rng):
         # LDA rules transform covariantly: labels are unchanged when
@@ -225,14 +226,14 @@ class TestMultiClass:
         pairs = sorted(rule.pairwise)
         s = np.column_stack([probes @ rule.pairwise[ab].weights - rule.pairwise[ab].cutoff
                              for ab in pairs])
-        labels = classify_multi_many(rule, probes)
+        labels = classify_many(rule, probes)
         assert np.array_equal(labels, maximin_labels(s, pairs, k))
         # s_ba = -s_ab: stating every contrast reversed gives the same labels
         assert np.array_equal(maximin_labels(-s, [(b, a) for a, b in pairs], k), labels)
         # pairwise sign: the (1, 2) contrast on its own is the linear rule
         r12 = rule.pairwise[(1, 2)]
         pair_only = MultiRule(pairwise={(1, 2): r12}, n_classes=2)
-        assert np.array_equal(classify_multi_many(pair_only, probes), classify_many(r12, probes))
+        assert np.array_equal(classify_many(pair_only, probes), classify_many(r12, probes))
 
     def test_maximin_hand_cases(self):
         pairs = [(1, 2), (1, 3), (2, 3)]
@@ -244,16 +245,25 @@ class TestMultiClass:
             [0.0, 0.0, 0.0],    # all ties go to class 1
         ])
         assert maximin_labels(s, pairs, 3).tolist() == [1, 2, 3, 1, 1]
+        # K = 2: a tie at either signed zero goes to class 1
+        s2 = np.array([[0.0], [-0.0], [-np.inf], [np.inf], [-5e-324]])
+        assert maximin_labels(s2, [(1, 2)], 2).tolist() == [1, 1, 2, 1, 2]
 
     @settings(max_examples=200, deadline=None)
-    @given(scores=arrays(np.float64, st.integers(1, 40),
-                         elements=st.one_of(st.sampled_from([0.0, -0.0]),
-                                            st.floats(allow_nan=False))))
-    def test_maximin_two_class_is_linear_rule(self, scores):
-        # K = 2 with the single pair (1, 2) is "class 1 iff w'x >= c"
-        unit = LinearRule(weights=np.ones(1), cutoff=0.0)
-        assert np.array_equal(maximin_labels(scores[:, None], [(1, 2)], 2),
-                              classify_many(unit, scores[:, None]))
+    @given(data=st.data(), p=st.integers(1, 4), m=st.integers(1, 30),
+           cutoff=st.integers(-6, 6).filter(bool))
+    def test_maximin_two_class_is_linear_rule(self, data, p, m, cutoff):
+        # K = 2 with the single pair (1, 2) is "class 1 iff w'x >= c".
+        # Small integers make w'x exact, so w'x == c ties happen exactly.
+        ints = st.integers(-3, 3).map(float)
+        w = data.draw(arrays(np.float64, p, elements=ints))
+        x = data.draw(arrays(np.float64, (m, p), elements=ints))
+        c = float(cutoff)
+        expected = np.where(x @ w >= c, 1, 2)
+        assert np.array_equal(maximin_labels((x @ w - c)[:, None], [(1, 2)], 2), expected)
+        rule = LinearRule(weights=w, cutoff=c)
+        assert np.array_equal(classify_many(rule, x), expected)
+        assert [classify(rule, row) for row in x] == expected.tolist()
 
     def test_three_separated_classes_zero_training_error(self, rng):
         k, p = 3, 4
@@ -263,14 +273,14 @@ class TestMultiClass:
                      labels=np.repeat(np.arange(1, k + 1), 10),
                      class_counts=(10, 10, 10))
         rule = build_slda_multi(ds, ThresholdConfig(m1=1.0, m2=0.5, alpha=0.3))
-        assert np.array_equal(classify_multi_many(rule, ds.features), ds.labels)
+        assert np.array_equal(classify_many(rule, ds.features), ds.labels)
 
     def test_collinear_means_middle_interval(self):
         means = np.array([[-2.0, 0.0], [0.0, 0.0], [2.0, 0.0]])
         sigma = np.eye(2)
         rule = oracle_multi_rule(means, sigma)
         grid = np.column_stack([np.linspace(-4, 4, 81), np.zeros(81)])
-        got = classify_multi_many(rule, grid)
+        got = classify_many(rule, grid)
         expected = nearest_mahalanobis(means, sigma, grid)
         assert np.array_equal(got, expected)
         # interval structure: class 2 exactly between the boundaries
@@ -284,7 +294,7 @@ class TestMultiClass:
         sigma = random_spd(rng, p)
         rule = oracle_multi_rule(means, sigma)
         probes = rng.standard_normal((1000, p)) + means.mean(axis=0)
-        assert np.array_equal(classify_multi_many(rule, probes),
+        assert np.array_equal(classify_many(rule, probes),
                               nearest_mahalanobis(means, sigma, probes))
 
     def test_equidistant_tie_lowest_index(self):
@@ -292,21 +302,35 @@ class TestMultiClass:
         # both of which dominate class 3; lowest index wins the tie
         means = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0]])
         rule = oracle_multi_rule(means, np.eye(2))
-        assert classify_multi(rule, np.zeros(2)) == 1
+        assert classify(rule, np.zeros(2)) == 1
 
     def test_probe_at_class_mean(self, rng):
         means = np.array([[8.0, 0.0, 0.0], [0.0, 8.0, 0.0], [0.0, 0.0, 8.0]])
         rule = oracle_multi_rule(means, np.eye(3))
         for c in range(3):
-            assert classify_multi(rule, means[c]) == c + 1
+            assert classify(rule, means[c]) == c + 1
 
     def test_reduces_to_two_class_rule(self, rng):
         pop = random_population(rng, 5)
         rule2 = build_oracle(pop)
         multi = oracle_multi_rule(pop.means, pop.covariance)
         probes = rng.standard_normal((400, 5))
-        assert np.array_equal(classify_multi_many(multi, probes),
+        assert np.array_equal(classify_many(multi, probes),
                               classify_many(rule2, probes))
+
+    def test_every_pair_degenerate_needs_no_inverse(self):
+        # within-class-constant features give S = 0, so Sigma-tilde has no
+        # positive part; a huge M2 empties every contrast, and the fit
+        # returns degenerate rules instead of factoring Sigma-tilde
+        means = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 2.0], [0.0, 0.0, 3.0]])
+        ds = Dataset(features=np.repeat(means, 3, axis=0),
+                     labels=np.repeat(np.arange(1, 4), 3), class_counts=(3, 3, 3))
+        rule = build_slda_multi(ds, ThresholdConfig(m1=1.0, m2=1e9, alpha=0.3))
+        assert sorted(rule.pairwise) == [(1, 2), (1, 3), (2, 3)]
+        for pair_rule in rule.pairwise.values():
+            assert pair_rule.degenerate and pair_rule.cutoff == 0.0
+            assert not np.any(pair_rule.weights)
+        assert np.array_equal(classify_many(rule, means), [1, 1, 1])
 
     def test_requires_three_classes(self, rng):
         ds = two_class_dataset(rng.standard_normal((4, 3)), rng.standard_normal((4, 3)))

@@ -80,6 +80,19 @@ class TestPredict:
                      "--out", str(pred)]) == 0
         assert len(pred.read_text(encoding="utf-8").strip().splitlines()) == 2
 
+    def test_tie_row_goes_to_class_one(self, tmp_path):
+        # w'x = c exactly on the first row: score 0, label 1
+        model = tmp_path / "model.txt"
+        model.write_text("slda-model v1\np 2\nalpha 0.3\nm1 1\nm2 1\nc 3\n"
+                         "degenerate 0\nweights\n2\n-1\n", encoding="utf-8")
+        test = tmp_path / "test.csv"
+        test.write_text("f1,f2\n2,1\n1,0\n4,0\n", encoding="utf-8")
+        pred = tmp_path / "pred.csv"
+        assert main(["predict", "--model", str(model), "--test", str(test),
+                     "--out", str(pred)]) == 0
+        assert pred.read_text(encoding="utf-8").splitlines() == [
+            "predicted,score", "1,0", "2,-1", "1,5"]
+
     def test_dimension_mismatch_exits_2(self, separable_csv, tmp_path):
         model = tmp_path / "model.txt"
         main(["fit", "--train", str(separable_csv), "--m1", "1", "--m2", "0.5",

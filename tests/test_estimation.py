@@ -60,9 +60,23 @@ class TestSummarize:
         assert np.allclose(a.class_means, b.class_means, rtol=1e-12, atol=1e-14)
 
     def test_pooled_cov_exactly_symmetric(self, rng):
-        ds = two_class_dataset(rng.standard_normal((20, 15)), rng.standard_normal((22, 15)))
-        s = summarize(ds).pooled_cov
-        assert np.array_equal(s, s.T)
+        # S is the Gram matrix of the centred rows, formed without a
+        # symmetrizing pass: C- and Fortran-ordered features, p > n and
+        # K = 3 must all give S == S' bit for bit
+        x1, x2 = rng.standard_normal((20, 15)), rng.standard_normal((22, 15))
+        wide = rng.standard_normal((9, 120)) * np.logspace(-3, 3, 120)
+        three = rng.standard_normal((18, 40))
+        datasets = [
+            two_class_dataset(x1, x2),
+            validate_dataset(np.asfortranarray(np.vstack([x1, x2])), [1] * 20 + [2] * 22),
+            validate_dataset(wide, [1] * 4 + [2] * 5),
+            validate_dataset(np.asfortranarray(wide), [1] * 4 + [2] * 5),
+            validate_dataset(three, [1] * 6 + [2] * 5 + [3] * 7),
+        ]
+        assert datasets[1].features.flags.f_contiguous
+        for ds in datasets:
+            s = summarize(ds).pooled_cov
+            assert np.array_equal(s, s.T)
 
 
 class TestThresholdFormulas:
@@ -217,7 +231,7 @@ class TestInvertSparseSym:
 
     def test_indefinite_falls_back_to_floor(self):
         t = threshold_covariance(np.array([[1.0, 2.0], [2.0, 1.0]]), 0.0)
-        op = invert_sparse_sym(t, floor_eps=1e-8)
+        op = invert_sparse_sym(t)
         assert op.kind == "eigen_floor"
         assert not op.pd_flag
         assert op.floor_count == 1  # eigenvalue -1 floored
@@ -230,7 +244,7 @@ class TestInvertSparseSym:
             invert_sparse_sym(np.diag([-1.0, -2.0]))
 
     def test_degenerate_diagonal_recorded(self):
-        op = invert_sparse_sym(np.diag([2.0, 1e-18]), floor_eps=1e-8)
+        op = invert_sparse_sym(np.diag([2.0, 1e-18]))
         # either a successful (ill-conditioned) Cholesky or the floor path;
         # the pd flag records which
         assert op.kind in ("cholesky", "eigen_floor")
