@@ -23,7 +23,6 @@ from .errors import (
 )
 from .estimation import (
     ClassSummary,
-    InverseOperator,
     compute_an,
     compute_tn,
     invert_sparse_sym,
@@ -52,7 +51,7 @@ from .model import (
 )
 from .numerics import (
     EigenSym,
-    SpdFactor,
+    SymOperator,
     cholesky_spd,
     eigen_sym,
     sample_mvn,

@@ -24,7 +24,7 @@ from .estimation import (
     threshold_delta,
 )
 from .model import Dataset, LinearRule, MultiRule, PopulationSpec, ThresholdConfig
-from .numerics import SpdFactor, cholesky_spd, spd_solve
+from .numerics import SymOperator, cholesky_spd, spd_solve
 
 
 @dataclass(frozen=True)
@@ -72,19 +72,19 @@ def build_lda(dataset: Dataset) -> LinearRule:
             rule_w = None
     if rule_w is None:
         op = pseudo_inverse_sym(s, rtol=default_pseudo_rtol(dataset.p))
-        rule_w = op.apply(summary.delta_hat)
+        rule_w = spd_solve(op, summary.delta_hat)
     return _rule(rule_w, summary.grand_mid)
 
 
 def build_lda_known_sigma(dataset: Dataset, sigma) -> LinearRule:
     """LDA with the covariance known: w = Sigma^{-1} delta_hat.
 
-    ``sigma`` is the SPD matrix or its precomputed SpdFactor (reused
+    ``sigma`` is the SPD matrix or its precomputed SymOperator (reused
     across replicates by the simulation harness).
     """
     _two_class(dataset, "build_lda_known_sigma")
     means = class_means(dataset)
-    factor = sigma if isinstance(sigma, SpdFactor) else cholesky_spd(np.asarray(sigma, dtype=float))
+    factor = sigma if isinstance(sigma, SymOperator) else cholesky_spd(sigma)
     if factor.dim != dataset.p:
         raise ShapeError(f"sigma dimension {factor.dim} != {dataset.p}")
     return _rule(spd_solve(factor, means[0] - means[1]), 0.5 * (means[0] + means[1]))
@@ -113,7 +113,7 @@ def _slda_pairs(dataset: Dataset, config: ThresholdConfig):
         op = invert_sparse_sym(sigma_tilde)
     rules = {}
     for (a, b), tilde in deltas.items():
-        w = op.apply(tilde.vector) if tilde.q_hat else np.zeros(p)
+        w = spd_solve(op, tilde.vector) if tilde.q_hat else np.zeros(p)
         rules[(a, b)] = _rule(w, 0.5 * (means[a - 1] + means[b - 1]))
     return rules, deltas, nnz, op is None or op.pd_flag
 

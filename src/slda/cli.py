@@ -21,6 +21,7 @@ from .errors import DataError, DomainError, ShapeError, SldaError
 from .estimation import compute_an, compute_tn, default_pseudo_rtol, pseudo_inverse_sym, summarize
 from .evaluate import cv_grid_search, default_grids
 from .model import NORMAL, ThresholdConfig
+from .numerics import spd_solve
 from .simulate import (
     Scenario,
     preset_scenarios,
@@ -112,7 +113,12 @@ def cmd_predict(args) -> int:
     features = sio.read_feature_csv(args.test)
     if features.shape[1] != rule.p:
         raise ShapeError(f"{args.test}: {features.shape[1]} feature columns, model expects {rule.p}")
-    scores = features @ rule.weights - rule.cutoff
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = features @ rule.weights - rule.cutoff
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        raise DataError(f"{args.test}: row {bad[0]} has a non-finite score "
+                        f"({scores[bad[0]]}); w'x overflows")
     k, pairs, _ = pair_columns(rule)
     labels = maximin_labels(scores[:, None], pairs, k)
     lines = ["predicted,score"]
@@ -194,7 +200,8 @@ def cmd_diagnose(args) -> int:
         sigma = summary.pooled_cov
         n, p = dataset.n, dataset.p
         op = pseudo_inverse_sym(sigma, rtol=default_pseudo_rtol(p))
-        delta_p = float(np.sqrt(max(delta @ op.apply(delta), 0.0)))
+        delta_p = float(np.sqrt(max(delta @ spd_solve(op, delta), 0.0)))
+        eig_min, eig_max = diag.eigen_range(sigma)
         source = "sample"
     else:
         scenario = _load_scenario(args.scenario)
@@ -207,6 +214,7 @@ def cmd_diagnose(args) -> int:
         delta_p = diag.mahalanobis_delta(pop)
         source = "population"
         check = diag.condition_check(pop, c0=float(args.c0))
+        eig_min, eig_max = check.eig_min, check.eig_max
         lines.append(f"condition_check_passed {1 if check.passed else 0}")
     a_n = compute_an(m2, n, p, alpha)
     t_n = compute_tn(1.0, n, p)
@@ -215,11 +223,10 @@ def cmd_diagnose(args) -> int:
     q_n0, q_n = diag.lemma2_counts(delta, a_n, r)
     q_hat = int(np.sum(np.abs(delta) > a_n))
     s_n, d_n, a_n, b_n = diag.rate_quantities(n, p, h, g, c_hp, d_gp, q_n, delta_p, alpha, m2=m2)
-    eigvals = np.linalg.eigvalsh(0.5 * (sigma + sigma.T))
     report = diag.DiagnosticsReport(
         delta_p=delta_p, c_hp=c_hp, d_gp=d_gp, h=h, g=g,
         q_n0=q_n0, q_n=q_n, q_hat=q_hat, s_n=s_n, d_n=d_n, a_n=a_n, b_n=b_n,
-        eig_min=float(eigvals[0]), eig_max=float(eigvals[-1]),
+        eig_min=eig_min, eig_max=eig_max,
         max_delta_sq=float(np.max(delta ** 2)), norm_delta_sq=float(delta @ delta))
     lines.insert(0, f"source {source}")
     for field in dataclasses.fields(report):

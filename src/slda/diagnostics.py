@@ -13,7 +13,7 @@ import numpy as np
 from .errors import DomainError, ShapeError
 from .estimation import compute_an
 from .model import PopulationSpec
-from .numerics import spd_solve
+from .numerics import diagonal_of, spd_solve
 
 
 def sparsity_C(sigma: np.ndarray, h: float) -> float:
@@ -112,13 +112,23 @@ class ConditionReport:
         return self.eig_ok and self.delta_ok
 
 
+def eigen_range(sigma: np.ndarray) -> tuple[float, float]:
+    """(lambda_min, lambda_max) of a symmetric matrix: min and max of the
+    diagonal when every off-diagonal entry is zero, else from eigvalsh
+    of 0.5 (sigma + sigma')."""
+    d = diagonal_of(sigma)
+    if d is not None:
+        return float(d.min()), float(d.max())
+    eigvals = np.linalg.eigvalsh(0.5 * (sigma + sigma.T))
+    return float(eigvals[0]), float(eigvals[-1])
+
+
 def condition_check(pop: PopulationSpec, c0: float) -> ConditionReport:
     """Check the bounded-eigenvalue and bounded-mean-gap regularity
     conditions with constant c0 > 1."""
     if c0 <= 1.0:
         raise DomainError(f"c0 must be > 1, got {c0}")
-    eigvals = np.linalg.eigvalsh(0.5 * (pop.covariance + pop.covariance.T))
-    eig_min, eig_max = float(eigvals[0]), float(eigvals[-1])
+    eig_min, eig_max = eigen_range(pop.covariance)
     max_delta_sq = float(np.max(pop.delta ** 2))
     lo, hi = 1.0 / c0, c0
     return ConditionReport(

@@ -11,7 +11,14 @@ import numpy as np
 
 from .errors import DomainError, NotPositiveDefiniteError, ShapeError, UnusableMatrixError
 from .model import Dataset
-from .numerics import SpdFactor, cholesky_spd, eigen_sym, spd_solve
+from .numerics import (
+    EIGEN_FLOOR,
+    PSEUDO,
+    SymOperator,
+    cholesky_spd,
+    diagonal_of,
+    eigen_sym,
+)
 
 # Eigenvalue floor of invert_sparse_sym, relative to lambda_max.
 FLOOR_EPS = 1e-8
@@ -131,66 +138,40 @@ def threshold_delta(delta_hat: np.ndarray, a_n: float) -> ThresholdedDelta:
     return ThresholdedDelta(vector=out, kept=np.flatnonzero(keep))
 
 
-@dataclass(frozen=True)
-class InverseOperator:
-    """Linear operator representing an inverse or generalized inverse.
-
-    kind is one of "cholesky", "eigen_floor", "pseudo". ``pd_flag`` is
-    True only on the clean Cholesky path; ``floor_count`` counts floored
-    (eigen_floor) or zeroed (pseudo) eigenvalues.
-    """
-
-    kind: str
-    dim: int
-    pd_flag: bool
-    floor_count: int
-    _chol: SpdFactor | None = None
-    _vectors: np.ndarray | None = None
-    _inv_values: np.ndarray | None = None
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """Apply the (generalized) inverse to a vector or matrix of columns."""
-        v = np.asarray(v, dtype=float)
-        if v.shape[0] != self.dim:
-            raise ShapeError(f"apply: length {v.shape[0]} != dimension {self.dim}")
-        if self.kind == "cholesky":
-            return spd_solve(self._chol, v)
-        w = self._vectors.T @ v
-        if w.ndim == 1:
-            return self._vectors @ (self._inv_values * w)
-        return self._vectors @ (self._inv_values[:, None] * w)
-
-
-def invert_sparse_sym(sigma_tilde: np.ndarray) -> InverseOperator:
+def invert_sparse_sym(sigma_tilde: np.ndarray) -> SymOperator:
     """Invert a thresholded covariance, falling back to an eigenvalue floor.
 
-    Cholesky on the symmetric matrix sigma_tilde is attempted first. If
-    a pivot fails, eigenvalues are floored at FLOOR_EPS * lambda_max and
-    the operator is flagged (pd_flag False, floor_count = number
-    floored). Thresholding can destroy positive definiteness, so callers
-    should surface the flag. An asymmetric input raises DomainError.
+    cholesky_spd is attempted first (O(p) when sigma_tilde is diagonal).
+    If a pivot fails, eigenvalues are floored at FLOOR_EPS * lambda_max
+    and the operator is flagged (pd_flag False, floor_count = number
+    floored); a diagonal sigma_tilde is its own eigendecomposition.
+    Thresholding can destroy positive definiteness, so callers should
+    surface the flag. An asymmetric input raises DomainError.
     """
     try:
-        factor = cholesky_spd(sigma_tilde)
-        return InverseOperator(kind="cholesky", dim=factor.dim,
-                               pd_flag=True, floor_count=0, _chol=factor)
+        return cholesky_spd(sigma_tilde)
     except NotPositiveDefiniteError:
         pass
-    eig = eigen_sym(sigma_tilde)
-    lam_max = float(eig.eigenvalues[0])
+    d = diagonal_of(sigma_tilde)
+    if d is None:
+        eig = eigen_sym(sigma_tilde)
+        values, vectors = eig.eigenvalues, eig.eigenvectors
+    else:
+        values, vectors = d, None
+    lam_max = float(values.max())
     if lam_max <= 0:
         raise UnusableMatrixError(
             f"thresholded covariance has no positive part (lambda_max={lam_max:.3e})"
         )
     floor = FLOOR_EPS * lam_max
-    floored = np.maximum(eig.eigenvalues, floor)
-    n_floored = int(np.sum(eig.eigenvalues < floor))
-    return InverseOperator(kind="eigen_floor", dim=eig.eigenvalues.shape[0],
-                           pd_flag=False, floor_count=n_floored,
-                           _vectors=eig.eigenvectors, _inv_values=1.0 / floored)
+    floored = np.maximum(values, floor)
+    n_floored = int(np.sum(values < floor))
+    return SymOperator(kind=EIGEN_FLOOR, dim=values.shape[0], pd_flag=False,
+                       floor_count=n_floored, diagonal=d,
+                       _vectors=vectors, _inv_values=1.0 / floored)
 
 
-def pseudo_inverse_sym(s: np.ndarray, rtol: float) -> InverseOperator:
+def pseudo_inverse_sym(s: np.ndarray, rtol: float) -> SymOperator:
     """Moore-Penrose pseudo-inverse of a symmetric matrix.
 
     Eigenvalues with |lambda| > rtol * max|lambda| are inverted, the
@@ -205,9 +186,9 @@ def pseudo_inverse_sym(s: np.ndarray, rtol: float) -> InverseOperator:
     keep = absvals > cutoff
     inv = np.zeros_like(eig.eigenvalues)
     inv[keep] = 1.0 / eig.eigenvalues[keep]
-    return InverseOperator(kind="pseudo", dim=eig.eigenvalues.shape[0],
-                           pd_flag=False, floor_count=int(np.sum(~keep)),
-                           _vectors=eig.eigenvectors, _inv_values=inv)
+    return SymOperator(kind=PSEUDO, dim=eig.eigenvalues.shape[0],
+                       pd_flag=False, floor_count=int(np.sum(~keep)),
+                       _vectors=eig.eigenvectors, _inv_values=inv)
 
 
 def default_pseudo_rtol(p: int) -> float:

@@ -68,7 +68,9 @@ def conditional_rate(rule: LinearRule, pop: PopulationSpec) -> RateReport:
         return RateReport(conditional_rate=0.5, per_class_error=(0.0, 1.0),
                           method=CLOSED_FORM, degenerate=True)
     w, c = rule.weights, rule.cutoff
-    sigma_w = math.sqrt(float(w @ (pop.covariance @ w)))
+    d = pop.chol.diagonal
+    # d * w has the bits of Sigma @ w when Sigma = diag(d), at O(p)
+    sigma_w = math.sqrt(float(w @ (d * w if d is not None else pop.covariance @ w)))
     e1 = std_normal_cdf((c - float(w @ pop.means[0])) / sigma_w)
     e2 = std_normal_cdf((float(w @ pop.means[1]) - c) / sigma_w)
     return RateReport(conditional_rate=0.5 * (e1 + e2), per_class_error=(e1, e2),
@@ -84,7 +86,7 @@ def _class_scores(pop: PopulationSpec, cls: int, weights: np.ndarray,
     # rows(R) = min(p, m) has exactly the same joint law. QR, unlike a
     # Cholesky of W'Sigma W, cannot fail: a zero column of W (degenerate
     # rule) gives an exactly zero column of R, so its scores stay +-0.0.
-    r = np.linalg.qr(pop.chol.lower.T @ weights, mode="r")
+    r = np.linalg.qr(pop.chol.lower_t(weights), mode="r")
     z = gen.standard_normal((n_mc, r.shape[0]))
     raw = z @ r
     if pop.distribution != NORMAL:

@@ -9,7 +9,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError, DomainError, ShapeError
-from .numerics import SpdFactor, cholesky_spd
+from .numerics import SymOperator, cholesky_spd
 
 NORMAL = "normal"
 STUDENT_T = "student_t"
@@ -141,8 +141,8 @@ class PopulationSpec:
         return self.means.shape[0]
 
     @cached_property
-    def chol(self) -> SpdFactor:
-        """Cholesky factor of the covariance (raises if not SPD)."""
+    def chol(self) -> SymOperator:
+        """The factored covariance, diagonal or Cholesky (raises if not SPD)."""
         return cholesky_spd(self.covariance)
 
     @property

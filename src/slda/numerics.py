@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_solve
 from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import DomainError, NotPositiveDefiniteError, NumericalError, ShapeError
@@ -95,16 +96,66 @@ def stream(seed: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# symmetric factorizations
+# symmetric operators
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpdFactor:
-    """Lower Cholesky factor of a symmetric positive definite matrix."""
+DIAGONAL = "diagonal"
+CHOLESKY = "cholesky"
+EIGEN_FLOOR = "eigen_floor"
+PSEUDO = "pseudo"
 
+
+@dataclass(frozen=True, eq=False)
+class SymOperator:
+    """A symmetric matrix A with its inverse, or a generalized inverse,
+    in the form the structure of A allows; spd_solve applies it.
+
+    ``kind`` follows from the input:
+    - "diagonal": A = diag(d), d > 0, held as d, l = sqrt(d) and
+      r = 1/l, so solves, draws and products cost O(p);
+    - "cholesky": A = L L' with L from LAPACK potrf;
+    - "eigen_floor" and "pseudo": V diag(inv) V' from an
+      eigendecomposition with floored (eigen_floor) or zeroed (pseudo)
+      eigenvalues; V is None when A is diagonal (V = I).
+
+    ``pd_flag`` is True on the two factored kinds; ``floor_count``
+    counts floored or zeroed eigenvalues. ``diagonal`` is d whenever A
+    has no nonzero off-diagonal entry, else None.
+    """
+
+    kind: str
     dim: int
-    lower: np.ndarray
-    log_determinant: float
+    pd_flag: bool = True
+    floor_count: int = 0
+    diagonal: np.ndarray | None = None
+    _factor: np.ndarray | None = None      # l (diagonal) or L (cholesky)
+    _recip: np.ndarray | None = None       # r = 1/l (diagonal)
+    _vectors: np.ndarray | None = None     # V (eigen kinds)
+    _inv_values: np.ndarray | None = None  # inv (eigen kinds)
+
+    def _require_factor(self, what: str) -> None:
+        if self.kind not in (DIAGONAL, CHOLESKY):
+            raise DomainError(f"{what} needs a factored operator, got kind {self.kind!r}")
+
+    @property
+    def lower(self) -> np.ndarray:
+        """Dense lower Cholesky factor L, built on demand for a diagonal A."""
+        self._require_factor("lower")
+        return np.diag(self._factor) if self.kind == DIAGONAL else self._factor
+
+    @property
+    def log_determinant(self) -> float:
+        """log det A = 2 sum log l_jj."""
+        self._require_factor("log_determinant")
+        root = self._factor if self.kind == DIAGONAL else np.diag(self._factor)
+        return 2.0 * float(np.sum(np.log(root)))
+
+    def lower_t(self, w: np.ndarray) -> np.ndarray:
+        """L' w for a (p,) vector or a (p, m) matrix of columns."""
+        self._require_factor("lower_t")
+        if self.kind == CHOLESKY:
+            return self._factor.T @ w
+        return self._factor * w if w.ndim == 1 else self._factor[:, None] * w
 
 
 @dataclass(frozen=True)
@@ -115,14 +166,34 @@ class EigenSym:
     eigenvectors: np.ndarray  # columns match eigenvalues
 
 
-def _symmetrize(a: np.ndarray, what: str) -> np.ndarray:
+def diagonal_of(a: np.ndarray) -> np.ndarray | None:
+    """A copy of the diagonal of the square matrix ``a`` when every
+    off-diagonal entry is exactly zero, else None.
+
+    One count_nonzero pass over ``a``; a NaN counts as nonzero.
+    """
+    a = np.asarray(a, dtype=float)
+    d = a.diagonal()
+    if np.count_nonzero(a) != np.count_nonzero(d):
+        return None
+    return d.copy()
+
+
+def _symmetrize(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray | None]:
     # Checks, but does not rebuild: potrf and eigh read only the lower
     # triangle, and every matrix the package builds is exactly symmetric.
+    # Returns (a, diagonal_of(a)); a diagonal matrix is symmetric, so
+    # only its diagonal is scanned.
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"{what} requires a square matrix, got shape {a.shape}")
     if a.shape[0] < 1:
         raise ShapeError(f"{what} requires dimension >= 1")
+    d = diagonal_of(a)
+    if d is not None:
+        if not np.isfinite(d).all():
+            raise DomainError(f"{what}: input has NaN or Inf entries")
+        return a, d
     scale = max(float(a.max()), -float(a.min()))  # max |a_jl| without a |a| copy
     if not math.isfinite(scale):
         raise DomainError(f"{what}: input has NaN or Inf entries")
@@ -139,30 +210,38 @@ def _symmetrize(a: np.ndarray, what: str) -> np.ndarray:
         raise DomainError(
             f"{what}: input asymmetry {skew:.3e} exceeds {_SYM_RTOL:.0e} relative"
         )
-    return a
+    return a, None
 
 
-def cholesky_spd(a: np.ndarray) -> SpdFactor:
-    """Lower Cholesky factor of a symmetric positive definite matrix.
+def cholesky_spd(a: np.ndarray) -> SymOperator:
+    """Factor a symmetric positive definite matrix: a "diagonal"
+    operator when every off-diagonal entry is zero, else "cholesky".
 
     Only the lower triangle is read; asymmetry beyond 1e-8 relative is an
     error rather than silently absorbed. A non-positive pivot raises
-    NotPositiveDefiniteError carrying the 0-based pivot index.
+    NotPositiveDefiniteError carrying the 0-based pivot index (for a
+    diagonal, the first d_j <= 0, where potrf would stop).
     """
-    a = _symmetrize(a, "cholesky_spd")
+    a, d = _symmetrize(a, "cholesky_spd")
+    if d is not None:
+        bad = np.flatnonzero(d <= 0.0)
+        if bad.size:
+            raise NotPositiveDefiniteError(pivot_index=int(bad[0]))
+        root = np.sqrt(d)
+        return SymOperator(kind=DIAGONAL, dim=d.shape[0], diagonal=d,
+                           _factor=root, _recip=1.0 / root)
     (potrf,) = get_lapack_funcs(("potrf",), (a,))
     c, info = potrf(a, lower=1, clean=1, overwrite_a=0)
     if info > 0:
         raise NotPositiveDefiniteError(pivot_index=info - 1)
     if info < 0:
         raise NumericalError(f"cholesky_spd: illegal argument {-info} to LAPACK potrf")
-    log_det = 2.0 * float(np.sum(np.log(np.diag(c))))
-    return SpdFactor(dim=a.shape[0], lower=c, log_determinant=log_det)
+    return SymOperator(kind=CHOLESKY, dim=a.shape[0], _factor=c)
 
 
 def eigen_sym(a: np.ndarray) -> EigenSym:
     """Eigendecomposition of a symmetric matrix, eigenvalues descending."""
-    a = _symmetrize(a, "eigen_sym")
+    a, _ = _symmetrize(a, "eigen_sym")
     try:
         vals, vecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -171,32 +250,40 @@ def eigen_sym(a: np.ndarray) -> EigenSym:
     return EigenSym(eigenvalues=vals[order], eigenvectors=vecs[:, order])
 
 
-def spd_solve(factor: SpdFactor, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b given the Cholesky factor of A (vector or matrix b)."""
-    from scipy.linalg import cho_solve
-
+def spd_solve(op: SymOperator, b: np.ndarray) -> np.ndarray:
+    """Apply the inverse (or generalized inverse) held by ``op`` to a
+    vector or to the columns of a matrix b."""
     b = np.asarray(b, dtype=float)
-    if b.shape[0] != factor.dim:
-        raise ShapeError(f"spd_solve: rhs length {b.shape[0]} != dimension {factor.dim}")
-    return cho_solve((factor.lower, True), b)
+    if b.shape[0] != op.dim:
+        raise ShapeError(f"spd_solve: rhs length {b.shape[0]} != dimension {op.dim}")
+    if op.kind == CHOLESKY:
+        # no finite-scan of L: potrf's input was checked
+        return cho_solve((op._factor, True), b, check_finite=False)
+    if op.kind == DIAGONAL:
+        # two multiplies by 1/l, as potrs does: (b / l) / l rounds differently
+        r = op._recip if b.ndim == 1 else op._recip[:, None]
+        return (b * r) * r
+    inv = op._inv_values if b.ndim == 1 else op._inv_values[:, None]
+    if op._vectors is None:
+        return inv * b
+    return op._vectors @ (inv * (op._vectors.T @ b))
 
 
 # ---------------------------------------------------------------------------
 # samplers
 # ---------------------------------------------------------------------------
 
-def _apply_lower(factor: SpdFactor, z: np.ndarray) -> np.ndarray:
-    # L z for (p,) or z L' for (m, p). A diagonal factor multiplies
-    # elementwise, which equals the matmul exactly (the off-diagonal
-    # contributions are exact zeros) at a fraction of the cost.
-    if np.count_nonzero(factor.lower) == factor.dim:
-        return z * np.diagonal(factor.lower)
+def _apply_lower(op: SymOperator, z: np.ndarray) -> np.ndarray:
+    # L z for (p,) or z L' for (m, p); a diagonal L scales the columns.
+    if op.kind == DIAGONAL:
+        return z * op._factor
+    op._require_factor("sampling")
     if z.ndim == 1:
-        return factor.lower @ z
-    return z @ factor.lower.T
+        return op._factor @ z
+    return z @ op._factor.T
 
 
-def sample_mvn(mean, factor: SpdFactor, gen: np.random.Generator, size: int | None = None):
+def sample_mvn(mean, factor: SymOperator, gen: np.random.Generator, size: int | None = None):
     """Draw from N(mean, L L') given the Cholesky factor L.
 
     Returns a (p,) vector, or an (size, p) matrix when ``size`` is given.
@@ -212,7 +299,7 @@ def sample_mvn(mean, factor: SpdFactor, gen: np.random.Generator, size: int | No
     return mean + _apply_lower(factor, gen.standard_normal((size, p)))
 
 
-def sample_mvt(mean, factor: SpdFactor, df: int, gen: np.random.Generator,
+def sample_mvt(mean, factor: SymOperator, df: int, gen: np.random.Generator,
                size: int | None = None):
     """Draw from a multivariate t with ``df`` degrees of freedom.
 

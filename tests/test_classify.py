@@ -336,3 +336,69 @@ class TestMultiClass:
         ds = two_class_dataset(rng.standard_normal((4, 3)), rng.standard_normal((4, 3)))
         with pytest.raises(DomainError):
             build_slda_multi(ds, ThresholdConfig(m1=1.0, m2=1.0, alpha=0.3))
+
+
+# Sigma-tilde configurations of the SLDA property tests: a huge M1 keeps
+# only the diagonal of S (the "diagonal" operator), M1 = 0 keeps all of S
+# (n - 2 >= 2p, so S is positive definite: the "cholesky" operator).
+SIGMA_TILDE_M1 = {"diagonal": 1e9, "dense": 0.0}
+
+
+def seeded_two_class(seed, n1, n2, p):
+    gen = np.random.default_rng(seed)
+    shift = gen.standard_normal(p)
+    x1 = gen.standard_normal((n1, p)) + shift
+    x2 = gen.standard_normal((n2, p))
+    return two_class_dataset(x1, x2)
+
+
+def fit_on(ds, kind, m2):
+    return build_slda(ds, ThresholdConfig(m1=SIGMA_TILDE_M1[kind], m2=m2, alpha=0.3))
+
+
+class TestSldaProperties:
+    @pytest.mark.parametrize("kind", sorted(SIGMA_TILDE_M1))
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 6),
+           extra1=st.integers(1, 8), extra2=st.integers(1, 8),
+           m2=st.sampled_from([0.0, 0.3, 0.8, 1.5]))
+    def test_label_swap_flips_rule(self, kind, seed, p, extra1, extra2, m2):
+        # swapping labels 1 <-> 2 negates delta_hat exactly and leaves S as
+        # it is, so w and the cutoff change sign bit for bit and every
+        # sample off the boundary changes class
+        ds = seeded_two_class(seed, 2 * p + extra1, 2 * p + extra2, p)
+        swapped = Dataset(features=ds.features, labels=3 - ds.labels,
+                          class_counts=ds.class_counts[::-1])
+        rule, report = fit_on(ds, kind, m2)
+        rule_s, report_s = fit_on(swapped, kind, m2)
+        assert (report.nnz_offdiag == 0) == (kind == "diagonal")
+        assert report.pd_flag and report_s.pd_flag
+        assert np.array_equal(rule_s.weights, -rule.weights)
+        assert rule_s.cutoff == -rule.cutoff
+        assert rule_s.degenerate == rule.degenerate
+        if rule.degenerate:
+            return
+        off_boundary = ds.features @ rule.weights != rule.cutoff
+        labels = classify_many(rule, ds.features)
+        labels_s = classify_many(rule_s, ds.features)
+        assert np.array_equal(labels_s[off_boundary], 3 - labels[off_boundary])
+
+    @pytest.mark.parametrize("kind", sorted(SIGMA_TILDE_M1))
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 6), data=st.data())
+    def test_feature_permutation_permutes_weights(self, kind, seed, p, data):
+        # S of permuted columns is the permuted S up to the summation order
+        # of the Gram product, so w permutes to within 1e-10 of max |w|;
+        # M2 = 0 keeps every nonzero component, so no rounding near a_n
+        # can change the kept set
+        perm = np.array(data.draw(st.permutations(range(p))))
+        ds = seeded_two_class(seed, 2 * p + 3, 2 * p + 1, p)
+        permuted = Dataset(features=ds.features[:, perm], labels=ds.labels,
+                           class_counts=ds.class_counts)
+        rule, report = fit_on(ds, kind, 0.0)
+        rule_p, _ = fit_on(permuted, kind, 0.0)
+        assert (report.nnz_offdiag == 0) == (kind == "diagonal")
+        assert report.pd_flag
+        scale = np.max(np.abs(rule.weights))
+        assert np.max(np.abs(rule_p.weights - rule.weights[perm])) <= 1e-10 * scale
+        assert rule_p.cutoff == pytest.approx(rule.cutoff, rel=1e-10, abs=1e-10 * scale)

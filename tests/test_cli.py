@@ -128,6 +128,19 @@ class TestPredict:
         assert "non-finite" in capsys.readouterr().err
         assert not pred.exists()
 
+    def test_overflowing_score_exits_2(self, tmp_path, capsys):
+        # finite cells whose score w'x overflows past the float range
+        model = tmp_path / "model.txt"
+        model.write_text("slda-model v1\np 2\nalpha 0.3\nm1 1\nm2 1\nc 0\n"
+                         "degenerate 0\nweights\n2\n2\n", encoding="utf-8")
+        test = tmp_path / "test.csv"
+        test.write_text("f1,f2\n1,1\n1e308,-1e308\n", encoding="utf-8")
+        pred = tmp_path / "pred.csv"
+        assert main(["predict", "--model", str(model), "--test", str(test),
+                     "--out", str(pred)]) == 2
+        assert "row 1 has a non-finite score" in capsys.readouterr().err
+        assert not pred.exists()
+
 
 class TestCv:
     def test_single_point_grid(self, separable_csv, tmp_path, capsys):

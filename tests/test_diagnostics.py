@@ -10,6 +10,7 @@ from conftest import random_spd
 from slda.diagnostics import (
     condition_check,
     cumulative_proportions,
+    eigen_range,
     lemma2_counts,
     mahalanobis_delta,
     rate_quantities,
@@ -179,6 +180,22 @@ class TestConditionCheck:
         pop = PopulationSpec(means=np.array([[1.0], [0.0]]), covariance=np.eye(1))
         with pytest.raises(DomainError):
             condition_check(pop, 1.0)
+
+    @pytest.mark.parametrize("d", [[3.5, 0.25, 7.0, 1.0], [2.0], [-1.0, 0.0, 4.0, 0.5]])
+    def test_diagonal_range_equals_eigvalsh(self, d):
+        # a diagonal Sigma (SPD or not) is read off its diagonal
+        sigma = np.diag(d)
+        ref = np.linalg.eigvalsh(0.5 * (sigma + sigma.T))
+        assert eigen_range(sigma) == (float(ref[0]), float(ref[-1]))
+        pop = PopulationSpec(means=np.vstack([np.ones(len(d)), np.zeros(len(d))]),
+                             covariance=sigma)
+        report = condition_check(pop, 4.0)
+        assert (report.eig_min, report.eig_max) == (float(ref[0]), float(ref[-1]))
+
+    def test_dense_range_unchanged(self, rng):
+        sigma = random_spd(rng, 6)
+        ref = np.linalg.eigvalsh(0.5 * (sigma + sigma.T))
+        assert eigen_range(sigma) == (float(ref[0]), float(ref[-1]))
 
 
 class TestCumulativeProportions:

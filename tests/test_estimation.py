@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import random_spd, two_class_dataset
 from slda.errors import DomainError, UnusableMatrixError
 from slda.estimation import (
+    FLOOR_EPS,
     compute_an,
     compute_tn,
     invert_sparse_sym,
@@ -21,7 +22,7 @@ from slda.estimation import (
     threshold_delta,
 )
 from slda.model import validate_dataset
-from slda.numerics import cholesky_spd, sample_mvn, substream
+from slda.numerics import cholesky_spd, eigen_sym, sample_mvn, spd_solve, substream
 
 
 class TestSummarize:
@@ -213,9 +214,9 @@ class TestInvertSparseSym:
     def test_identity(self):
         t = threshold_covariance(np.eye(4), 0.5)
         op = invert_sparse_sym(t)
-        assert op.kind == "cholesky" and op.pd_flag and op.floor_count == 0
+        assert op.kind == "diagonal" and op.pd_flag and op.floor_count == 0
         v = np.array([1.0, -2.0, 3.0, 0.5])
-        assert np.allclose(op.apply(v), v, rtol=1e-14)
+        assert np.allclose(spd_solve(op, v), v, rtol=1e-14)
 
     def test_near_singular_closed_form(self):
         # [[1, rho], [rho, 1]]^{-1} first column = (1, -rho)/(1 - rho^2)
@@ -223,7 +224,7 @@ class TestInvertSparseSym:
         t = threshold_covariance(np.array([[1.0, rho], [rho, 1.0]]), 0.0)
         op = invert_sparse_sym(t)
         assert op.kind == "cholesky"
-        got = op.apply(np.array([1.0, 0.0]))
+        got = spd_solve(op, np.array([1.0, 0.0]))
         denom = 1.0 - rho * rho
         assert np.allclose(got, [1.0 / denom, -rho / denom], rtol=1e-9)
         assert got[0] == pytest.approx(500.25, abs=1e-2)
@@ -237,7 +238,8 @@ class TestInvertSparseSym:
         assert op.floor_count == 1  # eigenvalue -1 floored
         # still linear
         v1, v2 = np.array([1.0, 0.0]), np.array([0.5, -2.0])
-        assert np.allclose(op.apply(v1 + v2), op.apply(v1) + op.apply(v2), rtol=1e-12)
+        assert np.allclose(spd_solve(op, v1 + v2), spd_solve(op, v1) + spd_solve(op, v2),
+                           rtol=1e-12)
 
     def test_nonpositive_matrix_unusable(self):
         with pytest.raises(UnusableMatrixError):
@@ -245,26 +247,45 @@ class TestInvertSparseSym:
 
     def test_degenerate_diagonal_recorded(self):
         op = invert_sparse_sym(np.diag([2.0, 1e-18]))
-        # either a successful (ill-conditioned) Cholesky or the floor path;
-        # the pd flag records which
-        assert op.kind in ("cholesky", "eigen_floor")
-        assert op.pd_flag == (op.kind == "cholesky")
+        # a positive diagonal factors in O(p), however ill-conditioned;
+        # the pd flag records it
+        assert op.kind == "diagonal"
+        assert op.pd_flag and op.floor_count == 0
 
     def test_asymmetric_matrix_rejected(self):
         with pytest.raises(DomainError, match="asymmetry"):
             invert_sparse_sym(np.array([[2.0, 0.5], [0.1, 2.0]]))
 
+    @pytest.mark.parametrize("d", [[3.0, 0.0, 2.0, 0.0, 1e-12],
+                                   [5.0, -1.0, 0.0, 4.0],
+                                   [2.0, 1e-9, 0.0] * 40])
+    def test_diagonal_floor_matches_dense_reference(self, rng, d):
+        # a constant feature gives s_jj = 0: the floor runs on the diagonal
+        # in O(p); the reference is the dense eigendecomposition it replaces
+        sigma = np.diag(d)
+        op = invert_sparse_sym(sigma)
+        assert op.kind == "eigen_floor" and op.diagonal is not None
+        eig = eigen_sym(sigma)
+        floor = FLOOR_EPS * eig.eigenvalues[0]
+        assert not op.pd_flag
+        assert op.floor_count == int(np.sum(eig.eigenvalues < floor))
+        inv = 1.0 / np.maximum(eig.eigenvalues, floor)
+        v = eig.eigenvectors
+        for b in (rng.standard_normal(len(d)), rng.standard_normal((len(d), 3))):
+            ref = v @ ((inv if b.ndim == 1 else inv[:, None]) * (v.T @ b))
+            np.testing.assert_allclose(spd_solve(op, b), ref, rtol=1e-12, atol=0.0)
+
 
 class TestPseudoInverse:
     def test_diagonal_with_null_direction(self):
         op = pseudo_inverse_sym(np.diag([2.0, 0.0]), rtol=1e-12)
-        assert np.allclose(op.apply(np.array([1.0, 1.0])), [0.5, 0.0])
+        assert np.allclose(spd_solve(op, np.array([1.0, 1.0])), [0.5, 0.0])
         assert op.floor_count == 1
 
     def test_identity(self):
         op = pseudo_inverse_sym(np.eye(3), rtol=1e-12)
         v = np.array([1.0, 2.0, 3.0])
-        assert np.allclose(op.apply(v), v, rtol=1e-14)
+        assert np.allclose(spd_solve(op, v), v, rtol=1e-14)
 
     def test_moore_penrose_property_rank_deficient(self, rng):
         # singular S from n = 5 draws in p = 10 dimensions
@@ -273,13 +294,13 @@ class TestPseudoInverse:
         s = xc.T @ xc / 5
         s = 0.5 * (s + s.T)
         op = pseudo_inverse_sym(s, rtol=1e-10)
-        s_pinv = op.apply(np.eye(10))
+        s_pinv = spd_solve(op, np.eye(10))
         assert np.linalg.norm(s @ s_pinv @ s - s) <= 1e-8 * np.linalg.norm(s)
 
     def test_all_zero_gives_zero_operator(self):
         op = pseudo_inverse_sym(np.zeros((3, 3)), rtol=1e-12)
         assert op.floor_count == 3
-        assert not np.any(op.apply(np.ones(3)))
+        assert not np.any(spd_solve(op, np.ones(3)))
 
 
 class TestOperatorNormConsistency:

@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import random_population, two_class_dataset
+from conftest import random_population, random_spd, two_class_dataset
 from slda import evaluate
 from slda.classify import build_oracle, build_slda
 from slda.diagnostics import lemma2_counts
@@ -22,7 +22,7 @@ from slda.evaluate import (
     optimal_rate,
 )
 from slda.model import NORMAL, Dataset, LinearRule, PopulationSpec, ThresholdConfig
-from slda.numerics import sample_mvn, substream
+from slda.numerics import sample_mvn, std_normal_cdf, substream
 
 mp.mp.dps = 30
 
@@ -147,6 +147,26 @@ class TestConditionalRate:
                              distribution="student_t", df=3)
         with pytest.raises(DomainError):
             conditional_rate(LinearRule(weights=np.ones(1), cutoff=0.0), pop)
+
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_sigma_w_bit_exact_against_dense_product(self, rng, diagonal):
+        # sigma_w^2 = w'(d * w) on a diagonal Sigma, w'(Sigma w) otherwise:
+        # both give the bits of the dense product
+        p = 300
+        sigma = np.diag(rng.uniform(0.1, 50.0, p)) if diagonal else random_spd(rng, p)
+        pop = PopulationSpec(means=np.vstack([rng.standard_normal(p), np.zeros(p)]),
+                             covariance=sigma)
+        assert (pop.chol.kind == "diagonal") == diagonal
+        for _ in range(50):
+            w = rng.standard_normal(p)
+            if diagonal:
+                assert w @ (pop.chol.diagonal * w) == w @ (sigma @ w)
+            c = float(w @ pop.mid) + rng.standard_normal()
+            sigma_w = math.sqrt(float(w @ (sigma @ w)))
+            e1 = std_normal_cdf((c - float(w @ pop.means[0])) / sigma_w)
+            e2 = std_normal_cdf((float(w @ pop.means[1]) - c) / sigma_w)
+            report = conditional_rate(LinearRule(weights=w, cutoff=c), pop)
+            assert report.per_class_error == (e1, e2)
 
 
 class TestConditionalRateMc:

@@ -11,11 +11,14 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
+from scipy.linalg.lapack import get_lapack_funcs
 
 from slda.errors import DomainError, NotPositiveDefiniteError, ShapeError
 from slda.numerics import (
     _SYM_BLOCK,
     cholesky_spd,
+    diagonal_of,
     eigen_sym,
     sample_mvn,
     sample_mvt,
@@ -347,3 +350,95 @@ class TestSamplers:
             sample_mvt(np.zeros(3), f, 3, substream(0, 0))
         with pytest.raises(DomainError):
             sample_mvt(np.zeros(2), f, 0, substream(0, 0))
+
+
+def potrf_lower(a):
+    """Dense reference: LAPACK potrf's lower factor and its info code."""
+    (potrf,) = get_lapack_funcs(("potrf",), (a,))
+    c, info = potrf(a, lower=1, clean=1, overwrite_a=0)
+    return c, info
+
+
+class TestDiagonalFastPath:
+    # The diagonal operator against the dense potrf path it replaces.
+
+    @staticmethod
+    def diag_matrix(rng, p):
+        return np.diag(rng.uniform(0.05, 300.0, p))
+
+    @pytest.mark.parametrize("p", [1, 5, 500])
+    def test_kind_and_factor(self, rng, p):
+        a = self.diag_matrix(rng, p)
+        op = cholesky_spd(a)
+        assert op.kind == "diagonal" and op.pd_flag and op.floor_count == 0
+        c, info = potrf_lower(a)
+        assert info == 0
+        assert np.array_equal(op.lower, c)
+        assert op.log_determinant == 2.0 * float(np.sum(np.log(np.diag(c))))
+
+    @pytest.mark.parametrize("p", [5, 500])
+    def test_solve_bit_exact_against_cho_solve(self, rng, p):
+        a = self.diag_matrix(rng, p)
+        c, _ = potrf_lower(a)
+        op = cholesky_spd(a)
+        for b in (rng.standard_normal(p), rng.standard_normal((p, 4))):
+            assert np.array_equal(spd_solve(op, b), cho_solve((c, True), b))
+
+    @pytest.mark.parametrize("p", [5, 500])
+    def test_lower_products_bit_exact(self, rng, p):
+        a = self.diag_matrix(rng, p)
+        c, _ = potrf_lower(a)
+        op = cholesky_spd(a)
+        gen_a, gen_b = substream(3, 1), substream(3, 1)
+        assert np.array_equal(sample_mvn(np.zeros(p), op, gen_a, size=7),
+                              np.zeros(p) + gen_b.standard_normal((7, p)) @ c.T)
+        assert np.array_equal(sample_mvn(np.zeros(p), op, substream(4, 0)),
+                              np.zeros(p) + c @ substream(4, 0).standard_normal(p))
+        w = rng.standard_normal((p, 3))
+        assert np.array_equal(op.lower_t(w), c.T @ w)
+        assert np.array_equal(op.lower_t(w[:, 0]), c.T @ w[:, 0])
+
+    @pytest.mark.parametrize("d, pivot", [([3.0, 2.0, 0.0, -1.0, 5.0], 2),
+                                          ([4.0, -1.0], 1), ([-0.0], 0),
+                                          ([1.0, 2.0, 3.0, -4.0], 3)])
+    def test_pivot_index_matches_potrf(self, d, pivot):
+        a = np.diag(d)
+        _, info = potrf_lower(a)
+        assert info - 1 == pivot
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            cholesky_spd(a)
+        assert err.value.pivot_index == pivot
+
+    def test_off_diagonal_entry_takes_dense_path(self):
+        a = np.diag([2.0, 3.0, 4.0])
+        a[0, 2] = a[2, 0] = 5e-324
+        op = cholesky_spd(a)
+        assert op.kind == "cholesky" and op.diagonal is None
+        assert diagonal_of(a) is None
+        assert np.array_equal(diagonal_of(np.diag([2.0, 3.0, 4.0])), [2.0, 3.0, 4.0])
+
+    def test_nan_off_diagonal_is_not_diagonal(self):
+        a = np.eye(3)
+        a[0, 1] = math.nan
+        assert diagonal_of(a) is None
+        with pytest.raises(DomainError, match="NaN or Inf"):
+            cholesky_spd(a)
+
+    def test_factor_does_not_alias_input(self):
+        a = np.diag([4.0, 9.0])
+        op = cholesky_spd(a)
+        a[0, 0] = 100.0
+        assert np.array_equal(op.diagonal, [4.0, 9.0])
+        assert np.array_equal(spd_solve(op, np.array([4.0, 9.0])), [1.0, 1.0])
+
+    def test_eigen_kinds_have_no_lower_factor(self):
+        from slda.estimation import invert_sparse_sym
+
+        op = invert_sparse_sym(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        for what in ("lower", "log_determinant"):
+            with pytest.raises(DomainError):
+                getattr(op, what)
+        with pytest.raises(DomainError):
+            op.lower_t(np.ones(2))
+        with pytest.raises(DomainError):
+            sample_mvn(np.zeros(2), op, substream(0, 0))
