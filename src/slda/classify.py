@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NotPositiveDefiniteError, ShapeError
+from .errors import DomainError, NotPositiveDefiniteError, ShapeError, SldaError
 from .estimation import (
     class_means,
     compute_an,
@@ -90,32 +90,75 @@ def build_lda_known_sigma(dataset: Dataset, sigma) -> LinearRule:
     return _rule(spd_solve(factor, means[0] - means[1]), 0.5 * (means[0] + means[1]))
 
 
-def _slda_pairs(dataset: Dataset, config: ThresholdConfig):
-    # The SLDA body for every K >= 2: one Sigma-tilde (pooled S thresholded
-    # at t_n) shared by all contrasts k < l, each delta_hat_kl thresholded
-    # at the common a_n. Sigma-tilde is factored at most once, and only if
-    # some contrast keeps a component; an emptied contrast gets the
-    # degenerate rule. Returns the pair rules, each pair's delta-tilde, the
-    # kept off-diagonal count of Sigma-tilde and the pd flag (True when
-    # nothing was factored).
+def build_slda_grid(dataset: Dataset, m1_grid, m2_grid, alpha: float) -> list:
+    """SLDA fits at every (M1, M2) of a product grid, in grid order (M1
+    outer, M2 inner): each is (rules, report), with ``rules[(a, b)]`` the
+    LinearRule of every contrast a < b and ``report`` the SparsityReport
+    of pair (1, 2), or the SldaError that factoring Sigma-tilde raised.
+
+    One summarize serves the grid. Sigma-tilde is thresholded once per
+    M1 and factored at most once, when the first M2 that keeps a
+    component of some contrast needs it, so a failed factor fails only
+    those points; an emptied contrast gets the degenerate rule. The grid
+    values must be valid ThresholdConfig constants; an error of the whole
+    fit (p < 2, a bad alpha) is raised.
+    """
     summary = summarize(dataset)
     n, p, k = dataset.n, dataset.p, dataset.n_classes
-    t_n = compute_tn(config.m1, n, p)
-    a_n = compute_an(config.m2, n, p, config.alpha)
-    sigma_tilde = threshold_covariance(summary.pooled_cov, t_n)
-    means = summary.class_means
-    del summary  # frees S before the factorization allocates its own p x p
+    t_ns = [compute_tn(m1, n, p) for m1 in m1_grid]
+    a_ns = [compute_an(m2, n, p, alpha) for m2 in m2_grid]
+    means, s = summary.class_means, summary.pooled_cov
+    del summary
+    pairs = [(a, b) for a in range(1, k) for b in range(a + 1, k + 1)]
+    mids = {(a, b): 0.5 * (means[a - 1] + means[b - 1]) for a, b in pairs}
+    deltas = [{(a, b): threshold_delta(means[a - 1] - means[b - 1], a_n) for a, b in pairs}
+              for a_n in a_ns]
+    fits = []
+    for i, t_n in enumerate(t_ns):
+        sigma_tilde = threshold_covariance(s, t_n)
+        if i + 1 == len(t_ns):
+            s = None  # frees S before the factorization allocates its own p x p
+        fits += _fits_at_m1(sigma_tilde, deltas, mids, p)
+    return fits
+
+
+def _fits_at_m1(sigma_tilde: np.ndarray, deltas: list[dict], mids: dict, p: int) -> list:
+    # The fits of one Sigma-tilde at every M2. A point that needs no factor
+    # reports pd_flag True, as nothing was factored for it.
     nnz = nnz_offdiag(sigma_tilde)
-    deltas = {(a, b): threshold_delta(means[a - 1] - means[b - 1], a_n)
-              for a in range(1, k) for b in range(a + 1, k + 1)}
     op = None
-    if any(tilde.q_hat for tilde in deltas.values()):
-        op = invert_sparse_sym(sigma_tilde)
-    rules = {}
-    for (a, b), tilde in deltas.items():
-        w = spd_solve(op, tilde.vector) if tilde.q_hat else np.zeros(p)
-        rules[(a, b)] = _rule(w, 0.5 * (means[a - 1] + means[b - 1]))
-    return rules, deltas, nnz, op is None or op.pd_flag
+    fits = []
+    for tildes in deltas:
+        needed = any(tilde.q_hat for tilde in tildes.values())
+        if needed and op is None:
+            op = _factor_or_error(sigma_tilde)
+        if needed and isinstance(op, SldaError):
+            fits.append(op)
+            continue
+        rules = {pair: _rule(spd_solve(op, tilde.vector) if tilde.q_hat else np.zeros(p),
+                             mids[pair])
+                 for pair, tilde in tildes.items()}
+        report = SparsityReport(p=p, q_hat=tildes[(1, 2)].q_hat, nnz_offdiag=nnz,
+                                pd_flag=not needed or op.pd_flag,
+                                degenerate=rules[(1, 2)].degenerate)
+        fits.append((rules, report))
+    return fits
+
+
+def _factor_or_error(sigma_tilde: np.ndarray):
+    # The error is returned without its traceback, whose frames would keep
+    # Sigma-tilde alive for as long as a caller holds the error.
+    try:
+        return invert_sparse_sym(sigma_tilde)
+    except SldaError as exc:
+        return exc.with_traceback(None)
+
+
+def _one_fit(dataset: Dataset, config: ThresholdConfig):
+    (fit,) = build_slda_grid(dataset, [config.m1], [config.m2], config.alpha)
+    if isinstance(fit, SldaError):
+        raise fit
+    return fit
 
 
 def build_slda(dataset: Dataset, config: ThresholdConfig) -> tuple[LinearRule, SparsityReport]:
@@ -127,11 +170,8 @@ def build_slda(dataset: Dataset, config: ThresholdConfig) -> tuple[LinearRule, S
     cross-validation scans stay total.
     """
     _two_class(dataset, "build_slda")
-    rules, deltas, nnz, pd_flag = _slda_pairs(dataset, config)
-    rule = rules[(1, 2)]
-    report = SparsityReport(p=dataset.p, q_hat=deltas[(1, 2)].q_hat, nnz_offdiag=nnz,
-                            pd_flag=pd_flag, degenerate=rule.degenerate)
-    return rule, report
+    rules, report = _one_fit(dataset, config)
+    return rules[(1, 2)], report
 
 
 def build_slda_multi(dataset: Dataset, config: ThresholdConfig) -> MultiRule:
@@ -145,7 +185,7 @@ def build_slda_multi(dataset: Dataset, config: ThresholdConfig) -> MultiRule:
     """
     if dataset.n_classes < 3:
         raise DomainError(f"build_slda_multi requires K >= 3, got K={dataset.n_classes}")
-    return MultiRule(pairwise=_slda_pairs(dataset, config)[0], n_classes=dataset.n_classes)
+    return MultiRule(pairwise=_one_fit(dataset, config)[0], n_classes=dataset.n_classes)
 
 
 def build_oracle(pop: PopulationSpec) -> LinearRule:

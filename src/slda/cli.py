@@ -148,6 +148,7 @@ def cmd_cv(args) -> int:
     print(f"best_m1 {sio.fmt_float(surface.best[0])}")
     print(f"best_m2 {sio.fmt_float(surface.best[1])}")
     print(f"best_score {sio.fmt_float(surface.best_score)}")
+    print(f"forced_worst {surface.forced_worst}")
     return OK
 
 

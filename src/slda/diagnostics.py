@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, SldaError
 from .estimation import compute_an
 from .model import PopulationSpec
 from .numerics import diagonal_of, spd_solve
@@ -27,6 +27,10 @@ def sparsity_C(sigma: np.ndarray, h: float) -> float:
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise ShapeError(f"sparsity_C requires a square matrix, got {sigma.shape}")
+    if h == 0.0:
+        # a per-row count of the entries with |sigma_jl| > 0 (NaN is not)
+        nonzero = np.count_nonzero(sigma, axis=1) - np.count_nonzero(np.isnan(sigma), axis=1)
+        return float(nonzero.max())
     mag = np.abs(sigma)
     powered = np.where(mag > 0.0, mag ** h, 0.0)
     return float(powered.sum(axis=1).max())
@@ -116,7 +120,11 @@ def eigen_range(sigma: np.ndarray) -> tuple[float, float]:
     """(lambda_min, lambda_max) of a symmetric matrix: min and max of the
     diagonal when every off-diagonal entry is zero, else from eigvalsh
     of 0.5 (sigma + sigma')."""
-    d = diagonal_of(sigma)
+    return _eigen_range(sigma, diagonal_of(sigma))
+
+
+def _eigen_range(sigma: np.ndarray, d: np.ndarray | None) -> tuple[float, float]:
+    # d is diagonal_of(sigma)
     if d is not None:
         return float(d.min()), float(d.max())
     eigvals = np.linalg.eigvalsh(0.5 * (sigma + sigma.T))
@@ -125,10 +133,19 @@ def eigen_range(sigma: np.ndarray) -> tuple[float, float]:
 
 def condition_check(pop: PopulationSpec, c0: float) -> ConditionReport:
     """Check the bounded-eigenvalue and bounded-mean-gap regularity
-    conditions with constant c0 > 1."""
+    conditions with constant c0 > 1.
+
+    The diagonal test is read off the population's factor, cached once
+    it is built, rather than from another scan of Sigma; a Sigma that
+    does not factor is scanned here.
+    """
     if c0 <= 1.0:
         raise DomainError(f"c0 must be > 1, got {c0}")
-    eig_min, eig_max = eigen_range(pop.covariance)
+    try:
+        d = pop.chol.diagonal
+    except SldaError:
+        d = diagonal_of(pop.covariance)
+    eig_min, eig_max = _eigen_range(pop.covariance, d)
     max_delta_sq = float(np.max(pop.delta ** 2))
     lo, hi = 1.0 / c0, c0
     return ConditionReport(

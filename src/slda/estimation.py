@@ -15,8 +15,8 @@ from .numerics import (
     EIGEN_FLOOR,
     PSEUDO,
     SymOperator,
+    check_symmetric,
     cholesky_spd,
-    diagonal_of,
     eigen_sym,
 )
 
@@ -146,15 +146,17 @@ def invert_sparse_sym(sigma_tilde: np.ndarray) -> SymOperator:
     and the operator is flagged (pd_flag False, floor_count = number
     floored); a diagonal sigma_tilde is its own eigendecomposition.
     Thresholding can destroy positive definiteness, so callers should
-    surface the flag. An asymmetric input raises DomainError.
+    surface the flag. An asymmetric input raises DomainError. The input
+    is checked and scanned for off-diagonal entries once, for both paths.
     """
+    checked = check_symmetric(sigma_tilde, "invert_sparse_sym")
     try:
-        return cholesky_spd(sigma_tilde)
+        return cholesky_spd(checked)
     except NotPositiveDefiniteError:
         pass
-    d = diagonal_of(sigma_tilde)
+    d = checked.diagonal
     if d is None:
-        eig = eigen_sym(sigma_tilde)
+        eig = eigen_sym(checked)
         values, vectors = eig.eigenvalues, eig.eigenvectors
     else:
         values, vectors = d, None

@@ -6,11 +6,12 @@ with grid search over the threshold constants (M1, M2)."""
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import build_slda, classify, classify_many, maximin_labels, pair_columns
+from .classify import build_slda_grid, classify, classify_many, maximin_labels, pair_columns
 from .diagnostics import mahalanobis_delta
 from .errors import DataError, DomainError, ShapeError, SldaError
 from .estimation import compute_an, compute_tn, summarize
@@ -162,6 +163,46 @@ def empirical_rate(rule, test: Dataset) -> RateReport:
                       per_class_error=tuple(errors), method=EMPIRICAL, n_test=test.n)
 
 
+def _loocv_grid(dataset: Dataset, m1_grid, m2_grid, alpha: float, threads: int):
+    # Leave-one-out over a product grid, fold-major: each fold summarizes
+    # once and thresholds and factors once per M1 (build_slda_grid). Returns,
+    # per point in grid order, the count of misclassified held-out samples
+    # and the first (fold, SldaError) of a failed refit, or None. Folds run
+    # on ``threads`` threads and are summed in fold order.
+    if min(dataset.class_counts) < 3:
+        raise DataError("loocv_rate requires every class count >= 3")
+    if dataset.n_classes != 2:
+        raise DomainError("leave-one-out cross-validation requires a two-class dataset")
+    points = len(m1_grid) * len(m2_grid)
+
+    def fold(i):
+        # refit without sample i (t_n, a_n recomputed with n - 1), then
+        # classify it: per point, whether it is missed, or the refit's error
+        try:
+            fits = build_slda_grid(dataset.drop(i), m1_grid, m2_grid, alpha)
+        except SldaError as exc:
+            return [exc.with_traceback(None)] * points  # its frames hold S
+        x, label = dataset.features[i], int(dataset.labels[i])
+        return [fit if isinstance(fit, SldaError) else classify(fit[0][(1, 2)], x) != label
+                for fit in fits]
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            outcomes = list(pool.map(fold, range(dataset.n)))
+    else:
+        outcomes = map(fold, range(dataset.n))
+    wrong = [0] * points
+    failed = [None] * points
+    for i, row in enumerate(outcomes):
+        for j, outcome in enumerate(row):
+            if isinstance(outcome, SldaError):
+                if failed[j] is None:
+                    failed[j] = (i, outcome)
+            else:
+                wrong[j] += outcome
+    return wrong, failed
+
+
 def loocv_rate(dataset: Dataset, config: ThresholdConfig) -> float:
     """Leave-one-out cross-validation estimate of the SLDA rate.
 
@@ -169,60 +210,72 @@ def loocv_rate(dataset: Dataset, config: ThresholdConfig) -> float:
     recomputed with n-1) and classifies the held-out point; the return
     value is the unweighted mean of the n error indicators.
     """
-    if min(dataset.class_counts) < 3:
-        raise DataError("loocv_rate requires every class count >= 3")
-    wrong = 0
-    for i in range(dataset.n):
-        try:
-            sub = dataset.drop(i)
-            rule, _ = build_slda(sub, config)
-            predicted = classify(rule, dataset.features[i])
-        except SldaError as exc:
-            raise SldaError(f"LOOCV refit failed on fold {i}: {exc}") from exc
-        if predicted != int(dataset.labels[i]):
-            wrong += 1
-    return wrong / dataset.n
+    wrong, failed = _loocv_grid(dataset, [config.m1], [config.m2], config.alpha, threads=1)
+    if failed[0] is not None:
+        i, exc = failed[0]
+        raise SldaError(f"LOOCV refit failed on fold {i}: {exc}") from exc
+    return wrong[0] / dataset.n
 
 
 @dataclass(frozen=True)
 class CvSurface:
-    """Grid of (M1, M2) pairs with their LOOCV scores and the winner."""
+    """Grid of (M1, M2) pairs with their LOOCV scores and the winner.
+
+    ``forced_worst`` counts the points scored 1.0 because they could not
+    be cross-validated, not because every held-out sample was missed.
+    """
 
     grid: tuple[tuple[float, float], ...]
     scores: tuple[float, ...]
     best: tuple[float, float]
     best_score: float
+    forced_worst: int
+
+
+def _valid(m1: float, m2: float, alpha: float) -> bool:
+    try:
+        ThresholdConfig(m1=m1, m2=m2, alpha=alpha)
+    except DomainError:
+        return False
+    return True
 
 
 def cv_grid_search(dataset: Dataset, m1_grid, m2_grid, alpha: float = 0.3,
                    threads: int = 1) -> CvSurface:
-    """Evaluate loocv_rate on the product grid and pick the minimum.
+    """Leave-one-out rate of SLDA at every point of the product grid,
+    and the point with the minimum.
 
     Ties are broken toward the most sparse rule: largest M2, then
-    largest M1. A fold failure marks that grid point's score 1.0
-    (worst) instead of aborting the scan. Grid points are independent;
-    with threads > 1 they are evaluated concurrently and aggregated in
-    grid order, so the surface is identical to the sequential one.
+    largest M1. A point is scored 1.0 (worst) instead of aborting the
+    scan when a fold's refit at it fails, when ThresholdConfig rejects
+    its constants, or when the dataset cannot be cross-validated (a
+    class with fewer than 3 samples, K != 2); ``forced_worst`` counts
+    those points. The loop is fold-major (one summary per fold, one
+    factor per fold and M1, shared by every M2), and with threads > 1
+    the folds run concurrently; their counts are summed in fold order,
+    so the surface is identical to the sequential one.
     """
     m1_grid = [float(v) for v in m1_grid]
     m2_grid = [float(v) for v in m2_grid]
     if not m1_grid or not m2_grid:
         raise DomainError("cv_grid_search requires non-empty grids")
     grid = [(m1, m2) for m1 in m1_grid for m2 in m2_grid]
-
-    def point_score(point):
+    # validity of (M1, M2) is M1's and M2's, so the valid points are a grid
+    rows = [a for a, m1 in enumerate(m1_grid) if _valid(m1, 0.0, alpha)]
+    cols = [b for b, m2 in enumerate(m2_grid) if _valid(0.0, m2, alpha)]
+    scores = [1.0] * len(grid)
+    forced = len(grid)
+    if rows and cols:
         try:
-            return loocv_rate(dataset, ThresholdConfig(m1=point[0], m2=point[1], alpha=alpha))
-        except SldaError:
-            return 1.0
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            scores = list(pool.map(point_score, grid))
-    else:
-        scores = [point_score(point) for point in grid]
+            wrong, failed = _loocv_grid(dataset, [m1_grid[a] for a in rows],
+                                        [m2_grid[b] for b in cols], alpha, threads)
+        except SldaError:  # the dataset cannot be cross-validated: all stay 1.0
+            wrong, failed = [], []
+        valid = [a * len(m2_grid) + b for a in rows for b in cols]
+        for j, count, failure in zip(valid, wrong, failed):
+            if failure is None:
+                scores[j] = count / dataset.n
+                forced -= 1
     best = None
     best_score = None
     for (m1, m2), rate in zip(grid, scores):
@@ -230,7 +283,8 @@ def cv_grid_search(dataset: Dataset, m1_grid, m2_grid, alpha: float = 0.3,
                 or (rate == best_score and (m2, m1) > (best[1], best[0]))):
             best = (m1, m2)
             best_score = rate
-    return CvSurface(grid=tuple(grid), scores=tuple(scores), best=best, best_score=best_score)
+    return CvSurface(grid=tuple(grid), scores=tuple(scores), best=best, best_score=best_score,
+                     forced_worst=forced)
 
 
 def default_grids(dataset: Dataset, alpha: float = 0.3, size: int = 7):

@@ -213,16 +213,41 @@ def _symmetrize(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray | None
     return a, None
 
 
-def cholesky_spd(a: np.ndarray) -> SymOperator:
+@dataclass(frozen=True, eq=False)
+class CheckedSym:
+    """A square float matrix that passed the input checks of cholesky_spd
+    and eigen_sym (finite entries, asymmetry within 1e-8 relative), with
+    its ``diagonal`` when no off-diagonal entry is nonzero, else None.
+
+    Both functions take it in place of an array and skip their checks,
+    so a caller that tries one after the other scans the matrix once.
+    """
+
+    matrix: np.ndarray
+    diagonal: np.ndarray | None
+
+
+def check_symmetric(a: np.ndarray | CheckedSym, what: str) -> CheckedSym:
+    """The checks cholesky_spd and eigen_sym apply to their input, run
+    once; ``what`` names the caller in the DomainError or ShapeError.
+    A CheckedSym is returned as it is."""
+    if isinstance(a, CheckedSym):
+        return a
+    return CheckedSym(*_symmetrize(a, what))
+
+
+def cholesky_spd(a: np.ndarray | CheckedSym) -> SymOperator:
     """Factor a symmetric positive definite matrix: a "diagonal"
     operator when every off-diagonal entry is zero, else "cholesky".
 
     Only the lower triangle is read; asymmetry beyond 1e-8 relative is an
     error rather than silently absorbed. A non-positive pivot raises
     NotPositiveDefiniteError carrying the 0-based pivot index (for a
-    diagonal, the first d_j <= 0, where potrf would stop).
+    diagonal, the first d_j <= 0, where potrf would stop). ``a`` may be a
+    CheckedSym, which is not checked again.
     """
-    a, d = _symmetrize(a, "cholesky_spd")
+    checked = check_symmetric(a, "cholesky_spd")
+    a, d = checked.matrix, checked.diagonal
     if d is not None:
         bad = np.flatnonzero(d <= 0.0)
         if bad.size:
@@ -239,9 +264,10 @@ def cholesky_spd(a: np.ndarray) -> SymOperator:
     return SymOperator(kind=CHOLESKY, dim=a.shape[0], _factor=c)
 
 
-def eigen_sym(a: np.ndarray) -> EigenSym:
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending."""
-    a, _ = _symmetrize(a, "eigen_sym")
+def eigen_sym(a: np.ndarray | CheckedSym) -> EigenSym:
+    """Eigendecomposition of a symmetric matrix, eigenvalues descending.
+    ``a`` may be a CheckedSym, which is not checked again."""
+    a = check_symmetric(a, "eigen_sym").matrix
     try:
         vals, vecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:

@@ -13,13 +13,14 @@ from slda.classify import (
     build_lda_known_sigma,
     build_oracle,
     build_slda,
+    build_slda_grid,
     build_slda_multi,
     classify,
     classify_many,
     maximin_labels,
 )
 from slda.diagnostics import lemma2_counts
-from slda.errors import DomainError
+from slda.errors import DomainError, UnusableMatrixError
 from slda.estimation import compute_an, summarize
 from slda.model import (
     Dataset,
@@ -116,6 +117,35 @@ class TestBuildSlda:
         _, report = build_slda(ds, ThresholdConfig(m1=1.0, m2=0.5, alpha=0.3))
         assert report.frac_delta_kept == report.q_hat / 10
         assert report.frac_cov_kept == 2 * report.nnz_offdiag / (10 * 9)
+
+    def test_grid_matches_one_fit_per_point(self, rng):
+        # p > n: M1 = 0.64 leaves Sigma-tilde indefinite (eigen_floor), M1 = 50
+        # diagonal; M2 = 1e9 needs no factor, so its report keeps pd_flag True
+        # although the other M2 at that M1 factored
+        x1 = rng.standard_normal((10, 30))
+        x1[:, :3] += 1.5
+        ds = two_class_dataset(x1, rng.standard_normal((9, 30)))
+        m1_grid, m2_grid = [0.64, 50.0], [0.0, 1.0, 1e9]
+        fits = build_slda_grid(ds, m1_grid, m2_grid, 0.3)
+        points = [(m1, m2) for m1 in m1_grid for m2 in m2_grid]
+        assert len(fits) == len(points)
+        for (m1, m2), (rules, report) in zip(points, fits):
+            rule, want = build_slda(ds, ThresholdConfig(m1=m1, m2=m2, alpha=0.3))
+            assert np.array_equal(rules[(1, 2)].weights, rule.weights)
+            assert rules[(1, 2)].cutoff == rule.cutoff
+            assert report == want
+        assert [report.pd_flag for _, report in fits] == [False, False, True, True, True, True]
+
+    def test_grid_returns_factor_errors_without_frames(self):
+        # S = 0: factoring raises UnusableMatrixError, which fails only the
+        # points that keep a component; the returned error holds no frame
+        ds = two_class_dataset(np.tile([1.0, 2.0, -1.0], (5, 1)),
+                               np.tile([0.0, 2.5, 1.0], (4, 1)))
+        failed, degenerate = build_slda_grid(ds, [1.0], [0.1, 1e9], 0.3)
+        assert isinstance(failed, UnusableMatrixError) and failed.__traceback__ is None
+        assert degenerate[0][(1, 2)].degenerate and degenerate[1].pd_flag
+        with pytest.raises(UnusableMatrixError):
+            build_slda(ds, ThresholdConfig(m1=1.0, m2=0.1, alpha=0.3))
 
     def test_qhat_within_lemma_bracket(self):
         # sparse scenario: p = 200, ten unit signals, identity covariance,
@@ -382,6 +412,21 @@ class TestSldaProperties:
         labels = classify_many(rule, ds.features)
         labels_s = classify_many(rule_s, ds.features)
         assert np.array_equal(labels_s[off_boundary], 3 - labels[off_boundary])
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 8),
+           extra1=st.integers(0, 6), extra2=st.integers(0, 6))
+    def test_no_thresholds_is_lda(self, seed, p, extra1, extra2):
+        # M1 = M2 = 0 keeps every nonzero entry of S and of delta_hat, and
+        # n - 2 >= p makes S positive definite: both rules solve the same
+        # Cholesky system, so the weights and the cutoff are equal bit for bit
+        ds = seeded_two_class(seed, 2 + extra1, p + extra2, p)
+        assert ds.n - 2 >= p
+        rule, report = build_slda(ds, ThresholdConfig(m1=0.0, m2=0.0, alpha=0.3))
+        lda = build_lda(ds)
+        assert report.pd_flag and report.q_hat == p
+        assert np.array_equal(rule.weights, lda.weights)
+        assert rule.cutoff == lda.cutoff
 
     @pytest.mark.parametrize("kind", sorted(SIGMA_TILDE_M1))
     @settings(max_examples=60, deadline=None)

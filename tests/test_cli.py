@@ -162,6 +162,25 @@ class TestCv:
               "--grid-m2", "0.5,2.0", "--threads", "3", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_threads_byte_identical_and_forced_count(self, tmp_path, capsys):
+        # p > n: M1 = 0.64 takes the eigen_floor path at every fold, M1 = 50
+        # the diagonal one; M2 = -1 is rejected, so its two points are forced
+        gen = np.random.default_rng(7)
+        x1 = gen.standard_normal((10, 30))
+        x1[:, :3] += 1.5
+        path = tmp_path / "wide.csv"
+        write_dataset_csv(path, two_class_dataset(x1, gen.standard_normal((9, 30))))
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"surface{threads}.csv"
+            assert main(["cv", "--train", str(path), "--grid-m1", "0.64,50",
+                         "--grid-m2", "0,1,1e9,-1", "--threads", threads,
+                         "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+            assert "forced_worst 2\n" in capsys.readouterr().out
+        assert outs[0] == outs[1]
+        assert outs[0].decode().count(",1\n") >= 2
+
     def test_small_class_exits_2(self, tmp_path, rng):
         path = tmp_path / "small.csv"
         write_dataset_csv(path, two_class_dataset(rng.standard_normal((2, 2)),

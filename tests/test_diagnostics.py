@@ -45,6 +45,26 @@ class TestSparsityC:
             brute = max(int(np.sum(row != 0)) for row in sigma)
             assert sparsity_C(sigma, 0.0) == brute
 
+    def test_h_zero_count_equals_power_expression(self, rng):
+        # h = 0 counts nonzero entries per row instead of building |sigma|,
+        # |sigma|^h and a where() result; the value is the old expression's
+        # for every input, signed zeros, infinities and NaN included
+        def powered(sigma, h):
+            mag = np.abs(sigma)
+            return float(np.where(mag > 0.0, mag ** h, 0.0).sum(axis=1).max())
+
+        specials = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1.5])
+        for p in (1, 2, 7, 40):
+            for _ in range(5):
+                sigma = rng.standard_normal((p, p))
+                cells = rng.random((p, p))
+                sigma[cells < 0.5] = 0.0
+                hit = cells > 0.8
+                sigma[hit] = rng.choice(specials, int(hit.sum()))
+                with np.errstate(invalid="ignore"):
+                    assert sparsity_C(sigma, 0.0) == powered(sigma, 0.0)
+        assert sparsity_C(np.full((3, 3), math.nan), 0.0) == 0.0
+
     def test_domain(self):
         with pytest.raises(DomainError):
             sparsity_C(np.eye(2), 1.0)
@@ -191,6 +211,15 @@ class TestConditionCheck:
                              covariance=sigma)
         report = condition_check(pop, 4.0)
         assert (report.eig_min, report.eig_max) == (float(ref[0]), float(ref[-1]))
+
+    def test_diagonal_read_from_cached_factor(self, monkeypatch):
+        # once pop.chol is built, condition_check does not scan Sigma again
+        pop = PopulationSpec(means=np.vstack([np.ones(3), np.zeros(3)]),
+                             covariance=np.diag([0.5, 2.0, 1.0]))
+        pop.chol
+        monkeypatch.setattr("slda.diagnostics.diagonal_of", None)
+        report = condition_check(pop, 4.0)
+        assert (report.eig_min, report.eig_max) == (0.5, 2.0)
 
     def test_dense_range_unchanged(self, rng):
         sigma = random_spd(rng, 6)

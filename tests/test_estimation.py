@@ -256,6 +256,46 @@ class TestInvertSparseSym:
         with pytest.raises(DomainError, match="asymmetry"):
             invert_sparse_sym(np.array([[2.0, 0.5], [0.1, 2.0]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_non_finite_rejected(self, bad, where):
+        a = np.array([[2.0, 3.0], [3.0, 2.0]])  # indefinite: Cholesky fails
+        a[where] = a[where[::-1]] = bad
+        with pytest.raises(DomainError, match="NaN or Inf"):
+            invert_sparse_sym(a)
+
+    @pytest.mark.parametrize("kind", ["eigen_floor", "cholesky", "diagonal_floor"])
+    def test_input_checked_once(self, kind, rng, monkeypatch):
+        # one check, with its one off-diagonal scan, serves the Cholesky
+        # attempt and the eigen floor; each path gives what it gives on a
+        # matrix it checks itself
+        import slda.numerics as numerics
+
+        sigma = {"eigen_floor": np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.5], [0.0, 0.5, 3.0]]),
+                 "cholesky": random_spd(rng, 5),
+                 "diagonal_floor": np.diag([3.0, 0.0, -1.0])}[kind]
+        calls = []
+        real = numerics._symmetrize
+
+        def counted(a, what):
+            calls.append(what)
+            return real(a, what)
+
+        monkeypatch.setattr(numerics, "_symmetrize", counted)
+        op = invert_sparse_sym(sigma)
+        assert calls == ["invert_sparse_sym"]
+        b = rng.standard_normal(sigma.shape[0])
+        if kind == "cholesky":
+            assert op.kind == "cholesky"
+            assert np.array_equal(spd_solve(op, b), spd_solve(cholesky_spd(sigma), b))
+        elif kind == "eigen_floor":
+            eig = eigen_sym(sigma)
+            assert op.kind == "eigen_floor" and op.diagonal is None
+            assert np.array_equal(op._vectors, eig.eigenvectors)
+        else:
+            assert op.kind == "eigen_floor" and op.floor_count == 2
+            assert np.array_equal(op.diagonal, [3.0, 0.0, -1.0])
+
     @pytest.mark.parametrize("d", [[3.0, 0.0, 2.0, 0.0, 1e-12],
                                    [5.0, -1.0, 0.0, 4.0],
                                    [2.0, 1e-9, 0.0] * 40])

@@ -9,10 +9,16 @@ import pytest
 
 from conftest import random_population, random_spd, two_class_dataset
 from slda import evaluate
-from slda.classify import build_oracle, build_slda
+from slda.classify import build_oracle, build_slda, classify
 from slda.diagnostics import lemma2_counts
-from slda.errors import DataError, DomainError, ShapeError
-from slda.estimation import compute_an
+from slda.errors import DataError, DomainError, ShapeError, SldaError
+from slda.estimation import (
+    compute_an,
+    compute_tn,
+    invert_sparse_sym,
+    summarize,
+    threshold_covariance,
+)
 from slda.evaluate import (
     conditional_rate,
     conditional_rate_mc,
@@ -522,3 +528,99 @@ class TestCvGridSearch:
             _, report = build_slda(ds, ThresholdConfig(m1=m1_best, m2=m2_best, alpha=0.3))
             inside += q_n0 <= report.q_hat <= q_n
         assert inside >= 16
+
+
+def per_point_surface(dataset, m1_grid, m2_grid, alpha):
+    """The grid-point-major loop cv_grid_search replaced: at every
+    (M1, M2), every fold refits with build_slda; a point whose config or
+    any refit raises scores 1.0. Kept as the reference of the fold-major
+    loop; returns the scores and the count of points scored that way."""
+    scores, forced = [], 0
+    for m1 in m1_grid:
+        for m2 in m2_grid:
+            try:
+                config = ThresholdConfig(m1=m1, m2=m2, alpha=alpha)
+                if min(dataset.class_counts) < 3:
+                    raise DataError("class count < 3")
+                wrong = 0
+                for i in range(dataset.n):
+                    rule, _ = build_slda(dataset.drop(i), config)
+                    wrong += classify(rule, dataset.features[i]) != int(dataset.labels[i])
+                scores.append(wrong / dataset.n)
+            except SldaError:
+                scores.append(1.0)
+                forced += 1
+    return scores, forced
+
+
+def shifted_two_class(seed, n1, n2, p, signal=3):
+    gen = np.random.default_rng(seed)
+    x1 = gen.standard_normal((n1, p))
+    x1[:, :signal] += 1.5
+    return two_class_dataset(x1, gen.standard_normal((n2, p)))
+
+
+class TestFoldMajorCv:
+    """cv_grid_search (fold-major: one summary per fold, one factor per
+    fold and M1) against the per-point reference, bit for bit."""
+
+    def test_equals_per_point_reference(self):
+        # p > n: a middle M1 leaves an indefinite Sigma-tilde (eigen_floor)
+        # and M1 = 50 a diagonal one; M2 = 1e9 is degenerate at every fold
+        # and M2 = -1 is rejected by ThresholdConfig
+        for seed in (7, 8):
+            ds = shifted_two_class(seed, 10, 9, 30)
+            s = summarize(ds).pooled_cov
+            m1_grid = [0.64, 50.0]
+            kinds = [invert_sparse_sym(threshold_covariance(s, compute_tn(m1, ds.n, ds.p))).kind
+                     for m1 in m1_grid]
+            assert kinds == ["eigen_floor", "diagonal"]
+            m2_grid = [0.0, 1.0, 1e9, -1.0]
+            surface = cv_grid_search(ds, m1_grid, m2_grid, 0.3)
+            scores, forced = per_point_surface(ds, m1_grid, m2_grid, 0.3)
+            assert list(surface.scores) == scores
+            assert surface.forced_worst == forced == 2
+            degenerate = [surface.scores[surface.grid.index((m1, 1e9))] for m1 in m1_grid]
+            assert degenerate == [9 / 19, 9 / 19]
+
+    def test_factor_failure_fails_only_points_that_factor(self):
+        # features constant within each class: S = 0 at every fold, so
+        # factoring Sigma-tilde raises UnusableMatrixError wherever delta
+        # keeps a component (score 1.0), while a degenerate M2 needs no
+        # factor and scores the class-2 fraction
+        x1 = np.tile([1.0, 2.0, -1.0], (5, 1))
+        x2 = np.tile([0.0, 2.5, 1.0], (4, 1))
+        ds = two_class_dataset(x1, x2)
+        m1_grid, m2_grid = [0.0, 1.0], [0.1, 1e9]
+        surface = cv_grid_search(ds, m1_grid, m2_grid, 0.3)
+        assert surface.scores == (1.0, 4 / 9, 1.0, 4 / 9)
+        assert surface.forced_worst == 2
+        assert surface.best == (1.0, 1e9)
+        assert list(surface.scores) == per_point_surface(ds, m1_grid, m2_grid, 0.3)[0]
+        with pytest.raises(SldaError, match="LOOCV refit failed on fold 0"):
+            loocv_rate(ds, ThresholdConfig(m1=1.0, m2=0.1, alpha=0.3))
+        assert loocv_rate(ds, ThresholdConfig(m1=1.0, m2=1e9, alpha=0.3)) == 4 / 9
+
+    @pytest.mark.parametrize("case", ["small_class", "three_classes", "bad_alpha"])
+    def test_whole_dataset_failure_forces_every_point(self, case, rng):
+        alpha = 0.3
+        if case == "small_class":
+            ds = two_class_dataset(rng.standard_normal((2, 3)), rng.standard_normal((5, 3)))
+        elif case == "three_classes":
+            x = rng.standard_normal((12, 3))
+            labels = np.repeat([1, 2, 3], 4)
+            ds = Dataset(features=x, labels=labels, class_counts=(4, 4, 4))
+        else:
+            ds = two_class_dataset(rng.standard_normal((5, 3)), rng.standard_normal((5, 3)))
+            alpha = 0.5
+        surface = cv_grid_search(ds, [0.5, 2.0], [0.5, 2.0], alpha)
+        assert surface.scores == (1.0,) * 4 and surface.forced_worst == 4
+
+    def test_same_surface_on_any_thread_count(self):
+        ds = shifted_two_class(9, 10, 9, 30)
+        x1 = np.tile([1.0, 2.0, -1.0], (5, 1))
+        flat = two_class_dataset(x1, np.tile([0.0, 2.5, 1.0], (4, 1)))
+        for data, m2_grid in ((ds, [0.0, 1.0, 1e9]), (flat, [0.1, 1e9])):
+            one = cv_grid_search(data, [0.64, 50.0], m2_grid, 0.3, threads=1)
+            two = cv_grid_search(data, [0.64, 50.0], m2_grid, 0.3, threads=2)
+            assert one == two
