@@ -12,19 +12,24 @@ import numpy as np
 
 from .errors import DomainError, NotPositiveDefiniteError, ShapeError, SldaError
 from .estimation import (
+    _threshold_in_place,
+    centered_rows,
     class_means,
     compute_an,
     compute_tn,
     default_pseudo_rtol,
+    diagonal_screen,
     invert_sparse_sym,
     nnz_offdiag,
+    pooled_covariance,
+    pooled_variances,
     pseudo_inverse_sym,
     summarize,
     threshold_covariance,
     threshold_delta,
 )
 from .model import Dataset, LinearRule, MultiRule, PopulationSpec, ThresholdConfig
-from .numerics import SymOperator, cholesky_spd, spd_solve
+from .numerics import CheckedSym, SymOperator, cholesky_spd, spd_solve
 
 
 @dataclass(frozen=True)
@@ -96,36 +101,50 @@ def build_slda_grid(dataset: Dataset, m1_grid, m2_grid, alpha: float) -> list:
     LinearRule of every contrast a < b and ``report`` the SparsityReport
     of pair (1, 2), or the SldaError that factoring Sigma-tilde raised.
 
-    One summarize serves the grid. Sigma-tilde is thresholded once per
-    M1 and factored at most once, when the first M2 that keeps a
-    component of some contrast needs it, so a failed factor fails only
-    those points; an emptied contrast gets the degenerate rule. The grid
-    values must be valid ThresholdConfig constants; an error of the whole
-    fit (p < 2, a bad alpha) is raised.
+    The centred rows and their variances are computed once. An M1 whose
+    t_n passes diagonal_screen has Sigma-tilde = diag(S) exactly, so its
+    fits cost O(np) and S is never formed for it; S is formed only when
+    some M1 fails the screen, and the last such M1 thresholds it in
+    place. Sigma-tilde is factored at most once per M1, when the first
+    M2 that keeps a component of some contrast needs it, so a failed
+    factor fails only those points; an emptied contrast gets the
+    degenerate rule. The grid values must be valid ThresholdConfig
+    constants; an error of the whole fit (p < 2, a bad alpha) is raised.
     """
-    summary = summarize(dataset)
     n, p, k = dataset.n, dataset.p, dataset.n_classes
     t_ns = [compute_tn(m1, n, p) for m1 in m1_grid]
     a_ns = [compute_an(m2, n, p, alpha) for m2 in m2_grid]
-    means, s = summary.class_means, summary.pooled_cov
-    del summary
+    means, centered = centered_rows(dataset)
+    variances = pooled_variances(centered)
+    screen = diagonal_screen(variances, n)
+    dense = [i for i, t_n in enumerate(t_ns) if t_n < screen]
+    s = pooled_covariance(centered) if dense else None
+    del centered
     pairs = [(a, b) for a in range(1, k) for b in range(a + 1, k + 1)]
     mids = {(a, b): 0.5 * (means[a - 1] + means[b - 1]) for a, b in pairs}
     deltas = [{(a, b): threshold_delta(means[a - 1] - means[b - 1], a_n) for a, b in pairs}
               for a_n in a_ns]
+    # a diagonal Sigma-tilde is passed as checked: its variances are finite
+    diagonal = CheckedSym(matrix=None, diagonal=variances)
     fits = []
     for i, t_n in enumerate(t_ns):
-        sigma_tilde = threshold_covariance(s, t_n)
-        if i + 1 == len(t_ns):
-            s = None  # frees S before the factorization allocates its own p x p
-        fits += _fits_at_m1(sigma_tilde, deltas, mids, p)
+        if i not in dense:
+            fits += _fits_at_m1(diagonal, 0, deltas, mids, p)
+            continue
+        if i == dense[-1]:
+            # S is dead after this: threshold it in place, so the factor's
+            # own p x p is the only other one
+            sigma_tilde, s = _threshold_in_place(s, t_n), None
+        else:
+            sigma_tilde = threshold_covariance(s, t_n)
+        fits += _fits_at_m1(sigma_tilde, nnz_offdiag(sigma_tilde), deltas, mids, p)
     return fits
 
 
-def _fits_at_m1(sigma_tilde: np.ndarray, deltas: list[dict], mids: dict, p: int) -> list:
-    # The fits of one Sigma-tilde at every M2. A point that needs no factor
-    # reports pd_flag True, as nothing was factored for it.
-    nnz = nnz_offdiag(sigma_tilde)
+def _fits_at_m1(sigma_tilde, nnz: int, deltas: list[dict], mids: dict, p: int) -> list:
+    # The fits of one Sigma-tilde (an array, or a CheckedSym) at every M2.
+    # A point that needs no factor reports pd_flag True, as nothing was
+    # factored for it.
     op = None
     fits = []
     for tildes in deltas:

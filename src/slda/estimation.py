@@ -23,6 +23,11 @@ from .numerics import (
 # Eigenvalue floor of invert_sparse_sym, relative to lambda_max.
 FLOOR_EPS = 1e-8
 
+# Columns per block of pooled_variances, and rows per block of the
+# thresholding pass (p = 7129: 1.4 MiB of masks per block).
+_VAR_BLOCK = 64
+_ROW_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class ClassSummary:
@@ -47,24 +52,90 @@ def class_means(dataset: Dataset) -> np.ndarray:
     return means
 
 
+def centered_rows(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Class means (K, p) and the rows less their class mean (n, p)."""
+    x = dataset.features
+    means = class_means(dataset)
+    centered = np.empty_like(x)
+    for cls in range(1, dataset.n_classes + 1):
+        mask = dataset.labels == cls
+        centered[mask] = x[mask] - means[cls - 1]
+    return means, centered
+
+
+def pooled_covariance(centered: np.ndarray) -> np.ndarray:
+    """S = C'C / n of the centred rows C. numpy forms the Gram matrix
+    with a symmetric rank-k update, so S is exactly symmetric."""
+    s = centered.T @ centered
+    s /= centered.shape[0]
+    return s
+
+
+def pooled_variances(centered: np.ndarray) -> np.ndarray:
+    """diag(S) of pooled_covariance(centered), bit for bit, in O(np)
+    time and O(p) memory.
+
+    Each block of _VAR_BLOCK columns goes through the same symmetric
+    rank-k update as the whole C'C, which accumulates a diagonal entry in
+    the same order. A one-column tail would go to a dot product instead
+    and round differently, so it joins the block before it; a column sum
+    of squares also rounds differently (up to 6e-16 relative).
+    """
+    n, p = centered.shape
+    starts = list(range(0, p, _VAR_BLOCK))
+    if len(starts) > 1 and p - starts[-1] == 1:
+        starts.pop()
+    variances = np.empty(p)
+    for a, b in zip(starts, starts[1:] + [p]):
+        block = centered[:, a:b]
+        variances[a:b] = np.diagonal(block.T @ block)
+    variances /= n
+    return variances
+
+
+def diagonal_screen(variances: np.ndarray, n: int) -> float:
+    """A threshold at and above which Sigma-tilde = diag(S): every
+    off-diagonal entry of pooled_covariance(C) has |s_jl| <= it, where
+    ``variances`` = pooled_variances(C) and C has n rows. inf when a
+    variance is not finite, so that no t_n passes.
+
+    The bound is (1 + g) sqrt(s1 + tau) sqrt(s2 + tau), with s1 >= s2
+    the two largest variances, g = 4 (n + 2) eps and tau the smallest
+    normal number. In exact arithmetic |c_j'c_l| <= |c_j| |c_l|
+    (Cauchy-Schwarz). A computed dot product of length n, in any order
+    and with or without fused multiply-adds, is within n u of the sum of
+    |products| (u = eps/2), plus an absolute 2^-1074 per product that
+    underflows; so fl(c_j'c_l) is at most (1 + n u) |c_j| |c_l| in
+    modulus, and fl(|c_j|^2) at least (1 - n u) |c_j|^2. Dividing by n
+    costs one more rounding each. Together |s_jl| <= (1 + (n + 1) eps)
+    sqrt(s_jj s_ll) to first order, and tau covers the underflow terms.
+    The sums, square roots and products that evaluate the bound cost
+    five more roundings, so (n + 3.5) eps suffices and g leaves a margin
+    of more than 3 (n eps < 0.01 assumed, which holds for any n that
+    fits in memory). A bound that overflows is inf, and the screen
+    does not fire.
+    """
+    variances = np.asarray(variances, dtype=float)
+    p = variances.shape[0]
+    if p < 2:
+        raise DomainError(f"diagonal_screen requires p >= 2, got {p}")
+    if not np.isfinite(variances).all():
+        return math.inf
+    s2, s1 = (float(v) for v in np.partition(variances, p - 2)[p - 2:])
+    tau = float(np.finfo(float).tiny)
+    gamma = 4.0 * (n + 2) * float(np.finfo(float).eps)
+    return (1.0 + gamma) * (math.sqrt(s1 + tau) * math.sqrt(s2 + tau))
+
+
 def summarize(dataset: Dataset) -> ClassSummary:
     """Maximum likelihood class means and pooled covariance.
 
     S = (1/n) sum_k sum_i (x_ki - xbar_k)(x_ki - xbar_k)', divisor n
-    rather than n-K. numpy forms the Gram matrix of the centred rows
-    with a symmetric rank-k update, so S is exactly symmetric.
+    rather than n-K; see pooled_covariance.
     """
-    x = dataset.features
-    n, p = x.shape
-    k = dataset.n_classes
-    means = class_means(dataset)
-    centered = np.empty_like(x)
-    for cls in range(1, k + 1):
-        mask = dataset.labels == cls
-        centered[mask] = x[mask] - means[cls - 1]
-    s = centered.T @ centered
-    s /= n
-    if k == 2:
+    means, centered = centered_rows(dataset)
+    s = pooled_covariance(centered)
+    if dataset.n_classes == 2:
         delta = means[0] - means[1]
         mid = 0.5 * (means[0] + means[1])
     else:
@@ -98,16 +169,29 @@ def threshold_covariance(s: np.ndarray, t_n: float) -> np.ndarray:
 
     Off-diagonal entries with |s_jl| > t_n (strict) keep their value and
     the diagonal is copied exactly. With t_n = 0 only exact zeros are
-    dropped, so the result equals the input.
+    dropped, so the result equals the input. S itself is not changed.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ShapeError(f"threshold_covariance requires a square matrix, got {s.shape}")
-    keep = s > t_n
-    keep |= s < -t_n  # |s_jl| > t_n without a p x p float temporary
-    sigma = np.where(keep, s, 0.0)
-    np.fill_diagonal(sigma, np.diagonal(s))
-    return sigma
+    return _threshold_in_place(s.copy(), t_n)
+
+
+def _threshold_in_place(s: np.ndarray, t_n: float) -> np.ndarray:
+    """threshold_covariance for a square float S that the caller no
+    longer needs: S is overwritten with Sigma-tilde and returned.
+
+    Row blocks of _ROW_BLOCK rows are masked at a time, so no p x p
+    temporary is made; a NaN is dropped, as by the comparison it fails.
+    """
+    diagonal = np.diagonal(s).copy()
+    for i in range(0, s.shape[0], _ROW_BLOCK):
+        block = s[i:i + _ROW_BLOCK]
+        keep = block > t_n
+        keep |= block < -t_n  # |s_jl| > t_n without a float temporary
+        block[~keep] = 0.0
+    np.fill_diagonal(s, diagonal)
+    return s
 
 
 def nnz_offdiag(sigma_tilde: np.ndarray) -> int:

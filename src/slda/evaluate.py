@@ -164,8 +164,9 @@ def empirical_rate(rule, test: Dataset) -> RateReport:
 
 
 def _loocv_grid(dataset: Dataset, m1_grid, m2_grid, alpha: float, threads: int):
-    # Leave-one-out over a product grid, fold-major: each fold summarizes
-    # once and thresholds and factors once per M1 (build_slda_grid). Returns,
+    # Leave-one-out over a product grid, fold-major: each fold centres its
+    # rows once and thresholds and factors at most once per M1, forming S
+    # only for an M1 that fails the variance screen (build_slda_grid). Returns,
     # per point in grid order, the count of misclassified held-out samples
     # and the first (fold, SldaError) of a failed refit, or None. Folds run
     # on ``threads`` threads and are summed in fold order.
@@ -250,8 +251,8 @@ def cv_grid_search(dataset: Dataset, m1_grid, m2_grid, alpha: float = 0.3,
     scan when a fold's refit at it fails, when ThresholdConfig rejects
     its constants, or when the dataset cannot be cross-validated (a
     class with fewer than 3 samples, K != 2); ``forced_worst`` counts
-    those points. The loop is fold-major (one summary per fold, one
-    factor per fold and M1, shared by every M2), and with threads > 1
+    those points. The loop is fold-major (one variance screen per fold,
+    one factor per fold and M1, shared by every M2), and with threads > 1
     the folds run concurrently; their counts are summed in fold order,
     so the surface is identical to the sequential one.
     """

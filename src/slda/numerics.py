@@ -221,9 +221,12 @@ class CheckedSym:
 
     Both functions take it in place of an array and skip their checks,
     so a caller that tries one after the other scans the matrix once.
+    ``matrix`` may be None when ``diagonal`` is set (a finite diagonal
+    matrix that was never formed): cholesky_spd then reads only the
+    diagonal, and eigen_sym must not be called.
     """
 
-    matrix: np.ndarray
+    matrix: np.ndarray | None
     diagonal: np.ndarray | None
 
 

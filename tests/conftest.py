@@ -18,6 +18,12 @@ def random_population(rng, p, eig_lo=0.5, eig_hi=2.0, delta_scale=1.0):
     return PopulationSpec(means=np.vstack([mu2 + delta, mu2]), covariance=sigma)
 
 
+def bits_equal(a, b) -> bool:
+    """Same shape and the same IEEE bits (signed zeros and NaNs included)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def two_class_dataset(x1, x2):
     """Dataset from two feature blocks (class 1 rows, then class 2 rows)."""
     x1 = np.atleast_2d(np.asarray(x1, dtype=float))
@@ -31,3 +37,19 @@ def two_class_dataset(x1, x2):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20231101)
+
+
+def leukemia_like(seed, p, counts=(47, 25), signal=1.0):
+    """Independent integer-valued genes shaped like the Golub leukemia
+    set: baselines log-uniform on [100, 5000], scales log-uniform on
+    [20, 300] (so M1 = 1e7 leaves Sigma-tilde diagonal) and a random
+    third of the genes shifted by +-U(250, 1000) * signal in class 1."""
+    gen = np.random.default_rng(seed)
+    base = np.exp(gen.uniform(np.log(100.0), np.log(5000.0), p))
+    scale = np.exp(gen.uniform(np.log(20.0), np.log(300.0), p))
+    shift = np.zeros(p)
+    genes = gen.permutation(p)[: p // 3]
+    shift[genes] = gen.choice([-1.0, 1.0], genes.size) * gen.uniform(250.0, 1000.0, genes.size) * signal
+    x1 = np.rint(base + shift + scale * gen.standard_normal((counts[0], p)))
+    x2 = np.rint(base + scale * gen.standard_normal((counts[1], p)))
+    return two_class_dataset(x1, x2)

@@ -1,13 +1,24 @@
 """Rule families: LDA, known-covariance LDA, SLDA, oracle and the
 pairwise multi-class extension."""
 
+import math
+import sys
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import random_population, random_spd, two_class_dataset
+from conftest import (
+    bits_equal,
+    leukemia_like,
+    random_population,
+    random_spd,
+    two_class_dataset,
+)
 from slda.classify import (
     build_lda,
     build_lda_known_sigma,
@@ -20,8 +31,18 @@ from slda.classify import (
     maximin_labels,
 )
 from slda.diagnostics import lemma2_counts
-from slda.errors import DomainError, UnusableMatrixError
-from slda.estimation import compute_an, summarize
+from slda.errors import DomainError, SldaError, UnusableMatrixError
+from slda.estimation import (
+    _threshold_in_place,
+    compute_an,
+    compute_tn,
+    diagonal_screen,
+    invert_sparse_sym,
+    nnz_offdiag,
+    summarize,
+    threshold_covariance,
+    threshold_delta,
+)
 from slda.model import (
     Dataset,
     LinearRule,
@@ -447,3 +468,159 @@ class TestSldaProperties:
         scale = np.max(np.abs(rule.weights))
         assert np.max(np.abs(rule_p.weights - rule.weights[perm])) <= 1e-10 * scale
         assert rule_p.cutoff == pytest.approx(rule.cutoff, rel=1e-10, abs=1e-10 * scale)
+
+
+def reference_fit(ds, m1, m2, alpha=0.3):
+    # The fit from the public pieces, with S always formed: summarize,
+    # threshold_covariance, invert_sparse_sym, spd_solve. Returns
+    # ({pair: (w, cutoff)}, (q_hat, nnz_offdiag, pd_flag)), or the error
+    # that factoring raised.
+    n, p, k = ds.n, ds.p, ds.n_classes
+    summary = summarize(ds)
+    sigma = threshold_covariance(summary.pooled_cov, compute_tn(m1, n, p))
+    a_n = compute_an(m2, n, p, alpha)
+    means = summary.class_means
+    pairs = [(a, b) for a in range(1, k) for b in range(a + 1, k + 1)]
+    tildes = {(a, b): threshold_delta(means[a - 1] - means[b - 1], a_n) for a, b in pairs}
+    needed = any(t.q_hat for t in tildes.values())
+    op = None
+    if needed:
+        try:
+            op = invert_sparse_sym(sigma)
+        except SldaError as exc:
+            return exc
+    rules = {}
+    for a, b in pairs:
+        t = tildes[(a, b)]
+        w = spd_solve(op, t.vector) if t.q_hat else np.zeros(p)
+        rules[(a, b)] = (w, float(w @ (0.5 * (means[a - 1] + means[b - 1]))))
+    return rules, (tildes[(1, 2)].q_hat, nnz_offdiag(sigma), not needed or op.pd_flag)
+
+
+def same_fit(fit, want) -> bool:
+    if isinstance(want, SldaError) or isinstance(fit, SldaError):
+        return type(fit) is type(want) and str(fit) == str(want)
+    rules, report = fit
+    want_rules, (q_hat, nnz, pd_flag) = want
+    return (sorted(rules) == sorted(want_rules)
+            and all(bits_equal(rules[ab].weights, w) and bits_equal(rules[ab].cutoff, c)
+                    and rules[ab].degenerate == (not np.any(w))
+                    for ab, (w, c) in want_rules.items())
+            and (report.q_hat, report.nnz_offdiag, report.pd_flag) == (q_hat, nnz, pd_flag))
+
+
+CLASSIFY = sys.modules["slda.classify"]  # the package's classify function shadows the module
+
+
+def screen_m1(ds, factor):
+    # the M1 whose t_n is ``factor`` times the screen's bound on ds
+    variances = np.diag(summarize(ds).pooled_cov)
+    return factor * diagonal_screen(variances, ds.n) / math.sqrt(math.log(ds.p) / ds.n)
+
+
+class TestVarianceScreen:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.sampled_from([2, 5, 63, 64, 65, 129]),
+           k=st.sampled_from([2, 3]), extra=st.integers(0, 3),
+           constant=st.booleans(), m2=st.sampled_from([0.0, 0.3, 1.0, 1e9]), data=st.data())
+    def test_screened_fit_equals_public_pieces(self, seed, p, k, extra, constant, m2, data):
+        # M1 just above the bound (screened), just below it (S formed, and
+        # Sigma-tilde still diagonal) and small (S formed, off-diagonal
+        # entries kept), in a drawn order, so that the in-place threshold
+        # falls on either dense M1; every point equals the reference bit
+        # for bit. A constant feature has variance 0: eigen_floor, pd_flag 0.
+        gen = np.random.default_rng(seed)
+        counts = [3 + extra + c for c in range(k)]
+        x = np.vstack([gen.standard_normal((m, p)) + gen.standard_normal(p) for m in counts])
+        x *= np.exp(gen.uniform(-3.0, 3.0, p))
+        if constant:
+            x[:, gen.integers(p)] = 7.0
+        ds = Dataset(features=x, labels=np.repeat(np.arange(1, k + 1), counts),
+                     class_counts=tuple(counts))
+        factors = data.draw(st.permutations([1.0 + 1e-12, 1.0 - 1e-12, 0.05]))
+        m1_grid = [screen_m1(ds, f) for f in factors]
+        calls = []
+        real = CLASSIFY.pooled_covariance
+        with mock.patch.object(CLASSIFY, "pooled_covariance",
+                               side_effect=lambda c: calls.append(1) or real(c)):
+            fits = build_slda_grid(ds, m1_grid, [m2], 0.3)
+        assert calls == [1]
+        for m1, fit in zip(m1_grid, fits):
+            assert same_fit(fit, reference_fit(ds, m1, m2))
+        screened = fits[factors.index(1.0 + 1e-12)]
+        if not isinstance(screened, SldaError):
+            rules, report = screened
+            factored = not all(rule.degenerate for rule in rules.values())
+            assert report.nnz_offdiag == 0
+            assert report.pd_flag == (not constant or not factored)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_screened_grid_touches_no_p_by_p_matrix(self, k):
+        # every M1 passes the screen: S is never formed, thresholded,
+        # counted or checked
+        gen = np.random.default_rng(8)
+        counts = [4] * k
+        x = gen.standard_normal((4 * k, 70)) + np.repeat(gen.standard_normal((k, 70)), 4, axis=0)
+        ds = Dataset(features=x, labels=np.repeat(np.arange(1, k + 1), counts),
+                     class_counts=tuple(counts))
+        m1_grid = [screen_m1(ds, 1.001), 1e9]
+        forbidden = ("pooled_covariance", "threshold_covariance", "_threshold_in_place",
+                     "nnz_offdiag")
+        with mock.patch.multiple(CLASSIFY, **{name: mock.DEFAULT for name in forbidden}) as mocks:
+            fits = build_slda_grid(ds, m1_grid, [0.0, 1e9], 0.3)
+        assert not any(m.called for m in mocks.values())
+        for (m1, m2), fit in zip([(a, b) for a in m1_grid for b in (0.0, 1e9)], fits):
+            assert same_fit(fit, reference_fit(ds, m1, m2))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("m2", [0.0, 1e9])
+    def test_overflowing_variances_take_the_s_path(self, m2):
+        # finite features whose squares overflow: the variances are inf,
+        # so the screen cannot fire, and S's error (or its count of kept
+        # entries) is the reference's
+        gen = np.random.default_rng(3)
+        ds = two_class_dataset(gen.standard_normal((5, 4)) * 1e160 + 1e160,
+                               gen.standard_normal((4, 4)) * 1e160)
+        want = reference_fit(ds, 1e300, m2)
+        (fit,) = build_slda_grid(ds, [1e300], [m2], 0.3)
+        assert same_fit(fit, want)
+        if m2 == 0.0:
+            assert isinstance(want, DomainError)
+            with pytest.raises(DomainError, match="NaN or Inf"):
+                build_slda(ds, ThresholdConfig(m1=1e300, m2=m2, alpha=0.3))
+
+    def test_screened_fit_never_allocates_p_by_p(self):
+        # leukemia-shaped, p = 4000 at M1 = 1e7: the peak is a small
+        # multiple of n p, far below a quarter of one p x p matrix
+        ds = leukemia_like(5, 4000, counts=(12, 8))
+        p = ds.p
+        tracemalloc.start()
+        try:
+            rule, report = build_slda(ds, ThresholdConfig(m1=1e7, m2=300.0, alpha=0.3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.nnz_offdiag == 0 and report.pd_flag and 0 < report.q_hat < p
+        assert peak < p * p * 8 / 4
+
+    def test_dense_fit_thresholds_s_in_place(self):
+        # a non-diagonal M1 at p = 2000 with nothing to factor (huge M2):
+        # S is thresholded where it lies, so the peak is S plus O(n p)
+        # where a copy would add a second p x p matrix and two p x p masks
+        ds = leukemia_like(6, 2000, counts=(12, 8))
+        p = ds.p
+        m1 = 1e4
+        s = summarize(ds).pooled_cov
+        sigma = threshold_covariance(s, compute_tn(m1, ds.n, p))
+        assert 0 < nnz_offdiag(sigma)
+        assert bits_equal(_threshold_in_place(s, compute_tn(m1, ds.n, p)), sigma)
+        del s, sigma
+        matrix = p * p * 8
+        tracemalloc.start()
+        try:
+            (fit,) = build_slda_grid(ds, [m1], [1e9], 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fit[1].nnz_offdiag == reference_fit(ds, m1, 1e9)[1][1]
+        assert matrix <= peak < 1.25 * matrix

@@ -1,6 +1,7 @@
 """Sample statistics, hard thresholds and inverse strategies."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,14 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import random_spd, two_class_dataset
+from conftest import bits_equal, random_spd, two_class_dataset
+from slda import estimation
 from slda.errors import DomainError, UnusableMatrixError
 from slda.estimation import (
     FLOOR_EPS,
+    _threshold_in_place,
+    centered_rows,
     compute_an,
     compute_tn,
+    diagonal_screen,
     invert_sparse_sym,
     nnz_offdiag,
+    pooled_variances,
     pseudo_inverse_sym,
     summarize,
     threshold_covariance,
@@ -181,6 +187,103 @@ class TestThresholdCovariance:
         assert np.array_equal(got[off], expected[off])
         assert not np.any(np.signbit(got[off]) & (np.abs(s[off]) <= t))  # dropped is +0.0
         assert nnz_offdiag(got) == len(kept_upper(s, t))
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), p=st.integers(1, 9))
+    def test_in_place_matches_copy_bit_for_bit(self, data, p):
+        # the in-place pass overwrites S with the very bits of the copy,
+        # NaN and signed zeros included, in row blocks of any size
+        elements = st.one_of(st.sampled_from([0.0, -0.0, 0.25, -0.25, np.nan, np.inf]),
+                             st.floats(-5.0, 5.0))
+        a = data.draw(arrays(float, (p, p), elements=elements))
+        s = np.triu(a) + np.triu(a, 1).T
+        t = data.draw(st.sampled_from([0.0, 0.25, 2.0]))
+        block = data.draw(st.sampled_from([1, 2, 64]))
+        want = threshold_covariance(s, t)
+        with mock.patch.object(estimation, "_ROW_BLOCK", block):
+            got = _threshold_in_place(s.copy(), t)
+        assert bits_equal(got, want)
+
+    def test_public_threshold_leaves_input_alone(self, rng):
+        s = random_spd(rng, 6)
+        before = s.copy()
+        sigma = threshold_covariance(s, 0.3)
+        assert sigma is not s and np.array_equal(s, before)
+
+
+class TestVarianceScreen:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           p=st.sampled_from([2, 3, 17, 63, 64, 65, 66, 127, 128, 129, 193, 300]),
+           n=st.sampled_from([4, 5, 20, 71, 72, 300]), fortran=st.booleans(),
+           integer=st.booleans())
+    def test_variances_are_diagonal_of_s(self, seed, p, n, fortran, integer):
+        # the 64-column blocks (a one-column tail merged) give the bits of
+        # diag(S) of the whole Gram product, for either memory order
+        gen = np.random.default_rng(seed)
+        x = gen.standard_normal((n, p)) * np.exp(gen.uniform(-6.0, 6.0, p))
+        if integer:
+            x = np.rint(100.0 * x)
+        x = np.asarray(x, order="F" if fortran else "C")
+        labels = np.repeat([1, 2], [n // 2, n - n // 2])
+        ds = validate_dataset(x, labels)
+        _, centered = centered_rows(ds)
+        assert bits_equal(pooled_variances(centered), np.diag(summarize(ds).pooled_cov))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 40), p=st.integers(2, 12),
+           log_scale=st.floats(-320.0, 300.0), collinear=st.booleans())
+    def test_bound_covers_every_off_diagonal(self, seed, n, p, log_scale, collinear):
+        # Cauchy-Schwarz with rounding and underflow margins: no computed
+        # |s_jl| exceeds the bound, even for (nearly) collinear columns,
+        # whose |s_jl| sits at sqrt(s_jj s_ll), and for columns whose
+        # products underflow
+        gen = np.random.default_rng(seed)
+        x = gen.standard_normal((n, p))
+        if collinear:
+            x = x[:, :1] * gen.uniform(0.5, 2.0, p) * (1.0 + 1e-15 * gen.standard_normal((n, p)))
+        x *= 10.0 ** (log_scale + gen.uniform(-20.0, 0.0, p))
+        labels = np.repeat([1, 2], [n // 2, n - n // 2])
+        ds = validate_dataset(x, labels)
+        s = summarize(ds).pooled_cov
+        bound = diagonal_screen(np.diag(s), n)
+        off = ~np.eye(p, dtype=bool)
+        if np.isfinite(s).all():
+            assert np.max(np.abs(s[off])) <= bound
+        else:
+            assert bound == math.inf
+
+    def test_underflowing_squares_are_covered(self):
+        # column 0's squares underflow to 0, so s_00 = 0, while its
+        # products with column 1 do not: s_01 > 0 = sqrt(s_00 s_11), and
+        # only the tau term keeps the bound above it
+        x = np.column_stack([np.array([1.0, -1.0, 2.0, -2.0, 1.0, -1.0]) * 1e-170,
+                             np.array([1.0, -1.0, 2.0, -2.0, 3.0, -1.0]) * 1e100])
+        s = summarize(validate_dataset(x, [1, 1, 1, 2, 2, 2])).pooled_cov
+        assert s[0, 0] == 0.0 and s[0, 1] > 0.0
+        assert s[0, 1] <= diagonal_screen(np.diag(s), 6)
+
+    def test_collinear_columns_are_near_the_bound(self):
+        # the rounding margin is small: identical columns put s_12 at
+        # s_11 = s_22, within a few ulps below the bound
+        x = np.repeat(np.arange(8.0)[:, None] / 3.0, 2, axis=1)
+        s = summarize(validate_dataset(x, [1, 1, 1, 1, 2, 2, 2, 2])).pooled_cov
+        bound = diagonal_screen(np.diag(s), 8)
+        assert s[0, 1] == s[0, 0] <= bound <= s[0, 0] * (1.0 + 1e-13)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_variances_never_pass(self, bad):
+        assert diagonal_screen(np.array([1.0, bad, 2.0]), 10) == math.inf
+
+    def test_two_largest_variances(self):
+        bound = diagonal_screen(np.array([4.0, 1.0, 9.0, 0.0]), 10)
+        assert 6.0 < bound <= 6.0 * (1.0 + 1e-12)
+
+    def test_requires_two_features(self):
+        with pytest.raises(DomainError, match="p >= 2"):
+            diagonal_screen(np.array([1.0]), 10)
 
 
 class TestThresholdDelta:

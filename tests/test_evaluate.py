@@ -2,12 +2,14 @@
 rates, LOOCV and the (M1, M2) grid search."""
 
 import math
+import sys
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import random_population, random_spd, two_class_dataset
+from conftest import leukemia_like, random_population, random_spd, two_class_dataset
 from slda import evaluate
 from slda.classify import build_oracle, build_slda, classify
 from slda.diagnostics import lemma2_counts
@@ -441,6 +443,34 @@ class TestLoocv:
         a, b = np.array(loo_scores), np.array(true_rates)
         se = math.sqrt(a.var(ddof=1) / len(a) + b.var(ddof=1) / len(b))
         assert abs(a.mean() - b.mean()) <= 3 * se
+
+
+    def test_screened_leukemia_shape_matches_diagonal_reference(self):
+        # 72 x 2000 with weak signals (a rate near 0.3), M1 = 1e7: every
+        # fold passes the variance screen and fits the independence rule;
+        # the reference fits it per fold in numpy, w_j = delta-tilde_j / s_jj
+        ds = leukemia_like(72, 2000, signal=0.01)
+        cfg = ThresholdConfig(m1=1e7, m2=3.0, alpha=0.3)
+        classify_module = sys.modules["slda.classify"]
+        with mock.patch.object(classify_module, "pooled_covariance",
+                               side_effect=AssertionError("S formed")):
+            rate = loocv_rate(ds, cfg)
+        wrong, margin = 0, math.inf
+        for i in range(ds.n):
+            keep = np.arange(ds.n) != i
+            x, labels = ds.features[keep], ds.labels[keep]
+            n, p = x.shape
+            means = np.array([x[labels == c].mean(axis=0) for c in (1, 2)])
+            centered = x - means[labels - 1]
+            s_diag = np.einsum("ij,ij->j", centered, centered) / n
+            assert s_diag.max() < compute_tn(cfg.m1, n, p)
+            delta = means[0] - means[1]
+            w = np.where(np.abs(delta) > compute_an(cfg.m2, n, p, cfg.alpha), delta, 0.0) / s_diag
+            score = ds.features[i] @ w - w @ (0.5 * (means[0] + means[1]))
+            margin = min(margin, abs(score) / (np.abs(ds.features[i]) @ np.abs(w)))
+            wrong += (1 if score >= 0.0 else 2) != ds.labels[i]
+        assert margin > 1e-9  # no held-out score is near enough 0 to round across it
+        assert 0.1 < rate == wrong / ds.n
 
 
 class TestCvGridSearch:

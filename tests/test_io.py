@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import two_class_dataset
+from conftest import bits_equal, two_class_dataset
 from slda.classify import SparsityReport
 from slda.errors import DataError
 from slda.io import (
@@ -101,6 +104,37 @@ class TestModelFile:
         write_model(path, rule, ThresholdConfig(m1=1.0, m2=1e9, alpha=0.3))
         back, _ = read_model(path)
         assert back.degenerate
+
+    # finite doubles, with the ones a decimal round trip is likeliest to
+    # lose: signed zeros, subnormals, the extremes of the range
+    EDGE = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, -1e-310,
+            1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3]
+    VALUES = st.one_of(st.sampled_from(EDGE), st.floats(allow_nan=False, allow_infinity=False))
+
+    @settings(max_examples=150, deadline=None)
+    @given(weights=arrays(float, st.integers(1, 12), elements=VALUES), cutoff=VALUES,
+           config=st.tuples(st.floats(0.0, 1e300), st.floats(0.0, 1e300),
+                            st.floats(1e-6, 0.499)),
+           report=st.one_of(st.none(), st.tuples(st.integers(0, 10**9), st.integers(0, 10**12),
+                                                 st.booleans())))
+    def test_round_trip_is_value_exact(self, tmp_path_factory, weights, cutoff, config, report):
+        path = tmp_path_factory.mktemp("model") / "model.txt"
+        rule = LinearRule(weights=weights, cutoff=cutoff, degenerate=not np.any(weights))
+        cfg = ThresholdConfig(m1=config[0], m2=config[1], alpha=config[2])
+        sparsity = None if report is None else SparsityReport(
+            p=weights.shape[0], q_hat=report[0], nnz_offdiag=report[1], pd_flag=report[2],
+            degenerate=rule.degenerate)
+        write_model(path, rule, cfg, sparsity)
+        back, meta = read_model(path)
+        assert bits_equal(back.weights, weights) and bits_equal(back.cutoff, cutoff)
+        assert back.degenerate == rule.degenerate
+        assert (float(meta["m1"]), float(meta["m2"]), float(meta["alpha"])) == config
+        assert int(meta["p"]) == weights.shape[0]
+        if report is None:
+            assert not {"q_hat", "nnz_offdiag", "pd_flag"} & set(meta)
+        else:
+            assert (int(meta["q_hat"]), int(meta["nnz_offdiag"]), meta["pd_flag"]) == \
+                (report[0], report[1], "1" if report[2] else "0")
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "model.txt"
