@@ -26,7 +26,6 @@ from .estimation import (
     compute_an,
     compute_tn,
     invert_sparse_sym,
-    pseudo_inverse_sym,
     summarize,
     threshold_covariance,
     threshold_delta,

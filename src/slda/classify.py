@@ -17,14 +17,12 @@ from .estimation import (
     class_means,
     compute_an,
     compute_tn,
-    default_pseudo_rtol,
     diagonal_screen,
     invert_sparse_sym,
     nnz_offdiag,
     pooled_covariance,
+    pooled_pinv_solve,
     pooled_variances,
-    pseudo_inverse_sym,
-    summarize,
     threshold_covariance,
     threshold_delta,
 )
@@ -64,21 +62,22 @@ def _rule(w: np.ndarray, mid: np.ndarray) -> LinearRule:
 
 
 def build_lda(dataset: Dataset) -> LinearRule:
-    """Classical LDA: w = S^{-1} delta_hat, or a Moore-Penrose
-    generalized inverse of S when S is singular (p > n - K)."""
+    """Classical LDA: w = S^{-1} delta_hat, or the Moore-Penrose
+    generalized inverse of S when S is singular (p > n - K, or a failed
+    Cholesky pivot), applied through the thin SVD of the centred rows
+    without forming S (pooled_pinv_solve)."""
     _two_class(dataset, "build_lda")
-    summary = summarize(dataset)
-    s = summary.pooled_cov
-    rule_w = None
+    means, centered = centered_rows(dataset)
+    delta = means[0] - means[1]
+    w = None
     if dataset.n - dataset.n_classes >= dataset.p:
         try:
-            rule_w = spd_solve(cholesky_spd(s), summary.delta_hat)
+            w = spd_solve(cholesky_spd(pooled_covariance(centered)), delta)
         except NotPositiveDefiniteError:
-            rule_w = None
-    if rule_w is None:
-        op = pseudo_inverse_sym(s, rtol=default_pseudo_rtol(dataset.p))
-        rule_w = spd_solve(op, summary.delta_hat)
-    return _rule(rule_w, summary.grand_mid)
+            pass
+    if w is None:
+        w = pooled_pinv_solve(centered, delta)
+    return _rule(w, 0.5 * (means[0] + means[1]))
 
 
 def build_lda_known_sigma(dataset: Dataset, sigma) -> LinearRule:

@@ -18,10 +18,9 @@ from . import diagnostics as diag
 from . import io as sio
 from .classify import build_slda, maximin_labels, pair_columns
 from .errors import DataError, DomainError, ShapeError, SldaError
-from .estimation import compute_an, compute_tn, default_pseudo_rtol, pseudo_inverse_sym, summarize
+from .estimation import centered_rows, compute_an, compute_tn, pooled_covariance, pooled_pinv_solve
 from .evaluate import cv_grid_search, default_grids
 from .model import NORMAL, ThresholdConfig
-from .numerics import spd_solve
 from .simulate import (
     Scenario,
     preset_scenarios,
@@ -192,16 +191,15 @@ def cmd_diagnose(args) -> int:
     lines = []
     if args.train:
         dataset = sio.read_dataset_csv(args.train)
-        summary = summarize(dataset)
-        delta = summary.delta_hat
-        if delta is None:
+        if dataset.n_classes != 2:
             raise DataError("diagnose --train requires a two-class dataset")
+        means, centered = centered_rows(dataset)
+        delta = means[0] - means[1]
         if not np.any(delta):
             raise DataError("delta_hat is the zero vector; nothing to diagnose")
-        sigma = summary.pooled_cov
+        sigma = pooled_covariance(centered)
         n, p = dataset.n, dataset.p
-        op = pseudo_inverse_sym(sigma, rtol=default_pseudo_rtol(p))
-        delta_p = float(np.sqrt(max(delta @ spd_solve(op, delta), 0.0)))
+        delta_p = float(np.sqrt(max(delta @ pooled_pinv_solve(centered, delta), 0.0)))
         eig_min, eig_max = diag.eigen_range(sigma)
         source = "sample"
     else:

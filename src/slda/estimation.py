@@ -9,16 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NotPositiveDefiniteError, ShapeError, UnusableMatrixError
+from .errors import DomainError, NotPositiveDefiniteError, NumericalError, ShapeError, UnusableMatrixError
 from .model import Dataset
-from .numerics import (
-    EIGEN_FLOOR,
-    PSEUDO,
-    SymOperator,
-    check_symmetric,
-    cholesky_spd,
-    eigen_sym,
-)
+from .numerics import EIGEN_FLOOR, SymOperator, check_symmetric, cholesky_spd, eigen_sym
 
 # Eigenvalue floor of invert_sparse_sym, relative to lambda_max.
 FLOOR_EPS = 1e-8
@@ -91,6 +84,35 @@ def pooled_variances(centered: np.ndarray) -> np.ndarray:
         variances[a:b] = np.diagonal(block.T @ block)
     variances /= n
     return variances
+
+
+def pooled_pinv_solve(centered: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """S^+ b, the Moore-Penrose inverse of S = pooled_covariance(centered)
+    applied to the vector b, without forming S.
+
+    With the thin SVD C = U diag(sv) V' of the n x p centred rows,
+    S = V diag(lam) V' with lam = sv^2 / n, so S^+ b = V diag(1/lam) V' b
+    over the kept lam, in O(n^2 p) time rather than the O(p^3) of an
+    eigendecomposition of S (the rank is at most n - K when p > n - K).
+    lam > p eps lam_max is kept and the rest is zeroed, so a zero S
+    gives the zero vector. Non-finite rows (LAPACK's SVD may not return
+    on an Inf) or an S that overflows raise DomainError, an SVD that
+    fails to converge NumericalError.
+    """
+    n, p = centered.shape
+    if not np.isfinite(centered).all():
+        raise DomainError("pooled_pinv_solve: centred rows have NaN or Inf entries")
+    try:
+        _, sv, vt = np.linalg.svd(centered, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"pooled_pinv_solve: SVD failed to converge: {exc}") from exc
+    with np.errstate(over="ignore"):
+        lam = sv * sv / n
+    if not math.isfinite(lam[0]):  # sv is sorted descending
+        raise DomainError("pooled_pinv_solve: the pooled covariance overflows")
+    keep = lam > p * np.finfo(float).eps * lam.max()
+    kept = vt[keep]
+    return kept.T @ ((kept @ b) / lam[keep])
 
 
 def diagonal_screen(variances: np.ndarray, n: int) -> float:
@@ -255,28 +277,3 @@ def invert_sparse_sym(sigma_tilde: np.ndarray) -> SymOperator:
     return SymOperator(kind=EIGEN_FLOOR, dim=values.shape[0], pd_flag=False,
                        floor_count=n_floored, diagonal=d,
                        _vectors=vectors, _inv_values=1.0 / floored)
-
-
-def pseudo_inverse_sym(s: np.ndarray, rtol: float) -> SymOperator:
-    """Moore-Penrose pseudo-inverse of a symmetric matrix.
-
-    Eigenvalues with |lambda| > rtol * max|lambda| are inverted, the
-    rest zeroed. If everything falls below the cutoff the operator is
-    the zero map (floor_count == dim).
-    """
-    if rtol <= 0:
-        raise DomainError(f"rtol must be > 0, got {rtol}")
-    eig = eigen_sym(np.asarray(s, dtype=float))
-    absvals = np.abs(eig.eigenvalues)
-    cutoff = rtol * (absvals.max() if absvals.size else 0.0)
-    keep = absvals > cutoff
-    inv = np.zeros_like(eig.eigenvalues)
-    inv[keep] = 1.0 / eig.eigenvalues[keep]
-    return SymOperator(kind=PSEUDO, dim=eig.eigenvalues.shape[0],
-                       pd_flag=False, floor_count=int(np.sum(~keep)),
-                       _vectors=eig.eigenvectors, _inv_values=inv)
-
-
-def default_pseudo_rtol(p: int) -> float:
-    """Spectral-cutoff default: p times double-precision epsilon."""
-    return p * np.finfo(float).eps

@@ -137,6 +137,8 @@ def read_model(path) -> tuple[LinearRule, dict]:
         parts = text[i].split(None, 1)
         if len(parts) != 2:
             raise DataError(f"{path}: malformed line {i + 1}: {text[i]!r}")
+        if parts[0] in meta:
+            raise DataError(f"{path}: repeated key {parts[0]!r} on line {i + 1}")
         meta[parts[0]] = parts[1]
         i += 1
     if i >= len(text):
@@ -144,17 +146,23 @@ def read_model(path) -> tuple[LinearRule, dict]:
     try:
         p = int(meta["p"])
         cutoff = float(meta["c"])
-        degenerate = meta.get("degenerate", "0").strip() == "1"
         weights = np.array([float(v) for v in text[i + 1:i + 1 + p]])
     except (KeyError, ValueError) as exc:
         raise DataError(f"{path}: {exc}") from exc
-    if weights.shape != (p,):
-        raise DataError(f"{path}: expected {p} weight lines, found {weights.shape[0]}")
+    extra = sum(1 for line in text[i + 1 + p:] if line.strip())
+    if weights.shape != (p,) or extra:
+        raise DataError(f"{path}: expected {p} weight lines, found {weights.shape[0] + extra}")
     if not np.isfinite(cutoff):
         raise DataError(f"{path}: non-finite cutoff c = {cutoff}")
     bad = np.flatnonzero(~np.isfinite(weights))
     if bad.size:
         raise DataError(f"{path}: non-finite weight on line {i + 2 + bad[0]}")
+    degenerate = not np.any(weights)
+    expected = "1" if degenerate else "0"
+    flag = meta.get("degenerate", expected).strip()
+    if flag != expected:
+        raise DataError(f"{path}: degenerate {flag} contradicts the weights "
+                        "(it is 1 exactly when every weight is 0)")
     return LinearRule(weights=weights, cutoff=cutoff, degenerate=degenerate), meta
 
 

@@ -123,6 +123,8 @@ class PopulationSpec:
             raise ShapeError("means must be a (K, p) matrix with K >= 2")
         if cov.shape != (means.shape[1], means.shape[1]):
             raise ShapeError(f"covariance shape {cov.shape} != (p, p) with p={means.shape[1]}")
+        if not np.isfinite(means).all():
+            raise DomainError("population means must be finite")
         if self.distribution not in (NORMAL, STUDENT_T):
             raise DomainError(f"unknown distribution {self.distribution!r}")
         if self.distribution == STUDENT_T and (self.df is None or int(self.df) < 1):

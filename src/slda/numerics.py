@@ -102,7 +102,6 @@ def stream(seed: int) -> np.random.Generator:
 DIAGONAL = "diagonal"
 CHOLESKY = "cholesky"
 EIGEN_FLOOR = "eigen_floor"
-PSEUDO = "pseudo"
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,12 +113,11 @@ class SymOperator:
     - "diagonal": A = diag(d), d > 0, held as d, l = sqrt(d) and
       r = 1/l, so solves, draws and products cost O(p);
     - "cholesky": A = L L' with L from LAPACK potrf;
-    - "eigen_floor" and "pseudo": V diag(inv) V' from an
-      eigendecomposition with floored (eigen_floor) or zeroed (pseudo)
-      eigenvalues; V is None when A is diagonal (V = I).
+    - "eigen_floor": V diag(inv) V' from an eigendecomposition with
+      floored eigenvalues; V is None when A is diagonal (V = I).
 
     ``pd_flag`` is True on the two factored kinds; ``floor_count``
-    counts floored or zeroed eigenvalues. ``diagonal`` is d whenever A
+    counts floored eigenvalues. ``diagonal`` is d whenever A
     has no nonzero off-diagonal entry, else None.
     """
 
@@ -280,7 +278,7 @@ def eigen_sym(a: np.ndarray | CheckedSym) -> EigenSym:
 
 
 def spd_solve(op: SymOperator, b: np.ndarray) -> np.ndarray:
-    """Apply the inverse (or generalized inverse) held by ``op`` to a
+    """Apply the inverse (or floored inverse) held by ``op`` to a
     vector or to the columns of a matrix b."""
     b = np.asarray(b, dtype=float)
     if b.shape[0] != op.dim:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from slda.estimation import summarize
 from slda.model import Dataset, PopulationSpec
 
 
@@ -32,6 +33,18 @@ def two_class_dataset(x1, x2):
     labels = np.concatenate([np.ones(len(x1), dtype=int), np.full(len(x2), 2, dtype=int)])
     return Dataset(features=features, labels=labels,
                    class_counts=(len(x1), len(x2)))
+
+
+def eigh_pseudo_inverse_lda(ds):
+    """Reference generalized-inverse LDA: the eigh of S with eigenvalues
+    |lambda| <= p eps max|lambda| zeroed. Returns (w, cutoff)."""
+    summary = summarize(ds)
+    values, vectors = np.linalg.eigh(summary.pooled_cov)
+    keep = np.abs(values) > ds.p * np.finfo(float).eps * np.abs(values).max()
+    inv = np.zeros_like(values)
+    inv[keep] = 1.0 / values[keep]
+    w = vectors @ (inv * (vectors.T @ summary.delta_hat))
+    return w, float(w @ summary.grand_mid)
 
 
 @pytest.fixture

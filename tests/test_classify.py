@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import (
     bits_equal,
+    eigh_pseudo_inverse_lda,
     leukemia_like,
     random_population,
     random_spd,
@@ -52,6 +53,8 @@ from slda.model import (
 )
 from slda.numerics import cholesky_spd, sample_mvn, spd_solve, substream
 
+CLASSIFY = sys.modules["slda.classify"]  # the package's classify function shadows the module
+
 
 def draw_two_class(pop, n1, n2, gen):
     x1 = sample_mvn(pop.means[0], pop.chol, gen, size=n1)
@@ -73,6 +76,56 @@ class TestBuildLda:
         rule = build_lda(ds)  # p = 10 > n = 6: S is singular
         assert np.all(np.isfinite(rule.weights))
         assert not rule.degenerate
+
+    @pytest.mark.parametrize("p, n1, n2", [(10, 3, 4), (10, 5, 5), (500, 30, 30), (1500, 36, 36)])
+    def test_singular_branch_matches_eigh_reference(self, p, n1, n2):
+        # p > n - 2: the thin SVD of the centred rows gives the weights and
+        # cutoff of the eigh pseudo-inverse of S within 1e-10 relative, and
+        # the same labels on probes
+        gen = np.random.default_rng(p + n1)
+        x = gen.standard_normal((n1 + n2, p))
+        x[:n1, :5] += 1.0
+        ds = two_class_dataset(x[:n1], x[n1:])
+        assert p > ds.n - 2
+        rule = build_lda(ds)
+        w, c = eigh_pseudo_inverse_lda(ds)
+        assert np.max(np.abs(rule.weights - w)) <= 1e-10 * np.max(np.abs(w))
+        assert rule.cutoff == pytest.approx(c, rel=1e-10)
+        probes = 1.5 * gen.standard_normal((5000, p))
+        assert np.array_equal(classify_many(rule, probes), np.where(probes @ w >= c, 1, 2))
+
+    def test_singular_branch_never_forms_s(self):
+        # p > n - 2 goes straight to the SVD; n - 2 >= p factors S
+        gen = np.random.default_rng(3)
+        wide = two_class_dataset(gen.standard_normal((4, 9)), gen.standard_normal((4, 9)))
+        tall = two_class_dataset(gen.standard_normal((6, 3)), gen.standard_normal((6, 3)))
+        with mock.patch.object(CLASSIFY, "pooled_covariance",
+                               wraps=CLASSIFY.pooled_covariance) as forms_s:
+            build_lda(wide)
+            assert not forms_s.called
+            build_lda(tall)
+            assert forms_s.call_count == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 40),
+           n1=st.integers(2, 8), n2=st.integers(2, 8))
+    def test_label_swap_flips_singular_rule(self, seed, p, n1, n2):
+        # on the SVD branch the centred rows do not change under a label
+        # swap and delta_hat negates exactly, so w and the cutoff negate bit
+        # for bit and every sample off the boundary changes class
+        ds = seeded_two_class(seed, n1, n2, p)
+        if ds.n - 2 >= p:  # the Cholesky branch is TestSldaProperties' case
+            ds = seeded_two_class(seed, n1, n2, ds.n - 1)
+        swapped = Dataset(features=ds.features, labels=3 - ds.labels,
+                          class_counts=ds.class_counts[::-1])
+        rule, rule_s = build_lda(ds), build_lda(swapped)
+        assert bits_equal(rule_s.weights, -rule.weights)
+        assert bits_equal(rule_s.cutoff, -rule.cutoff)
+        assert not rule.degenerate and not rule_s.degenerate
+        off_boundary = ds.features @ rule.weights != rule.cutoff
+        labels = classify_many(rule, ds.features)
+        labels_s = classify_many(rule_s, ds.features)
+        assert np.array_equal(labels_s[off_boundary], 3 - labels[off_boundary])
 
     def test_direction_converges_to_oracle(self):
         gen = substream(2024, 0)
@@ -507,9 +560,6 @@ def same_fit(fit, want) -> bool:
                     and rules[ab].degenerate == (not np.any(w))
                     for ab, (w, c) in want_rules.items())
             and (report.q_hat, report.nnz_offdiag, report.pd_flag) == (q_hat, nnz, pd_flag))
-
-
-CLASSIFY = sys.modules["slda.classify"]  # the package's classify function shadows the module
 
 
 def screen_m1(ds, factor):

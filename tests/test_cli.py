@@ -4,8 +4,9 @@ determinism across reruns and thread counts."""
 import numpy as np
 import pytest
 
-from conftest import two_class_dataset
+from conftest import eigh_pseudo_inverse_lda, two_class_dataset
 from slda.cli import main
+from slda.estimation import summarize
 from slda.io import read_model, write_dataset_csv
 from slda.model import ThresholdConfig
 from slda.simulate import PopulationRecipe, Scenario, write_scenario
@@ -204,6 +205,26 @@ class TestCv:
                      "--grid-m2", "1", "--out", str(tmp_path / "s.csv")]) == 2
 
 
+def scenario_with_bad_mean(tmp_path, key, bad):
+    """A scenario file whose delta (delta_magnitude or the first of its
+    delta_values) is replaced by ``bad``."""
+    pattern = (2, 1.5) if key == "delta_magnitude" else np.array([1.5, 0.5, 0.0, 0.0, 0.0, 0.0])
+    sc = Scenario(name="bad_mean", population=PopulationRecipe(p=6, delta_pattern=pattern),
+                  n1=8, n2=8, methods=("slda", "lda", "oracle"),
+                  cv=ThresholdConfig(m1=1.0, m2=0.8, alpha=0.3), reps=2, seed=7)
+    path = tmp_path / "sc.txt"
+    write_scenario(path, sc)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    row = next(i for i, line in enumerate(lines) if line.startswith(key))
+    lines[row] = f"{key} = {bad}" + ("" if key == "delta_magnitude" else ",0.5,0,0,0,0")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+BAD_MEANS = [("delta_values", "nan"), ("delta_values", "inf"), ("delta_magnitude", "inf"),
+             ("delta_magnitude", "-inf")]
+
+
 class TestSimulate:
     def test_preset_deterministic_reruns(self, tmp_path):
         args = ["simulate", "--scenario", "thm1_regime", "--reps", "2",
@@ -240,6 +261,13 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "thm2_worst" in err and "sec5_t3" in err
 
+    @pytest.mark.parametrize("key, bad", BAD_MEANS)
+    def test_non_finite_mean_exits_2(self, tmp_path, capsys, key, bad):
+        path = scenario_with_bad_mean(tmp_path, key, bad)
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "b_")]) == 2
+        assert "population means must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "b_replicates.csv").exists()
+
 
 class TestDiagnose:
     def test_unknown_scenario_lists_catalog(self, tmp_path, capsys):
@@ -247,6 +275,15 @@ class TestDiagnose:
         assert main(["diagnose", "--scenario", "nope", "--out", str(tmp_path / "d.csv")]) == 2
         err = capsys.readouterr().err
         assert "thm2_worst" in err and "sec5_t3" in err
+
+    @pytest.mark.parametrize("key, bad", BAD_MEANS)
+    def test_non_finite_mean_exits_2(self, tmp_path, capsys, key, bad):
+        path = scenario_with_bad_mean(tmp_path, key, bad)
+        out_csv = tmp_path / "d.csv"
+        assert main(["diagnose", "--scenario", str(path), "--out", str(out_csv)]) == 2
+        captured = capsys.readouterr()
+        assert "population means must be finite" in captured.err
+        assert "delta_p" not in captured.out and not out_csv.exists()
 
     def test_identity_population_row_count_one(self, tmp_path, capsys):
         sc = Scenario(name="diag",
@@ -270,6 +307,19 @@ class TestDiagnose:
         out = capsys.readouterr().out
         assert "source sample" in out
         assert "q_hat" in out
+
+    def test_train_delta_p_on_singular_s(self, tmp_path, capsys, rng):
+        # p > n: Delta_p = sqrt(delta' S^+ delta) through the thin SVD of the
+        # centred rows, against the eigh pseudo-inverse of S with the p eps cut
+        ds = two_class_dataset(rng.standard_normal((6, 30)) + 0.5, rng.standard_normal((6, 30)))
+        path = tmp_path / "wide.csv"
+        write_dataset_csv(path, ds)
+        assert main(["diagnose", "--train", str(path), "--out", str(tmp_path / "c.csv")]) == 0
+        out = capsys.readouterr().out
+        delta_p = float(next(line.split()[1] for line in out.splitlines()
+                             if line.startswith("delta_p ")))
+        w, _ = eigh_pseudo_inverse_lda(ds)
+        assert delta_p == pytest.approx(np.sqrt(summarize(ds).delta_hat @ w), rel=1e-10)
 
     def test_zero_delta_exits_2(self, tmp_path):
         row = "1.0,2.0"

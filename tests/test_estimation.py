@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import bits_equal, random_spd, two_class_dataset
 from slda import estimation
-from slda.errors import DomainError, UnusableMatrixError
+from slda.errors import DomainError, NumericalError, UnusableMatrixError
 from slda.estimation import (
     FLOOR_EPS,
     _threshold_in_place,
@@ -21,8 +21,9 @@ from slda.estimation import (
     diagonal_screen,
     invert_sparse_sym,
     nnz_offdiag,
+    pooled_covariance,
+    pooled_pinv_solve,
     pooled_variances,
-    pseudo_inverse_sym,
     summarize,
     threshold_covariance,
     threshold_delta,
@@ -420,32 +421,61 @@ class TestInvertSparseSym:
 
 
 class TestPseudoInverse:
+    # pooled_pinv_solve applies S^+ of S = C'C / n through the thin SVD of
+    # the centred rows C, so each case is given by its C
+
     def test_diagonal_with_null_direction(self):
-        op = pseudo_inverse_sym(np.diag([2.0, 0.0]), rtol=1e-12)
-        assert np.allclose(spd_solve(op, np.array([1.0, 1.0])), [0.5, 0.0])
-        assert op.floor_count == 1
+        # C'C / 2 = diag(2, 0) exactly
+        centered = np.array([[2.0, 0.0], [0.0, 0.0]])
+        w = pooled_pinv_solve(centered, np.array([1.0, 1.0]))
+        assert np.allclose(w, [0.5, 0.0])
+        assert w[1] == 0.0
 
     def test_identity(self):
-        op = pseudo_inverse_sym(np.eye(3), rtol=1e-12)
+        # C'C / 4 = I exactly: every eigenvalue is 1 and nothing is cut
+        centered = np.vstack([2.0 * np.eye(3), np.zeros(3)])
         v = np.array([1.0, 2.0, 3.0])
-        assert np.allclose(spd_solve(op, v), v, rtol=1e-14)
+        assert np.allclose(pooled_pinv_solve(centered, v), v, rtol=1e-14)
 
     def test_moore_penrose_property_rank_deficient(self, rng):
         # singular S from n = 5 draws in p = 10 dimensions
         x = rng.standard_normal((5, 10))
         xc = x - x.mean(axis=0)
-        s = xc.T @ xc / 5
-        s = 0.5 * (s + s.T)
-        op = pseudo_inverse_sym(s, rtol=1e-10)
-        s_pinv = spd_solve(op, np.eye(10))
+        s = pooled_covariance(xc)
+        s_pinv = np.column_stack([pooled_pinv_solve(xc, e) for e in np.eye(10)])
         assert np.linalg.norm(s @ s_pinv @ s - s) <= 1e-8 * np.linalg.norm(s)
+        assert np.linalg.norm(s_pinv @ s @ s_pinv - s_pinv) <= 1e-8 * np.linalg.norm(s_pinv)
+        assert np.allclose(s_pinv, s_pinv.T, rtol=0, atol=1e-12 * np.abs(s_pinv).max())
 
     def test_all_zero_gives_zero_operator(self):
-        op = pseudo_inverse_sym(np.zeros((3, 3)), rtol=1e-12)
-        assert op.floor_count == 3
-        assert not np.any(spd_solve(op, np.ones(3)))
+        w = pooled_pinv_solve(np.zeros((4, 3)), np.ones(3))
+        assert w.shape == (3,) and not np.any(w)
 
+    @pytest.mark.parametrize("exponent, kept", [(-25, True), (-26, False)])
+    def test_cut_is_p_eps_relative(self, exponent, kept):
+        # p = 2, lambda = (1, a^2) / 2: a^2 = 4 eps clears the cut at
+        # p eps lambda_max, a^2 = eps does not
+        a = 2.0 ** exponent
+        w = pooled_pinv_solve(np.array([[1.0, 0.0], [0.0, a]]), np.array([1.0, 1.0]))
+        assert w[0] == pytest.approx(2.0, rel=1e-15)
+        assert (w[1] != 0.0) == kept
+        if kept:
+            assert w[1] == pytest.approx(2.0 / a ** 2, rel=1e-12)
 
+    @pytest.mark.parametrize("bad, message", [(math.inf, "NaN or Inf"), (-math.inf, "NaN or Inf"),
+                                              (math.nan, "NaN or Inf"), (1e200, "overflows")])
+    def test_non_finite_covariance_rejected(self, bad, message):
+        # a non-finite centred row (LAPACK's SVD may not return on an Inf),
+        # or a finite one whose square overflows
+        centered = np.array([[bad, 1.0, 0.0], [-1.0, 2.0, 0.5], [0.0, -3.0, 1.0]])
+        with pytest.raises(DomainError, match=message):
+            pooled_pinv_solve(centered, np.ones(3))
+
+    def test_svd_failure_is_numerical_error(self):
+        with mock.patch.object(estimation.np.linalg, "svd",
+                               side_effect=np.linalg.LinAlgError("SVD did not converge")):
+            with pytest.raises(NumericalError, match="pooled_pinv_solve"):
+                pooled_pinv_solve(np.eye(3), np.ones(3))
 class TestOperatorNormConsistency:
     def test_error_shrinks_with_n(self):
         # tridiagonal truth at p = 200; the thresholded estimator's

@@ -142,11 +142,23 @@ class TestModelFile:
         with pytest.raises(DataError, match="header"):
             read_model(path)
 
-    def test_truncated_weights_rejected(self, tmp_path):
+    @pytest.mark.parametrize("meta, weights, message", [
+        ("p 3\ndegenerate 0\n", "1.0\n2.0\n", "expected 3 weight lines, found 2"),
+        ("p 2\n", "1.0\n2.0\n3.0\n\n4.0\n", "expected 2 weight lines, found 4"),
+        ("p 2\np 3\n", "1.0\n2.0\n3.0\n", "repeated key 'p'"),
+        ("p 2\nc 1\n", "1.0\n2.0\n", "repeated key 'c'"),
+        ("p 2\ndegenerate 1\n", "0.0\n2.0\n", "degenerate 1 contradicts"),
+        ("p 2\ndegenerate 0\n", "0.0\n-0.0\n", "degenerate 0 contradicts"),
+        ("p 2\ndegenerate yes\n", "1.0\n2.0\n", "degenerate yes contradicts"),
+    ], ids=["too_few", "too_many", "repeated_p", "repeated_c", "degenerate_nonzero",
+            "not_degenerate_zero", "degenerate_not_0_or_1"])
+    def test_truncated_weights_rejected(self, tmp_path, meta, weights, message):
+        # too few or too many weight lines, a repeated key, or a degenerate
+        # flag that contradicts the weights
         path = tmp_path / "model.txt"
-        path.write_text("slda-model v1\np 3\nalpha 0.3\nm1 1\nm2 1\nc 0\n"
-                        "degenerate 0\nweights\n1.0\n2.0\n", encoding="utf-8")
-        with pytest.raises(DataError, match="weight"):
+        path.write_text(f"slda-model v1\n{meta}alpha 0.3\nm1 1\nm2 1\nc 0\n"
+                        f"weights\n{weights}", encoding="utf-8")
+        with pytest.raises(DataError, match=message):
             read_model(path)
 
 
@@ -243,3 +255,24 @@ class TestImportGraph:
 
         for mod in graph:
             visit(mod)
+
+    def test_no_export_shadows_a_submodule(self):
+        # a name that slda/__init__.py imports replaces the submodule
+        # attribute of the same name, so "import slda.<name> as m" binds
+        # the object and patching m patches nothing. The one known case is
+        # the function classify (a FOUND line in CHANGES.md): renaming the
+        # module fixes it, and goes with a benchmark change, since the
+        # benchmark names a "classify" layer
+        import ast
+        import pkgutil
+        from pathlib import Path
+
+        import slda
+
+        known = {"classify"}
+        tree = ast.parse(Path(slda.__file__).read_text(encoding="utf-8"))
+        exported = {alias.asname or alias.name for node in tree.body
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}
+        submodules = {info.name for info in pkgutil.iter_modules(slda.__path__)}
+        assert exported & submodules <= known, \
+            f"slda exports names of its submodules: {sorted(exported & submodules - known)}"

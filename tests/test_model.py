@@ -67,6 +67,14 @@ class TestPopulationSpec:
         with pytest.raises(DomainError):
             PopulationSpec(means=mu, covariance=np.eye(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_means_rejected(self, bad):
+        mu = np.array([[1.0, bad, 0.5], [0.0, 0.0, 0.0]])
+        with pytest.raises(DomainError, match="finite"):
+            PopulationSpec(means=mu, covariance=np.eye(3))
+        with pytest.raises(DomainError, match="finite"):
+            PopulationSpec(means=mu[::-1], covariance=np.eye(3))
+
     def test_non_spd_covariance_fails_on_factor(self):
         pop = PopulationSpec(means=np.array([[1.0, 0.0], [0.0, 0.0]]),
                              covariance=np.array([[1.0, 2.0], [2.0, 1.0]]))
