@@ -22,11 +22,9 @@ from .errors import (
     UnusableMatrixError,
 )
 from .estimation import (
-    ClassSummary,
     compute_an,
     compute_tn,
     invert_sparse_sym,
-    summarize,
     threshold_covariance,
     threshold_delta,
 )

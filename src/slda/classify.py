@@ -23,7 +23,6 @@ from .estimation import (
     pooled_covariance,
     pooled_pinv_solve,
     pooled_variances,
-    threshold_covariance,
     threshold_delta,
 )
 from .model import Dataset, LinearRule, MultiRule, PopulationSpec, ThresholdConfig
@@ -101,14 +100,17 @@ def build_slda_grid(dataset: Dataset, m1_grid, m2_grid, alpha: float) -> list:
     of pair (1, 2), or the SldaError that factoring Sigma-tilde raised.
 
     The centred rows and their variances are computed once. An M1 whose
-    t_n passes diagonal_screen has Sigma-tilde = diag(S) exactly, so its
-    fits cost O(np) and S is never formed for it; S is formed only when
-    some M1 fails the screen, and the last such M1 thresholds it in
-    place. Sigma-tilde is factored at most once per M1, when the first
-    M2 that keeps a component of some contrast needs it, so a failed
-    factor fails only those points; an emptied contrast gets the
-    degenerate rule. The grid values must be valid ThresholdConfig
-    constants; an error of the whole fit (p < 2, a bad alpha) is raised.
+    t_n passes diagonal_screen has Sigma-tilde = diag(S) exactly, so the
+    screened M1s share one set of fits at O(np) cost. S is formed only
+    when some M1 fails the screen, and is never copied: hard thresholds
+    nest (an entry kept at t >= t' is kept at t' with the same value), so
+    the unscreened t_n are taken in ascending order and each thresholds
+    S in place, after the fits of the one before it are done. Sigma-tilde
+    is factored at most once per distinct t_n, when the first M2 that
+    keeps a component of some contrast needs it, so a failed factor fails
+    only those points; an emptied contrast gets the degenerate rule. The
+    grid values must be valid ThresholdConfig constants; an error of the
+    whole fit (p < 2, a bad alpha) is raised.
     """
     n, p, k = dataset.n, dataset.p, dataset.n_classes
     t_ns = [compute_tn(m1, n, p) for m1 in m1_grid]
@@ -116,28 +118,24 @@ def build_slda_grid(dataset: Dataset, m1_grid, m2_grid, alpha: float) -> list:
     means, centered = centered_rows(dataset)
     variances = pooled_variances(centered)
     screen = diagonal_screen(variances, n)
-    dense = [i for i, t_n in enumerate(t_ns) if t_n < screen]
-    s = pooled_covariance(centered) if dense else None
+    # every screened M1 has the key ``screen``, and shares its fits
+    keys = [min(t_n, screen) for t_n in t_ns]
+    s = pooled_covariance(centered) if any(key < screen for key in keys) else None
     del centered
     pairs = [(a, b) for a in range(1, k) for b in range(a + 1, k + 1)]
     mids = {(a, b): 0.5 * (means[a - 1] + means[b - 1]) for a, b in pairs}
     deltas = [{(a, b): threshold_delta(means[a - 1] - means[b - 1], a_n) for a, b in pairs}
               for a_n in a_ns]
-    # a diagonal Sigma-tilde is passed as checked: its variances are finite
-    diagonal = CheckedSym(matrix=None, diagonal=variances)
-    fits = []
-    for i, t_n in enumerate(t_ns):
-        if i not in dense:
-            fits += _fits_at_m1(diagonal, 0, deltas, mids, p)
-            continue
-        if i == dense[-1]:
-            # S is dead after this: threshold it in place, so the factor's
-            # own p x p is the only other one
-            sigma_tilde, s = _threshold_in_place(s, t_n), None
+    fits = {}
+    for key in sorted(set(keys)):
+        if key < screen:
+            _threshold_in_place(s, key)
+            fits[key] = _fits_at_m1(s, nnz_offdiag(s), deltas, mids, p)
         else:
-            sigma_tilde = threshold_covariance(s, t_n)
-        fits += _fits_at_m1(sigma_tilde, nnz_offdiag(sigma_tilde), deltas, mids, p)
-    return fits
+            # passed as checked: the variances are finite
+            fits[key] = _fits_at_m1(CheckedSym(matrix=None, diagonal=variances), 0,
+                                    deltas, mids, p)
+    return [fit for key in keys for fit in fits[key]]
 
 
 def _fits_at_m1(sigma_tilde, nnz: int, deltas: list[dict], mids: dict, p: int) -> list:

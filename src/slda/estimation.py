@@ -1,6 +1,7 @@
-"""Sample statistics and thresholding estimators: class means, pooled
-covariance S (divisor n, the MLE), hard-thresholded Sigma-tilde and
-delta-tilde, and the inverse / generalized-inverse strategies."""
+"""Sample statistics and thresholding estimators: class means and the
+centred rows, the pooled covariance S (divisor n, the MLE) and its
+diagonal, hard-thresholded Sigma-tilde and delta-tilde, and the inverse
+/ generalized-inverse strategies."""
 
 from __future__ import annotations
 
@@ -22,26 +23,14 @@ _VAR_BLOCK = 64
 _ROW_BLOCK = 64
 
 
-@dataclass(frozen=True)
-class ClassSummary:
-    """Per-class means, pooled covariance and two-class derived vectors.
-
-    ``delta_hat`` and ``grand_mid`` are None for K >= 3 (pairwise
-    contrasts are formed from ``class_means`` instead).
-    """
-
-    class_means: np.ndarray          # (K, p)
-    pooled_cov: np.ndarray           # (p, p), divisor n
-    delta_hat: np.ndarray | None     # xbar_1 - xbar_2
-    grand_mid: np.ndarray | None     # (xbar_1 + xbar_2)/2
-
-
 def class_means(dataset: Dataset) -> np.ndarray:
-    """Per-class feature means, shape (K, p)."""
+    """Per-class feature means, shape (K, p). A sum that overflows gives
+    an Inf mean, without a warning, as in pooled_covariance."""
     x = dataset.features
     means = np.empty((dataset.n_classes, dataset.p))
-    for cls in range(1, dataset.n_classes + 1):
-        means[cls - 1] = x[dataset.labels == cls].mean(axis=0)
+    with np.errstate(over="ignore"):
+        for cls in range(1, dataset.n_classes + 1):
+            means[cls - 1] = x[dataset.labels == cls].mean(axis=0)
     return means
 
 
@@ -57,9 +46,13 @@ def centered_rows(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pooled_covariance(centered: np.ndarray) -> np.ndarray:
-    """S = C'C / n of the centred rows C. numpy forms the Gram matrix
-    with a symmetric rank-k update, so S is exactly symmetric."""
-    s = centered.T @ centered
+    """S = C'C / n of the centred rows C, the maximum likelihood pooled
+    covariance (1/n) sum_k sum_i (x_ki - xbar_k)(x_ki - xbar_k)'. numpy
+    forms the Gram matrix with a symmetric rank-k update, so S is exactly
+    symmetric. A product that overflows is left as Inf or NaN, without a
+    warning, for the consumer of S to reject."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = centered.T @ centered
     s /= centered.shape[0]
     return s
 
@@ -79,9 +72,10 @@ def pooled_variances(centered: np.ndarray) -> np.ndarray:
     if len(starts) > 1 and p - starts[-1] == 1:
         starts.pop()
     variances = np.empty(p)
-    for a, b in zip(starts, starts[1:] + [p]):
-        block = centered[:, a:b]
-        variances[a:b] = np.diagonal(block.T @ block)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in pooled_covariance
+        for a, b in zip(starts, starts[1:] + [p]):
+            block = centered[:, a:b]
+            variances[a:b] = np.diagonal(block.T @ block)
     variances /= n
     return variances
 
@@ -147,23 +141,6 @@ def diagonal_screen(variances: np.ndarray, n: int) -> float:
     tau = float(np.finfo(float).tiny)
     gamma = 4.0 * (n + 2) * float(np.finfo(float).eps)
     return (1.0 + gamma) * (math.sqrt(s1 + tau) * math.sqrt(s2 + tau))
-
-
-def summarize(dataset: Dataset) -> ClassSummary:
-    """Maximum likelihood class means and pooled covariance.
-
-    S = (1/n) sum_k sum_i (x_ki - xbar_k)(x_ki - xbar_k)', divisor n
-    rather than n-K; see pooled_covariance.
-    """
-    means, centered = centered_rows(dataset)
-    s = pooled_covariance(centered)
-    if dataset.n_classes == 2:
-        delta = means[0] - means[1]
-        mid = 0.5 * (means[0] + means[1])
-    else:
-        delta = None
-        mid = None
-    return ClassSummary(class_means=means, pooled_cov=s, delta_hat=delta, grand_mid=mid)
 
 
 def compute_tn(m1: float, n: int, p: int) -> float:

@@ -14,7 +14,7 @@ import numpy as np
 from .classify import build_slda_grid, classify, classify_many, maximin_labels, pair_columns
 from .diagnostics import mahalanobis_delta
 from .errors import DataError, DomainError, ShapeError, SldaError
-from .estimation import compute_an, compute_tn, summarize
+from .estimation import centered_rows, compute_an, compute_tn, pooled_covariance
 from .model import Dataset, LinearRule, PopulationSpec, ThresholdConfig, NORMAL
 from .numerics import std_normal_cdf
 
@@ -295,9 +295,14 @@ def default_grids(dataset: Dataset, alpha: float = 0.3, size: int = 7):
     percentile of |delta_hat_j|; M1 likewise from the off-diagonal
     |S_jl| percentiles against t_n's scale factor.
     """
-    summary = summarize(dataset)
-    if summary.delta_hat is None:
+    if dataset.n_classes != 2:
         raise DomainError("default_grids requires a two-class dataset")
+    means, centered = centered_rows(dataset)
+    s = pooled_covariance(centered)
+    delta = means[0] - means[1]
+    if not (np.isfinite(s).all() and np.isfinite(delta).all()):
+        raise DomainError("default_grids: the pooled covariance or the mean difference "
+                          "is not finite")
     n, p = dataset.n, dataset.p
     scale_a = compute_an(1.0, n, p, alpha)
     scale_t = compute_tn(1.0, n, p)
@@ -307,8 +312,8 @@ def default_grids(dataset: Dataset, alpha: float = 0.3, size: int = 7):
         hi = max(float(np.quantile(values, 0.999)), lo * (1.0 + 1e-9))
         return list(np.exp(np.linspace(math.log(lo), math.log(hi), size)) / scale)
 
-    offdiag = summary.pooled_cov[np.triu(np.ones((p, p), dtype=bool), k=1)]
+    offdiag = s[np.triu(np.ones((p, p), dtype=bool), k=1)]
     np.abs(offdiag, out=offdiag)
     m1_grid = log_spaced(offdiag, scale_t)
-    m2_grid = log_spaced(np.abs(summary.delta_hat), scale_a)
+    m2_grid = log_spaced(np.abs(delta), scale_a)
     return m1_grid, m2_grid

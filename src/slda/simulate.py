@@ -125,6 +125,8 @@ class Scenario:
     def __post_init__(self):
         if self.reps < 1:
             raise DomainError(f"reps must be >= 1, got {self.reps}")
+        if self.n_mc < 1:
+            raise DomainError(f"n_mc must be >= 1, got {self.n_mc}")
         if self.n1 < 2 or self.n2 < 2:
             raise DomainError("class sample sizes must be >= 2")
         for m in self.methods:

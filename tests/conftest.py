@@ -1,7 +1,9 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
-from slda.estimation import summarize
+from slda.estimation import centered_rows, pooled_covariance
 from slda.model import Dataset, PopulationSpec
 
 
@@ -33,6 +35,21 @@ def two_class_dataset(x1, x2):
     labels = np.concatenate([np.ones(len(x1), dtype=int), np.full(len(x2), 2, dtype=int)])
     return Dataset(features=features, labels=labels,
                    class_counts=(len(x1), len(x2)))
+
+
+class Summary(NamedTuple):
+    class_means: np.ndarray  # (K, p)
+    pooled_cov: np.ndarray   # S, divisor n
+    delta_hat: np.ndarray    # xbar_1 - xbar_2
+    grand_mid: np.ndarray    # (xbar_1 + xbar_2) / 2
+
+
+def summarize(ds) -> Summary:
+    """Class means, S and the (1, 2) contrast from the package's pieces,
+    centered_rows and pooled_covariance, with the bits the fits use."""
+    means, centered = centered_rows(ds)
+    return Summary(means, pooled_covariance(centered), means[0] - means[1],
+                   0.5 * (means[0] + means[1]))
 
 
 def eigh_pseudo_inverse_lda(ds):

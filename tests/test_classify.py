@@ -18,6 +18,7 @@ from conftest import (
     leukemia_like,
     random_population,
     random_spd,
+    summarize,
     two_class_dataset,
 )
 from slda.classify import (
@@ -34,13 +35,11 @@ from slda.classify import (
 from slda.diagnostics import lemma2_counts
 from slda.errors import DomainError, SldaError, UnusableMatrixError
 from slda.estimation import (
-    _threshold_in_place,
     compute_an,
     compute_tn,
     diagonal_screen,
     invert_sparse_sym,
     nnz_offdiag,
-    summarize,
     threshold_covariance,
     threshold_delta,
 )
@@ -524,8 +523,8 @@ class TestSldaProperties:
 
 
 def reference_fit(ds, m1, m2, alpha=0.3):
-    # The fit from the public pieces, with S always formed: summarize,
-    # threshold_covariance, invert_sparse_sym, spd_solve. Returns
+    # The fit from the public pieces, with S always formed: summarize
+    # (conftest), threshold_covariance, invert_sparse_sym, spd_solve. Returns
     # ({pair: (w, cutoff)}, (q_hat, nnz_offdiag, pd_flag)), or the error
     # that factoring raised.
     n, p, k = ds.n, ds.p, ds.n_classes
@@ -574,11 +573,12 @@ class TestVarianceScreen:
            k=st.sampled_from([2, 3]), extra=st.integers(0, 3),
            constant=st.booleans(), m2=st.sampled_from([0.0, 0.3, 1.0, 1e9]), data=st.data())
     def test_screened_fit_equals_public_pieces(self, seed, p, k, extra, constant, m2, data):
-        # M1 just above the bound (screened), just below it (S formed, and
-        # Sigma-tilde still diagonal) and small (S formed, off-diagonal
-        # entries kept), in a drawn order, so that the in-place threshold
-        # falls on either dense M1; every point equals the reference bit
-        # for bit. A constant feature has variance 0: eigen_floor, pd_flag 0.
+        # Two M1s above the bound (screened), one just below it (S formed,
+        # and Sigma-tilde still diagonal) and a small one, repeated (S
+        # formed, off-diagonal entries kept), in a drawn order that is not
+        # ascending, so that the in-place chain must reorder them; every
+        # point equals the reference bit for bit and S is formed once. A
+        # constant feature has variance 0: eigen_floor, pd_flag 0.
         gen = np.random.default_rng(seed)
         counts = [3 + extra + c for c in range(k)]
         x = np.vstack([gen.standard_normal((m, p)) + gen.standard_normal(p) for m in counts])
@@ -587,7 +587,8 @@ class TestVarianceScreen:
             x[:, gen.integers(p)] = 7.0
         ds = Dataset(features=x, labels=np.repeat(np.arange(1, k + 1), counts),
                      class_counts=tuple(counts))
-        factors = data.draw(st.permutations([1.0 + 1e-12, 1.0 - 1e-12, 0.05]))
+        factors = data.draw(st.permutations([1.0 + 1e-12, 3.0, 1.0 - 1e-12, 0.05, 0.05])
+                            .filter(lambda f: list(f) != sorted(f)))
         m1_grid = [screen_m1(ds, f) for f in factors]
         calls = []
         real = CLASSIFY.pooled_covariance
@@ -614,15 +615,13 @@ class TestVarianceScreen:
         ds = Dataset(features=x, labels=np.repeat(np.arange(1, k + 1), counts),
                      class_counts=tuple(counts))
         m1_grid = [screen_m1(ds, 1.001), 1e9]
-        forbidden = ("pooled_covariance", "threshold_covariance", "_threshold_in_place",
-                     "nnz_offdiag")
+        forbidden = ("pooled_covariance", "_threshold_in_place", "nnz_offdiag")
         with mock.patch.multiple(CLASSIFY, **{name: mock.DEFAULT for name in forbidden}) as mocks:
             fits = build_slda_grid(ds, m1_grid, [0.0, 1e9], 0.3)
         assert not any(m.called for m in mocks.values())
         for (m1, m2), fit in zip([(a, b) for a in m1_grid for b in (0.0, 1e9)], fits):
             assert same_fit(fit, reference_fit(ds, m1, m2))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("m2", [0.0, 1e9])
     def test_overflowing_variances_take_the_s_path(self, m2):
         # finite features whose squares overflow: the variances are inf,
@@ -654,23 +653,24 @@ class TestVarianceScreen:
         assert peak < p * p * 8 / 4
 
     def test_dense_fit_thresholds_s_in_place(self):
-        # a non-diagonal M1 at p = 2000 with nothing to factor (huge M2):
-        # S is thresholded where it lies, so the peak is S plus O(n p)
-        # where a copy would add a second p x p matrix and two p x p masks
+        # three non-diagonal M1s at p = 2000 with nothing to factor (huge
+        # M2): S is thresholded where it lies, in ascending t_n whatever
+        # the grid order, so the peak is S plus O(n p) where a copy per M1
+        # would add a second p x p matrix and two p x p masks
         ds = leukemia_like(6, 2000, counts=(12, 8))
         p = ds.p
-        m1 = 1e4
+        m1_grid = [1e4, 3e3, 2e4]
         s = summarize(ds).pooled_cov
-        sigma = threshold_covariance(s, compute_tn(m1, ds.n, p))
-        assert 0 < nnz_offdiag(sigma)
-        assert bits_equal(_threshold_in_place(s, compute_tn(m1, ds.n, p)), sigma)
-        del s, sigma
+        for m1 in m1_grid:
+            assert 0 < nnz_offdiag(threshold_covariance(s, compute_tn(m1, ds.n, p)))
+        del s
         matrix = p * p * 8
         tracemalloc.start()
         try:
-            (fit,) = build_slda_grid(ds, [m1], [1e9], 0.3)
+            fits = build_slda_grid(ds, m1_grid, [1e9], 0.3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert fit[1].nnz_offdiag == reference_fit(ds, m1, 1e9)[1][1]
+        for m1, fit in zip(m1_grid, fits):
+            assert same_fit(fit, reference_fit(ds, m1, 1e9))
         assert matrix <= peak < 1.25 * matrix

@@ -1,12 +1,13 @@
 """End-to-end command-line behavior: file outputs, exit codes,
 determinism across reruns and thread counts."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from conftest import eigh_pseudo_inverse_lda, two_class_dataset
+from conftest import eigh_pseudo_inverse_lda, summarize, two_class_dataset
 from slda.cli import main
-from slda.estimation import summarize
 from slda.io import read_model, write_dataset_csv
 from slda.model import ThresholdConfig
 from slda.simulate import PopulationRecipe, Scenario, write_scenario
@@ -19,6 +20,36 @@ def separable_csv(tmp_path, rng):
     path = tmp_path / "train.csv"
     write_dataset_csv(path, two_class_dataset(x1, x2))
     return path
+
+
+@pytest.fixture(params=[
+    [[1e200, 0.5], [-1e200, -1.0], [3e200, 0.25]],   # the centred squares reach 4e400
+    [[1.7e308, 0.5], [1.7e308, -1.0], [0.0, 0.25]],  # the class sum reaches 3.4e308
+], ids=["gram", "class_sum"])
+def overflowing_csv(request, tmp_path):
+    # finite cells whose pooled covariance overflows
+    path = tmp_path / "overflow.csv"
+    write_dataset_csv(path, two_class_dataset(request.param,
+                                              [[0.5, 1.0], [-0.5, 2.0], [1.0, 0.0]]))
+    return path
+
+
+class TestOverflowingCovariance:
+    @pytest.mark.parametrize("command", [
+        ["cv"],
+        ["fit", "--m1", "0.3", "--m2", "0"],
+        ["diagnose"],
+    ], ids=["cv_default_grids", "fit", "diagnose_train"])
+    def test_exits_2_without_numpy_warnings(self, overflowing_csv, tmp_path, capsys, command):
+        out = tmp_path / "out.txt"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(command + ["--train", str(overflowing_csv), "--out", str(out)])
+        assert code == 2
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error [{command[0]}]: ")
+        assert not out.exists()
 
 
 class TestFit:
@@ -267,6 +298,27 @@ class TestSimulate:
         assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "b_")]) == 2
         assert "population means must be finite" in capsys.readouterr().err
         assert not (tmp_path / "b_replicates.csv").exists()
+
+
+    @pytest.mark.parametrize("scenario, n_mc", [("sec5_t3", "0"), ("thm3_sparse", "-5")])
+    def test_n_mc_below_one_exits_2(self, tmp_path, capsys, scenario, n_mc):
+        assert main(["simulate", "--scenario", scenario, "--reps", "2", "--n-mc", n_mc,
+                     "--out", str(tmp_path / "m_")]) == 2
+        assert f"n_mc must be >= 1, got {n_mc}" in capsys.readouterr().err
+        assert not (tmp_path / "m_replicates.csv").exists()
+
+    def test_scenario_file_n_mc_zero_exits_2(self, tmp_path, capsys):
+        sc = Scenario(name="no_draws", population=PopulationRecipe(p=6, delta_pattern=(2, 1.5)),
+                      n1=8, n2=8, methods=("slda", "oracle"),
+                      cv=ThresholdConfig(m1=1.0, m2=0.8, alpha=0.3), reps=2, seed=7)
+        path = tmp_path / "sc.txt"
+        write_scenario(path, sc)
+        text = path.read_text(encoding="utf-8")
+        assert "n_mc = 100000" in text
+        path.write_text(text.replace("n_mc = 100000", "n_mc = 0"), encoding="utf-8")
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "m_")]) == 2
+        assert "n_mc must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "m_replicates.csv").exists()
 
 
 class TestDiagnose:

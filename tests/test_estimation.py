@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import bits_equal, random_spd, two_class_dataset
+from conftest import bits_equal, random_spd, summarize, two_class_dataset
 from slda import estimation
 from slda.errors import DomainError, NumericalError, UnusableMatrixError
 from slda.estimation import (
@@ -24,7 +24,6 @@ from slda.estimation import (
     pooled_covariance,
     pooled_pinv_solve,
     pooled_variances,
-    summarize,
     threshold_covariance,
     threshold_delta,
 )
@@ -206,6 +205,30 @@ class TestThresholdCovariance:
             got = _threshold_in_place(s.copy(), t)
         assert bits_equal(got, want)
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), p=st.integers(1, 9))
+    def test_ascending_in_place_chain_matches_copies(self, data, p):
+        # hard thresholds nest: thresholding S in place at t_1 <= t_2 <= ...
+        # gives threshold_covariance(S, t_i) bit for bit at every step, with
+        # ties between steps, t = 0, t equal to some |s_jl| and +-0.0, NaN
+        # and Inf entries
+        elements = st.one_of(st.sampled_from([0.0, -0.0, 0.25, -0.25, np.nan, np.inf]),
+                             st.floats(-5.0, 5.0))
+        a = data.draw(arrays(float, (p, p), elements=elements))
+        s = np.triu(a) + np.triu(a, 1).T
+        magnitudes = [abs(float(v)) for v in s.ravel() if math.isfinite(v)]
+        ts = sorted(data.draw(st.lists(
+            st.one_of(st.sampled_from([0.0, 0.25, 2.0]), st.floats(0.0, 6.0),
+                      st.sampled_from(magnitudes or [0.0])),
+            min_size=1, max_size=6)))
+        block = data.draw(st.sampled_from([1, 2, 64]))
+        chain = s.copy()
+        for t in ts:
+            with mock.patch.object(estimation, "_ROW_BLOCK", block):
+                got = _threshold_in_place(chain, t)
+            assert got is chain
+            assert bits_equal(chain, threshold_covariance(s, t))
+
     def test_public_threshold_leaves_input_alone(self, rng):
         s = random_spd(rng, 6)
         before = s.copy()
@@ -232,7 +255,6 @@ class TestVarianceScreen:
         _, centered = centered_rows(ds)
         assert bits_equal(pooled_variances(centered), np.diag(summarize(ds).pooled_cov))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 40), p=st.integers(2, 12),
            log_scale=st.floats(-320.0, 300.0), collinear=st.booleans())

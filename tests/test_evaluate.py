@@ -9,7 +9,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import leukemia_like, random_population, random_spd, two_class_dataset
+from conftest import leukemia_like, random_population, random_spd, summarize, two_class_dataset
 from slda import evaluate
 from slda.classify import build_oracle, build_slda, classify
 from slda.diagnostics import lemma2_counts
@@ -18,7 +18,6 @@ from slda.estimation import (
     compute_an,
     compute_tn,
     invert_sparse_sym,
-    summarize,
     threshold_covariance,
 )
 from slda.evaluate import (
@@ -76,12 +75,6 @@ def draw(pop, n1, n2, gen):
     x1 = sample_mvn(pop.means[0], pop.chol, gen, size=n1)
     x2 = sample_mvn(pop.means[1], pop.chol, gen, size=n2)
     return two_class_dataset(x1, x2)
-
-
-def summarize_delta(ds):
-    from slda.estimation import summarize
-
-    return summarize(ds).delta_hat
 
 
 class TestOptimalRate:
@@ -520,14 +513,13 @@ class TestCvGridSearch:
         assert all(v > 0 for v in m1_grid + m2_grid)
         assert m1_grid == sorted(m1_grid) and m2_grid == sorted(m2_grid)
         # a_n at the top of the grid reaches the upper |delta_hat| range
-        summary_delta = np.abs(summarize_delta(ds))
+        summary_delta = np.abs(summarize(ds).delta_hat)
         top_a = compute_an(m2_grid[-1], ds.n, ds.p, 0.3)
         assert top_a >= np.quantile(summary_delta, 0.95)
 
     def test_default_grids_match_triu_indices_recipe(self, rng):
         # the boolean-mask gather takes the same values as the
         # np.triu_indices expression, so the grids are bit-identical
-        from slda.estimation import compute_tn, summarize
         from slda.evaluate import default_grids
 
         ds = draw(random_population(rng, 12), 9, 8, substream(45, 0))

@@ -138,6 +138,11 @@ class TestRunScenario:
         with pytest.raises(DomainError):
             small_scenario(methods=("slda", "qda"))
 
+    @pytest.mark.parametrize("field, value", [("reps", 0), ("n_mc", 0), ("n_mc", -5)])
+    def test_counts_below_one_rejected(self, field, value):
+        with pytest.raises(DomainError, match=f"{field} must be >= 1"):
+            small_scenario(**{field: value})
+
 
 class TestPresets:
     def test_catalog_complete_and_valid(self):
