@@ -47,10 +47,8 @@ from .model import (
     validate_dataset,
 )
 from .numerics import (
-    EigenSym,
     SymOperator,
     cholesky_spd,
-    eigen_sym,
     sample_mvn,
     sample_mvt,
     std_normal_cdf,

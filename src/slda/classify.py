@@ -26,7 +26,7 @@ from .estimation import (
     threshold_delta,
 )
 from .model import Dataset, LinearRule, MultiRule, PopulationSpec, ThresholdConfig
-from .numerics import CheckedSym, SymOperator, cholesky_spd, spd_solve
+from .numerics import SymOperator, cholesky_spd, spd_solve
 
 
 @dataclass(frozen=True)
@@ -132,14 +132,12 @@ def build_slda_grid(dataset: Dataset, m1_grid, m2_grid, alpha: float) -> list:
             _threshold_in_place(s, key)
             fits[key] = _fits_at_m1(s, nnz_offdiag(s), deltas, mids, p)
         else:
-            # passed as checked: the variances are finite
-            fits[key] = _fits_at_m1(CheckedSym(matrix=None, diagonal=variances), 0,
-                                    deltas, mids, p)
+            fits[key] = _fits_at_m1(variances, 0, deltas, mids, p)
     return [fit for key in keys for fit in fits[key]]
 
 
 def _fits_at_m1(sigma_tilde, nnz: int, deltas: list[dict], mids: dict, p: int) -> list:
-    # The fits of one Sigma-tilde (an array, or a CheckedSym) at every M2.
+    # The fits of one Sigma-tilde (a matrix, or its (p,) diagonal) at every M2.
     # A point that needs no factor reports pd_flag True, as nothing was
     # factored for it.
     op = None

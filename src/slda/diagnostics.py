@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, SldaError
+from .errors import DomainError, ShapeError
 from .estimation import compute_an
 from .model import PopulationSpec
 from .numerics import diagonal_of, spd_solve
@@ -120,11 +120,7 @@ def eigen_range(sigma: np.ndarray) -> tuple[float, float]:
     """(lambda_min, lambda_max) of a symmetric matrix: min and max of the
     diagonal when every off-diagonal entry is zero, else from eigvalsh
     of 0.5 (sigma + sigma')."""
-    return _eigen_range(sigma, diagonal_of(sigma))
-
-
-def _eigen_range(sigma: np.ndarray, d: np.ndarray | None) -> tuple[float, float]:
-    # d is diagonal_of(sigma)
+    d = diagonal_of(sigma)
     if d is not None:
         return float(d.min()), float(d.max())
     eigvals = np.linalg.eigvalsh(0.5 * (sigma + sigma.T))
@@ -133,19 +129,10 @@ def _eigen_range(sigma: np.ndarray, d: np.ndarray | None) -> tuple[float, float]
 
 def condition_check(pop: PopulationSpec, c0: float) -> ConditionReport:
     """Check the bounded-eigenvalue and bounded-mean-gap regularity
-    conditions with constant c0 > 1.
-
-    The diagonal test is read off the population's factor, cached once
-    it is built, rather than from another scan of Sigma; a Sigma that
-    does not factor is scanned here.
-    """
+    conditions with constant c0 > 1."""
     if c0 <= 1.0:
         raise DomainError(f"c0 must be > 1, got {c0}")
-    try:
-        d = pop.chol.diagonal
-    except SldaError:
-        d = diagonal_of(pop.covariance)
-    eig_min, eig_max = _eigen_range(pop.covariance, d)
+    eig_min, eig_max = eigen_range(pop.covariance)
     max_delta_sq = float(np.max(pop.delta ** 2))
     lo, hi = 1.0 / c0, c0
     return ConditionReport(

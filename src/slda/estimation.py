@@ -1,7 +1,9 @@
 """Sample statistics and thresholding estimators: class means and the
 centred rows, the pooled covariance S (divisor n, the MLE) and its
-diagonal, hard-thresholded Sigma-tilde and delta-tilde, and the inverse
-/ generalized-inverse strategies."""
+diagonal, hard-thresholded Sigma-tilde and delta-tilde, the inverse of
+Sigma-tilde (invert_sparse_sym: cholesky_spd, else an eigenvalue floor,
+on a matrix or on the (p,) vector of a diagonal one) and the thin-SVD
+generalized inverse of S."""
 
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError, NotPositiveDefiniteError, NumericalError, ShapeError, UnusableMatrixError
 from .model import Dataset
-from .numerics import EIGEN_FLOOR, SymOperator, check_symmetric, cholesky_spd, eigen_sym
+from .numerics import EIGEN_FLOOR, SymOperator, cholesky_spd, diagonal_of
 
 # Eigenvalue floor of invert_sparse_sym, relative to lambda_max.
 FLOOR_EPS = 1e-8
@@ -224,23 +226,31 @@ def threshold_delta(delta_hat: np.ndarray, a_n: float) -> ThresholdedDelta:
 def invert_sparse_sym(sigma_tilde: np.ndarray) -> SymOperator:
     """Invert a thresholded covariance, falling back to an eigenvalue floor.
 
-    cholesky_spd is attempted first (O(p) when sigma_tilde is diagonal).
-    If a pivot fails, eigenvalues are floored at FLOOR_EPS * lambda_max
-    and the operator is flagged (pd_flag False, floor_count = number
-    floored); a diagonal sigma_tilde is its own eigendecomposition.
-    Thresholding can destroy positive definiteness, so callers should
-    surface the flag. An asymmetric input raises DomainError. The input
-    is checked and scanned for off-diagonal entries once, for both paths.
+    ``sigma_tilde`` is a square matrix, or the (p,) vector d of a
+    diagonal one, diag(d). cholesky_spd is attempted first (O(p) when
+    sigma_tilde is diagonal) and checks the input, once for both paths:
+    an asymmetric or non-finite input raises DomainError. If a pivot
+    fails, eigenvalues are floored at FLOOR_EPS * lambda_max and the
+    operator is flagged (pd_flag False, floor_count = number floored);
+    a diagonal sigma_tilde is its own eigendecomposition, and a dense
+    one goes to eigh, eigenvalues descending. Thresholding can destroy
+    positive definiteness, so callers should surface the flag.
     """
-    checked = check_symmetric(sigma_tilde, "invert_sparse_sym")
     try:
-        return cholesky_spd(checked)
+        return cholesky_spd(sigma_tilde)
     except NotPositiveDefiniteError:
         pass
-    d = checked.diagonal
+    # the input passed cholesky_spd's checks; one more off-diagonal count
+    # (O(p^2)) comes before an O(p) floor or an O(p^3) eigh
+    a = np.asarray(sigma_tilde, dtype=float)
+    d = a.copy() if a.ndim == 1 else diagonal_of(a)
     if d is None:
-        eig = eigen_sym(checked)
-        values, vectors = eig.eigenvalues, eig.eigenvectors
+        try:
+            vals, vecs = np.linalg.eigh(a)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"invert_sparse_sym: eigh failed to converge: {exc}") from exc
+        order = np.argsort(vals)[::-1]
+        values, vectors = vals[order], vecs[:, order]
     else:
         values, vectors = d, None
     lam_max = float(values.max())

@@ -171,14 +171,21 @@ def read_model(path) -> tuple[LinearRule, dict]:
 # ---------------------------------------------------------------------------
 
 def read_kv(path) -> dict:
-    """Key-value pairs of a ``key = value`` file; "#" starts a comment."""
+    """Key-value pairs of a ``key = value`` file; "#" starts a comment.
+    An empty key or a key given twice raises DataError."""
     out = {}
+    seen = {}  # key -> line number
     for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise DataError(f"{path}: line {line_no} is not key = value: {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if not key:
+            raise DataError(f"{path}: line {line_no} has an empty key: {raw!r}")
+        if key in seen:
+            raise DataError(f"{path}: key {key!r} on line {line_no} repeats line {seen[key]}")
+        seen[key] = line_no
+        out[key] = value
     return out

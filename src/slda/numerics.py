@@ -1,5 +1,8 @@
-"""Scalar normal-distribution functions, RNG streams, samplers and
-symmetric-matrix factorizations used by every other module.
+"""Scalar normal-distribution functions, RNG streams, samplers and the
+symmetric operator used by every other module. cholesky_spd factors a
+symmetric positive definite matrix, or a diagonal one given as its (p,)
+vector, after one input check; the eigenvalue floor for a matrix that
+fails it lives in estimation.invert_sparse_sym.
 
 The normal CDF goes through the complementary error function; the tail
 has a dedicated log-domain path (Laplace continued fraction for the
@@ -114,7 +117,8 @@ class SymOperator:
       r = 1/l, so solves, draws and products cost O(p);
     - "cholesky": A = L L' with L from LAPACK potrf;
     - "eigen_floor": V diag(inv) V' from an eigendecomposition with
-      floored eigenvalues; V is None when A is diagonal (V = I).
+      floored eigenvalues (estimation.invert_sparse_sym); V is None
+      when A is diagonal (V = I).
 
     ``pd_flag`` is True on the two factored kinds; ``floor_count``
     counts floored eigenvalues. ``diagonal`` is d whenever A
@@ -141,27 +145,12 @@ class SymOperator:
         self._require_factor("lower")
         return np.diag(self._factor) if self.kind == DIAGONAL else self._factor
 
-    @property
-    def log_determinant(self) -> float:
-        """log det A = 2 sum log l_jj."""
-        self._require_factor("log_determinant")
-        root = self._factor if self.kind == DIAGONAL else np.diag(self._factor)
-        return 2.0 * float(np.sum(np.log(root)))
-
     def lower_t(self, w: np.ndarray) -> np.ndarray:
         """L' w for a (p,) vector or a (p, m) matrix of columns."""
         self._require_factor("lower_t")
         if self.kind == CHOLESKY:
             return self._factor.T @ w
         return self._factor * w if w.ndim == 1 else self._factor[:, None] * w
-
-
-@dataclass(frozen=True)
-class EigenSym:
-    """Symmetric eigendecomposition with eigenvalues sorted descending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # columns match eigenvalues
 
 
 def diagonal_of(a: np.ndarray) -> np.ndarray | None:
@@ -177,17 +166,19 @@ def diagonal_of(a: np.ndarray) -> np.ndarray | None:
     return d.copy()
 
 
-def _symmetrize(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray | None]:
+def _symmetrize(a: np.ndarray, what: str) -> tuple[np.ndarray | None, np.ndarray | None]:
     # Checks, but does not rebuild: potrf and eigh read only the lower
     # triangle, and every matrix the package builds is exactly symmetric.
     # Returns (a, diagonal_of(a)); a diagonal matrix is symmetric, so
-    # only its diagonal is scanned.
+    # only its diagonal is scanned. A (p,) vector d stands for diag(d)
+    # and gives (None, a copy of d), after an O(p) finite check.
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"{what} requires a square matrix, got shape {a.shape}")
+    if a.ndim not in (1, 2) or a.shape[0] != a.shape[-1]:
+        raise ShapeError(f"{what} requires a square matrix or a (p,) diagonal, "
+                         f"got shape {a.shape}")
     if a.shape[0] < 1:
         raise ShapeError(f"{what} requires dimension >= 1")
-    d = diagonal_of(a)
+    a, d = (None, a.copy()) if a.ndim == 1 else (a, diagonal_of(a))
     if d is not None:
         if not np.isfinite(d).all():
             raise DomainError(f"{what}: input has NaN or Inf entries")
@@ -211,44 +202,17 @@ def _symmetrize(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray | None
     return a, None
 
 
-@dataclass(frozen=True, eq=False)
-class CheckedSym:
-    """A square float matrix that passed the input checks of cholesky_spd
-    and eigen_sym (finite entries, asymmetry within 1e-8 relative), with
-    its ``diagonal`` when no off-diagonal entry is nonzero, else None.
-
-    Both functions take it in place of an array and skip their checks,
-    so a caller that tries one after the other scans the matrix once.
-    ``matrix`` may be None when ``diagonal`` is set (a finite diagonal
-    matrix that was never formed): cholesky_spd then reads only the
-    diagonal, and eigen_sym must not be called.
-    """
-
-    matrix: np.ndarray | None
-    diagonal: np.ndarray | None
-
-
-def check_symmetric(a: np.ndarray | CheckedSym, what: str) -> CheckedSym:
-    """The checks cholesky_spd and eigen_sym apply to their input, run
-    once; ``what`` names the caller in the DomainError or ShapeError.
-    A CheckedSym is returned as it is."""
-    if isinstance(a, CheckedSym):
-        return a
-    return CheckedSym(*_symmetrize(a, what))
-
-
-def cholesky_spd(a: np.ndarray | CheckedSym) -> SymOperator:
-    """Factor a symmetric positive definite matrix: a "diagonal"
-    operator when every off-diagonal entry is zero, else "cholesky".
+def cholesky_spd(a: np.ndarray) -> SymOperator:
+    """Factor a symmetric positive definite matrix, or the diagonal
+    matrix diag(d) given as its (p,) vector d: a "diagonal" operator
+    when every off-diagonal entry is zero, else "cholesky".
 
     Only the lower triangle is read; asymmetry beyond 1e-8 relative is an
     error rather than silently absorbed. A non-positive pivot raises
     NotPositiveDefiniteError carrying the 0-based pivot index (for a
-    diagonal, the first d_j <= 0, where potrf would stop). ``a`` may be a
-    CheckedSym, which is not checked again.
+    diagonal, the first d_j <= 0, where potrf would stop).
     """
-    checked = check_symmetric(a, "cholesky_spd")
-    a, d = checked.matrix, checked.diagonal
+    a, d = _symmetrize(a, "cholesky_spd")
     if d is not None:
         bad = np.flatnonzero(d <= 0.0)
         if bad.size:
@@ -263,18 +227,6 @@ def cholesky_spd(a: np.ndarray | CheckedSym) -> SymOperator:
     if info < 0:
         raise NumericalError(f"cholesky_spd: illegal argument {-info} to LAPACK potrf")
     return SymOperator(kind=CHOLESKY, dim=a.shape[0], _factor=c)
-
-
-def eigen_sym(a: np.ndarray | CheckedSym) -> EigenSym:
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending.
-    ``a`` may be a CheckedSym, which is not checked again."""
-    a = check_symmetric(a, "eigen_sym").matrix
-    try:
-        vals, vecs = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigen_sym failed to converge: {exc}") from exc
-    order = np.argsort(vals)[::-1]
-    return EigenSym(eigenvalues=vals[order], eigenvectors=vecs[:, order])
 
 
 def spd_solve(op: SymOperator, b: np.ndarray) -> np.ndarray:

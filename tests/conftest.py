@@ -52,6 +52,15 @@ def summarize(ds) -> Summary:
                    0.5 * (means[0] + means[1]))
 
 
+def eigh_descending(a):
+    """Reference eigendecomposition of a symmetric matrix: numpy eigh,
+    then eigenvalues and their vectors sorted descending, as
+    invert_sparse_sym orders them. Returns (values, vectors)."""
+    values, vectors = np.linalg.eigh(a)
+    order = np.argsort(values)[::-1]
+    return values[order], vectors[:, order]
+
+
 def eigh_pseudo_inverse_lda(ds):
     """Reference generalized-inverse LDA: the eigh of S with eigenvalues
     |lambda| <= p eps max|lambda| zeroed. Returns (w, cutoff)."""

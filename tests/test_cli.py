@@ -321,6 +321,18 @@ class TestSimulate:
         assert not (tmp_path / "m_replicates.csv").exists()
 
 
+    def test_repeated_scenario_key_exits_2(self, tmp_path, capsys):
+        sc = Scenario(name="twice", population=PopulationRecipe(p=6, delta_pattern=(2, 1.5)),
+                      n1=8, n2=8, methods=("slda", "oracle"),
+                      cv=ThresholdConfig(m1=1.0, m2=0.8, alpha=0.3), reps=2, seed=1)
+        path = tmp_path / "sc.txt"
+        write_scenario(path, sc)
+        path.write_text(path.read_text(encoding="utf-8") + "seed = 99\n", encoding="utf-8")
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "r_")]) == 2
+        assert "key 'seed'" in capsys.readouterr().err
+        assert not (tmp_path / "r_replicates.csv").exists()
+
+
 class TestDiagnose:
     def test_unknown_scenario_lists_catalog(self, tmp_path, capsys):
         # simulate and diagnose resolve a scenario name the same way
@@ -404,6 +416,15 @@ class TestConfigFile:
         _, meta = read_model(model)
         assert float(meta["alpha"]) == 0.35
         assert float(meta["m2"]) == 0.7
+
+    def test_repeated_key_exits_2(self, separable_csv, tmp_path, capsys):
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text("alpha = 0.25\nm2 = 0.5\nalpha = 0.35\n", encoding="utf-8")
+        model = tmp_path / "model.txt"
+        assert main(["fit", "--train", str(separable_csv), "--m1", "1",
+                     "--config", str(cfg), "--out", str(model)]) == 2
+        assert "key 'alpha' on line 3 repeats line 1" in capsys.readouterr().err
+        assert not model.exists()
 
     def test_missing_required_after_merge_exits_2(self, tmp_path):
         assert main(["fit", "--m1", "1", "--m2", "1",

@@ -212,14 +212,14 @@ class TestConditionCheck:
         report = condition_check(pop, 4.0)
         assert (report.eig_min, report.eig_max) == (float(ref[0]), float(ref[-1]))
 
-    def test_diagonal_read_from_cached_factor(self, monkeypatch):
-        # once pop.chol is built, condition_check does not scan Sigma again
-        pop = PopulationSpec(means=np.vstack([np.ones(3), np.zeros(3)]),
-                             covariance=np.diag([0.5, 2.0, 1.0]))
-        pop.chol
-        monkeypatch.setattr("slda.diagnostics.diagonal_of", None)
+    def test_range_of_sigma_that_does_not_factor(self):
+        # condition_check reads eigen_range(Sigma), whether or not Sigma
+        # is positive definite
+        sigma = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 0.5]])
+        pop = PopulationSpec(means=np.vstack([np.ones(3), np.zeros(3)]), covariance=sigma)
         report = condition_check(pop, 4.0)
-        assert (report.eig_min, report.eig_max) == (0.5, 2.0)
+        assert (report.eig_min, report.eig_max) == eigen_range(sigma)
+        assert report.eig_min == pytest.approx(-1.0) and not report.eig_ok
 
     def test_dense_range_unchanged(self, rng):
         sigma = random_spd(rng, 6)

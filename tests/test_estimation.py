@@ -9,9 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import bits_equal, random_spd, summarize, two_class_dataset
+from conftest import bits_equal, eigh_descending, random_spd, summarize, two_class_dataset
 from slda import estimation
-from slda.errors import DomainError, NumericalError, UnusableMatrixError
+from slda.errors import (
+    DomainError,
+    NotPositiveDefiniteError,
+    NumericalError,
+    ShapeError,
+    UnusableMatrixError,
+)
 from slda.estimation import (
     FLOOR_EPS,
     _threshold_in_place,
@@ -28,7 +34,7 @@ from slda.estimation import (
     threshold_delta,
 )
 from slda.model import validate_dataset
-from slda.numerics import cholesky_spd, eigen_sym, sample_mvn, spd_solve, substream
+from slda.numerics import cholesky_spd, sample_mvn, spd_solve, substream
 
 
 class TestSummarize:
@@ -392,9 +398,9 @@ class TestInvertSparseSym:
 
     @pytest.mark.parametrize("kind", ["eigen_floor", "cholesky", "diagonal_floor"])
     def test_input_checked_once(self, kind, rng, monkeypatch):
-        # one check, with its one off-diagonal scan, serves the Cholesky
-        # attempt and the eigen floor; each path gives what it gives on a
-        # matrix it checks itself
+        # cholesky_spd's one check serves the Cholesky attempt and the
+        # eigen floor; each path gives what it gives on a matrix it checks
+        # itself
         import slda.numerics as numerics
 
         sigma = {"eigen_floor": np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.5], [0.0, 0.5, 3.0]]),
@@ -409,15 +415,15 @@ class TestInvertSparseSym:
 
         monkeypatch.setattr(numerics, "_symmetrize", counted)
         op = invert_sparse_sym(sigma)
-        assert calls == ["invert_sparse_sym"]
+        assert calls == ["cholesky_spd"]
         b = rng.standard_normal(sigma.shape[0])
         if kind == "cholesky":
             assert op.kind == "cholesky"
             assert np.array_equal(spd_solve(op, b), spd_solve(cholesky_spd(sigma), b))
         elif kind == "eigen_floor":
-            eig = eigen_sym(sigma)
+            _, vectors = eigh_descending(sigma)
             assert op.kind == "eigen_floor" and op.diagonal is None
-            assert np.array_equal(op._vectors, eig.eigenvectors)
+            assert np.array_equal(op._vectors, vectors)
         else:
             assert op.kind == "eigen_floor" and op.floor_count == 2
             assert np.array_equal(op.diagonal, [3.0, 0.0, -1.0])
@@ -431,15 +437,105 @@ class TestInvertSparseSym:
         sigma = np.diag(d)
         op = invert_sparse_sym(sigma)
         assert op.kind == "eigen_floor" and op.diagonal is not None
-        eig = eigen_sym(sigma)
-        floor = FLOOR_EPS * eig.eigenvalues[0]
+        values, v = eigh_descending(sigma)
+        floor = FLOOR_EPS * values[0]
         assert not op.pd_flag
-        assert op.floor_count == int(np.sum(eig.eigenvalues < floor))
-        inv = 1.0 / np.maximum(eig.eigenvalues, floor)
-        v = eig.eigenvectors
+        assert op.floor_count == int(np.sum(values < floor))
+        inv = 1.0 / np.maximum(values, floor)
         for b in (rng.standard_normal(len(d)), rng.standard_normal((len(d), 3))):
             ref = v @ ((inv if b.ndim == 1 else inv[:, None]) * (v.T @ b))
             np.testing.assert_allclose(spd_solve(op, b), ref, rtol=1e-12, atol=0.0)
+
+
+    def test_eigen_floor_invariants_random(self, rng):
+        # eigh runs inline on an indefinite Sigma-tilde: the eigh-plus-sort
+        # reference's vectors bit for bit, orthonormal, eigenvalues
+        # descending, and the ones below the floor raised to it
+        for p in (2, 5, 30):
+            q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+            a = (q * np.linspace(2.0, -1.0, p)) @ q.T
+            a = 0.5 * (a + a.T)
+            op = invert_sparse_sym(a)
+            assert op.kind == "eigen_floor" and not op.pd_flag
+            values, v = eigh_descending(a)
+            assert np.array_equal(op._vectors, v)
+            assert np.max(np.abs(v.T @ v - np.eye(p))) <= 1e-10
+            assert np.linalg.norm((v * values) @ v.T - a) <= 1e-8 * np.linalg.norm(a)
+            floored = 1.0 / op._inv_values
+            assert np.all(np.diff(floored) <= 0)
+            floor = FLOOR_EPS * values[0]
+            assert op.floor_count == int(np.sum(values < floor)) >= 1
+            np.testing.assert_allclose(floored, np.maximum(values, floor), rtol=1e-15)
+
+    def test_eigh_failure_is_numerical_error(self):
+        with mock.patch.object(estimation.np.linalg, "eigh",
+                               side_effect=np.linalg.LinAlgError("eigh did not converge")):
+            with pytest.raises(NumericalError, match="invert_sparse_sym"):
+                invert_sparse_sym(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+DIAGONALS = {
+    "positive": [3.5, 0.25, 7.0, 1.0, 2.0],
+    "zeros_and_negatives": [3.0, 0.0, -1.0, 2.0, 1e-12],
+    "p1": [2.0],
+}
+
+
+class TestDiagonalVectorInput:
+    # A (p,) vector d stands for diag(d): cholesky_spd and invert_sparse_sym
+    # give the operator of the dense np.diag(d), bit for bit.
+
+    @staticmethod
+    def assert_same_operator(op, ref, rng):
+        assert (op.kind, op.dim, op.pd_flag, op.floor_count) == \
+               (ref.kind, ref.dim, ref.pd_flag, ref.floor_count)
+        assert bits_equal(op.diagonal, ref.diagonal)
+        for b in (rng.standard_normal(op.dim), rng.standard_normal((op.dim, 3))):
+            assert bits_equal(spd_solve(op, b), spd_solve(ref, b))
+
+    @pytest.mark.parametrize("d", DIAGONALS.values(), ids=DIAGONALS.keys())
+    def test_invert_matches_dense(self, rng, d):
+        op = invert_sparse_sym(np.array(d))
+        self.assert_same_operator(op, invert_sparse_sym(np.diag(d)), rng)
+        assert op.kind == ("diagonal" if min(d) > 0 else "eigen_floor")
+
+    @pytest.mark.parametrize("d", [DIAGONALS["positive"], DIAGONALS["p1"]], ids=["positive", "p1"])
+    def test_cholesky_matches_dense(self, rng, d):
+        op, ref = cholesky_spd(np.array(d)), cholesky_spd(np.diag(d))
+        self.assert_same_operator(op, ref, rng)
+        assert bits_equal(op.lower, ref.lower)
+
+    def test_cholesky_pivot_matches_dense(self):
+        d = np.array(DIAGONALS["zeros_and_negatives"])
+        for a in (d, np.diag(d)):
+            with pytest.raises(NotPositiveDefiniteError) as err:
+                cholesky_spd(a)
+            assert err.value.pivot_index == 1
+
+    def test_nonpositive_vector_unusable(self):
+        with pytest.raises(UnusableMatrixError):
+            invert_sparse_sym(np.array([-1.0, 0.0]))
+
+    @pytest.mark.parametrize("d", [[4.0, 9.0], [4.0, -1.0]], ids=["cholesky", "floor"])
+    def test_vector_not_aliased(self, d):
+        vector = np.array(d)
+        op = invert_sparse_sym(vector)
+        vector[0] = 100.0
+        assert np.array_equal(op.diagonal, d)
+        assert spd_solve(op, np.array([4.0, 0.0]))[0] == 1.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        d = np.array([1.0, bad, -2.0])
+        for fn in (cholesky_spd, invert_sparse_sym):
+            with pytest.raises(DomainError, match="NaN or Inf"):
+                fn(d)
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 2, 2), ()], ids=["empty", "3d", "scalar"])
+    def test_bad_shape_rejected(self, shape):
+        for fn in (cholesky_spd, invert_sparse_sym):
+            with pytest.raises(ShapeError):
+                fn(np.ones(shape))
 
 
 class TestPseudoInverse:

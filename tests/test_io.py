@@ -12,6 +12,7 @@ from slda.errors import DataError
 from slda.io import (
     read_dataset_csv,
     read_feature_csv,
+    read_kv,
     read_matrix,
     read_model,
     write_dataset_csv,
@@ -219,6 +220,28 @@ class TestScenarioFile:
             "n1 = 5\nn2 = 5\nmethods = lda\nreps = 2\nseed = 9\n", encoding="utf-8")
         sc = read_scenario(path)
         assert sc.population.p == 6 and sc.cv is None
+
+
+class TestKeyValueFile:
+    def test_pairs_comments_and_spacing(self, tmp_path):
+        path = tmp_path / "kv.txt"
+        path.write_text("# c\n a = 1 \n\nb=x = y  # tail\n", encoding="utf-8")
+        assert read_kv(path) == {"a": "1", "b": "x = y"}
+
+    def test_repeated_key_rejected(self, tmp_path):
+        # last-wins would run with seed 99
+        path = tmp_path / "kv.txt"
+        path.write_text("seed = 1\np = 5\n\n seed = 99\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"key 'seed' on line 4 repeats line 1"):
+            read_kv(path)
+
+    @pytest.mark.parametrize("line", ["= 5", " = ", "#x\n  =5"],
+                             ids=["no_key", "nothing", "after_comment"])
+    def test_empty_key_rejected(self, tmp_path, line):
+        path = tmp_path / "kv.txt"
+        path.write_text(f"a = 1\n{line}\n", encoding="utf-8")
+        with pytest.raises(DataError, match="empty key"):
+            read_kv(path)
 
 
 class TestImportGraph:

@@ -15,11 +15,11 @@ from scipy.linalg import cho_solve
 from scipy.linalg.lapack import get_lapack_funcs
 
 from slda.errors import DomainError, NotPositiveDefiniteError, ShapeError
+from slda.estimation import invert_sparse_sym
 from slda.numerics import (
     _SYM_BLOCK,
     cholesky_spd,
     diagonal_of,
-    eigen_sym,
     sample_mvn,
     sample_mvt,
     spd_solve,
@@ -137,12 +137,10 @@ class TestCholesky:
     def test_identity(self):
         f = cholesky_spd(np.eye(3))
         assert np.array_equal(f.lower, np.eye(3))
-        assert f.log_determinant == 0.0
 
     def test_diagonal(self):
         f = cholesky_spd(np.diag([4.0, 9.0]))
         assert np.allclose(f.lower, np.diag([2.0, 3.0]))
-        assert f.log_determinant == pytest.approx(math.log(36.0), rel=1e-14)
 
     def test_two_by_two_hand_elimination(self):
         # [[2,1],[1,2]]: l11 = sqrt(2), l21 = 1/sqrt(2), l22 = sqrt(2 - 1/2)
@@ -179,7 +177,7 @@ class TestCholesky:
         a = 2.0 * np.eye(p)
         a[where] = 0.5
         a[where[::-1]] = 0.49
-        for fn in (cholesky_spd, eigen_sym):
+        for fn in (cholesky_spd, invert_sparse_sym):
             with pytest.raises(DomainError, match="asymmetry"):
                 fn(a)
 
@@ -201,14 +199,18 @@ class TestCholesky:
     def test_huge_entry_does_not_overflow(self):
         f = cholesky_spd(np.array([[1e308]]))
         assert f.lower[0, 0] == math.sqrt(1e308)
-        assert eigen_sym(np.array([[1e308]])).eigenvalues[0] == 1e308
+        # eigenvalues +-1e308: the eigen floor raises -1e308 to 1e300
+        op = invert_sparse_sym(np.array([[0.0, 1e308], [1e308, 0.0]]))
+        assert op.kind == "eigen_floor" and op.floor_count == 1
+        assert np.isfinite(op._inv_values).all()
+        assert sorted(1.0 / op._inv_values) == pytest.approx([1e300, 1e308], rel=1e-14)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
     def test_non_finite_rejected(self, bad, where):
         a = np.eye(2)
         a[where] = a[where[::-1]] = bad
-        for fn in (cholesky_spd, eigen_sym):
+        for fn in (cholesky_spd, invert_sparse_sym):
             with pytest.raises(DomainError, match="NaN or Inf"):
                 fn(a)
 
@@ -225,7 +227,6 @@ class TestCholesky:
         assert np.array_equal(a, before)
         rebuilt = cholesky_spd(0.5 * (a + a.T))
         assert f.lower.tobytes() == rebuilt.lower.tobytes()
-        assert f.log_determinant == rebuilt.log_determinant
 
     def test_roundtrip_random_spd(self, rng):
         from conftest import random_spd
@@ -235,9 +236,6 @@ class TestCholesky:
             f = cholesky_spd(a)
             recon = f.lower @ f.lower.T
             assert np.linalg.norm(recon - a) <= 1e-10 * np.linalg.norm(a)
-            sign, logdet = np.linalg.slogdet(a)
-            assert sign > 0
-            assert f.log_determinant == pytest.approx(logdet, rel=1e-9, abs=1e-9)
 
     def test_solve(self, rng):
         from conftest import random_spd
@@ -246,36 +244,6 @@ class TestCholesky:
         b = rng.standard_normal((12, 3))
         x = spd_solve(cholesky_spd(a), b)
         assert np.allclose(a @ x, b, rtol=1e-9, atol=1e-11)
-
-
-class TestEigenSym:
-    def test_identity(self):
-        e = eigen_sym(np.eye(2))
-        assert np.array_equal(e.eigenvalues, [1.0, 1.0])
-
-    def test_diagonal_with_negative(self):
-        e = eigen_sym(np.diag([3.0, -1.0]))
-        assert np.allclose(e.eigenvalues, [3.0, -1.0])
-        assert np.allclose(np.abs(e.eigenvectors), np.eye(2))
-
-    def test_two_by_two_characteristic_polynomial(self):
-        # eigenvalues of [[a,b],[b,c]] from the quadratic formula
-        a, b, c = 2.0, 1.0, 2.0
-        disc = math.sqrt((a - c) ** 2 + 4 * b * b)
-        expected = [(a + c + disc) / 2, (a + c - disc) / 2]
-        e = eigen_sym(np.array([[a, b], [b, c]]))
-        assert np.allclose(e.eigenvalues, expected, rtol=1e-14)
-
-    def test_invariants_random(self, rng):
-        for p in (2, 5, 30):
-            a = rng.standard_normal((p, p))
-            a = 0.5 * (a + a.T)
-            e = eigen_sym(a)
-            assert np.all(np.diff(e.eigenvalues) <= 0)
-            v = e.eigenvectors
-            recon = (v * e.eigenvalues) @ v.T
-            assert np.linalg.norm(recon - a) <= 1e-8 * max(np.linalg.norm(a), 1.0)
-            assert np.max(np.abs(v.T @ v - np.eye(p))) <= 1e-10
 
 
 class TestStreams:
@@ -374,7 +342,6 @@ class TestDiagonalFastPath:
         c, info = potrf_lower(a)
         assert info == 0
         assert np.array_equal(op.lower, c)
-        assert op.log_determinant == 2.0 * float(np.sum(np.log(np.diag(c))))
 
     @pytest.mark.parametrize("p", [5, 500])
     def test_solve_bit_exact_against_cho_solve(self, rng, p):
@@ -432,12 +399,9 @@ class TestDiagonalFastPath:
         assert np.array_equal(spd_solve(op, np.array([4.0, 9.0])), [1.0, 1.0])
 
     def test_eigen_kinds_have_no_lower_factor(self):
-        from slda.estimation import invert_sparse_sym
-
         op = invert_sparse_sym(np.array([[1.0, 2.0], [2.0, 1.0]]))
-        for what in ("lower", "log_determinant"):
-            with pytest.raises(DomainError):
-                getattr(op, what)
+        with pytest.raises(DomainError):
+            op.lower
         with pytest.raises(DomainError):
             op.lower_t(np.ones(2))
         with pytest.raises(DomainError):
