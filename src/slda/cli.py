@@ -19,7 +19,7 @@ from . import io as sio
 from .classify import build_slda, maximin_labels, pair_columns
 from .errors import DataError, DomainError, ShapeError, SldaError
 from .estimation import centered_rows, compute_an, compute_tn, pooled_covariance, pooled_pinv_solve
-from .evaluate import cv_grid_search, default_grids
+from .evaluate import cv_grid_search
 from .model import NORMAL, ThresholdConfig
 from .simulate import (
     Scenario,
@@ -57,9 +57,13 @@ _REQUIRED = {
 def _merge_config(args: argparse.Namespace) -> None:
     # flags (not None) > config file > built-in defaults
     if getattr(args, "config", None):
+        flags = set(vars(args)) - {"command", "func", "config"}
         for key, value in sio.read_kv(args.config).items():
             attr = key.replace("-", "_")
-            if hasattr(args, attr) and getattr(args, attr) is None:
+            if attr not in flags:
+                raise DataError(f"{args.config}: unknown key {key!r}; "
+                                f"{args.command} takes {', '.join(sorted(flags))}")
+            if getattr(args, attr) is None:
                 setattr(args, attr, value)
     for attr, value in _DEFAULTS[args.command].items():
         if getattr(args, attr, None) is None:
@@ -131,14 +135,10 @@ def cmd_cv(args) -> int:
     dataset = sio.read_dataset_csv(args.train)
     if min(dataset.class_counts) < 3:
         raise DataError("cross-validation requires every class count >= 3")
-    alpha = float(args.alpha)
-    if args.grid_m1 and args.grid_m2:
-        m1_grid, m2_grid = _float_list(args.grid_m1), _float_list(args.grid_m2)
-    else:
-        auto_m1, auto_m2 = default_grids(dataset, alpha)
-        m1_grid = _float_list(args.grid_m1) if args.grid_m1 else auto_m1
-        m2_grid = _float_list(args.grid_m2) if args.grid_m2 else auto_m2
-    surface = cv_grid_search(dataset, m1_grid, m2_grid, alpha, threads=_threads(args))
+    m1_grid = _float_list(args.grid_m1) if args.grid_m1 else None
+    m2_grid = _float_list(args.grid_m2) if args.grid_m2 else None
+    surface = cv_grid_search(dataset, m1_grid, m2_grid, float(args.alpha),
+                             threads=_threads(args))
     lines = ["m1,m2,loocv_rate"]
     lines += [f"{sio.fmt_float(m1)},{sio.fmt_float(m2)},{sio.fmt_float(score)}"
               for (m1, m2), score in zip(surface.grid, surface.scores)]

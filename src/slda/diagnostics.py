@@ -119,11 +119,14 @@ class ConditionReport:
 def eigen_range(sigma: np.ndarray) -> tuple[float, float]:
     """(lambda_min, lambda_max) of a symmetric matrix: min and max of the
     diagonal when every off-diagonal entry is zero, else from eigvalsh
-    of 0.5 (sigma + sigma')."""
+    of sigma, or of 0.5 sigma + 0.5 sigma' when sigma is not exactly
+    symmetric (halved first, so no entry near the float limit overflows)."""
     d = diagonal_of(sigma)
     if d is not None:
         return float(d.min()), float(d.max())
-    eigvals = np.linalg.eigvalsh(0.5 * (sigma + sigma.T))
+    if not np.array_equal(sigma, sigma.T):
+        sigma = 0.5 * sigma + 0.5 * sigma.T
+    eigvals = np.linalg.eigvalsh(sigma)
     return float(eigvals[0]), float(eigvals[-1])
 
 

@@ -241,10 +241,13 @@ def _valid(m1: float, m2: float, alpha: float) -> bool:
     return True
 
 
-def cv_grid_search(dataset: Dataset, m1_grid, m2_grid, alpha: float = 0.3,
+def cv_grid_search(dataset: Dataset, m1_grid=None, m2_grid=None, alpha: float = 0.3,
                    threads: int = 1) -> CvSurface:
     """Leave-one-out rate of SLDA at every point of the product grid,
     and the point with the minimum.
+
+    A grid given as None is the data-driven one of ``default_grids``
+    (which raises for a dataset it cannot read).
 
     Ties are broken toward the most sparse rule: largest M2, then
     largest M1. A point is scored 1.0 (worst) instead of aborting the
@@ -256,6 +259,10 @@ def cv_grid_search(dataset: Dataset, m1_grid, m2_grid, alpha: float = 0.3,
     the folds run concurrently; their counts are summed in fold order,
     so the surface is identical to the sequential one.
     """
+    if m1_grid is None or m2_grid is None:
+        auto_m1, auto_m2 = default_grids(dataset, alpha)
+        m1_grid = auto_m1 if m1_grid is None else m1_grid
+        m2_grid = auto_m2 if m2_grid is None else m2_grid
     m1_grid = [float(v) for v in m1_grid]
     m2_grid = [float(v) for v in m2_grid]
     if not m1_grid or not m2_grid:

@@ -13,14 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from .classify import SparsityReport, build_lda, build_lda_known_sigma, build_oracle, build_slda
-from .errors import DataError, DomainError, SldaError
-from .evaluate import (
-    RateReport,
-    conditional_rate,
-    conditional_rate_mc,
-    cv_grid_search,
-    default_grids,
-)
+from .errors import DataError, DomainError, NotPositiveDefiniteError, SldaError
+from .evaluate import RateReport, conditional_rate, conditional_rate_mc, cv_grid_search
 from .io import fmt_float, read_kv, read_matrix
 from .model import Dataset, NORMAL, STUDENT_T, PopulationSpec, ThresholdConfig
 from .numerics import sample_mvn, sample_mvt, substream
@@ -80,9 +74,6 @@ def _build_sigma(recipe: PopulationRecipe) -> np.ndarray:
         sigma = np.eye(p)
         for k in range(1, width + 1):
             sigma += value * (np.eye(p, k=k) + np.eye(p, k=-k))
-        lam_min = float(np.linalg.eigvalsh(sigma)[0])
-        if lam_min <= 0.0:
-            raise DomainError(f"banded pattern is not positive definite (min eigenvalue {lam_min:.3e})")
         return sigma
     if kind == "from_file":
         return read_matrix(recipe.sigma_pattern[1])
@@ -90,12 +81,19 @@ def _build_sigma(recipe: PopulationRecipe) -> np.ndarray:
 
 
 def build_population(recipe: PopulationRecipe) -> PopulationSpec:
-    """Materialize a PopulationSpec from a recipe (SPD verified)."""
+    """Materialize a PopulationSpec from a recipe, its covariance
+    factored: a Sigma that is not positive definite raises DomainError."""
     delta = _build_delta(recipe)
     sigma = _build_sigma(recipe)
     means = np.vstack([delta, np.zeros(recipe.p)])
-    return PopulationSpec(means=means, covariance=sigma,
-                          distribution=recipe.distribution, df=recipe.df)
+    pop = PopulationSpec(means=means, covariance=sigma,
+                         distribution=recipe.distribution, df=recipe.df)
+    try:
+        pop.chol  # cached: every consumer of the population needs the factor
+    except NotPositiveDefiniteError as exc:
+        raise DomainError(f"sigma pattern {recipe.sigma_pattern[0]!r} is not positive "
+                          f"definite (pivot {exc.pivot_index})") from None
+    return pop
 
 
 @dataclass(frozen=True)
@@ -113,7 +111,7 @@ class Scenario:
     threshold selection policy, replicate count and master seed."""
 
     name: str
-    population: PopulationSpec | PopulationRecipe
+    population: PopulationRecipe
     n1: int
     n2: int
     methods: tuple[str, ...]
@@ -134,8 +132,6 @@ class Scenario:
                 raise DomainError(f"unknown method {m!r}; expected subset of {METHODS}")
 
     def resolve_population(self) -> PopulationSpec:
-        if isinstance(self.population, PopulationSpec):
-            return self.population
         return build_population(self.population)
 
 
@@ -176,12 +172,7 @@ def _run_replicate(scenario: Scenario, pop: PopulationSpec, k: int) -> Replicate
                 config = scenario.cv
                 if config is None or isinstance(config, GridSpec):
                     spec = config or GridSpec()
-                    m1_grid, m2_grid = spec.m1_grid, spec.m2_grid
-                    if m1_grid is None or m2_grid is None:
-                        auto_m1, auto_m2 = default_grids(dataset, spec.alpha)
-                        m1_grid = m1_grid or tuple(auto_m1)
-                        m2_grid = m2_grid or tuple(auto_m2)
-                    surface = cv_grid_search(dataset, m1_grid, m2_grid, spec.alpha)
+                    surface = cv_grid_search(dataset, spec.m1_grid, spec.m2_grid, spec.alpha)
                     config = ThresholdConfig(m1=surface.best[0], m2=surface.best[1],
                                              alpha=spec.alpha)
                 rules[method], sparsity = build_slda(dataset, config)
@@ -249,7 +240,6 @@ def run_scenario(scenario: Scenario, threads: int = 1):
     resampled.
     """
     pop = scenario.resolve_population()
-    pop.chol  # factor once, before any worker needs it
     indices = range(scenario.reps)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -269,95 +259,56 @@ def read_scenario(path) -> Scenario:
     Required keys: p, n1, n2, methods, reps, seed plus a delta pattern
     (delta_count + delta_magnitude, or delta_values) and a sigma pattern
     (sigma = identity | ar1 | banded | from_file with its parameters).
-    Threshold selection: fixed m1 + m2 (+ alpha), or grid_m1 + grid_m2.
+    Threshold selection: fixed m1 + m2, or grid_m1 and/or grid_m2 (an
+    omitted grid is the data-driven one), each with an optional alpha.
+    A key that the file's choices leave unused raises DataError.
     """
     kv = read_kv(path)
+    take = kv.pop  # each key is taken where it is used; what is left is unused
     try:
-        p = int(kv["p"])
+        p = int(take("p"))
         if "delta_values" in kv:
-            delta = tuple(float(v) for v in kv["delta_values"].split(","))
+            delta = tuple(float(v) for v in take("delta_values").split(","))
             delta_pattern: tuple = np.array(delta)
         else:
-            delta_pattern = (int(kv["delta_count"]), float(kv["delta_magnitude"]))
-        sigma_kind = kv.get("sigma", "identity")
+            delta_pattern = (int(take("delta_count")), float(take("delta_magnitude")))
+        sigma_kind = take("sigma", "identity")
         if sigma_kind == "identity":
             sigma_pattern: tuple = ("identity",)
         elif sigma_kind == "ar1":
-            sigma_pattern = ("ar1", float(kv["rho"]))
+            sigma_pattern = ("ar1", float(take("rho")))
         elif sigma_kind == "banded":
-            sigma_pattern = ("banded", int(kv["width"]), float(kv["value"]))
+            sigma_pattern = ("banded", int(take("width")), float(take("value")))
         elif sigma_kind == "from_file":
-            sigma_pattern = ("from_file", kv["sigma_file"])
+            sigma_pattern = ("from_file", take("sigma_file"))
         else:
-            raise DataError(f"{path}: unknown sigma pattern {sigma_kind!r}")
-        distribution = kv.get("distribution", NORMAL)
-        df = int(kv["df"]) if distribution == STUDENT_T else None
+            raise DataError(f"unknown sigma pattern {sigma_kind!r}")
+        distribution = take("distribution", NORMAL)
+        df = int(take("df")) if distribution == STUDENT_T else None
         recipe = PopulationRecipe(p=p, delta_pattern=delta_pattern,
                                   sigma_pattern=sigma_pattern,
                                   distribution=distribution, df=df)
-        alpha = float(kv.get("alpha", "0.3"))
         if "m1" in kv and "m2" in kv:
             cv: ThresholdConfig | GridSpec | None = ThresholdConfig(
-                m1=float(kv["m1"]), m2=float(kv["m2"]), alpha=alpha)
+                m1=float(take("m1")), m2=float(take("m2")), alpha=float(take("alpha", "0.3")))
         elif "grid_m1" in kv or "grid_m2" in kv:
-            cv = GridSpec(
-                m1_grid=tuple(float(v) for v in kv["grid_m1"].split(",")) if "grid_m1" in kv else None,
-                m2_grid=tuple(float(v) for v in kv["grid_m2"].split(",")) if "grid_m2" in kv else None,
-                alpha=alpha)
+            m1_grid, m2_grid = (tuple(float(v) for v in take(key).split(",")) if key in kv
+                                else None for key in ("grid_m1", "grid_m2"))
+            cv = GridSpec(m1_grid=m1_grid, m2_grid=m2_grid, alpha=float(take("alpha", "0.3")))
         else:
             cv = None
-        return Scenario(
-            name=kv.get("name", Path(path).stem),
-            population=recipe,
-            n1=int(kv["n1"]), n2=int(kv["n2"]),
-            methods=tuple(m.strip() for m in kv["methods"].split(",")),
-            cv=cv,
-            reps=int(kv["reps"]),
-            seed=int(kv["seed"]),
-            n_mc=int(kv.get("n_mc", "100000")))
+        fields = dict(name=take("name", Path(path).stem), population=recipe,
+                      n1=int(take("n1")), n2=int(take("n2")),
+                      methods=tuple(m.strip() for m in take("methods").split(",")),
+                      cv=cv, reps=int(take("reps")), seed=int(take("seed")),
+                      n_mc=int(take("n_mc", "100000")))
+        if kv:
+            raise DataError(f"unused scenario key(s) {', '.join(map(repr, kv))}")
+        return Scenario(**fields)
     except KeyError as exc:
         raise DataError(f"{path}: missing scenario key {exc}") from None
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
-
-
-def write_scenario(path, scenario: Scenario) -> None:
-    """Serialize a recipe-backed Scenario to the flat key-value format."""
-    if not isinstance(scenario.population, PopulationRecipe):
-        raise DomainError("only recipe-backed scenarios can be written to file")
-    rec = scenario.population
-    lines = [f"name = {scenario.name}", f"p = {rec.p}"]
-    if isinstance(rec.delta_pattern, tuple) and len(rec.delta_pattern) == 2 \
-            and np.isscalar(rec.delta_pattern[0]):
-        lines += [f"delta_count = {int(rec.delta_pattern[0])}",
-                  f"delta_magnitude = {fmt_float(rec.delta_pattern[1])}"]
-    else:
-        lines.append("delta_values = " + ",".join(fmt_float(v) for v in rec.delta_pattern))
-    kind = rec.sigma_pattern[0]
-    lines.append(f"sigma = {kind}")
-    if kind == "ar1":
-        lines.append(f"rho = {fmt_float(rec.sigma_pattern[1])}")
-    elif kind == "banded":
-        lines += [f"width = {int(rec.sigma_pattern[1])}",
-                  f"value = {fmt_float(rec.sigma_pattern[2])}"]
-    elif kind == "from_file":
-        lines.append(f"sigma_file = {rec.sigma_pattern[1]}")
-    lines.append(f"distribution = {rec.distribution}")
-    if rec.df is not None:
-        lines.append(f"df = {rec.df}")
-    lines += [f"n1 = {scenario.n1}", f"n2 = {scenario.n2}",
-              "methods = " + ",".join(scenario.methods)]
-    if isinstance(scenario.cv, ThresholdConfig):
-        lines += [f"m1 = {fmt_float(scenario.cv.m1)}", f"m2 = {fmt_float(scenario.cv.m2)}",
-                  f"alpha = {fmt_float(scenario.cv.alpha)}"]
-    elif isinstance(scenario.cv, GridSpec):
-        if scenario.cv.m1_grid is not None:
-            lines.append("grid_m1 = " + ",".join(fmt_float(v) for v in scenario.cv.m1_grid))
-        if scenario.cv.m2_grid is not None:
-            lines.append("grid_m2 = " + ",".join(fmt_float(v) for v in scenario.cv.m2_grid))
-        lines.append(f"alpha = {fmt_float(scenario.cv.alpha)}")
-    lines += [f"reps = {scenario.reps}", f"seed = {scenario.seed}", f"n_mc = {scenario.n_mc}"]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,7 @@ import pytest
 
 from conftest import eigh_pseudo_inverse_lda, summarize, two_class_dataset
 from slda.cli import main
-from slda.io import read_model, write_dataset_csv
-from slda.model import ThresholdConfig
-from slda.simulate import PopulationRecipe, Scenario, write_scenario
+from slda.io import read_model, write_dataset_csv, write_matrix
 
 
 @pytest.fixture
@@ -236,19 +234,36 @@ class TestCv:
                      "--grid-m2", "1", "--out", str(tmp_path / "s.csv")]) == 2
 
 
+# p = 6, identity Sigma, n1 = n2 = 8; the caller adds the delta and the
+# threshold selection
+SCENARIO_BASE = "name = {name}\np = 6\nn1 = 8\nn2 = 8\nreps = 2\nseed = 7\n"
+FIXED = "m1 = 1\nm2 = 0.8\nalpha = 0.3\n"
+
+
+def write_scenario_text(tmp_path, name, methods, rest):
+    path = tmp_path / "sc.txt"
+    path.write_text(SCENARIO_BASE.format(name=name) + f"methods = {methods}\n" + rest,
+                    encoding="utf-8")
+    return path
+
+
 def scenario_with_bad_mean(tmp_path, key, bad):
     """A scenario file whose delta (delta_magnitude or the first of its
-    delta_values) is replaced by ``bad``."""
-    pattern = (2, 1.5) if key == "delta_magnitude" else np.array([1.5, 0.5, 0.0, 0.0, 0.0, 0.0])
-    sc = Scenario(name="bad_mean", population=PopulationRecipe(p=6, delta_pattern=pattern),
-                  n1=8, n2=8, methods=("slda", "lda", "oracle"),
-                  cv=ThresholdConfig(m1=1.0, m2=0.8, alpha=0.3), reps=2, seed=7)
+    delta_values) is ``bad``."""
+    delta = (f"delta_count = 2\ndelta_magnitude = {bad}\n" if key == "delta_magnitude"
+             else f"delta_values = {bad},0.5,0,0,0,0\n")
+    return write_scenario_text(tmp_path, "bad_mean", "slda,lda,oracle", delta + FIXED)
+
+
+def scenario_with_sigma_file(tmp_path, sigma):
+    """A p = 2 scenario whose Sigma is read from a matrix CSV."""
+    sigma_path = tmp_path / "sigma.csv"
+    write_matrix(sigma_path, np.array(sigma))
     path = tmp_path / "sc.txt"
-    write_scenario(path, sc)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    row = next(i for i, line in enumerate(lines) if line.startswith(key))
-    lines[row] = f"{key} = {bad}" + ("" if key == "delta_magnitude" else ",0.5,0,0,0,0")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text("name = sigma_file\np = 2\ndelta_count = 1\ndelta_magnitude = 1\n"
+                    f"sigma = from_file\nsigma_file = {sigma_path}\n"
+                    "n1 = 8\nn2 = 8\nmethods = lda,oracle\nreps = 2\nseed = 7\n",
+                    encoding="utf-8")
     return path
 
 
@@ -275,13 +290,8 @@ class TestSimulate:
             assert f"\n{m} " in text
 
     def test_scenario_file(self, tmp_path):
-        sc = Scenario(name="from_file",
-                      population=PopulationRecipe(p=6, delta_pattern=(2, 1.5)),
-                      n1=8, n2=8, methods=("slda", "oracle"),
-                      cv=ThresholdConfig(m1=1.0, m2=0.8, alpha=0.3),
-                      reps=2, seed=7)
-        path = tmp_path / "sc.txt"
-        write_scenario(path, sc)
+        path = write_scenario_text(tmp_path, "from_file", "slda,oracle",
+                                   "delta_count = 2\ndelta_magnitude = 1.5\n" + FIXED)
         assert main(["simulate", "--scenario", str(path),
                      "--out", str(tmp_path / "f_")]) == 0
         header = (tmp_path / "f_replicates.csv").read_text(encoding="utf-8").splitlines()[0]
@@ -308,29 +318,34 @@ class TestSimulate:
         assert not (tmp_path / "m_replicates.csv").exists()
 
     def test_scenario_file_n_mc_zero_exits_2(self, tmp_path, capsys):
-        sc = Scenario(name="no_draws", population=PopulationRecipe(p=6, delta_pattern=(2, 1.5)),
-                      n1=8, n2=8, methods=("slda", "oracle"),
-                      cv=ThresholdConfig(m1=1.0, m2=0.8, alpha=0.3), reps=2, seed=7)
-        path = tmp_path / "sc.txt"
-        write_scenario(path, sc)
-        text = path.read_text(encoding="utf-8")
-        assert "n_mc = 100000" in text
-        path.write_text(text.replace("n_mc = 100000", "n_mc = 0"), encoding="utf-8")
+        path = write_scenario_text(tmp_path, "no_draws", "slda,oracle",
+                                   "delta_count = 2\ndelta_magnitude = 1.5\n" + FIXED
+                                   + "n_mc = 0\n")
         assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "m_")]) == 2
         assert "n_mc must be >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "m_replicates.csv").exists()
 
 
     def test_repeated_scenario_key_exits_2(self, tmp_path, capsys):
-        sc = Scenario(name="twice", population=PopulationRecipe(p=6, delta_pattern=(2, 1.5)),
-                      n1=8, n2=8, methods=("slda", "oracle"),
-                      cv=ThresholdConfig(m1=1.0, m2=0.8, alpha=0.3), reps=2, seed=1)
-        path = tmp_path / "sc.txt"
-        write_scenario(path, sc)
-        path.write_text(path.read_text(encoding="utf-8") + "seed = 99\n", encoding="utf-8")
+        path = write_scenario_text(tmp_path, "twice", "slda,oracle",
+                                   "delta_count = 2\ndelta_magnitude = 1.5\n" + FIXED
+                                   + "seed = 99\n")
         assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "r_")]) == 2
         assert "key 'seed'" in capsys.readouterr().err
         assert not (tmp_path / "r_replicates.csv").exists()
+
+
+class TestSigmaNotPositiveDefinite:
+    # failed at the parent: pop.chol raised NotPositiveDefiniteError, exit 3
+    @pytest.mark.parametrize("command", ["simulate", "diagnose"])
+    def test_from_file_exits_2(self, tmp_path, capsys, command):
+        path = scenario_with_sigma_file(tmp_path, [[1.0, 2.0], [2.0, 1.0]])
+        out = tmp_path / "o_"
+        assert main([command, "--scenario", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [{command}]: ")
+        assert "sigma pattern 'from_file' is not positive definite" in err
+        assert list(tmp_path.glob("o_*")) == []
 
 
 class TestDiagnose:
@@ -350,11 +365,10 @@ class TestDiagnose:
         assert "delta_p" not in captured.out and not out_csv.exists()
 
     def test_identity_population_row_count_one(self, tmp_path, capsys):
-        sc = Scenario(name="diag",
-                      population=PopulationRecipe(p=12, delta_pattern=(3, 1.0)),
-                      n1=10, n2=10, methods=("oracle",), cv=None, reps=1, seed=1)
         path = tmp_path / "sc.txt"
-        write_scenario(path, sc)
+        path.write_text("name = diag\np = 12\ndelta_count = 3\ndelta_magnitude = 1\n"
+                        "n1 = 10\nn2 = 10\nmethods = oracle\nreps = 1\nseed = 1\n",
+                        encoding="utf-8")
         out_csv = tmp_path / "cum.csv"
         assert main(["diagnose", "--scenario", str(path), "--out", str(out_csv)]) == 0
         out = capsys.readouterr().out
@@ -364,6 +378,20 @@ class TestDiagnose:
         assert lines[0] == "l,cumulative_proportion"
         assert len(lines) == 13
         assert lines[-1].endswith(",1")
+
+    def test_huge_sigma_range_without_overflow(self, tmp_path, capsys):
+        # failed at the parent: 0.5 (Sigma + Sigma') overflowed, and numpy
+        # warned and printed eig_min nan
+        path = scenario_with_sigma_file(tmp_path, [[1e308, 5e307], [5e307, 1e308]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["diagnose", "--scenario", str(path), "--out", str(tmp_path / "c.csv")])
+        assert code == 0
+        assert [str(w.message) for w in caught] == []
+        values = dict(line.split() for line in capsys.readouterr().out.splitlines()
+                      if line.startswith("eig_"))
+        assert float(values["eig_min"]) == pytest.approx(5e307, rel=1e-12)
+        assert float(values["eig_max"]) == pytest.approx(1.5e308, rel=1e-12)
 
     def test_train_input(self, separable_csv, tmp_path, capsys):
         assert main(["diagnose", "--train", str(separable_csv),
@@ -425,6 +453,28 @@ class TestConfigFile:
                      "--config", str(cfg), "--out", str(model)]) == 2
         assert "key 'alpha' on line 3 repeats line 1" in capsys.readouterr().err
         assert not model.exists()
+
+    # each of these ran at the parent with the key skipped
+    @pytest.mark.parametrize("key", ["alhpa", "command", "func", "config", "threads"])
+    def test_unknown_key_exits_2(self, separable_csv, tmp_path, capsys, key):
+        # threads is a flag of cv and simulate, not of fit
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text(f"{key} = 0.1\n", encoding="utf-8")
+        model = tmp_path / "model.txt"
+        assert main(["fit", "--train", str(separable_csv), "--m1", "1", "--m2", "0.5",
+                     "--config", str(cfg), "--out", str(model)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}: unknown key '{key}'" in err
+        assert not model.exists()
+
+    def test_dashed_key_names_a_flag(self, separable_csv, tmp_path):
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text("grid-m2 = 0.5,2\n", encoding="utf-8")
+        out = tmp_path / "s.csv"
+        assert main(["cv", "--train", str(separable_csv), "--grid-m1", "1",
+                     "--config", str(cfg), "--out", str(out)]) == 0
+        rows = out.read_text(encoding="utf-8").splitlines()[1:]
+        assert [row.rsplit(",", 1)[0] for row in rows] == ["1,0.5", "1,2"]
 
     def test_missing_required_after_merge_exits_2(self, tmp_path):
         assert main(["fit", "--m1", "1", "--m2", "1",

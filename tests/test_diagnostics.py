@@ -2,6 +2,7 @@
 condition checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -225,6 +226,20 @@ class TestConditionCheck:
         sigma = random_spd(rng, 6)
         ref = np.linalg.eigvalsh(0.5 * (sigma + sigma.T))
         assert eigen_range(sigma) == (float(ref[0]), float(ref[-1]))
+
+    def test_range_near_overflow(self):
+        # failed at the parent: 0.5 (sigma + sigma') overflowed to inf and
+        # the range came back nan, with numpy's overflow warning
+        sigma = np.array([[1e308, 5e307], [5e307, 1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lo, hi = eigen_range(sigma)
+        assert lo == pytest.approx(5e307, rel=1e-12)
+        assert hi == pytest.approx(1.5e308, rel=1e-12)
+        sigma[1, 0] = np.nextafter(5e307, np.inf)  # not exactly symmetric: halved first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert eigen_range(sigma) == pytest.approx((5e307, 1.5e308), rel=1e-12)
 
 
 class TestCumulativeProportions:

@@ -9,7 +9,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import leukemia_like, random_population, random_spd, summarize, two_class_dataset
+from conftest import (
+    bits_equal,
+    leukemia_like,
+    random_population,
+    random_spd,
+    summarize,
+    two_class_dataset,
+)
 from slda import evaluate
 from slda.classify import build_oracle, build_slda, classify
 from slda.diagnostics import lemma2_counts
@@ -28,7 +35,14 @@ from slda.evaluate import (
     loocv_rate,
     optimal_rate,
 )
-from slda.model import NORMAL, Dataset, LinearRule, PopulationSpec, ThresholdConfig
+from slda.model import (
+    NORMAL,
+    Dataset,
+    LinearRule,
+    PopulationSpec,
+    ThresholdConfig,
+    validate_dataset,
+)
 from slda.numerics import sample_mvn, std_normal_cdf, substream
 
 mp.mp.dps = 30
@@ -530,6 +544,29 @@ class TestCvGridSearch:
         hi = max(float(np.quantile(offdiag, 0.999)), lo * (1.0 + 1e-9))
         want = np.exp(np.linspace(math.log(lo), math.log(hi), 5)) / compute_tn(1.0, ds.n, ds.p)
         assert [float(v) for v in m1_grid] == [float(v) for v in want]
+
+    @pytest.mark.parametrize("omit", ["both", "m1", "m2"])
+    def test_omitted_grid_is_default_grid(self, rng, omit):
+        # failed at the parent: a None grid was not accepted
+        from slda.evaluate import default_grids
+
+        ds = draw(random_population(rng, 8), 7, 6, substream(46, 0))
+        auto_m1, auto_m2 = default_grids(ds, alpha=0.25)
+        m1_grid = None if omit in ("both", "m1") else [0.5, 2.0]
+        m2_grid = None if omit in ("both", "m2") else [0.3, 1.0]
+        got = cv_grid_search(ds, m1_grid, m2_grid, 0.25)
+        want = cv_grid_search(ds, auto_m1 if m1_grid is None else m1_grid,
+                              auto_m2 if m2_grid is None else m2_grid, 0.25)
+        assert got == want
+        assert bits_equal(np.array(got.grid), np.array(want.grid))
+        assert bits_equal(np.array(got.scores), np.array(want.scores))
+
+    def test_omitted_grid_raises_where_default_grids_does(self, rng):
+        # failed at the parent: a None grid was not accepted
+        x = rng.standard_normal((3, 2))
+        ds = validate_dataset(np.vstack([x, x + 1.0, x - 1.0]), np.repeat([1, 2, 3], 3))
+        with pytest.raises(DomainError, match="default_grids requires a two-class dataset"):
+            cv_grid_search(ds, None, [1.0], 0.3)
 
     def test_chosen_threshold_recovers_support_bracket(self):
         # p = 100, n = 60, five strong and five window signals; the

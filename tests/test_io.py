@@ -20,7 +20,7 @@ from slda.io import (
     write_model,
 )
 from slda.model import LinearRule, ThresholdConfig
-from slda.simulate import GridSpec, PopulationRecipe, Scenario, read_scenario, write_scenario
+from slda.simulate import GridSpec, PopulationRecipe, Scenario, read_scenario
 
 
 class TestDatasetCsv:
@@ -174,7 +174,7 @@ class TestModelFile:
 
 
 class TestScenarioFile:
-    def test_round_trip_fixed_config(self, tmp_path):
+    def test_reads_fixed_config(self, tmp_path):
         sc = Scenario(name="toy",
                       population=PopulationRecipe(p=20, delta_pattern=(4, 1.25),
                                                   sigma_pattern=("banded", 1, 0.3)),
@@ -182,11 +182,15 @@ class TestScenarioFile:
                       cv=ThresholdConfig(m1=1.5, m2=0.75, alpha=0.3),
                       reps=7, seed=1234, n_mc=5000)
         path = tmp_path / "sc.txt"
-        write_scenario(path, sc)
+        path.write_text(
+            "name = toy\np = 20\ndelta_count = 4\ndelta_magnitude = 1.25\n"
+            "sigma = banded\nwidth = 1\nvalue = 0.3\ndistribution = normal\n"
+            "n1 = 12\nn2 = 9\nmethods = slda,lda\nm1 = 1.5\nm2 = 0.75\nalpha = 0.3\n"
+            "reps = 7\nseed = 1234\nn_mc = 5000\n", encoding="utf-8")
         back = read_scenario(path)
         assert back == sc
 
-    def test_round_trip_grid_and_t(self, tmp_path):
+    def test_reads_grid_and_t(self, tmp_path):
         sc = Scenario(name="toy_t",
                       population=PopulationRecipe(p=10, delta_pattern=(2, 1.0),
                                                   distribution="student_t", df=3),
@@ -194,16 +198,22 @@ class TestScenarioFile:
                       cv=GridSpec(m1_grid=(1.0, 2.0), m2_grid=(0.5,), alpha=0.25),
                       reps=3, seed=55)
         path = tmp_path / "sc.txt"
-        write_scenario(path, sc)
+        path.write_text(
+            "name = toy_t\np = 10\ndelta_count = 2\ndelta_magnitude = 1\n"
+            "sigma = identity\ndistribution = student_t\ndf = 3\n"
+            "n1 = 8\nn2 = 8\nmethods = slda,oracle\ngrid_m1 = 1,2\ngrid_m2 = 0.5\n"
+            "alpha = 0.25\nreps = 3\nseed = 55\nn_mc = 100000\n", encoding="utf-8")
         back = read_scenario(path)
         assert back == sc
 
-    def test_explicit_delta_round_trip(self, tmp_path):
+    def test_reads_explicit_delta(self, tmp_path):
         sc = Scenario(name="explicit",
                       population=PopulationRecipe(p=3, delta_pattern=np.array([0.5, 0.0, -1.0])),
                       n1=5, n2=5, methods=("lda",), cv=None, reps=2, seed=3)
         path = tmp_path / "sc.txt"
-        write_scenario(path, sc)
+        path.write_text(
+            "name = explicit\np = 3\ndelta_values = 0.5,0,-1\n"
+            "n1 = 5\nn2 = 5\nmethods = lda\nreps = 2\nseed = 3\n", encoding="utf-8")
         back = read_scenario(path)
         assert np.array_equal(back.population.delta_pattern, sc.population.delta_pattern)
 
@@ -220,6 +230,25 @@ class TestScenarioFile:
             "n1 = 5\nn2 = 5\nmethods = lda\nreps = 2\nseed = 9\n", encoding="utf-8")
         sc = read_scenario(path)
         assert sc.population.p == 6 and sc.cv is None
+
+    # each of these ran at the parent with the key silently dropped
+    @pytest.mark.parametrize("extra, unused", [
+        ("m1 = 2.0", "m1"),                            # m1 without m2
+        ("nmc = 5", "nmc"),                            # misspelled n_mc
+        ("m1 = 1\nm2 = 1\ngrid_m1 = 1,2", "grid_m1"),  # fixed constants and a grid
+        ("rho = 0.5", "rho"),                          # sigma is identity, not ar1
+        ("df = 3", "df"),                              # distribution is normal
+        ("delta_values = 1,0,0,0,0,0", "delta_count"),  # delta_values wins
+        ("alpha = 0.25", "alpha"),                     # default-grid CV ran at 0.3
+    ], ids=["m1_alone", "misspelled", "fixed_and_grid", "rho_no_ar1", "df_no_t",
+            "two_deltas", "alpha_alone"])
+    def test_unused_key_rejected(self, tmp_path, extra, unused):
+        path = tmp_path / "sc.txt"
+        path.write_text(
+            "p = 6\ndelta_count = 2\ndelta_magnitude = 1\nn1 = 5\nn2 = 5\n"
+            f"methods = slda\nreps = 2\nseed = 9\n{extra}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"unused scenario key.*'{unused}'"):
+            read_scenario(path)
 
 
 class TestKeyValueFile:

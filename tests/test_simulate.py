@@ -40,7 +40,7 @@ class TestBuildPopulation:
         assert np.array_equal(pop.covariance, expected)
 
     def test_banded_not_spd_rejected(self):
-        with pytest.raises(DomainError, match="eigenvalue"):
+        with pytest.raises(DomainError, match="sigma pattern 'banded' is not positive definite"):
             build_population(PopulationRecipe(p=10, delta_pattern=(1, 1.0),
                                               sigma_pattern=("banded", 1, 0.8)))
 
