@@ -105,7 +105,8 @@ def build_slda_grid(dataset: Dataset, m1_grid, m2_grid, alpha: float) -> list:
     when some M1 fails the screen, and is never copied: hard thresholds
     nest (an entry kept at t >= t' is kept at t' with the same value), so
     the unscreened t_n are taken in ascending order and each thresholds
-    S in place, after the fits of the one before it are done. Sigma-tilde
+    S in place, after the fits of the one before it are done; one that
+    keeps no pair is diag(S), and goes on as the variances. Sigma-tilde
     is factored at most once per distinct t_n, when the first M2 that
     keeps a component of some contrast needs it, so a failed factor fails
     only those points; an emptied contrast gets the degenerate rule. The
@@ -128,11 +129,11 @@ def build_slda_grid(dataset: Dataset, m1_grid, m2_grid, alpha: float) -> list:
               for a_n in a_ns]
     fits = {}
     for key in sorted(set(keys)):
+        nnz = 0
         if key < screen:
             _threshold_in_place(s, key)
-            fits[key] = _fits_at_m1(s, nnz_offdiag(s), deltas, mids, p)
-        else:
-            fits[key] = _fits_at_m1(variances, 0, deltas, mids, p)
+            nnz = nnz_offdiag(s)
+        fits[key] = _fits_at_m1(s if nnz else variances, nnz, deltas, mids, p)
     return [fit for key in keys for fit in fits[key]]
 
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 from pathlib import Path
 
@@ -39,8 +38,8 @@ OK, BAD_INPUT, NUMERICAL = 0, 2, 3
 _DEFAULTS = {
     "fit": {"alpha": "0.3"},
     "predict": {},
-    "cv": {"alpha": "0.3", "grid_m1": None, "grid_m2": None},
-    "simulate": {"out": "slda_"},
+    "cv": {"alpha": "0.3", "grid_m1": None, "grid_m2": None, "threads": "1"},
+    "simulate": {"out": "slda_", "threads": "1"},
     "diagnose": {"h": "0.0", "g": "0.0", "r": "2.0", "alpha": "0.3",
                  "m2": "1.0", "c0": "4.0"},
 }
@@ -79,10 +78,7 @@ def _merge_config(args: argparse.Namespace) -> None:
 
 
 def _threads(args) -> int:
-    value = getattr(args, "threads", None)
-    if value is None:
-        value = os.environ.get("SLDA_THREADS", "1")
-    n = int(value)
+    n = int(args.threads)
     if n < 1:
         raise DataError(f"--threads must be >= 1, got {n}")
     return n

@@ -13,20 +13,23 @@ import numpy as np
 from .errors import DomainError, ShapeError
 from .estimation import compute_an
 from .model import PopulationSpec
-from .numerics import diagonal_of, spd_solve
+from .numerics import spd_solve
 
 
 def sparsity_C(sigma: np.ndarray, h: float) -> float:
     """Row-wise sparsity of a symmetric matrix: max_j sum_l |sigma_jl|^h.
 
     0^0 counts as 0, so at h = 0 this is the maximum number of nonzero
-    entries in a row.
+    entries in a row. A (p,) vector d stands for diag(d): row j holds d_j.
     """
     if not (0.0 <= h < 1.0):
         raise DomainError(f"h must lie in [0, 1), got {h}")
     sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-        raise ShapeError(f"sparsity_C requires a square matrix, got {sigma.shape}")
+    if sigma.ndim == 1:
+        sigma = sigma[:, None]
+    elif sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
+        raise ShapeError(f"sparsity_C requires a square matrix or a (p,) diagonal, "
+                         f"got {sigma.shape}")
     if h == 0.0:
         # a per-row count of the entries with |sigma_jl| > 0 (NaN is not)
         nonzero = np.count_nonzero(sigma, axis=1) - np.count_nonzero(np.isnan(sigma), axis=1)
@@ -117,13 +120,12 @@ class ConditionReport:
 
 
 def eigen_range(sigma: np.ndarray) -> tuple[float, float]:
-    """(lambda_min, lambda_max) of a symmetric matrix: min and max of the
-    diagonal when every off-diagonal entry is zero, else from eigvalsh
-    of sigma, or of 0.5 sigma + 0.5 sigma' when sigma is not exactly
-    symmetric (halved first, so no entry near the float limit overflows)."""
-    d = diagonal_of(sigma)
-    if d is not None:
-        return float(d.min()), float(d.max())
+    """(lambda_min, lambda_max) of a symmetric matrix: min and max of a
+    (p,) vector d, which stands for diag(d), else from eigvalsh of sigma,
+    or of 0.5 sigma + 0.5 sigma' when sigma is not exactly symmetric
+    (halved first, so no entry near the float limit overflows)."""
+    if sigma.ndim == 1:
+        return float(sigma.min()), float(sigma.max())
     if not np.array_equal(sigma, sigma.T):
         sigma = 0.5 * sigma + 0.5 * sigma.T
     eigvals = np.linalg.eigvalsh(sigma)

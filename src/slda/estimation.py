@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError, NotPositiveDefiniteError, NumericalError, ShapeError, UnusableMatrixError
 from .model import Dataset
-from .numerics import EIGEN_FLOOR, SymOperator, cholesky_spd, diagonal_of
+from .numerics import EIGEN_FLOOR, SymOperator, cholesky_spd
 
 # Eigenvalue floor of invert_sparse_sym, relative to lambda_max.
 FLOOR_EPS = 1e-8
@@ -227,24 +227,21 @@ def invert_sparse_sym(sigma_tilde: np.ndarray) -> SymOperator:
     """Invert a thresholded covariance, falling back to an eigenvalue floor.
 
     ``sigma_tilde`` is a square matrix, or the (p,) vector d of a
-    diagonal one, diag(d). cholesky_spd is attempted first (O(p) when
-    sigma_tilde is diagonal) and checks the input, once for both paths:
-    an asymmetric or non-finite input raises DomainError. If a pivot
-    fails, eigenvalues are floored at FLOOR_EPS * lambda_max and the
-    operator is flagged (pd_flag False, floor_count = number floored);
-    a diagonal sigma_tilde is its own eigendecomposition, and a dense
-    one goes to eigh, eigenvalues descending. Thresholding can destroy
-    positive definiteness, so callers should surface the flag.
+    diagonal one, diag(d). cholesky_spd is attempted first (O(p) for the
+    vector) and checks the input, once for both paths: an asymmetric or
+    non-finite input raises DomainError. If a pivot fails, eigenvalues
+    are floored at FLOOR_EPS * lambda_max and the operator is flagged
+    (pd_flag False, floor_count = number floored); the vector is its own
+    eigendecomposition, and a matrix goes to eigh, eigenvalues
+    descending. Thresholding can destroy positive definiteness, so
+    callers should surface the flag.
     """
     try:
         return cholesky_spd(sigma_tilde)
     except NotPositiveDefiniteError:
         pass
-    # the input passed cholesky_spd's checks; one more off-diagonal count
-    # (O(p^2)) comes before an O(p) floor or an O(p^3) eigh
-    a = np.asarray(sigma_tilde, dtype=float)
-    d = a.copy() if a.ndim == 1 else diagonal_of(a)
-    if d is None:
+    a = np.asarray(sigma_tilde, dtype=float)  # checked by cholesky_spd
+    if a.ndim == 2:
         try:
             vals, vecs = np.linalg.eigh(a)
         except np.linalg.LinAlgError as exc:
@@ -252,7 +249,7 @@ def invert_sparse_sym(sigma_tilde: np.ndarray) -> SymOperator:
         order = np.argsort(vals)[::-1]
         values, vectors = vals[order], vecs[:, order]
     else:
-        values, vectors = d, None
+        values, vectors = a, None
     lam_max = float(values.max())
     if lam_max <= 0:
         raise UnusableMatrixError(
@@ -262,5 +259,4 @@ def invert_sparse_sym(sigma_tilde: np.ndarray) -> SymOperator:
     floored = np.maximum(values, floor)
     n_floored = int(np.sum(values < floor))
     return SymOperator(kind=EIGEN_FLOOR, dim=values.shape[0], pd_flag=False,
-                       floor_count=n_floored, diagonal=d,
-                       _vectors=vectors, _inv_values=1.0 / floored)
+                       floor_count=n_floored, _vectors=vectors, _inv_values=1.0 / floored)

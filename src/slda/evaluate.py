@@ -69,9 +69,8 @@ def conditional_rate(rule: LinearRule, pop: PopulationSpec) -> RateReport:
         return RateReport(conditional_rate=0.5, per_class_error=(0.0, 1.0),
                           method=CLOSED_FORM, degenerate=True)
     w, c = rule.weights, rule.cutoff
-    d = pop.chol.diagonal
-    # d * w has the bits of Sigma @ w when Sigma = diag(d), at O(p)
-    sigma_w = math.sqrt(float(w @ (d * w if d is not None else pop.covariance @ w)))
+    cov = pop.covariance  # a matrix, or the (p,) vector d of diag(d)
+    sigma_w = math.sqrt(float(w @ (cov * w if cov.ndim == 1 else cov @ w)))
     e1 = std_normal_cdf((c - float(w @ pop.means[0])) / sigma_w)
     e2 = std_normal_cdf((float(w @ pop.means[1]) - c) / sigma_w)
     return RateReport(conditional_rate=0.5 * (e1 + e2), per_class_error=(e1, e2),

@@ -106,13 +106,15 @@ def validate_dataset(features, labels) -> Dataset:
 class PopulationSpec:
     """True class means, common covariance and distribution kind.
 
-    ``distribution`` is "normal" or "student_t"; for the latter,
-    ``covariance`` is the SCALE matrix of the elliptical t (the actual
-    covariance is df/(df-2) times it when df > 2).
+    ``covariance`` is a (p, p) SPD matrix, or the (p,) vector d of the
+    diagonal matrix diag(d). ``distribution`` is "normal" or
+    "student_t"; for the latter, ``covariance`` is the SCALE matrix of
+    the elliptical t (the actual covariance is df/(df-2) times it when
+    df > 2).
     """
 
     means: np.ndarray       # (K, p)
-    covariance: np.ndarray  # (p, p) SPD
+    covariance: np.ndarray  # (p, p) SPD, or (p,) positive diagonal
     distribution: str = NORMAL
     df: int | None = None
 
@@ -121,8 +123,9 @@ class PopulationSpec:
         cov = np.asarray(self.covariance, dtype=float)
         if means.ndim != 2 or means.shape[0] < 2:
             raise ShapeError("means must be a (K, p) matrix with K >= 2")
-        if cov.shape != (means.shape[1], means.shape[1]):
-            raise ShapeError(f"covariance shape {cov.shape} != (p, p) with p={means.shape[1]}")
+        p = means.shape[1]
+        if cov.shape not in ((p, p), (p,)):
+            raise ShapeError(f"covariance shape {cov.shape} is not (p, p) or (p,) with p={p}")
         if not np.isfinite(means).all():
             raise DomainError("population means must be finite")
         if self.distribution not in (NORMAL, STUDENT_T):

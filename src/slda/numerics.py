@@ -112,24 +112,22 @@ class SymOperator:
     """A symmetric matrix A with its inverse, or a generalized inverse,
     in the form the structure of A allows; spd_solve applies it.
 
-    ``kind`` follows from the input:
-    - "diagonal": A = diag(d), d > 0, held as d, l = sqrt(d) and
-      r = 1/l, so solves, draws and products cost O(p);
-    - "cholesky": A = L L' with L from LAPACK potrf;
+    ``kind`` follows from the shape of the input:
+    - "diagonal": A = diag(d) given as its (p,) vector d > 0, held as
+      l = sqrt(d) and r = 1/l, so solves, draws and products cost O(p);
+    - "cholesky": a (p, p) matrix A = L L' with L from LAPACK potrf;
     - "eigen_floor": V diag(inv) V' from an eigendecomposition with
       floored eigenvalues (estimation.invert_sparse_sym); V is None
-      when A is diagonal (V = I).
+      when A was given as its (p,) diagonal (V = I).
 
     ``pd_flag`` is True on the two factored kinds; ``floor_count``
-    counts floored eigenvalues. ``diagonal`` is d whenever A
-    has no nonzero off-diagonal entry, else None.
+    counts floored eigenvalues.
     """
 
     kind: str
     dim: int
     pd_flag: bool = True
     floor_count: int = 0
-    diagonal: np.ndarray | None = None
     _factor: np.ndarray | None = None      # l (diagonal) or L (cholesky)
     _recip: np.ndarray | None = None       # r = 1/l (diagonal)
     _vectors: np.ndarray | None = None     # V (eigen kinds)
@@ -153,39 +151,21 @@ class SymOperator:
         return self._factor * w if w.ndim == 1 else self._factor[:, None] * w
 
 
-def diagonal_of(a: np.ndarray) -> np.ndarray | None:
-    """A copy of the diagonal of the square matrix ``a`` when every
-    off-diagonal entry is exactly zero, else None.
-
-    One count_nonzero pass over ``a``; a NaN counts as nonzero.
-    """
-    a = np.asarray(a, dtype=float)
-    d = a.diagonal()
-    if np.count_nonzero(a) != np.count_nonzero(d):
-        return None
-    return d.copy()
-
-
-def _symmetrize(a: np.ndarray, what: str) -> tuple[np.ndarray | None, np.ndarray | None]:
+def _symmetrize(a: np.ndarray, what: str) -> np.ndarray:
     # Checks, but does not rebuild: potrf and eigh read only the lower
     # triangle, and every matrix the package builds is exactly symmetric.
-    # Returns (a, diagonal_of(a)); a diagonal matrix is symmetric, so
-    # only its diagonal is scanned. A (p,) vector d stands for diag(d)
-    # and gives (None, a copy of d), after an O(p) finite check.
+    # A (p,) vector d stands for diag(d) and gets an O(p) finite check.
     a = np.asarray(a, dtype=float)
     if a.ndim not in (1, 2) or a.shape[0] != a.shape[-1]:
         raise ShapeError(f"{what} requires a square matrix or a (p,) diagonal, "
                          f"got shape {a.shape}")
     if a.shape[0] < 1:
         raise ShapeError(f"{what} requires dimension >= 1")
-    a, d = (None, a.copy()) if a.ndim == 1 else (a, diagonal_of(a))
-    if d is not None:
-        if not np.isfinite(d).all():
-            raise DomainError(f"{what}: input has NaN or Inf entries")
-        return a, d
     scale = max(float(a.max()), -float(a.min()))  # max |a_jl| without a |a| copy
     if not math.isfinite(scale):
         raise DomainError(f"{what}: input has NaN or Inf entries")
+    if a.ndim == 1:
+        return a
     # max |a_jl - a_lj| over row blocks of the upper triangle: each block
     # holds _SYM_BLOCK rows, so no p x p temporary is made, and the max is
     # the same number as over the full a - a.T.
@@ -199,27 +179,26 @@ def _symmetrize(a: np.ndarray, what: str) -> tuple[np.ndarray | None, np.ndarray
         raise DomainError(
             f"{what}: input asymmetry {skew:.3e} exceeds {_SYM_RTOL:.0e} relative"
         )
-    return a, None
+    return a
 
 
 def cholesky_spd(a: np.ndarray) -> SymOperator:
-    """Factor a symmetric positive definite matrix, or the diagonal
-    matrix diag(d) given as its (p,) vector d: a "diagonal" operator
-    when every off-diagonal entry is zero, else "cholesky".
+    """Factor a symmetric positive definite matrix ("cholesky"), or the
+    diagonal matrix diag(d) given as its (p,) vector d ("diagonal", in
+    O(p)). A matrix always takes potrf, whatever its zeros.
 
     Only the lower triangle is read; asymmetry beyond 1e-8 relative is an
     error rather than silently absorbed. A non-positive pivot raises
     NotPositiveDefiniteError carrying the 0-based pivot index (for a
     diagonal, the first d_j <= 0, where potrf would stop).
     """
-    a, d = _symmetrize(a, "cholesky_spd")
-    if d is not None:
-        bad = np.flatnonzero(d <= 0.0)
+    a = _symmetrize(a, "cholesky_spd")
+    if a.ndim == 1:
+        bad = np.flatnonzero(a <= 0.0)
         if bad.size:
             raise NotPositiveDefiniteError(pivot_index=int(bad[0]))
-        root = np.sqrt(d)
-        return SymOperator(kind=DIAGONAL, dim=d.shape[0], diagonal=d,
-                           _factor=root, _recip=1.0 / root)
+        root = np.sqrt(a)
+        return SymOperator(kind=DIAGONAL, dim=a.shape[0], _factor=root, _recip=1.0 / root)
     (potrf,) = get_lapack_funcs(("potrf",), (a,))
     c, info = potrf(a, lower=1, clean=1, overwrite_a=0)
     if info > 0:

@@ -62,7 +62,7 @@ def _build_sigma(recipe: PopulationRecipe) -> np.ndarray:
     kind = recipe.sigma_pattern[0]
     p = recipe.p
     if kind == "identity":
-        return np.eye(p)
+        return np.ones(p)  # the diagonal of I
     if kind == "ar1":
         rho = float(recipe.sigma_pattern[1])
         if not abs(rho) < 1.0:
@@ -127,9 +127,11 @@ class Scenario:
             raise DomainError(f"n_mc must be >= 1, got {self.n_mc}")
         if self.n1 < 2 or self.n2 < 2:
             raise DomainError("class sample sizes must be >= 2")
-        for m in self.methods:
+        for i, m in enumerate(self.methods):
             if m not in METHODS:
                 raise DomainError(f"unknown method {m!r}; expected subset of {METHODS}")
+            if m in self.methods[:i]:
+                raise DomainError(f"method {m!r} is listed twice")
 
     def resolve_population(self) -> PopulationSpec:
         return build_population(self.population)
@@ -259,13 +261,15 @@ def read_scenario(path) -> Scenario:
     Required keys: p, n1, n2, methods, reps, seed plus a delta pattern
     (delta_count + delta_magnitude, or delta_values) and a sigma pattern
     (sigma = identity | ar1 | banded | from_file with its parameters).
-    Threshold selection: fixed m1 + m2, or grid_m1 and/or grid_m2 (an
-    omitted grid is the data-driven one), each with an optional alpha.
-    A key that the file's choices leave unused raises DataError.
+    Threshold selection, read only when methods has slda: fixed m1 + m2,
+    or grid_m1 and/or grid_m2 (an omitted grid is the data-driven one),
+    each with an optional alpha. A key that the file's choices leave
+    unused raises DataError.
     """
     kv = read_kv(path)
     take = kv.pop  # each key is taken where it is used; what is left is unused
     try:
+        methods = tuple(m.strip() for m in take("methods").split(","))
         p = int(take("p"))
         if "delta_values" in kv:
             delta = tuple(float(v) for v in take("delta_values").split(","))
@@ -288,8 +292,10 @@ def read_scenario(path) -> Scenario:
         recipe = PopulationRecipe(p=p, delta_pattern=delta_pattern,
                                   sigma_pattern=sigma_pattern,
                                   distribution=distribution, df=df)
-        if "m1" in kv and "m2" in kv:
-            cv: ThresholdConfig | GridSpec | None = ThresholdConfig(
+        if "slda" not in methods:
+            cv: ThresholdConfig | GridSpec | None = None
+        elif "m1" in kv and "m2" in kv:
+            cv = ThresholdConfig(
                 m1=float(take("m1")), m2=float(take("m2")), alpha=float(take("alpha", "0.3")))
         elif "grid_m1" in kv or "grid_m2" in kv:
             m1_grid, m2_grid = (tuple(float(v) for v in take(key).split(",")) if key in kv
@@ -298,9 +304,8 @@ def read_scenario(path) -> Scenario:
         else:
             cv = None
         fields = dict(name=take("name", Path(path).stem), population=recipe,
-                      n1=int(take("n1")), n2=int(take("n2")),
-                      methods=tuple(m.strip() for m in take("methods").split(",")),
-                      cv=cv, reps=int(take("reps")), seed=int(take("seed")),
+                      n1=int(take("n1")), n2=int(take("n2")), methods=methods, cv=cv,
+                      reps=int(take("reps")), seed=int(take("seed")),
                       n_mc=int(take("n_mc", "100000")))
         if kv:
             raise DataError(f"unused scenario key(s) {', '.join(map(repr, kv))}")

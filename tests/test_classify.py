@@ -638,6 +638,40 @@ class TestVarianceScreen:
             with pytest.raises(DomainError, match="NaN or Inf"):
                 build_slda(ds, ThresholdConfig(m1=1e300, m2=m2, alpha=0.3))
 
+    @pytest.mark.parametrize("constant", [False, True])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_unscreened_m1_keeping_no_pair_is_the_vector(self, k, constant):
+        # an M1 below the screen whose t_n is above every |s_jl|, j != l:
+        # S is formed and thresholded, keeps no pair, and Sigma-tilde goes
+        # to invert_sparse_sym as the (p,) variances (a matrix at the
+        # parent), so each fit has the bits of the screened fit and of the
+        # dense reference. A constant feature takes the floor.
+        gen = np.random.default_rng(11)
+        counts = [5] * k
+        x = gen.standard_normal((5 * k, 40)) + np.repeat(gen.standard_normal((k, 40)), 5, axis=0)
+        if constant:
+            x[:, 3] = 7.0
+        ds = Dataset(features=x, labels=np.repeat(np.arange(1, k + 1), counts),
+                     class_counts=tuple(counts))
+        s = summarize(ds).pooled_cov
+        largest = float(np.max(np.abs(s - np.diag(np.diag(s)))))
+        m1 = 0.5 * (largest / math.sqrt(math.log(ds.p) / ds.n) + screen_m1(ds, 1.0))
+        t_n = compute_tn(m1, ds.n, ds.p)
+        assert largest < t_n < diagonal_screen(np.diag(s), ds.n)
+        m2_grid = [0.0, 0.5, 1e9]
+        ndims = []
+        real = CLASSIFY.invert_sparse_sym
+        with mock.patch.object(CLASSIFY, "invert_sparse_sym",
+                               side_effect=lambda a: ndims.append(np.ndim(a)) or real(a)):
+            fits = build_slda_grid(ds, [m1, screen_m1(ds, 2.0)], m2_grid, 0.3)
+        assert ndims == [1, 1]
+        for m2, fit, (rules, report) in zip(m2_grid, fits[:3], fits[3:]):
+            screened = ({ab: (r.weights, r.cutoff) for ab, r in rules.items()},
+                        (report.q_hat, report.nnz_offdiag, report.pd_flag))
+            assert same_fit(fit, screened)
+            assert same_fit(fit, reference_fit(ds, m1, m2))
+            assert fit[1].pd_flag == (not constant or m2 == 1e9)
+
     def test_screened_fit_never_allocates_p_by_p(self):
         # leukemia-shaped, p = 4000 at M1 = 1e7: the peak is a small
         # multiple of n p, far below a quarter of one p x p matrix

@@ -218,20 +218,9 @@ class TestCv:
         assert main(["cv", "--train", str(path), "--grid-m1", "1", "--grid-m2", "1",
                      "--out", str(tmp_path / "s.csv")]) == 2
 
-    def test_threads_env_fallback(self, separable_csv, tmp_path, monkeypatch):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        monkeypatch.setenv("SLDA_THREADS", "2")
-        assert main(["cv", "--train", str(separable_csv), "--grid-m1", "0.5,1.5",
-                     "--grid-m2", "0.5,2.0", "--out", str(a)]) == 0
-        monkeypatch.delenv("SLDA_THREADS")
-        assert main(["cv", "--train", str(separable_csv), "--grid-m1", "0.5,1.5",
-                     "--grid-m2", "0.5,2.0", "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_bad_threads_env_exits_2(self, separable_csv, tmp_path, monkeypatch):
-        monkeypatch.setenv("SLDA_THREADS", "0")
-        assert main(["cv", "--train", str(separable_csv), "--grid-m1", "1",
-                     "--grid-m2", "1", "--out", str(tmp_path / "s.csv")]) == 2
+    def test_bad_threads_exits_2(self, separable_csv, tmp_path):
+        assert main(["cv", "--train", str(separable_csv), "--grid-m1", "1", "--grid-m2", "1",
+                     "--threads", "0", "--out", str(tmp_path / "s.csv")]) == 2
 
 
 # p = 6, identity Sigma, n1 = n2 = 8; the caller adds the delta and the
@@ -333,6 +322,43 @@ class TestSimulate:
         assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "r_")]) == 2
         assert "key 'seed'" in capsys.readouterr().err
         assert not (tmp_path / "r_replicates.csv").exists()
+
+    def test_threshold_keys_without_slda_exit_2(self, tmp_path, capsys):
+        # failed at the parent: exit 0, with m1, m2 and alpha never used
+        path = write_scenario_text(tmp_path, "no_slda", "lda,oracle",
+                                   "delta_count = 2\ndelta_magnitude = 1.5\n"
+                                   "m1 = 1\nm2 = 0.5\nalpha = 0.1\n")
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "k_")]) == 2
+        assert "unused scenario key(s) 'm1', 'm2', 'alpha'" in capsys.readouterr().err
+        assert not (tmp_path / "k_replicates.csv").exists()
+
+    def test_repeated_method_exits_2(self, tmp_path, capsys):
+        # failed at the parent: exit 0, with every lda row written twice
+        path = write_scenario_text(tmp_path, "twice", "lda,oracle,lda",
+                                   "delta_count = 2\ndelta_magnitude = 1.5\n")
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "t_")]) == 2
+        assert "method 'lda' is listed twice" in capsys.readouterr().err
+        assert not (tmp_path / "t_replicates.csv").exists()
+
+    @pytest.mark.parametrize("population", ["", "distribution = student_t\ndf = 3\nn_mc = 3000\n"],
+                             ids=["normal", "student_t"])
+    def test_identity_file_matches_identity_pattern(self, tmp_path, population):
+        # Sigma = I read from a file is a dense 6 x 6 matrix (potrf); the
+        # identity pattern is its (p,) diagonal (the O(p) operator): the
+        # draws, fits and rates of every method have the same bytes
+        eye = tmp_path / "eye.csv"
+        write_matrix(eye, np.eye(6))
+        rest = "delta_count = 2\ndelta_magnitude = 1.5\n" + FIXED + population
+        methods = "slda,lda,lda_known_sigma,oracle"
+        out = {}
+        for sigma in ("sigma = identity\n", f"sigma = from_file\nsigma_file = {eye}\n"):
+            path = write_scenario_text(tmp_path, "eye", methods, rest + sigma)
+            prefix = tmp_path / f"{len(out)}_"
+            assert main(["simulate", "--scenario", str(path), "--out", str(prefix)]) == 0
+            out[sigma] = (tmp_path / f"{prefix.name}replicates.csv").read_bytes()
+        identity, from_file = out.values()
+        assert identity == from_file
+        assert identity.count(b"\neye,") == 8
 
 
 class TestSigmaNotPositiveDefinite:

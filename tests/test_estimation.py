@@ -344,11 +344,14 @@ class TestThresholdDelta:
 
 class TestInvertSparseSym:
     def test_identity(self):
+        # I as its (p,) diagonal; the thresholded matrix takes potrf
         t = threshold_covariance(np.eye(4), 0.5)
-        op = invert_sparse_sym(t)
+        op = invert_sparse_sym(np.diagonal(t))
         assert op.kind == "diagonal" and op.pd_flag and op.floor_count == 0
         v = np.array([1.0, -2.0, 3.0, 0.5])
         assert np.allclose(spd_solve(op, v), v, rtol=1e-14)
+        assert invert_sparse_sym(t).kind == "cholesky"
+        assert bits_equal(spd_solve(invert_sparse_sym(t), v), spd_solve(op, v))
 
     def test_near_singular_closed_form(self):
         # [[1, rho], [rho, 1]]^{-1} first column = (1, -rho)/(1 - rho^2)
@@ -378,7 +381,7 @@ class TestInvertSparseSym:
             invert_sparse_sym(np.diag([-1.0, -2.0]))
 
     def test_degenerate_diagonal_recorded(self):
-        op = invert_sparse_sym(np.diag([2.0, 1e-18]))
+        op = invert_sparse_sym(np.array([2.0, 1e-18]))
         # a positive diagonal factors in O(p), however ill-conditioned;
         # the pd flag records it
         assert op.kind == "diagonal"
@@ -405,7 +408,7 @@ class TestInvertSparseSym:
 
         sigma = {"eigen_floor": np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.5], [0.0, 0.5, 3.0]]),
                  "cholesky": random_spd(rng, 5),
-                 "diagonal_floor": np.diag([3.0, 0.0, -1.0])}[kind]
+                 "diagonal_floor": np.array([3.0, 0.0, -1.0])}[kind]
         calls = []
         real = numerics._symmetrize
 
@@ -422,21 +425,21 @@ class TestInvertSparseSym:
             assert np.array_equal(spd_solve(op, b), spd_solve(cholesky_spd(sigma), b))
         elif kind == "eigen_floor":
             _, vectors = eigh_descending(sigma)
-            assert op.kind == "eigen_floor" and op.diagonal is None
+            assert op.kind == "eigen_floor"
             assert np.array_equal(op._vectors, vectors)
         else:
-            assert op.kind == "eigen_floor" and op.floor_count == 2
-            assert np.array_equal(op.diagonal, [3.0, 0.0, -1.0])
+            assert op.kind == "eigen_floor" and op.floor_count == 2 and op._vectors is None
+            assert np.array_equal(op._inv_values, 1.0 / np.maximum(sigma, FLOOR_EPS * 3.0))
 
     @pytest.mark.parametrize("d", [[3.0, 0.0, 2.0, 0.0, 1e-12],
                                    [5.0, -1.0, 0.0, 4.0],
                                    [2.0, 1e-9, 0.0] * 40])
     def test_diagonal_floor_matches_dense_reference(self, rng, d):
-        # a constant feature gives s_jj = 0: the floor runs on the diagonal
-        # in O(p); the reference is the dense eigendecomposition it replaces
+        # a constant feature gives s_jj = 0: the floor runs on the (p,)
+        # diagonal in O(p); the reference is the dense eigendecomposition
         sigma = np.diag(d)
-        op = invert_sparse_sym(sigma)
-        assert op.kind == "eigen_floor" and op.diagonal is not None
+        op = invert_sparse_sym(np.array(d))
+        assert op.kind == "eigen_floor" and op._vectors is None
         values, v = eigh_descending(sigma)
         floor = FLOOR_EPS * values[0]
         assert not op.pd_flag
@@ -483,27 +486,31 @@ DIAGONALS = {
 
 class TestDiagonalVectorInput:
     # A (p,) vector d stands for diag(d): cholesky_spd and invert_sparse_sym
-    # give the operator of the dense np.diag(d), bit for bit.
+    # give the solves, factor, floor_count and pd_flag of the dense
+    # np.diag(d), which takes potrf or eigh, bit for bit.
 
     @staticmethod
     def assert_same_operator(op, ref, rng):
-        assert (op.kind, op.dim, op.pd_flag, op.floor_count) == \
-               (ref.kind, ref.dim, ref.pd_flag, ref.floor_count)
-        assert bits_equal(op.diagonal, ref.diagonal)
+        assert (op.dim, op.pd_flag, op.floor_count) == (ref.dim, ref.pd_flag, ref.floor_count)
         for b in (rng.standard_normal(op.dim), rng.standard_normal((op.dim, 3))):
             assert bits_equal(spd_solve(op, b), spd_solve(ref, b))
 
     @pytest.mark.parametrize("d", DIAGONALS.values(), ids=DIAGONALS.keys())
     def test_invert_matches_dense(self, rng, d):
-        op = invert_sparse_sym(np.array(d))
-        self.assert_same_operator(op, invert_sparse_sym(np.diag(d)), rng)
-        assert op.kind == ("diagonal" if min(d) > 0 else "eigen_floor")
+        op, ref = invert_sparse_sym(np.array(d)), invert_sparse_sym(np.diag(d))
+        self.assert_same_operator(op, ref, rng)
+        assert (op.kind, ref.kind) == (("diagonal", "cholesky") if min(d) > 0
+                                       else ("eigen_floor", "eigen_floor"))
+        if min(d) > 0:
+            assert bits_equal(op.lower, ref.lower)
 
     @pytest.mark.parametrize("d", [DIAGONALS["positive"], DIAGONALS["p1"]], ids=["positive", "p1"])
     def test_cholesky_matches_dense(self, rng, d):
         op, ref = cholesky_spd(np.array(d)), cholesky_spd(np.diag(d))
         self.assert_same_operator(op, ref, rng)
+        assert (op.kind, ref.kind) == ("diagonal", "cholesky")
         assert bits_equal(op.lower, ref.lower)
+        assert bits_equal(op._factor, np.diagonal(ref.lower))
 
     def test_cholesky_pivot_matches_dense(self):
         d = np.array(DIAGONALS["zeros_and_negatives"])
@@ -521,7 +528,6 @@ class TestDiagonalVectorInput:
         vector = np.array(d)
         op = invert_sparse_sym(vector)
         vector[0] = 100.0
-        assert np.array_equal(op.diagonal, d)
         assert spd_solve(op, np.array([4.0, 0.0]))[0] == 1.0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -25,6 +25,7 @@ from slda.estimation import (
     compute_an,
     compute_tn,
     invert_sparse_sym,
+    nnz_offdiag,
     threshold_covariance,
 )
 from slda.evaluate import (
@@ -165,17 +166,18 @@ class TestConditionalRate:
 
     @pytest.mark.parametrize("diagonal", [True, False])
     def test_sigma_w_bit_exact_against_dense_product(self, rng, diagonal):
-        # sigma_w^2 = w'(d * w) on a diagonal Sigma, w'(Sigma w) otherwise:
-        # both give the bits of the dense product
+        # sigma_w^2 = w'(d * w) on a Sigma given as its (p,) diagonal d,
+        # w'(Sigma w) on a matrix: both give the bits of the dense product
         p = 300
-        sigma = np.diag(rng.uniform(0.1, 50.0, p)) if diagonal else random_spd(rng, p)
+        d = rng.uniform(0.1, 50.0, p)
+        sigma = np.diag(d) if diagonal else random_spd(rng, p)
         pop = PopulationSpec(means=np.vstack([rng.standard_normal(p), np.zeros(p)]),
-                             covariance=sigma)
+                             covariance=d if diagonal else sigma)
         assert (pop.chol.kind == "diagonal") == diagonal
         for _ in range(50):
             w = rng.standard_normal(p)
             if diagonal:
-                assert w @ (pop.chol.diagonal * w) == w @ (sigma @ w)
+                assert w @ (d * w) == w @ (sigma @ w)
             c = float(w @ pop.mid) + rng.standard_normal()
             sigma_w = math.sqrt(float(w @ (sigma @ w)))
             e1 = std_normal_cdf((c - float(w @ pop.means[0])) / sigma_w)
@@ -631,9 +633,9 @@ class TestFoldMajorCv:
             ds = shifted_two_class(seed, 10, 9, 30)
             s = summarize(ds).pooled_cov
             m1_grid = [0.64, 50.0]
-            kinds = [invert_sparse_sym(threshold_covariance(s, compute_tn(m1, ds.n, ds.p))).kind
-                     for m1 in m1_grid]
-            assert kinds == ["eigen_floor", "diagonal"]
+            tildes = [threshold_covariance(s, compute_tn(m1, ds.n, ds.p)) for m1 in m1_grid]
+            assert invert_sparse_sym(tildes[0]).kind == "eigen_floor"
+            assert nnz_offdiag(tildes[1]) == 0
             m2_grid = [0.0, 1.0, 1e9, -1.0]
             surface = cv_grid_search(ds, m1_grid, m2_grid, 0.3)
             scores, forced = per_point_surface(ds, m1_grid, m2_grid, 0.3)

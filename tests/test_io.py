@@ -251,6 +251,23 @@ class TestScenarioFile:
             read_scenario(path)
 
 
+    # failed at the parent: without slda the keys were still parsed into
+    # Scenario.cv, never used, and the run went ahead
+    @pytest.mark.parametrize("extra, unused", [
+        ("m1 = 1\nm2 = 0.5\nalpha = 0.1", ["m1", "m2", "alpha"]),
+        ("grid_m1 = 1,2", ["grid_m1"]),
+        ("grid_m2 = 0.5\nalpha = 0.2", ["grid_m2", "alpha"]),
+    ], ids=["fixed", "grid_m1", "grid_m2_alpha"])
+    def test_threshold_keys_without_slda_rejected(self, tmp_path, extra, unused):
+        path = tmp_path / "sc.txt"
+        path.write_text(
+            "p = 6\ndelta_count = 2\ndelta_magnitude = 1\nn1 = 5\nn2 = 5\n"
+            f"methods = lda,oracle\nreps = 2\nseed = 9\n{extra}\n", encoding="utf-8")
+        with pytest.raises(DataError, match="unused scenario key") as err:
+            read_scenario(path)
+        assert all(f"'{key}'" in str(err.value) for key in unused)
+
+
 class TestKeyValueFile:
     def test_pairs_comments_and_spacing(self, tmp_path):
         path = tmp_path / "kv.txt"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import two_class_dataset
-from slda.errors import DataError, DomainError, NotPositiveDefiniteError
+from slda.errors import DataError, DomainError, NotPositiveDefiniteError, ShapeError
 from slda.model import (
     LinearRule,
     PopulationSpec,
@@ -74,6 +74,15 @@ class TestPopulationSpec:
             PopulationSpec(means=mu, covariance=np.eye(3))
         with pytest.raises(DomainError, match="finite"):
             PopulationSpec(means=mu[::-1], covariance=np.eye(3))
+
+    def test_covariance_matrix_or_diagonal_vector(self):
+        mu = np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0]])
+        vector = PopulationSpec(means=mu, covariance=np.array([1.0, 2.0, 3.0]))
+        matrix = PopulationSpec(means=mu, covariance=np.diag([1.0, 2.0, 3.0]))
+        assert (vector.chol.kind, matrix.chol.kind) == ("diagonal", "cholesky")
+        for bad in (np.ones(2), np.ones(4), np.eye(2), np.ones((3, 2)), np.ones((1, 3)), 1.0):
+            with pytest.raises(ShapeError, match="covariance shape"):
+                PopulationSpec(means=mu, covariance=bad)
 
     def test_non_spd_covariance_fails_on_factor(self):
         pop = PopulationSpec(means=np.array([[1.0, 0.0], [0.0, 0.0]]),

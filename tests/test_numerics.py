@@ -19,7 +19,6 @@ from slda.estimation import invert_sparse_sym
 from slda.numerics import (
     _SYM_BLOCK,
     cholesky_spd,
-    diagonal_of,
     sample_mvn,
     sample_mvt,
     spd_solve,
@@ -328,34 +327,35 @@ def potrf_lower(a):
 
 
 class TestDiagonalFastPath:
-    # The diagonal operator against the dense potrf path it replaces.
+    # The diagonal operator of a (p,) vector d against the dense potrf
+    # path of np.diag(d).
 
     @staticmethod
-    def diag_matrix(rng, p):
-        return np.diag(rng.uniform(0.05, 300.0, p))
+    def diag_vector(rng, p):
+        return rng.uniform(0.05, 300.0, p)
 
     @pytest.mark.parametrize("p", [1, 5, 500])
     def test_kind_and_factor(self, rng, p):
-        a = self.diag_matrix(rng, p)
-        op = cholesky_spd(a)
+        d = self.diag_vector(rng, p)
+        op = cholesky_spd(d)
         assert op.kind == "diagonal" and op.pd_flag and op.floor_count == 0
-        c, info = potrf_lower(a)
+        c, info = potrf_lower(np.diag(d))
         assert info == 0
         assert np.array_equal(op.lower, c)
 
     @pytest.mark.parametrize("p", [5, 500])
     def test_solve_bit_exact_against_cho_solve(self, rng, p):
-        a = self.diag_matrix(rng, p)
-        c, _ = potrf_lower(a)
-        op = cholesky_spd(a)
+        d = self.diag_vector(rng, p)
+        c, _ = potrf_lower(np.diag(d))
+        op = cholesky_spd(d)
         for b in (rng.standard_normal(p), rng.standard_normal((p, 4))):
             assert np.array_equal(spd_solve(op, b), cho_solve((c, True), b))
 
     @pytest.mark.parametrize("p", [5, 500])
     def test_lower_products_bit_exact(self, rng, p):
-        a = self.diag_matrix(rng, p)
-        c, _ = potrf_lower(a)
-        op = cholesky_spd(a)
+        d = self.diag_vector(rng, p)
+        c, _ = potrf_lower(np.diag(d))
+        op = cholesky_spd(d)
         gen_a, gen_b = substream(3, 1), substream(3, 1)
         assert np.array_equal(sample_mvn(np.zeros(p), op, gen_a, size=7),
                               np.zeros(p) + gen_b.standard_normal((7, p)) @ c.T)
@@ -369,33 +369,32 @@ class TestDiagonalFastPath:
                                           ([4.0, -1.0], 1), ([-0.0], 0),
                                           ([1.0, 2.0, 3.0, -4.0], 3)])
     def test_pivot_index_matches_potrf(self, d, pivot):
-        a = np.diag(d)
-        _, info = potrf_lower(a)
+        _, info = potrf_lower(np.diag(d))
         assert info - 1 == pivot
         with pytest.raises(NotPositiveDefiniteError) as err:
-            cholesky_spd(a)
+            cholesky_spd(np.array(d))
         assert err.value.pivot_index == pivot
 
     def test_off_diagonal_entry_takes_dense_path(self):
+        # a matrix always takes potrf: a tiny off-diagonal entry, and a
+        # matrix that is diagonal, are never scanned for zeros
         a = np.diag([2.0, 3.0, 4.0])
+        dense = cholesky_spd(a)
         a[0, 2] = a[2, 0] = 5e-324
         op = cholesky_spd(a)
-        assert op.kind == "cholesky" and op.diagonal is None
-        assert diagonal_of(a) is None
-        assert np.array_equal(diagonal_of(np.diag([2.0, 3.0, 4.0])), [2.0, 3.0, 4.0])
+        assert op.kind == dense.kind == "cholesky"
+        assert cholesky_spd(np.array([2.0, 3.0, 4.0])).kind == "diagonal"
 
     def test_nan_off_diagonal_is_not_diagonal(self):
         a = np.eye(3)
         a[0, 1] = math.nan
-        assert diagonal_of(a) is None
         with pytest.raises(DomainError, match="NaN or Inf"):
             cholesky_spd(a)
 
     def test_factor_does_not_alias_input(self):
-        a = np.diag([4.0, 9.0])
-        op = cholesky_spd(a)
-        a[0, 0] = 100.0
-        assert np.array_equal(op.diagonal, [4.0, 9.0])
+        d = np.array([4.0, 9.0])
+        op = cholesky_spd(d)
+        d[0] = 100.0
         assert np.array_equal(spd_solve(op, np.array([4.0, 9.0])), [1.0, 1.0])
 
     def test_eigen_kinds_have_no_lower_factor(self):

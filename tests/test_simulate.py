@@ -24,6 +24,9 @@ from slda.simulate import (
 class TestBuildPopulation:
     def test_identity_with_count_pattern(self):
         pop = build_population(PopulationRecipe(p=50, delta_pattern=(5, 1.0)))
+        # I is its (p,) diagonal: no p x p matrix, and the O(p) factor
+        assert np.array_equal(pop.covariance, np.ones(50)) and pop.covariance.shape == (50,)
+        assert pop.chol.kind == "diagonal"
         assert np.sum(pop.delta == 1.0) == 5
         assert np.sum(pop.delta != 0.0) == 5
         from slda.diagnostics import mahalanobis_delta
@@ -137,6 +140,11 @@ class TestRunScenario:
     def test_invalid_method_rejected(self):
         with pytest.raises(DomainError):
             small_scenario(methods=("slda", "qda"))
+
+    def test_repeated_method_rejected(self):
+        # failed at the parent: every lda row was run and written twice
+        with pytest.raises(DomainError, match="method 'lda' is listed twice"):
+            small_scenario(methods=("lda", "oracle", "lda"))
 
     @pytest.mark.parametrize("field, value", [("reps", 0), ("n_mc", 0), ("n_mc", -5)])
     def test_counts_below_one_rejected(self, field, value):
