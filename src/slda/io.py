@@ -24,43 +24,79 @@ def fmt_float(x: float) -> str:
 # dataset CSV
 # ---------------------------------------------------------------------------
 
-def _read_table(path, labeled: bool) -> tuple[np.ndarray, list[int]]:
-    """Header row, then numeric rows as a float matrix. The integer
-    "class" column is required and returned when ``labeled``; otherwise
-    it is skipped if present and the label list is empty."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        label_idx = header.index(LABEL_COLUMN) if LABEL_COLUMN in header else None
-        if labeled and label_idx is None:
-            raise DataError(f'{path}: no "{LABEL_COLUMN}" column in header')
-        features = []
-        labels = []
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{path}: line {row_no} has {len(row)} fields, header has {len(header)}")
+def _label(cell: str) -> int:
+    """A class label: an integer literal as int() reads it, small enough
+    (|label| <= 2**53) to be exact in the float64 table."""
+    value = int(cell)
+    if abs(value) > 2**53:
+        raise ValueError(f"label {cell.strip()} is out of range")
+    return value
+
+
+def _number(cell: str) -> float:
+    """float(cell) limited to the text loadtxt reads: ASCII, with no
+    digit-group underscore. Only the error path uses it, to name the
+    cell the bulk parse rejected."""
+    text = cell.strip()
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"could not convert string to float: {cell!r}")
+    return float(text)
+
+
+def _bad_line(path, lines, width: int, parsers: dict, exc: ValueError) -> DataError:
+    """The error for the first data line, in file order, that the bulk
+    parse rejects: a wrong field count or a cell that does not parse,
+    named by its 1-based file line."""
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line.strip("\r\n"):
+            continue
+        row = next(csv.reader([line]))
+        if len(row) != width:
+            return DataError(f"{path}: line {line_no} has {len(row)} fields, header has {width}")
+        for j, cell in enumerate(row):
             try:
-                if label_idx is not None:
-                    label = row.pop(label_idx)
-                    if labeled:
-                        labels.append(int(label))
-                features.append([float(v) for v in row])
-            except ValueError as exc:
-                raise DataError(f"{path}: line {row_no}: {exc}") from None
-    if not features:
+                parsers.get(j, _number)(cell)
+            except ValueError as cell_exc:
+                return DataError(f"{path}: line {line_no}: {cell_exc}")
+    return DataError(f"{path}: {exc}")
+
+
+def _read_table(path, labeled: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Header row, then numeric rows as a float matrix, parsed in one
+    loadtxt pass. The integer "class" column is required and returned
+    when ``labeled``; otherwise it is skipped if present and no labels
+    are returned."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        lines = fh.readlines()  # split at \n, \r\n and \r, as csv does
+    header = next(csv.reader(lines[:1]), None)
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    label_idx = header.index(LABEL_COLUMN) if LABEL_COLUMN in header else None
+    if labeled and label_idx is None:
+        raise DataError(f'{path}: no "{LABEL_COLUMN}" column in header')
+    rows = [line for line in lines[1:] if line.strip("\r\n")]
+    if not rows:
         raise DataError(f"{path}: no data rows")
-    return np.array(features), labels
+    # the label column goes through _label, or is read as 0 and dropped
+    parsers = {} if label_idx is None else {label_idx: _label if labeled else (lambda cell: 0.0)}
+    try:
+        table = np.loadtxt(rows, delimiter=",", quotechar='"', comments=None,
+                           converters=parsers, ndmin=2)
+        if table.shape[1] != len(header):
+            raise ValueError(f"{table.shape[1]} fields, header has {len(header)}")
+    except ValueError as exc:
+        raise _bad_line(path, lines, len(header), parsers, exc) from None
+    if label_idx is None:
+        return table, None
+    labels = table[:, label_idx].astype(np.int64) if labeled else None
+    return np.delete(table, label_idx, axis=1), labels
 
 
 def read_dataset_csv(path) -> Dataset:
     """Load a labeled dataset: header row, numeric feature columns, and
     an integer label column named "class"."""
     features, labels = _read_table(path, labeled=True)
-    return validate_dataset(features, np.array(labels))
+    return validate_dataset(features, labels)
 
 
 def read_feature_csv(path) -> np.ndarray:
@@ -69,16 +105,6 @@ def read_feature_csv(path) -> np.ndarray:
     features, _ = _read_table(path, labeled=False)
     require_finite(features)
     return features
-
-
-def write_dataset_csv(path, dataset: Dataset) -> None:
-    header = [f"f{j + 1}" for j in range(dataset.p)] + [LABEL_COLUMN]
-    lines = [",".join(header)]
-    for i in range(dataset.n):
-        vals = [fmt_float(v) for v in dataset.features[i]]
-        vals.append(str(int(dataset.labels[i])))
-        lines.append(",".join(vals))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -91,12 +117,6 @@ def read_matrix(path) -> np.ndarray:
     except (OSError, ValueError) as exc:
         raise DataError(f"{path}: {exc}") from exc
     return a
-
-
-def write_matrix(path, a: np.ndarray) -> None:
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    lines = [",".join(fmt_float(v) for v in row) for row in a]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -137,12 +137,6 @@ class SymOperator:
         if self.kind not in (DIAGONAL, CHOLESKY):
             raise DomainError(f"{what} needs a factored operator, got kind {self.kind!r}")
 
-    @property
-    def lower(self) -> np.ndarray:
-        """Dense lower Cholesky factor L, built on demand for a diagonal A."""
-        self._require_factor("lower")
-        return np.diag(self._factor) if self.kind == DIAGONAL else self._factor
-
     def lower_t(self, w: np.ndarray) -> np.ndarray:
         """L' w for a (p,) vector or a (p, m) matrix of columns."""
         self._require_factor("lower_t")

@@ -1,9 +1,12 @@
+import csv
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from slda.estimation import centered_rows, pooled_covariance
+from slda.io import LABEL_COLUMN, fmt_float
 from slda.model import Dataset, PopulationSpec
 
 
@@ -35,6 +38,55 @@ def two_class_dataset(x1, x2):
     labels = np.concatenate([np.ones(len(x1), dtype=int), np.full(len(x2), 2, dtype=int)])
     return Dataset(features=features, labels=labels,
                    class_counts=(len(x1), len(x2)))
+
+
+def write_dataset_csv(path, dataset: Dataset) -> None:
+    """Dataset CSV: header f1..fp then "class", 17 significant digits."""
+    header = [f"f{j + 1}" for j in range(dataset.p)] + [LABEL_COLUMN]
+    lines = [",".join(header)]
+    for i in range(dataset.n):
+        vals = [fmt_float(v) for v in dataset.features[i]]
+        vals.append(str(int(dataset.labels[i])))
+        lines.append(",".join(vals))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_matrix(path, a) -> None:
+    """Matrix CSV with no header, 17 significant digits."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    lines = [",".join(fmt_float(v) for v in row) for row in a]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def reference_read_table(path, labeled: bool):
+    """The dataset-CSV reader as it was before the bulk parse: csv.reader
+    rows, then float() per feature cell and int() per label. Returns
+    (features, labels), labels an empty list when not ``labeled``; raises
+    ValueError on the first bad row. The reference of the equivalence
+    test of slda.io._read_table."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        label_idx = header.index(LABEL_COLUMN) if LABEL_COLUMN in header else None
+        features, labels = [], []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"{len(row)} fields, header has {len(header)}")
+            if label_idx is not None:
+                label = row.pop(label_idx)
+                if labeled:
+                    labels.append(int(label))
+            features.append([float(v) for v in row])
+    return np.array(features), labels
+
+
+def dense_lower(op):
+    """Dense lower Cholesky factor L of a "diagonal" or "cholesky"
+    SymOperator; a diagonal one holds l = sqrt(d), so L = diag(l)."""
+    assert op.kind in ("diagonal", "cholesky"), op.kind
+    return np.diag(op._factor) if op.kind == "diagonal" else op._factor
 
 
 class Summary(NamedTuple):

@@ -6,9 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import eigh_pseudo_inverse_lda, summarize, two_class_dataset
+from conftest import (eigh_pseudo_inverse_lda, summarize, two_class_dataset, write_dataset_csv,
+                      write_matrix)
 from slda.cli import main
-from slda.io import read_model, write_dataset_csv, write_matrix
+from slda.io import read_model
 
 
 @pytest.fixture
@@ -169,6 +170,48 @@ class TestPredict:
         assert main(["predict", "--model", str(model), "--test", str(test),
                      "--out", str(pred)]) == 2
         assert "row 1 has a non-finite score" in capsys.readouterr().err
+        assert not pred.exists()
+
+
+class TestHostileCsv:
+    # each names its file line; the label cases apply to fit only, since
+    # predict never parses a class column
+    FEATURE_CASES = {
+        "ragged_after_blank": ("1,2,1\n\n3,1\n", "line 4 has 2 fields, header has 3"),
+        "non_numeric_after_blank": ("1,2,1\n\n3,x,1\n",
+                                    "line 4: could not convert string to float: 'x'"),
+        "hash_is_not_a_comment": ("1,2,1\n3 # c,4,2\n",
+                                  "line 3: could not convert string to float: '3 # c'"),
+        "header_only": ("", "no data rows"),
+    }
+    LABEL_CASES = {
+        "label_1.0": ("1,2,1\n3,4,1.0\n", "line 3: invalid literal for int()"),
+        "label_nan": ("1,2,1\n\n3,4,nan\n", "line 4: invalid literal for int()"),
+        "label_empty": ("1,2,1\n3,4,\n", "line 3: invalid literal for int()"),
+    }
+
+    @pytest.mark.parametrize("body, message", [*FEATURE_CASES.values(), *LABEL_CASES.values()],
+                             ids=[*FEATURE_CASES, *LABEL_CASES])
+    def test_fit_exits_2(self, tmp_path, capsys, body, message):
+        train = tmp_path / "train.csv"
+        train.write_text("f1,f2,class\n" + body, encoding="utf-8")
+        model = tmp_path / "model.txt"
+        assert main(["fit", "--train", str(train), "--m1", "1", "--m2", "0.5",
+                     "--out", str(model)]) == 2
+        assert f"{train}: {message}" in capsys.readouterr().err
+        assert not model.exists()
+
+    @pytest.mark.parametrize("body, message", FEATURE_CASES.values(), ids=FEATURE_CASES)
+    def test_predict_exits_2(self, separable_csv, tmp_path, capsys, body, message):
+        model = tmp_path / "model.txt"
+        assert main(["fit", "--train", str(separable_csv), "--m1", "1", "--m2", "0.5",
+                     "--out", str(model)]) == 0
+        test = tmp_path / "test.csv"
+        test.write_text("f1,f2,class\n" + body, encoding="utf-8")
+        pred = tmp_path / "pred.csv"
+        assert main(["predict", "--model", str(model), "--test", str(test),
+                     "--out", str(pred)]) == 2
+        assert f"{test}: {message}" in capsys.readouterr().err
         assert not pred.exists()
 
 

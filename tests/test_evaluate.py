@@ -11,6 +11,7 @@ import pytest
 
 from conftest import (
     bits_equal,
+    dense_lower,
     leukemia_like,
     random_population,
     random_spd,
@@ -68,7 +69,7 @@ def full_dimensional_scores(pop, cls, weights, n_mc, gen):
     law as the score-space draw, so the two give the same rates within
     Monte Carlo error."""
     z = gen.standard_normal((n_mc, pop.p))
-    raw = z @ (pop.chol.lower.T @ weights)
+    raw = z @ (dense_lower(pop.chol).T @ weights)
     if pop.distribution != NORMAL:
         raw = raw * np.sqrt(pop.df / gen.chisquare(pop.df, n_mc))[:, None]
     return raw + pop.means[cls - 1] @ weights

@@ -6,17 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import bits_equal, two_class_dataset
+from conftest import (bits_equal, reference_read_table, two_class_dataset, write_dataset_csv,
+                      write_matrix)
 from slda.classify import SparsityReport
 from slda.errors import DataError
 from slda.io import (
+    _number,
+    _read_table,
+    fmt_float,
     read_dataset_csv,
     read_feature_csv,
     read_kv,
     read_matrix,
     read_model,
-    write_dataset_csv,
-    write_matrix,
     write_model,
 )
 from slda.model import LinearRule, ThresholdConfig
@@ -76,6 +78,149 @@ class TestFeatureCsv:
             read_feature_csv(path)
 
 
+# finite doubles, with the ones a decimal round trip is likeliest to
+# lose: signed zeros, subnormals, the extremes of the range
+EDGE = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, -1e-310,
+        1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3]
+FINITE = st.one_of(st.sampled_from(EDGE), st.floats(allow_nan=False, allow_infinity=False),
+                   st.integers(-10**6, 10**6).map(float))
+
+# how a cell holding v may be written: 17 significant digits, the
+# shortest repr, an integer literal when v is one, quoted, padded
+CELL_FORMS = [fmt_float, repr,
+              lambda v: f"{v:.0f}" if v.is_integer() and abs(v) < 1e15 else repr(v),
+              lambda v: f'"{v!r}"', lambda v: f" {fmt_float(v)}\t"]
+LABEL_FORMS = ["{}", "{:+d}", " {} ", '"{}"', "{:03d}"]
+
+
+class TestReaderEquivalence:
+    """The bulk reader against the csv.reader + float()/int() loop it
+    replaced (conftest.reference_read_table): the same bits."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 6), p=st.integers(1, 5),
+           where=st.sampled_from(["first", "middle", "last", "none"]),
+           ending=st.sampled_from(["\n", "\r\n", "\r"]))
+    def test_bits_equal_reference(self, tmp_path_factory, data, n, p, where, ending):
+        values = data.draw(arrays(float, (n, p), elements=FINITE))
+        forms = data.draw(arrays(int, (n, p), elements=st.integers(0, len(CELL_FORMS) - 1)))
+        labels = data.draw(st.lists(st.integers(-3, 10**6), min_size=n, max_size=n))
+        label_forms = data.draw(st.lists(st.sampled_from(LABEL_FORMS), min_size=n, max_size=n))
+        blanks = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        at = {"first": 0, "middle": p // 2, "last": p, "none": None}[where]
+        header = [f"f{j + 1}" for j in range(p)]
+        if at is not None:
+            header.insert(at, "class")
+        lines = [",".join(header)]
+        for i in range(n):
+            cells = [CELL_FORMS[f](float(v)) for v, f in zip(values[i], forms[i])]
+            if at is not None:
+                cells.insert(at, label_forms[i].format(labels[i]))
+            lines += [""] * blanks[i] + [",".join(cells)]
+        path = tmp_path_factory.mktemp("eq") / "d.csv"
+        path.write_bytes(ending.join(lines).encode("utf-8") + ending.encode())
+        for labeled in ([True, False] if at is not None else [False]):
+            features, got_labels = _read_table(path, labeled)
+            want, want_labels = reference_read_table(path, labeled)
+            assert bits_equal(features, want) and bits_equal(features, values)
+            assert features.flags.c_contiguous and features.dtype == np.float64
+            if labeled:
+                assert got_labels.dtype == np.int64 and got_labels.tolist() == want_labels
+            else:
+                assert got_labels is None
+
+    @settings(max_examples=400, deadline=None)
+    @given(cell=st.text(st.sampled_from(list("0123456789+-.eEinfatyINFAN_ \t\x0c#x٣ ")),
+                        max_size=8))
+    def test_error_path_names_the_cell_the_bulk_parse_rejects(self, tmp_path_factory, cell):
+        # a cell the bulk parse rejects is found again by the line scan,
+        # which names its line; a cell it accepts has the bits of _number
+        path = tmp_path_factory.mktemp("cell") / "d.csv"
+        path.write_text(f"f1,f2\n0,0\n{cell},0\n", encoding="utf-8")
+        try:
+            want = _number(cell)
+        except ValueError:
+            with pytest.raises(DataError, match=r"d\.csv: line 3: could not convert string"):
+                _read_table(path, labeled=False)
+        else:
+            features, _ = _read_table(path, labeled=False)
+            assert bits_equal(features[1, 0], want) and bits_equal(want, float(cell))
+
+
+class TestCsvGrammar:
+    GOOD = "1,2,1\n1.5,2.5,1\n3,4,2\n3.5,4.25,2\n"
+
+    @pytest.mark.parametrize("body, message", [
+        ("1,2,1\n\n3,1\n", "line 4 has 2 fields, header has 3"),
+        ("1,2,1\n\n3,1,2,2\n", "line 4 has 4 fields, header has 3"),
+        ("1,2,1\n\n\n3,x,1\n", "line 5: could not convert string to float: 'x'"),
+        ("1,2,1\n   \n", "line 3 has 1 fields, header has 3"),
+        ("1,2\n\n3,4\n", "line 2 has 2 fields, header has 3"),
+        (GOOD + "5,6,1.0\n", r"line 6: invalid literal for int\(\) with base 10: '1.0'"),
+        (GOOD + "5,6,nan\n", r"line 6: invalid literal for int\(\) with base 10: 'nan'"),
+        (GOOD + "5,6,\n", r"line 6: invalid literal for int\(\) with base 10: ''"),
+        (GOOD + "5,6,9007199254740993\n", "line 6: label 9007199254740993 is out of range"),
+        (GOOD + "3 # c,6,1\n", "line 6: could not convert string to float: '3 # c'"),
+        (GOOD + "#3,6,1\n", "line 6: could not convert string to float: '#3'"),
+        (GOOD.replace("3,4,2", "1_0,4,2"), "line 4: could not convert string to float: '1_0'"),
+        (GOOD.replace("3,4,2", "٣,4,2"), "line 4: could not convert string to float"),
+        ("", "no data rows"),
+        ("\n\r\n\n", "no data rows"),
+    ], ids=["ragged_after_blank", "extra_field", "non_numeric_after_blanks", "whitespace_line",
+            "every_row_short",
+            "label_1.0", "label_nan", "label_empty", "label_past_2_53", "hash_in_cell",
+            "hash_at_line_start", "digit_group_underscore", "non_ascii_digit", "header_only",
+            "only_blank_lines"])
+    def test_hostile_body_rejected(self, tmp_path, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("f1,f2,class\n" + body, encoding="utf-8")
+        with pytest.raises(DataError, match=message):
+            read_dataset_csv(path)
+
+    @pytest.mark.parametrize("header, body, message", [
+        ("f1,f2,f3", "1,2\n3,4\n", "line 2 has 2 fields, header has 3"),
+        ("f1,f2", "\n1,2,3\n3,4,5\n", "line 3 has 3 fields, header has 2"),
+        ("class,f1", "1,2,3\n2,4,5\n", "line 2 has 3 fields, header has 2"),
+    ], ids=["short", "long", "long_with_class"])
+    def test_every_row_off_the_header_width(self, tmp_path, header, body, message):
+        # the rows agree with each other, so only the header shows them wrong
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{header}\n{body}", encoding="utf-8")
+        with pytest.raises(DataError, match=message):
+            read_feature_csv(path)
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("", encoding="utf-8")
+        for read in (read_dataset_csv, read_feature_csv):
+            with pytest.raises(DataError, match="empty file"):
+                read(path)
+
+    def test_feature_reader_skips_the_class_cells(self, tmp_path):
+        # the class column is never parsed when only features are read
+        path = tmp_path / "test.csv"
+        path.write_text("f1,class,f2\n1,1.0,2\n3,,4\n5,x,6\n", encoding="utf-8")
+        assert np.array_equal(read_feature_csv(path), [[1, 2], [3, 4], [5, 6]])
+
+    def test_quoted_cells_blank_lines_and_line_endings(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b'f1,f2,class\r\n"1",2,1\r\n\r\n1.5," 2.5 ",1\r\r3,4,"2"\n\n'
+                         b'3.5,+4.25e0,2\n\n')
+        ds = read_dataset_csv(path)
+        assert np.array_equal(ds.features, [[1, 2], [1.5, 2.5], [3, 4], [3.5, 4.25]])
+        assert ds.labels.tolist() == [1, 1, 2, 2]
+
+    @pytest.mark.parametrize("cell, where", [("nan", "row 2, column 1"),
+                                             ("-inf", "row 2, column 1"),
+                                             ("1e999", "row 2, column 1")])
+    def test_non_finite_cells_reach_validation(self, tmp_path, cell, where):
+        path = tmp_path / "d.csv"
+        path.write_text("f1,f2,class\n" + self.GOOD.replace("3,4,2", f"3,{cell},2"),
+                        encoding="utf-8")
+        with pytest.raises(DataError, match=f"non-finite feature value at {where}"):
+            read_dataset_csv(path)
+
+
 class TestMatrixCsv:
     def test_round_trip_exact(self, rng, tmp_path):
         a = rng.standard_normal((4, 4)) * np.exp(rng.standard_normal((4, 4)) * 5)
@@ -106,10 +251,6 @@ class TestModelFile:
         back, _ = read_model(path)
         assert back.degenerate
 
-    # finite doubles, with the ones a decimal round trip is likeliest to
-    # lose: signed zeros, subnormals, the extremes of the range
-    EDGE = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, -1e-310,
-            1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3]
     VALUES = st.one_of(st.sampled_from(EDGE), st.floats(allow_nan=False, allow_infinity=False))
 
     @settings(max_examples=150, deadline=None)

@@ -141,7 +141,8 @@ class TestThresholdConfig:
 
 class TestCsvRoundTrip:
     def test_bit_identical(self, rng, tmp_path):
-        from slda.io import read_dataset_csv, write_dataset_csv
+        from conftest import write_dataset_csv
+        from slda.io import read_dataset_csv
 
         x1 = rng.standard_normal((5, 4)) * np.pi
         x2 = rng.standard_normal((4, 4)) / 3.0

@@ -48,8 +48,7 @@ class TestBuildPopulation:
                                               sigma_pattern=("banded", 1, 0.8)))
 
     def test_from_file_round_trip(self, tmp_path, rng):
-        from conftest import random_spd
-        from slda.io import write_matrix
+        from conftest import random_spd, write_matrix
 
         sigma = random_spd(rng, 4)
         path = tmp_path / "sigma.csv"
