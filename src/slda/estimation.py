@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dstevd, dsytrd, dsytrd_lwork
 
 from .errors import DomainError, NotPositiveDefiniteError, NumericalError, ShapeError, UnusableMatrixError
 from .model import Dataset
@@ -231,25 +232,34 @@ def invert_sparse_sym(sigma_tilde: np.ndarray) -> SymOperator:
     vector) and checks the input, once for both paths: an asymmetric or
     non-finite input raises DomainError. If a pivot fails, eigenvalues
     are floored at FLOOR_EPS * lambda_max and the operator is flagged
-    (pd_flag False, floor_count = number floored); the vector is its own
-    eigendecomposition, and a matrix goes to eigh, eigenvalues
-    descending. Thresholding can destroy positive definiteness, so
-    callers should surface the flag.
+    (pd_flag False, floor_count = number floored). The vector (or a
+    1 x 1 matrix) is its own eigendecomposition; a matrix is reduced to
+    tridiagonal T = Q' A Q by LAPACK sytrd and T's eigenvalues and
+    vectors Z come from stevd (ascending), so A's eigenvectors Q Z are
+    never formed: spd_solve applies Q, Z, Z' and Q'. Thresholding can
+    destroy positive definiteness, so callers should surface the flag.
     """
     try:
         return cholesky_spd(sigma_tilde)
     except NotPositiveDefiniteError:
         pass
     a = np.asarray(sigma_tilde, dtype=float)  # checked by cholesky_spd
-    if a.ndim == 2:
-        try:
-            vals, vecs = np.linalg.eigh(a)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"invert_sparse_sym: eigh failed to converge: {exc}") from exc
-        order = np.argsort(vals)[::-1]
-        values, vectors = vals[order], vecs[:, order]
+    vectors = reflectors = tau = None
+    if a.ndim == 2 and a.shape[0] > 1:
+        lwork, _ = dsytrd_lwork(a.shape[0], lower=1)
+        # sytrd works on a Fortran copy, reading its lower triangle as potrf does
+        c, diag, off, tau, info = dsytrd(a, lower=1, lwork=int(lwork))
+        if info < 0:
+            raise NumericalError(f"invert_sparse_sym: illegal argument {-info} to LAPACK sytrd")
+        # Q = H(1)...H(p-1): the vector of H(i) lies below the diagonal of
+        # column i of c[1:, :-1], its leading 1 implied
+        reflectors = np.asfortranarray(c[1:, :-1])
+        del c
+        values, vectors, info = dstevd(diag, off)
+        if info != 0:
+            raise NumericalError(f"invert_sparse_sym: LAPACK stevd failed (info {info})")
     else:
-        values, vectors = a, None
+        values = a.reshape(-1)
     lam_max = float(values.max())
     if lam_max <= 0:
         raise UnusableMatrixError(
@@ -259,4 +269,5 @@ def invert_sparse_sym(sigma_tilde: np.ndarray) -> SymOperator:
     floored = np.maximum(values, floor)
     n_floored = int(np.sum(values < floor))
     return SymOperator(kind=EIGEN_FLOOR, dim=values.shape[0], pd_flag=False,
-                       floor_count=n_floored, _vectors=vectors, _inv_values=1.0 / floored)
+                       floor_count=n_floored, _vectors=vectors, _inv_values=1.0 / floored,
+                       _reflectors=reflectors, _tau=tau)

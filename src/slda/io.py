@@ -43,16 +43,16 @@ def _number(cell: str) -> float:
     return float(text)
 
 
-def _bad_line(path, lines, width: int, parsers: dict, exc: ValueError) -> DataError:
+def _bad_line(path, rows, width: int, expected: str, parsers: dict,
+              exc: ValueError) -> DataError:
     """The error for the first data line, in file order, that the bulk
-    parse rejects: a wrong field count or a cell that does not parse,
-    named by its 1-based file line."""
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip("\r\n"):
-            continue
-        row = next(csv.reader([line]))
+    parse rejects: a wrong field count (``expected`` names the line that
+    set ``width``) or a cell that does not parse, named by its 1-based
+    file line. ``rows`` yields (line number, fields) for the data lines."""
+    for line_no, row in rows:
         if len(row) != width:
-            return DataError(f"{path}: line {line_no} has {len(row)} fields, header has {width}")
+            return DataError(f"{path}: line {line_no} has {len(row)} fields, "
+                             f"{expected} has {width}")
         for j, cell in enumerate(row):
             try:
                 parsers.get(j, _number)(cell)
@@ -85,7 +85,9 @@ def _read_table(path, labeled: bool) -> tuple[np.ndarray, np.ndarray | None]:
         if table.shape[1] != len(header):
             raise ValueError(f"{table.shape[1]} fields, header has {len(header)}")
     except ValueError as exc:
-        raise _bad_line(path, lines, len(header), parsers, exc) from None
+        numbered = ((line_no, next(csv.reader([line])))
+                    for line_no, line in enumerate(lines[1:], start=2) if line.strip("\r\n"))
+        raise _bad_line(path, numbered, len(header), "header", parsers, exc) from None
     if label_idx is None:
         return table, None
     labels = table[:, label_idx].astype(np.int64) if labeled else None
@@ -111,12 +113,34 @@ def read_feature_csv(path) -> np.ndarray:
 # plain matrix CSV (no header)
 # ---------------------------------------------------------------------------
 
+def _data_lines(fh):
+    # (1-based line number, fields) of each line loadtxt reads as data:
+    # "#" starts a comment, and a line empty before it is skipped
+    for line_no, line in enumerate(fh, start=1):
+        text = line.split("#", 1)[0].rstrip("\r\n")
+        if text:
+            yield line_no, text.split(",")
+
+
 def read_matrix(path) -> np.ndarray:
+    """Comma-separated rows of numbers with no header, parsed by loadtxt
+    as the file streams: "#" starts a comment and a line empty before it
+    is skipped. No data rows, a wrong field count or a cell that does
+    not parse raise DataError, the last two naming the 1-based file line."""
     try:
-        a = np.loadtxt(path, delimiter=",", ndmin=2)
-    except (OSError, ValueError) as exc:
+        with open(path, encoding="utf-8") as fh:
+            first = next(_data_lines(fh), None)
+            if first is None:
+                raise DataError(f"{path}: no data rows")
+            fh.seek(0)
+            try:
+                return np.loadtxt(fh, delimiter=",", ndmin=2)
+            except ValueError as exc:
+                fh.seek(0)
+                raise _bad_line(path, _data_lines(fh), len(first[1]), f"line {first[0]}", {},
+                                exc) from None
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: {exc}") from exc
-    return a
 
 
 # ---------------------------------------------------------------------------

@@ -69,8 +69,8 @@ def validate_dataset(features, labels) -> Dataset:
     """Check raw features/labels and build a Dataset.
 
     Raises DataError naming the offending row/column for NaN or Inf
-    cells, ragged rows, labels outside 1..K, or classes with fewer than
-    two samples.
+    cells, ragged rows, labels outside 1..K or above n, or classes with
+    fewer than two samples.
     """
     try:
         feats = np.asarray(features, dtype=float)
@@ -85,6 +85,12 @@ def validate_dataset(features, labels) -> Dataset:
         )
     if not np.all(labs == np.floor(labs)):
         raise DataError("labels must be integers")
+    # checked before the int cast and the class count, which would take
+    # memory in proportion to the largest label
+    if labs.max(initial=0) > feats.shape[0]:
+        r = int(np.argmax(labs))
+        raise DataError(f"label {labs[r]} at row {r} exceeds n={feats.shape[0]}: "
+                        "classes 1..K need >= 2 samples each")
     labs = labs.astype(int)
 
     require_finite(feats)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve
-from scipy.linalg.lapack import get_lapack_funcs
+from scipy.linalg.lapack import dormqr, get_lapack_funcs
 
 from .errors import DomainError, NotPositiveDefiniteError, NumericalError, ShapeError
 
@@ -116,9 +116,12 @@ class SymOperator:
     - "diagonal": A = diag(d) given as its (p,) vector d > 0, held as
       l = sqrt(d) and r = 1/l, so solves, draws and products cost O(p);
     - "cholesky": a (p, p) matrix A = L L' with L from LAPACK potrf;
-    - "eigen_floor": V diag(inv) V' from an eigendecomposition with
-      floored eigenvalues (estimation.invert_sparse_sym); V is None
-      when A was given as its (p,) diagonal (V = I).
+    - "eigen_floor": Q Z diag(inv) Z' Q' with floored eigenvalues
+      (estimation.invert_sparse_sym): A = Q T Q' from LAPACK sytrd, Q
+      held as its p - 1 Householder reflectors and their tau, and
+      T = Z diag(values) Z' from stevd. The eigenvectors V = Q Z are
+      never formed. Z and Q are None when A was given as its (p,)
+      diagonal or is 1 x 1 (V = I).
 
     ``pd_flag`` is True on the two factored kinds; ``floor_count``
     counts floored eigenvalues.
@@ -130,8 +133,10 @@ class SymOperator:
     floor_count: int = 0
     _factor: np.ndarray | None = None      # l (diagonal) or L (cholesky)
     _recip: np.ndarray | None = None       # r = 1/l (diagonal)
-    _vectors: np.ndarray | None = None     # V (eigen kinds)
-    _inv_values: np.ndarray | None = None  # inv (eigen kinds)
+    _vectors: np.ndarray | None = None     # Z (eigen_floor)
+    _inv_values: np.ndarray | None = None  # inv (eigen_floor)
+    _reflectors: np.ndarray | None = None  # Q's vectors, (p-1, p-1) Fortran (eigen_floor)
+    _tau: np.ndarray | None = None         # Q's scalars, (p-1,) (eigen_floor)
 
     def _require_factor(self, what: str) -> None:
         if self.kind not in (DIAGONAL, CHOLESKY):
@@ -146,7 +151,7 @@ class SymOperator:
 
 
 def _symmetrize(a: np.ndarray, what: str) -> np.ndarray:
-    # Checks, but does not rebuild: potrf and eigh read only the lower
+    # Checks, but does not rebuild: potrf and sytrd read only the lower
     # triangle, and every matrix the package builds is exactly symmetric.
     # A (p,) vector d stands for diag(d) and gets an O(p) finite check.
     a = np.asarray(a, dtype=float)
@@ -202,9 +207,23 @@ def cholesky_spd(a: np.ndarray) -> SymOperator:
     return SymOperator(kind=CHOLESKY, dim=a.shape[0], _factor=c)
 
 
+def _apply_q(op: SymOperator, b: np.ndarray, trans: str) -> np.ndarray:
+    # Q b ("N") or Q' b ("T") for the sytrd Q = H(1)...H(p-1) of an
+    # eigen_floor operator; the reflectors act on rows 1..p-1 only. The
+    # minimum workspace selects LAPACK's unblocked ormqr, which is faster
+    # than the blocked one for the few columns a fit solves.
+    tail = b[1:].reshape(op.dim - 1, -1)
+    out, _, info = dormqr("L", trans, op._reflectors, op._tau, tail, max(1, tail.shape[1]))
+    if info < 0:
+        raise NumericalError(f"spd_solve: illegal argument {-info} to LAPACK ormqr")
+    return np.concatenate((b[:1], out.reshape(b[1:].shape)))
+
+
 def spd_solve(op: SymOperator, b: np.ndarray) -> np.ndarray:
     """Apply the inverse (or floored inverse) held by ``op`` to a
-    vector or to the columns of a matrix b."""
+    vector or to the columns of a matrix b. On an eigen_floor matrix
+    that is Q (Z (inv * Z' (Q' b))): two reflector sweeps of O(p^2 m)
+    and two products with Z."""
     b = np.asarray(b, dtype=float)
     if b.shape[0] != op.dim:
         raise ShapeError(f"spd_solve: rhs length {b.shape[0]} != dimension {op.dim}")
@@ -218,7 +237,8 @@ def spd_solve(op: SymOperator, b: np.ndarray) -> np.ndarray:
     inv = op._inv_values if b.ndim == 1 else op._inv_values[:, None]
     if op._vectors is None:
         return inv * b
-    return op._vectors @ (inv * (op._vectors.T @ b))
+    z = op._vectors
+    return _apply_q(op, z @ (inv * (z.T @ _apply_q(op, b, "T"))), "N")
 
 
 # ---------------------------------------------------------------------------

@@ -106,11 +106,22 @@ def summarize(ds) -> Summary:
 
 def eigh_descending(a):
     """Reference eigendecomposition of a symmetric matrix: numpy eigh,
-    then eigenvalues and their vectors sorted descending, as
-    invert_sparse_sym orders them. Returns (values, vectors)."""
+    then eigenvalues and their vectors sorted descending. Returns
+    (values, vectors)."""
     values, vectors = np.linalg.eigh(a)
     order = np.argsort(values)[::-1]
     return values[order], vectors[:, order]
+
+
+def eigh_floor_solve(a, b, floor_eps):
+    """Reference eigen_floor solve of a symmetric matrix: the eigh of a
+    with eigenvalues below floor_eps * lambda_max raised to it, applied
+    to a vector or to the columns of b. Returns (x, floor_count)."""
+    values, vectors = eigh_descending(a)
+    floor = floor_eps * values[0]
+    inv = 1.0 / np.maximum(values, floor)
+    x = vectors @ ((inv if b.ndim == 1 else inv[:, None]) * (vectors.T @ b))
+    return x, int(np.sum(values < floor))
 
 
 def eigh_pseudo_inverse_lda(ds):

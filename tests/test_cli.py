@@ -83,6 +83,18 @@ class TestFit:
                      "--alpha", "0.6", "--out", str(tmp_path / "m.txt")])
         assert code == 2
 
+    def test_label_above_n_exits_2(self, tmp_path, capsys):
+        # 2**53 is the largest label the reader admits; counting classes up
+        # to it would ask for 64 PiB
+        train = tmp_path / "train.csv"
+        train.write_text("f1,class\n1,1\n2,1\n3,2\n4,2\n5,9007199254740992\n",
+                         encoding="utf-8")
+        model = tmp_path / "model.txt"
+        assert main(["fit", "--train", str(train), "--m1", "1", "--m2", "0.5",
+                     "--out", str(model)]) == 2
+        assert "label 9007199254740992 at row 4 exceeds n=5" in capsys.readouterr().err
+        assert not model.exists()
+
 
 class TestPredict:
     def test_round_trip_labels(self, separable_csv, tmp_path):

@@ -5,12 +5,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import (bits_equal, dense_lower, eigh_descending, random_spd, summarize,
-                      two_class_dataset)
+from conftest import (bits_equal, dense_lower, eigh_descending, eigh_floor_solve, random_spd,
+                      summarize, two_class_dataset)
 from slda import estimation
 from slda.errors import (
     DomainError,
@@ -425,9 +425,10 @@ class TestInvertSparseSym:
             assert op.kind == "cholesky"
             assert np.array_equal(spd_solve(op, b), spd_solve(cholesky_spd(sigma), b))
         elif kind == "eigen_floor":
-            _, vectors = eigh_descending(sigma)
-            assert op.kind == "eigen_floor"
-            assert np.array_equal(op._vectors, vectors)
+            ref, floor_count = eigh_floor_solve(sigma, b, FLOOR_EPS)
+            assert (op.kind, op.pd_flag, op.floor_count) == ("eigen_floor", False, floor_count)
+            np.testing.assert_allclose(spd_solve(op, b), ref, rtol=0.0,
+                                       atol=1e-12 * np.max(np.abs(ref)))
         else:
             assert op.kind == "eigen_floor" and op.floor_count == 2 and op._vectors is None
             assert np.array_equal(op._inv_values, 1.0 / np.maximum(sigma, FLOOR_EPS * 3.0))
@@ -452,29 +453,106 @@ class TestInvertSparseSym:
 
 
     def test_eigen_floor_invariants_random(self, rng):
-        # eigh runs inline on an indefinite Sigma-tilde: the eigh-plus-sort
-        # reference's vectors bit for bit, orthonormal, eigenvalues
-        # descending, and the ones below the floor raised to it
+        # sytrd + stevd on an indefinite Sigma-tilde: solves within 1e-12
+        # relative (infinity norm) of the eigh-floor reference, the same
+        # floor_count, pd_flag False, and T's eigenvectors Z orthonormal
         for p in (2, 5, 30):
             q, _ = np.linalg.qr(rng.standard_normal((p, p)))
             a = (q * np.linspace(2.0, -1.0, p)) @ q.T
             a = 0.5 * (a + a.T)
             op = invert_sparse_sym(a)
             assert op.kind == "eigen_floor" and not op.pd_flag
-            values, v = eigh_descending(a)
-            assert np.array_equal(op._vectors, v)
-            assert np.max(np.abs(v.T @ v - np.eye(p))) <= 1e-10
-            assert np.linalg.norm((v * values) @ v.T - a) <= 1e-8 * np.linalg.norm(a)
-            floored = 1.0 / op._inv_values
-            assert np.all(np.diff(floored) <= 0)
-            floor = FLOOR_EPS * values[0]
-            assert op.floor_count == int(np.sum(values < floor)) >= 1
-            np.testing.assert_allclose(floored, np.maximum(values, floor), rtol=1e-15)
+            z = op._vectors
+            assert np.max(np.abs(z.T @ z - np.eye(p))) <= 1e-10
+            assert spd_solve(op, np.zeros((p, 0))).shape == (p, 0)
+            for b in (rng.standard_normal(p), rng.standard_normal((p, 4))):
+                ref, floor_count = eigh_floor_solve(a, b, FLOOR_EPS)
+                assert op.floor_count == floor_count >= 1
+                got = spd_solve(op, b)
+                assert got.shape == b.shape
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    def test_eigh_failure_is_numerical_error(self):
-        with mock.patch.object(estimation.np.linalg, "eigh",
-                               side_effect=np.linalg.LinAlgError("eigh did not converge")):
-            with pytest.raises(NumericalError, match="invert_sparse_sym"):
+    def test_tiny_positive_eigenvalues_are_floored(self, rng):
+        # eigenvalues in (0, FLOOR_EPS * lambda_max) are floored with the
+        # negative ones: 1e-9 and 1e-12 sit below the floor 2e-8
+        values = np.array([2.0, 1.0, 1e-9, 1e-12, -0.5, -1.0])
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        a = (q * values) @ q.T
+        a = 0.5 * (a + a.T)
+        op = invert_sparse_sym(a)
+        b = rng.standard_normal(6)
+        ref, floor_count = eigh_floor_solve(a, b, FLOOR_EPS)
+        assert op.floor_count == floor_count == 4
+        assert np.max(np.abs(spd_solve(op, b) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @settings(max_examples=60, deadline=None)
+    @given(signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=1, max_size=12),
+           seed=st.integers(0, 2**32 - 1), m=st.sampled_from([None, 1, 3]))
+    @example(signs=[-1.0], seed=0, m=None)
+    @example(signs=[1.0], seed=0, m=2)
+    @example(signs=[1.0, -1.0], seed=1, m=None)
+    @example(signs=[-1.0, 1.0], seed=2, m=3)
+    def test_eigen_floor_matches_eigh_reference(self, signs, seed, m):
+        # eigenvalues of either sign, at least 1e-2 of the largest in size:
+        # each is far from FLOOR_EPS * lambda_max, so the reference's
+        # floor_count is not at the mercy of rounding. A spectrum with no
+        # positive part is unusable; a positive one takes Cholesky.
+        p, r = len(signs), np.random.default_rng(seed)
+        values = np.array(signs) * r.uniform(0.01, 1.0, p)
+        q, _ = np.linalg.qr(r.standard_normal((p, p)))
+        a = (q * values) @ q.T
+        a = 0.5 * (a + a.T)
+        b = r.standard_normal(p if m is None else (p, m))
+        if values.max() <= 0:
+            with pytest.raises(UnusableMatrixError):
+                invert_sparse_sym(a)
+            return
+        op = invert_sparse_sym(a)
+        ref, floor_count = eigh_floor_solve(a, b, FLOOR_EPS)
+        assert (op.pd_flag, op.floor_count) == (floor_count == 0, floor_count)
+        assert op.kind == ("cholesky" if op.pd_flag else "eigen_floor")
+        got = spd_solve(op, b)
+        assert got.shape == b.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @settings(max_examples=30, deadline=None)
+    @given(p=st.integers(2, 15), seed=st.integers(0, 2**32 - 1))
+    def test_eigen_floor_permutation_equivariant(self, p, seed):
+        # P A P' is A with its coordinates relabelled: its floored solve of
+        # P b is P times the solve of b, its floor_count the same
+        r = np.random.default_rng(seed)
+        values = np.concatenate(([1.0, -0.5], r.uniform(-1.0, 1.0, p - 2)))
+        q, _ = np.linalg.qr(r.standard_normal((p, p)))
+        a = (q * values) @ q.T
+        a = 0.5 * (a + a.T)
+        perm = r.permutation(p)
+        b = r.standard_normal((p, 2))
+        op, op_perm = invert_sparse_sym(a), invert_sparse_sym(a[np.ix_(perm, perm)])
+        assert op.kind == op_perm.kind == "eigen_floor"
+        assert op.floor_count == op_perm.floor_count
+        x = spd_solve(op, b)
+        assert np.max(np.abs(spd_solve(op_perm, b[perm]) - x[perm])) <= 1e-12 * np.max(np.abs(x))
+
+    def test_solves_leave_operator_unchanged(self, rng):
+        # ormqr writes the unit diagonal of the stored reflectors during a
+        # call and restores it: a second solve gives the first one's bits
+        a = np.array([[1.0, 2.0, 0.5], [2.0, 1.0, 0.5], [0.5, 0.5, 3.0]])
+        op = invert_sparse_sym(a)
+        stored = [x.copy() for x in (op._reflectors, op._tau, op._vectors, op._inv_values)]
+        b = rng.standard_normal((3, 2))
+        assert bits_equal(spd_solve(op, b), spd_solve(op, b))
+        after = (op._reflectors, op._tau, op._vectors, op._inv_values)
+        assert all(bits_equal(x, y) for x, y in zip(stored, after))
+
+    def test_stevd_failure_is_numerical_error(self):
+        stevd = estimation.dstevd
+
+        def no_convergence(d, e):
+            values, vectors, _ = stevd(d, e)
+            return values, vectors, 1
+
+        with mock.patch.object(estimation, "dstevd", side_effect=no_convergence):
+            with pytest.raises(NumericalError, match="invert_sparse_sym.*stevd"):
                 invert_sparse_sym(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
@@ -488,7 +566,7 @@ DIAGONALS = {
 class TestDiagonalVectorInput:
     # A (p,) vector d stands for diag(d): cholesky_spd and invert_sparse_sym
     # give the solves, factor, floor_count and pd_flag of the dense
-    # np.diag(d), which takes potrf or eigh, bit for bit.
+    # np.diag(d), which takes potrf or sytrd + stevd, bit for bit.
 
     @staticmethod
     def assert_same_operator(op, ref, rng):

@@ -1,5 +1,7 @@
 """File format round trips and parse errors."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -227,6 +229,45 @@ class TestMatrixCsv:
         path = tmp_path / "m.csv"
         write_matrix(path, a)
         assert np.array_equal(read_matrix(path), a)
+
+    @pytest.mark.parametrize("body, message", [
+        ("1,2\nx,4\n", "line 2: could not convert string to float: 'x'"),
+        ("1,2\n3,4,5\n", "line 2 has 3 fields, line 1 has 2"),
+        ("# c\n\n1,2\n\n3,x\n", "line 5: could not convert string to float: 'x'"),
+        ("# c\n1,2\n3\n", "line 3 has 1 fields, line 2 has 2"),
+        ("1,2\n   \n3,4\n", "line 2 has 1 fields, line 1 has 2"),
+        ('1,2\n"3",4\n', "line 2: could not convert string to float: '\"3\"'"),
+    ], ids=["bad_cell", "extra_field", "bad_cell_after_comment_and_blanks",
+            "short_row_after_comment", "whitespace_line", "quoted_cell"])
+    def test_errors_name_the_file_line(self, tmp_path, body, message):
+        path = tmp_path / "m.csv"
+        path.write_text(body, encoding="utf-8")
+        with pytest.raises(DataError) as err:
+            read_matrix(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("body", ["", "\n# only a comment\n\n"], ids=["empty", "comment_only"])
+    def test_no_data_rows(self, tmp_path, body):
+        # an error naming the file, with no numpy warning
+        path = tmp_path / "m.csv"
+        path.write_text(body, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="m.csv: no data rows"):
+                read_matrix(path)
+
+    def test_comments_and_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("# sigma\n1,0.5 # row 1\n\n0.5,2\n", encoding="utf-8")
+        assert np.array_equal(read_matrix(path), [[1.0, 0.5], [0.5, 2.0]])
+
+    def test_unreadable_file(self, tmp_path):
+        with pytest.raises(DataError, match="No such file"):
+            read_matrix(tmp_path / "nope.csv")
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"1,2\n\xff,4\n")
+        with pytest.raises(DataError, match="latin1.csv: 'utf-8' codec"):
+            read_matrix(path)
 
 
 class TestModelFile:

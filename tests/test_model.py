@@ -1,5 +1,7 @@
 """Dataset validation, population invariants and rule semantics."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,19 @@ class TestValidateDataset:
     def test_label_below_one_rejected(self):
         with pytest.raises(DataError, match="outside 1..K"):
             validate_dataset(np.ones((4, 2)), [0, 1, 1, 2])
+
+    @pytest.mark.parametrize("label, shown", [(2**53, "9007199254740992"), (6, "6"),
+                                              (np.inf, "inf"), (1e300, "1e+300")])
+    def test_label_above_n_rejected(self, label, shown):
+        # a label above n cannot be a class with >= 2 samples; it is named
+        # before any count of classes 1..label is made
+        labels = np.array([1, 1, 2, 2, label], dtype=type(label))
+        with pytest.raises(DataError, match=re.escape(f"label {shown} at row 4 exceeds n=5")):
+            validate_dataset(np.ones((5, 2)), labels)
+
+    def test_label_equal_to_n_reaches_class_count(self):
+        with pytest.raises(DataError, match="class 2 has 0"):
+            validate_dataset(np.ones((4, 2)), [1, 1, 4, 4])
 
     def test_missing_intermediate_class_rejected(self):
         with pytest.raises(DataError, match="class 2 has 0"):
