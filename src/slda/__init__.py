@@ -21,13 +21,7 @@ from .errors import (
     SldaError,
     UnusableMatrixError,
 )
-from .estimation import (
-    compute_an,
-    compute_tn,
-    invert_sparse_sym,
-    threshold_covariance,
-    threshold_delta,
-)
+from .estimation import compute_an, compute_tn, threshold_delta
 from .evaluate import (
     CvSurface,
     RateReport,
@@ -49,6 +43,7 @@ from .model import (
 from .numerics import (
     SymOperator,
     cholesky_spd,
+    invert_sparse_sym,
     sample_mvn,
     sample_mvt,
     std_normal_cdf,

@@ -18,7 +18,6 @@ from .estimation import (
     compute_an,
     compute_tn,
     diagonal_screen,
-    invert_sparse_sym,
     nnz_offdiag,
     pooled_covariance,
     pooled_pinv_solve,
@@ -26,7 +25,7 @@ from .estimation import (
     threshold_delta,
 )
 from .model import Dataset, LinearRule, MultiRule, PopulationSpec, ThresholdConfig
-from .numerics import SymOperator, cholesky_spd, spd_solve
+from .numerics import SymOperator, cholesky_spd, invert_sparse_sym, spd_solve
 
 
 @dataclass(frozen=True)
@@ -144,16 +143,15 @@ def _fits_at_m1(sigma_tilde, nnz: int, deltas: list[dict], mids: dict, p: int) -
     op = None
     fits = []
     for tildes in deltas:
-        needed = any(tilde.q_hat for tilde in tildes.values())
+        needed = any(tilde.any() for tilde in tildes.values())
         if needed and op is None:
             op = _factor_or_error(sigma_tilde)
         if needed and isinstance(op, SldaError):
             fits.append(op)
             continue
-        rules = {pair: _rule(spd_solve(op, tilde.vector) if tilde.q_hat else np.zeros(p),
-                             mids[pair])
+        rules = {pair: _rule(spd_solve(op, tilde) if tilde.any() else np.zeros(p), mids[pair])
                  for pair, tilde in tildes.items()}
-        report = SparsityReport(p=p, q_hat=tildes[(1, 2)].q_hat, nnz_offdiag=nnz,
+        report = SparsityReport(p=p, q_hat=np.count_nonzero(tildes[(1, 2)]), nnz_offdiag=nnz,
                                 pd_flag=not needed or op.pd_flag,
                                 degenerate=rules[(1, 2)].degenerate)
         fits.append((rules, report))

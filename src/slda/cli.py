@@ -17,9 +17,10 @@ from . import diagnostics as diag
 from . import io as sio
 from .classify import build_slda, maximin_labels, pair_columns
 from .errors import DataError, DomainError, ShapeError, SldaError
-from .estimation import centered_rows, compute_an, compute_tn, pooled_covariance, pooled_pinv_solve
+from .estimation import (centered_rows, compute_an, compute_tn, pooled_covariance,
+                         pooled_pinv_solve, threshold_delta)
 from .evaluate import cv_grid_search
-from .model import NORMAL, ThresholdConfig
+from .model import DEFAULT_ALPHA, NORMAL, ThresholdConfig
 from .simulate import (
     Scenario,
     preset_scenarios,
@@ -36,11 +37,11 @@ OK, BAD_INPUT, NUMERICAL = 0, 2, 3
 # flag parses with default=None so that a config file can supply it;
 # explicit flags always win.
 _DEFAULTS = {
-    "fit": {"alpha": "0.3"},
+    "fit": {"alpha": DEFAULT_ALPHA},
     "predict": {},
-    "cv": {"alpha": "0.3", "grid_m1": None, "grid_m2": None, "threads": "1"},
+    "cv": {"alpha": DEFAULT_ALPHA, "grid_m1": None, "grid_m2": None, "threads": "1"},
     "simulate": {"out": "slda_", "threads": "1"},
-    "diagnose": {"h": "0.0", "g": "0.0", "r": "2.0", "alpha": "0.3",
+    "diagnose": {"h": "0.0", "g": "0.0", "r": "2.0", "alpha": DEFAULT_ALPHA,
                  "m2": "1.0", "c0": "4.0"},
 }
 
@@ -82,10 +83,6 @@ def _threads(args) -> int:
     if n < 1:
         raise DataError(f"--threads must be >= 1, got {n}")
     return n
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(v) for v in str(text).split(",") if str(v).strip()]
 
 
 def cmd_fit(args) -> int:
@@ -131,8 +128,8 @@ def cmd_cv(args) -> int:
     dataset = sio.read_dataset_csv(args.train)
     if min(dataset.class_counts) < 3:
         raise DataError("cross-validation requires every class count >= 3")
-    m1_grid = _float_list(args.grid_m1) if args.grid_m1 else None
-    m2_grid = _float_list(args.grid_m2) if args.grid_m2 else None
+    m1_grid = None if args.grid_m1 is None else sio.float_list(args.grid_m1, "--grid-m1")
+    m2_grid = None if args.grid_m2 is None else sio.float_list(args.grid_m2, "--grid-m2")
     surface = cv_grid_search(dataset, m1_grid, m2_grid, float(args.alpha),
                              threads=_threads(args))
     lines = ["m1,m2,loocv_rate"]
@@ -216,7 +213,7 @@ def cmd_diagnose(args) -> int:
     c_hp = diag.sparsity_C(sigma, h)
     d_gp = diag.sparsity_D(delta, g)
     q_n0, q_n = diag.lemma2_counts(delta, a_n, r)
-    q_hat = int(np.sum(np.abs(delta) > a_n))
+    q_hat = np.count_nonzero(threshold_delta(delta, a_n))
     s_n, d_n, a_n, b_n = diag.rate_quantities(n, p, h, g, c_hp, d_gp, q_n, delta_p, alpha, m2=m2)
     report = diag.DiagnosticsReport(
         delta_p=delta_p, c_hp=c_hp, d_gp=d_gp, h=h, g=g,

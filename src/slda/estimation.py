@@ -1,24 +1,16 @@
 """Sample statistics and thresholding estimators: class means and the
 centred rows, the pooled covariance S (divisor n, the MLE) and its
-diagonal, hard-thresholded Sigma-tilde and delta-tilde, the inverse of
-Sigma-tilde (invert_sparse_sym: cholesky_spd, else an eigenvalue floor,
-on a matrix or on the (p,) vector of a diagonal one) and the thin-SVD
-generalized inverse of S."""
+diagonal, the diagonal screen, hard-thresholded Sigma-tilde and
+delta-tilde, and the thin-SVD generalized inverse of S."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dstevd, dsytrd, dsytrd_lwork
 
-from .errors import DomainError, NotPositiveDefiniteError, NumericalError, ShapeError, UnusableMatrixError
+from .errors import DomainError, NumericalError
 from .model import Dataset
-from .numerics import EIGEN_FLOOR, SymOperator, cholesky_spd
-
-# Eigenvalue floor of invert_sparse_sym, relative to lambda_max.
-FLOOR_EPS = 1e-8
 
 # Columns per block of pooled_variances, and rows per block of the
 # thresholding pass (p = 7129: 1.4 MiB of masks per block).
@@ -166,22 +158,10 @@ def compute_an(m2: float, n: int, p: int, alpha: float) -> float:
     return float(m2) * (math.log(p) / n) ** alpha
 
 
-def threshold_covariance(s: np.ndarray, t_n: float) -> np.ndarray:
-    """Sigma-tilde: S with off-diagonal entries |s_jl| <= t_n set to 0.0.
-
-    Off-diagonal entries with |s_jl| > t_n (strict) keep their value and
-    the diagonal is copied exactly. With t_n = 0 only exact zeros are
-    dropped, so the result equals the input. S itself is not changed.
-    """
-    s = np.asarray(s, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ShapeError(f"threshold_covariance requires a square matrix, got {s.shape}")
-    return _threshold_in_place(s.copy(), t_n)
-
-
 def _threshold_in_place(s: np.ndarray, t_n: float) -> np.ndarray:
-    """threshold_covariance for a square float S that the caller no
-    longer needs: S is overwritten with Sigma-tilde and returned.
+    """Sigma-tilde, written over the square float S, which the caller no
+    longer needs: off-diagonal entries |s_jl| <= t_n are set to 0.0, those
+    with |s_jl| > t_n (strict) and the diagonal keep their value.
 
     Row blocks of _ROW_BLOCK rows are masked at a time, so no p x p
     temporary is made; a NaN is dropped, as by the comparison it fails.
@@ -202,72 +182,11 @@ def nnz_offdiag(sigma_tilde: np.ndarray) -> int:
     return (np.count_nonzero(sigma_tilde) - np.count_nonzero(np.diagonal(sigma_tilde))) // 2
 
 
-@dataclass(frozen=True)
-class ThresholdedDelta:
-    """Hard-thresholded mean-difference vector with its kept-index set."""
-
-    vector: np.ndarray   # dense, zeros where dropped
-    kept: np.ndarray     # indices with |delta_hat_j| > a_n
-
-    @property
-    def q_hat(self) -> int:
-        return int(self.kept.shape[0])
-
-
-def threshold_delta(delta_hat: np.ndarray, a_n: float) -> ThresholdedDelta:
-    """Keep components with |delta_hat_j| > a_n (strict), zero the rest."""
+def threshold_delta(delta_hat: np.ndarray, a_n: float) -> np.ndarray:
+    """delta-tilde: components with |delta_hat_j| > a_n (strict) kept, the
+    rest zeroed. A kept component is nonzero and a NaN is never kept, so
+    q_hat = np.count_nonzero(delta-tilde)."""
     if a_n < 0:
         raise DomainError(f"a_n must be >= 0, got {a_n}")
     d = np.asarray(delta_hat, dtype=float)
-    keep = np.abs(d) > a_n
-    out = np.where(keep, d, 0.0)
-    return ThresholdedDelta(vector=out, kept=np.flatnonzero(keep))
-
-
-def invert_sparse_sym(sigma_tilde: np.ndarray) -> SymOperator:
-    """Invert a thresholded covariance, falling back to an eigenvalue floor.
-
-    ``sigma_tilde`` is a square matrix, or the (p,) vector d of a
-    diagonal one, diag(d). cholesky_spd is attempted first (O(p) for the
-    vector) and checks the input, once for both paths: an asymmetric or
-    non-finite input raises DomainError. If a pivot fails, eigenvalues
-    are floored at FLOOR_EPS * lambda_max and the operator is flagged
-    (pd_flag False, floor_count = number floored). The vector (or a
-    1 x 1 matrix) is its own eigendecomposition; a matrix is reduced to
-    tridiagonal T = Q' A Q by LAPACK sytrd and T's eigenvalues and
-    vectors Z come from stevd (ascending), so A's eigenvectors Q Z are
-    never formed: spd_solve applies Q, Z, Z' and Q'. Thresholding can
-    destroy positive definiteness, so callers should surface the flag.
-    """
-    try:
-        return cholesky_spd(sigma_tilde)
-    except NotPositiveDefiniteError:
-        pass
-    a = np.asarray(sigma_tilde, dtype=float)  # checked by cholesky_spd
-    vectors = reflectors = tau = None
-    if a.ndim == 2 and a.shape[0] > 1:
-        lwork, _ = dsytrd_lwork(a.shape[0], lower=1)
-        # sytrd works on a Fortran copy, reading its lower triangle as potrf does
-        c, diag, off, tau, info = dsytrd(a, lower=1, lwork=int(lwork))
-        if info < 0:
-            raise NumericalError(f"invert_sparse_sym: illegal argument {-info} to LAPACK sytrd")
-        # Q = H(1)...H(p-1): the vector of H(i) lies below the diagonal of
-        # column i of c[1:, :-1], its leading 1 implied
-        reflectors = np.asfortranarray(c[1:, :-1])
-        del c
-        values, vectors, info = dstevd(diag, off)
-        if info != 0:
-            raise NumericalError(f"invert_sparse_sym: LAPACK stevd failed (info {info})")
-    else:
-        values = a.reshape(-1)
-    lam_max = float(values.max())
-    if lam_max <= 0:
-        raise UnusableMatrixError(
-            f"thresholded covariance has no positive part (lambda_max={lam_max:.3e})"
-        )
-    floor = FLOOR_EPS * lam_max
-    floored = np.maximum(values, floor)
-    n_floored = int(np.sum(values < floor))
-    return SymOperator(kind=EIGEN_FLOOR, dim=values.shape[0], pd_flag=False,
-                       floor_count=n_floored, _vectors=vectors, _inv_values=1.0 / floored,
-                       _reflectors=reflectors, _tau=tau)
+    return np.where(np.abs(d) > a_n, d, 0.0)

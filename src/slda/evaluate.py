@@ -15,7 +15,7 @@ from .classify import build_slda_grid, classify, classify_many, maximin_labels, 
 from .diagnostics import mahalanobis_delta
 from .errors import DataError, DomainError, ShapeError, SldaError
 from .estimation import centered_rows, compute_an, compute_tn, pooled_covariance
-from .model import Dataset, LinearRule, PopulationSpec, ThresholdConfig, NORMAL
+from .model import DEFAULT_ALPHA, Dataset, LinearRule, PopulationSpec, ThresholdConfig, NORMAL
 from .numerics import std_normal_cdf
 
 CLOSED_FORM = "closed_form"
@@ -240,7 +240,7 @@ def _valid(m1: float, m2: float, alpha: float) -> bool:
     return True
 
 
-def cv_grid_search(dataset: Dataset, m1_grid=None, m2_grid=None, alpha: float = 0.3,
+def cv_grid_search(dataset: Dataset, m1_grid=None, m2_grid=None, alpha: float = DEFAULT_ALPHA,
                    threads: int = 1) -> CvSurface:
     """Leave-one-out rate of SLDA at every point of the product grid,
     and the point with the minimum.
@@ -294,7 +294,7 @@ def cv_grid_search(dataset: Dataset, m1_grid=None, m2_grid=None, alpha: float = 
                      forced_worst=forced)
 
 
-def default_grids(dataset: Dataset, alpha: float = 0.3, size: int = 7):
+def default_grids(dataset: Dataset, alpha: float = DEFAULT_ALPHA, size: int = 7):
     """Data-driven (M1, M2) grids when the caller supplies none.
 
     M2 values are log-spaced so that a_n sweeps the 50th to 99.9th

@@ -1,6 +1,7 @@
-"""Stable text formats: dataset CSV, matrix CSV, the v1 model file and
-the flat key-value parser behind scenario and config files. All floats
-print with 17 significant digits so re-ingestion is value-exact."""
+"""Stable text formats: dataset CSV, matrix CSV, the v1 model file, and
+the flat key-value and comma-list parsers behind scenario and config
+files. All floats print with 17 significant digits so re-ingestion is
+value-exact."""
 
 from __future__ import annotations
 
@@ -176,6 +177,7 @@ def read_model(path) -> tuple[LinearRule, dict]:
     if not text or text[0].strip() != MODEL_HEADER:
         raise DataError(f'{path}: missing "{MODEL_HEADER}" header')
     meta: dict = {}
+    line_of = {}  # key -> 1-based line number
     i = 1
     while i < len(text) and text[i].strip() != "weights":
         parts = text[i].split(None, 1)
@@ -184,11 +186,14 @@ def read_model(path) -> tuple[LinearRule, dict]:
         if parts[0] in meta:
             raise DataError(f"{path}: repeated key {parts[0]!r} on line {i + 1}")
         meta[parts[0]] = parts[1]
+        line_of[parts[0]] = i + 1
         i += 1
     if i >= len(text):
         raise DataError(f'{path}: no "weights" section')
     try:
         p = int(meta["p"])
+        if p < 1:
+            raise ValueError(f"line {line_of['p']}: p must be >= 1, got {p}")
         cutoff = float(meta["c"])
         weights = np.array([float(v) for v in text[i + 1:i + 1 + p]])
     except (KeyError, ValueError) as exc:
@@ -233,3 +238,16 @@ def read_kv(path) -> dict:
         seen[key] = line_no
         out[key] = value
     return out
+
+
+def float_list(text: str, name: str) -> tuple[float, ...]:
+    """The numbers of a comma-separated flag or key value. An empty value
+    or item, or an item that is not a number, raises DataError naming
+    ``name``."""
+    items = text.split(",")
+    if not all(item.strip() for item in items):
+        raise DataError(f"{name} has an empty item: {text!r}")
+    try:
+        return tuple(float(item) for item in items)
+    except ValueError as exc:
+        raise DataError(f"{name}: {exc}") from None

@@ -206,6 +206,11 @@ class MultiRule:
         return next(iter(self.pairwise.values())).p
 
 
+# alpha of ThresholdConfig, and of every command, grid and scenario that
+# does not set one.
+DEFAULT_ALPHA = 0.3
+
+
 @dataclass(frozen=True)
 class ThresholdConfig:
     """Constants (M1, M2, alpha) of the two hard thresholds.
@@ -216,7 +221,7 @@ class ThresholdConfig:
 
     m1: float
     m2: float
-    alpha: float = 0.3
+    alpha: float = DEFAULT_ALPHA
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 0.5):

@@ -1,8 +1,8 @@
 """Scalar normal-distribution functions, RNG streams, samplers and the
 symmetric operator used by every other module. cholesky_spd factors a
 symmetric positive definite matrix, or a diagonal one given as its (p,)
-vector, after one input check; the eigenvalue floor for a matrix that
-fails it lives in estimation.invert_sparse_sym.
+vector, after one input check; invert_sparse_sym falls back from it to
+an eigenvalue floor, and spd_solve applies either.
 
 The normal CDF goes through the complementary error function; the tail
 has a dedicated log-domain path (Laplace continued fraction for the
@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve
-from scipy.linalg.lapack import dormqr, get_lapack_funcs
+from scipy.linalg.lapack import dormqr, dstevd, dsytrd, dsytrd_lwork, get_lapack_funcs
 
-from .errors import DomainError, NotPositiveDefiniteError, NumericalError, ShapeError
+from .errors import DomainError, NotPositiveDefiniteError, NumericalError, ShapeError, UnusableMatrixError
 
 _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -30,6 +30,9 @@ _TAIL_SWITCH = 8.0
 
 # Relative asymmetry tolerated before factorization refuses the input.
 _SYM_RTOL = 1e-8
+
+# Eigenvalue floor of invert_sparse_sym, relative to lambda_max.
+FLOOR_EPS = 1e-8
 
 # Rows per block of the asymmetry check (p = 7129: 7 MiB of temporaries
 # where the whole a - a.T took 388 MiB).
@@ -117,9 +120,9 @@ class SymOperator:
       l = sqrt(d) and r = 1/l, so solves, draws and products cost O(p);
     - "cholesky": a (p, p) matrix A = L L' with L from LAPACK potrf;
     - "eigen_floor": Q Z diag(inv) Z' Q' with floored eigenvalues
-      (estimation.invert_sparse_sym): A = Q T Q' from LAPACK sytrd, Q
-      held as its p - 1 Householder reflectors and their tau, and
-      T = Z diag(values) Z' from stevd. The eigenvectors V = Q Z are
+      (invert_sparse_sym): A = Q T Q' from LAPACK sytrd, Q held as its
+      p - 1 Householder reflectors and their tau, and T = Z diag(values) Z'
+      from stevd. The eigenvectors V = Q Z are
       never formed. Z and Q are None when A was given as its (p,)
       diagonal or is 1 x 1 (V = I).
 
@@ -205,6 +208,55 @@ def cholesky_spd(a: np.ndarray) -> SymOperator:
     if info < 0:
         raise NumericalError(f"cholesky_spd: illegal argument {-info} to LAPACK potrf")
     return SymOperator(kind=CHOLESKY, dim=a.shape[0], _factor=c)
+
+
+def invert_sparse_sym(sigma_tilde: np.ndarray) -> SymOperator:
+    """Invert a thresholded covariance, falling back to an eigenvalue floor.
+
+    ``sigma_tilde`` is a square matrix, or the (p,) vector d of a
+    diagonal one, diag(d). cholesky_spd is attempted first (O(p) for the
+    vector) and checks the input, once for both paths: an asymmetric or
+    non-finite input raises DomainError. If a pivot fails, eigenvalues
+    are floored at FLOOR_EPS * lambda_max and the operator is flagged
+    (pd_flag False, floor_count = number floored). The vector (or a
+    1 x 1 matrix) is its own eigendecomposition; a matrix is reduced to
+    tridiagonal T = Q' A Q by LAPACK sytrd and T's eigenvalues and
+    vectors Z come from stevd (ascending), so A's eigenvectors Q Z are
+    never formed: spd_solve applies Q, Z, Z' and Q'. Thresholding can
+    destroy positive definiteness, so callers should surface the flag.
+    """
+    try:
+        return cholesky_spd(sigma_tilde)
+    except NotPositiveDefiniteError:
+        pass
+    a = np.asarray(sigma_tilde, dtype=float)  # checked by cholesky_spd
+    vectors = reflectors = tau = None
+    if a.ndim == 2 and a.shape[0] > 1:
+        lwork, _ = dsytrd_lwork(a.shape[0], lower=1)
+        # sytrd works on a Fortran copy, reading its lower triangle as potrf does
+        c, diag, off, tau, info = dsytrd(a, lower=1, lwork=int(lwork))
+        if info < 0:
+            raise NumericalError(f"invert_sparse_sym: illegal argument {-info} to LAPACK sytrd")
+        # Q = H(1)...H(p-1): the vector of H(i) lies below the diagonal of
+        # column i of c[1:, :-1], its leading 1 implied
+        reflectors = np.asfortranarray(c[1:, :-1])
+        del c
+        values, vectors, info = dstevd(diag, off)
+        if info != 0:
+            raise NumericalError(f"invert_sparse_sym: LAPACK stevd failed (info {info})")
+    else:
+        values = a.reshape(-1)
+    lam_max = float(values.max())
+    if lam_max <= 0:
+        raise UnusableMatrixError(
+            f"thresholded covariance has no positive part (lambda_max={lam_max:.3e})"
+        )
+    floor = FLOOR_EPS * lam_max
+    floored = np.maximum(values, floor)
+    n_floored = int(np.sum(values < floor))
+    return SymOperator(kind=EIGEN_FLOOR, dim=values.shape[0], pd_flag=False,
+                       floor_count=n_floored, _vectors=vectors, _inv_values=1.0 / floored,
+                       _reflectors=reflectors, _tau=tau)
 
 
 def _apply_q(op: SymOperator, b: np.ndarray, trans: str) -> np.ndarray:

@@ -15,8 +15,8 @@ import numpy as np
 from .classify import SparsityReport, build_lda, build_lda_known_sigma, build_oracle, build_slda
 from .errors import DataError, DomainError, NotPositiveDefiniteError, SldaError
 from .evaluate import RateReport, conditional_rate, conditional_rate_mc, cv_grid_search
-from .io import fmt_float, read_kv, read_matrix
-from .model import Dataset, NORMAL, STUDENT_T, PopulationSpec, ThresholdConfig
+from .io import float_list, fmt_float, read_kv, read_matrix
+from .model import DEFAULT_ALPHA, Dataset, NORMAL, STUDENT_T, PopulationSpec, ThresholdConfig
 from .numerics import sample_mvn, sample_mvt, substream
 
 METHODS = ("slda", "lda", "lda_known_sigma", "oracle")
@@ -102,7 +102,7 @@ class GridSpec:
 
     m1_grid: tuple[float, ...] | None = None  # None = data-driven default
     m2_grid: tuple[float, ...] | None = None
-    alpha: float = 0.3
+    alpha: float = DEFAULT_ALPHA
 
 
 @dataclass(frozen=True)
@@ -272,8 +272,7 @@ def read_scenario(path) -> Scenario:
         methods = tuple(m.strip() for m in take("methods").split(","))
         p = int(take("p"))
         if "delta_values" in kv:
-            delta = tuple(float(v) for v in take("delta_values").split(","))
-            delta_pattern: tuple = np.array(delta)
+            delta_pattern: tuple = np.array(float_list(take("delta_values"), "delta_values"))
         else:
             delta_pattern = (int(take("delta_count")), float(take("delta_magnitude")))
         sigma_kind = take("sigma", "identity")
@@ -295,12 +294,13 @@ def read_scenario(path) -> Scenario:
         if "slda" not in methods:
             cv: ThresholdConfig | GridSpec | None = None
         elif "m1" in kv and "m2" in kv:
-            cv = ThresholdConfig(
-                m1=float(take("m1")), m2=float(take("m2")), alpha=float(take("alpha", "0.3")))
+            cv = ThresholdConfig(m1=float(take("m1")), m2=float(take("m2")),
+                                 alpha=float(take("alpha", DEFAULT_ALPHA)))
         elif "grid_m1" in kv or "grid_m2" in kv:
-            m1_grid, m2_grid = (tuple(float(v) for v in take(key).split(",")) if key in kv
-                                else None for key in ("grid_m1", "grid_m2"))
-            cv = GridSpec(m1_grid=m1_grid, m2_grid=m2_grid, alpha=float(take("alpha", "0.3")))
+            m1_grid, m2_grid = (float_list(take(key), key) if key in kv else None
+                                for key in ("grid_m1", "grid_m2"))
+            cv = GridSpec(m1_grid=m1_grid, m2_grid=m2_grid,
+                          alpha=float(take("alpha", DEFAULT_ALPHA)))
         else:
             cv = None
         fields = dict(name=take("name", Path(path).stem), population=recipe,

@@ -82,6 +82,17 @@ def reference_read_table(path, labeled: bool):
     return np.array(features), labels
 
 
+def threshold_covariance(s, t_n):
+    """Reference Sigma-tilde: a copy of S with the off-diagonal entries
+    |s_jl| <= t_n (a NaN included) set to 0.0, those with |s_jl| > t_n
+    kept, and the diagonal copied exactly. S itself is not changed. The
+    reference of slda.estimation._threshold_in_place."""
+    s = np.asarray(s, dtype=float)
+    out = np.where(np.abs(s) > t_n, s, 0.0)
+    np.fill_diagonal(out, np.diagonal(s))
+    return out
+
+
 def dense_lower(op):
     """Dense lower Cholesky factor L of a "diagonal" or "cholesky"
     SymOperator; a diagonal one holds l = sqrt(d), so L = diag(l)."""

@@ -19,6 +19,7 @@ from conftest import (
     random_population,
     random_spd,
     summarize,
+    threshold_covariance,
     two_class_dataset,
 )
 from slda.classify import (
@@ -38,9 +39,7 @@ from slda.estimation import (
     compute_an,
     compute_tn,
     diagonal_screen,
-    invert_sparse_sym,
     nnz_offdiag,
-    threshold_covariance,
     threshold_delta,
 )
 from slda.model import (
@@ -50,7 +49,7 @@ from slda.model import (
     PopulationSpec,
     ThresholdConfig,
 )
-from slda.numerics import cholesky_spd, sample_mvn, spd_solve, substream
+from slda.numerics import cholesky_spd, invert_sparse_sym, sample_mvn, spd_solve, substream
 
 CLASSIFY = sys.modules["slda.classify"]  # the package's classify function shadows the module
 
@@ -534,7 +533,7 @@ def reference_fit(ds, m1, m2, alpha=0.3):
     means = summary.class_means
     pairs = [(a, b) for a in range(1, k) for b in range(a + 1, k + 1)]
     tildes = {(a, b): threshold_delta(means[a - 1] - means[b - 1], a_n) for a, b in pairs}
-    needed = any(t.q_hat for t in tildes.values())
+    needed = any(np.count_nonzero(t) for t in tildes.values())
     op = None
     if needed:
         try:
@@ -544,9 +543,9 @@ def reference_fit(ds, m1, m2, alpha=0.3):
     rules = {}
     for a, b in pairs:
         t = tildes[(a, b)]
-        w = spd_solve(op, t.vector) if t.q_hat else np.zeros(p)
+        w = spd_solve(op, t) if np.count_nonzero(t) else np.zeros(p)
         rules[(a, b)] = (w, float(w @ (0.5 * (means[a - 1] + means[b - 1]))))
-    return rules, (tildes[(1, 2)].q_hat, nnz_offdiag(sigma), not needed or op.pd_flag)
+    return rules, (np.count_nonzero(tildes[(1, 2)]), nnz_offdiag(sigma), not needed or op.pd_flag)
 
 
 def same_fit(fit, want) -> bool:

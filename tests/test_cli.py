@@ -266,6 +266,19 @@ class TestCv:
         assert outs[0] == outs[1]
         assert outs[0].decode().count(",1\n") >= 2
 
+    # an empty value must not fall back to the data-driven grid, and an
+    # empty item must not be dropped
+    @pytest.mark.parametrize("flag, value", [("--grid-m1", ""), ("--grid-m1", " "),
+                                             ("--grid-m1", "1,,2"), ("--grid-m2", "0.5,")])
+    def test_empty_grid_item_exits_2(self, separable_csv, tmp_path, capsys, flag, value):
+        out = tmp_path / "s.csv"
+        argv = ["cv", "--train", str(separable_csv), "--out", str(out)]
+        for key, text in {"--grid-m1": "1", "--grid-m2": "0.5", flag: value}.items():
+            argv += [key, text]
+        assert main(argv) == 2
+        assert f"{flag} has an empty item" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_small_class_exits_2(self, tmp_path, rng):
         path = tmp_path / "small.csv"
         write_dataset_csv(path, two_class_dataset(rng.standard_normal((2, 2)),
@@ -556,6 +569,17 @@ class TestConfigFile:
                      "--config", str(cfg), "--out", str(out)]) == 0
         rows = out.read_text(encoding="utf-8").splitlines()[1:]
         assert [row.rsplit(",", 1)[0] for row in rows] == ["1,0.5", "1,2"]
+
+    # as on the command line: no data-driven grid, no dropped item
+    @pytest.mark.parametrize("line", ["grid-m1 =", "grid_m1 = 1,,2"])
+    def test_empty_grid_item_exits_2(self, separable_csv, tmp_path, capsys, line):
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text(f"{line}\n", encoding="utf-8")
+        out = tmp_path / "s.csv"
+        assert main(["cv", "--train", str(separable_csv), "--grid-m2", "0.5",
+                     "--config", str(cfg), "--out", str(out)]) == 2
+        assert "--grid-m1 has an empty item" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_required_after_merge_exits_2(self, tmp_path):
         assert main(["fit", "--m1", "1", "--m2", "1",

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import (bits_equal, dense_lower, eigh_descending, eigh_floor_solve, random_spd,
-                      summarize, two_class_dataset)
-from slda import estimation
+                      summarize, threshold_covariance, two_class_dataset)
+from slda import estimation, numerics
 from slda.errors import (
     DomainError,
     NotPositiveDefiniteError,
@@ -20,22 +20,20 @@ from slda.errors import (
     UnusableMatrixError,
 )
 from slda.estimation import (
-    FLOOR_EPS,
     _threshold_in_place,
     centered_rows,
     compute_an,
     compute_tn,
     diagonal_screen,
-    invert_sparse_sym,
     nnz_offdiag,
     pooled_covariance,
     pooled_pinv_solve,
     pooled_variances,
-    threshold_covariance,
     threshold_delta,
 )
 from slda.model import validate_dataset
-from slda.numerics import cholesky_spd, sample_mvn, spd_solve, substream
+from slda.numerics import (FLOOR_EPS, cholesky_spd, invert_sparse_sym, sample_mvn, spd_solve,
+                           substream)
 
 
 class TestSummarize:
@@ -319,25 +317,25 @@ class TestVarianceScreen:
 class TestThresholdDelta:
     def test_basic(self):
         out = threshold_delta(np.array([0.5, -0.1, 0.3]), 0.2)
-        assert np.array_equal(out.vector, [0.5, 0.0, 0.3])
-        assert out.q_hat == 2
-        assert np.array_equal(out.kept, [0, 2])
+        assert np.array_equal(out, [0.5, 0.0, 0.3])
+        assert np.count_nonzero(out) == 2
+        assert np.array_equal(np.flatnonzero(out), [0, 2])
 
     def test_zero_threshold_keeps_exact_zeros_out(self):
         out = threshold_delta(np.array([0.5, 0.0, -0.3]), 0.0)
-        assert np.array_equal(out.vector, [0.5, 0.0, -0.3])
-        assert out.q_hat == 2
+        assert np.array_equal(out, [0.5, 0.0, -0.3])
+        assert np.count_nonzero(out) == 2
 
     def test_all_below_gives_empty(self):
         out = threshold_delta(np.array([0.1, -0.05]), 0.2)
-        assert out.q_hat == 0
-        assert not np.any(out.vector)
+        assert np.count_nonzero(out) == 0
+        assert not np.any(out)
 
     def test_monotone(self, rng):
         d = rng.standard_normal(40)
         prev = None
         for a in (0.0, 0.3, 0.8, 2.0):
-            kept = set(threshold_delta(d, a).kept.tolist())
+            kept = set(np.flatnonzero(threshold_delta(d, a)).tolist())
             if prev is not None:
                 assert kept <= prev
             prev = kept
@@ -545,13 +543,13 @@ class TestInvertSparseSym:
         assert all(bits_equal(x, y) for x, y in zip(stored, after))
 
     def test_stevd_failure_is_numerical_error(self):
-        stevd = estimation.dstevd
+        stevd = numerics.dstevd
 
         def no_convergence(d, e):
             values, vectors, _ = stevd(d, e)
             return values, vectors, 1
 
-        with mock.patch.object(estimation, "dstevd", side_effect=no_convergence):
+        with mock.patch.object(numerics, "dstevd", side_effect=no_convergence):
             with pytest.raises(NumericalError, match="invert_sparse_sym.*stevd"):
                 invert_sparse_sym(np.array([[1.0, 2.0], [2.0, 1.0]]))
 

@@ -16,6 +16,7 @@ from conftest import (
     random_population,
     random_spd,
     summarize,
+    threshold_covariance,
     two_class_dataset,
 )
 from slda import evaluate
@@ -25,9 +26,7 @@ from slda.errors import DataError, DomainError, ShapeError, SldaError
 from slda.estimation import (
     compute_an,
     compute_tn,
-    invert_sparse_sym,
     nnz_offdiag,
-    threshold_covariance,
 )
 from slda.evaluate import (
     conditional_rate,
@@ -45,7 +44,7 @@ from slda.model import (
     ThresholdConfig,
     validate_dataset,
 )
-from slda.numerics import sample_mvn, std_normal_cdf, substream
+from slda.numerics import invert_sparse_sym, sample_mvn, std_normal_cdf, substream
 
 mp.mp.dps = 30
 

@@ -333,11 +333,14 @@ class TestModelFile:
         ("p 2\ndegenerate 1\n", "0.0\n2.0\n", "degenerate 1 contradicts"),
         ("p 2\ndegenerate 0\n", "0.0\n-0.0\n", "degenerate 0 contradicts"),
         ("p 2\ndegenerate yes\n", "1.0\n2.0\n", "degenerate yes contradicts"),
+        # p 0 would read a model that labels every row 1
+        ("p 0\n", "", "line 2: p must be >= 1, got 0"),
+        ("p -2\n", "1.0\n2.0\n", "line 2: p must be >= 1, got -2"),
     ], ids=["too_few", "too_many", "repeated_p", "repeated_c", "degenerate_nonzero",
-            "not_degenerate_zero", "degenerate_not_0_or_1"])
+            "not_degenerate_zero", "degenerate_not_0_or_1", "p_zero", "p_negative"])
     def test_truncated_weights_rejected(self, tmp_path, meta, weights, message):
-        # too few or too many weight lines, a repeated key, or a degenerate
-        # flag that contradicts the weights
+        # too few or too many weight lines, a repeated key, a degenerate
+        # flag that contradicts the weights, or a p below 1
         path = tmp_path / "model.txt"
         path.write_text(f"slda-model v1\n{meta}alpha 0.3\nm1 1\nm2 1\nc 0\n"
                         f"weights\n{weights}", encoding="utf-8")
@@ -449,6 +452,18 @@ class TestScenarioFile:
             read_scenario(path)
         assert all(f"'{key}'" in str(err.value) for key in unused)
 
+    # the message names the key, not only "could not convert string to
+    # float: ''"
+    @pytest.mark.parametrize("key, value", [("grid_m1", "1,,2"), ("grid_m2", ""),
+                                            ("delta_values", "1,0,0,0,0,")])
+    def test_empty_list_item_names_the_key(self, tmp_path, key, value):
+        delta = "" if key == "delta_values" else "delta_count = 2\ndelta_magnitude = 1\n"
+        path = tmp_path / "sc.txt"
+        path.write_text(f"p = 6\n{delta}n1 = 5\nn2 = 5\nmethods = slda\nreps = 2\nseed = 9\n"
+                        f"{key} = {value}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"{key} has an empty item"):
+            read_scenario(path)
+
 
 class TestKeyValueFile:
     def test_pairs_comments_and_spacing(self, tmp_path):
@@ -506,6 +521,18 @@ class TestImportGraph:
 
         for mod in graph:
             visit(mod)
+
+    def test_operators_are_built_only_in_numerics(self):
+        # the inverse of Sigma-tilde has one owner: no other module builds a
+        # SymOperator or calls LAPACK
+        from pathlib import Path
+
+        import slda
+
+        for path in Path(slda.__file__).parent.glob("*.py"):
+            if path.stem != "numerics":
+                text = path.read_text(encoding="utf-8")
+                assert "SymOperator(" not in text and "lapack" not in text, path.stem
 
     def test_no_export_shadows_a_submodule(self):
         # a name that slda/__init__.py imports replaces the submodule

@@ -16,10 +16,10 @@ from scipy.linalg.lapack import get_lapack_funcs
 
 from conftest import dense_lower
 from slda.errors import DomainError, NotPositiveDefiniteError, ShapeError
-from slda.estimation import invert_sparse_sym
 from slda.numerics import (
     _SYM_BLOCK,
     cholesky_spd,
+    invert_sparse_sym,
     sample_mvn,
     sample_mvt,
     spd_solve,
