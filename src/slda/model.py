@@ -9,7 +9,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError, DomainError, ShapeError
-from .numerics import SymOperator, cholesky_spd
+from .numerics import SymOperator, check_df, cholesky_spd
 
 NORMAL = "normal"
 STUDENT_T = "student_t"
@@ -136,8 +136,8 @@ class PopulationSpec:
             raise DomainError("population means must be finite")
         if self.distribution not in (NORMAL, STUDENT_T):
             raise DomainError(f"unknown distribution {self.distribution!r}")
-        if self.distribution == STUDENT_T and (self.df is None or int(self.df) < 1):
-            raise DomainError("student_t populations need df >= 1")
+        if self.distribution == STUDENT_T:
+            check_df(self.df, "student_t population")
         if means.shape[0] == 2 and np.array_equal(means[0], means[1]):
             raise DomainError("two-class population requires mu_1 != mu_2")
         object.__setattr__(self, "means", means)

@@ -297,52 +297,51 @@ def spd_solve(op: SymOperator, b: np.ndarray) -> np.ndarray:
 # samplers
 # ---------------------------------------------------------------------------
 
-def _apply_lower(op: SymOperator, z: np.ndarray) -> np.ndarray:
-    # L z for (p,) or z L' for (m, p); a diagonal L scales the columns.
-    if op.kind == DIAGONAL:
-        return z * op._factor
-    op._require_factor("sampling")
-    if z.ndim == 1:
-        return op._factor @ z
-    return z @ op._factor.T
+def check_df(df, what: str) -> int:
+    """df as an int; DomainError unless it is an integer >= 1 (not a bool)."""
+    if (isinstance(df, (bool, np.bool_)) or not isinstance(df, (int, float, np.integer))
+            or not (df >= 1 and float(df).is_integer())):
+        raise DomainError(f"{what}: df must be an integer >= 1, got {df!r}")
+    return int(df)
 
 
-def sample_mvn(mean, factor: SymOperator, gen: np.random.Generator, size: int | None = None):
-    """Draw from N(mean, L L') given the Cholesky factor L.
-
-    Returns a (p,) vector, or an (size, p) matrix when ``size`` is given.
-    Output is mean + L z with z standard normal from ``gen``, so the
-    result is fully determined by the generator state.
-    """
+def _sample(what, mean, factor: SymOperator, gen, size, out, df=None) -> np.ndarray:
+    # The one sampling body: out <- mean + L z, times sqrt(df/w) per draw
+    # for a t, in place in a (p,) draw or (m, p) rows; all z, then w, from gen.
     mean = np.asarray(mean, dtype=float)
     p = factor.dim
     if mean.shape != (p,):
-        raise ShapeError(f"sample_mvn: mean shape {mean.shape} != ({p},)")
-    if size is None:
-        return mean + _apply_lower(factor, gen.standard_normal(p))
-    return mean + _apply_lower(factor, gen.standard_normal((size, p)))
+        raise ShapeError(f"{what}: mean shape {mean.shape} != ({p},)")
+    if out is None:
+        out = np.empty(p if size is None else (size, p))
+    elif (size is not None or out.ndim not in (1, 2) or out.shape[-1] != p
+          or out.dtype != np.float64 or not out.flags.c_contiguous):
+        raise ShapeError(f"{what}: out must be a C-contiguous float (p,) or (m, {p}) array")
+    if factor.kind == DIAGONAL:
+        gen.standard_normal(out=out)
+        out *= factor._factor
+    else:
+        factor._require_factor("sampling")
+        np.matmul(gen.standard_normal(out.shape), factor._factor.T, out=out)
+    if df is not None:
+        out *= np.sqrt(df / gen.chisquare(df, out.shape[:-1]))[..., None]
+    out += mean
+    return out
+
+
+def sample_mvn(mean, factor: SymOperator, gen: np.random.Generator, size: int | None = None,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Draw mean + L z from N(mean, L L'), z standard normal from ``gen``:
+    a (p,) vector, (size, p) rows when ``size`` is given, or ``out`` (a
+    C-contiguous (p,) or (m, p) float array, instead of ``size``) filled in
+    place and returned. The bits depend only on the generator state."""
+    return _sample("sample_mvn", mean, factor, gen, size, out)
 
 
 def sample_mvt(mean, factor: SymOperator, df: int, gen: np.random.Generator,
-               size: int | None = None):
-    """Draw from a multivariate t with ``df`` degrees of freedom.
-
-    ``factor`` is the Cholesky factor of the SCALE matrix Sigma; the
-    covariance of the draw is df/(df-2) * Sigma when df > 2. Each draw is
-    mean + L z sqrt(df/w) with z standard normal and w chi-square(df),
-    both taken from ``gen`` (z first, then w).
-    """
-    mean = np.asarray(mean, dtype=float)
-    p = factor.dim
-    if mean.shape != (p,):
-        raise ShapeError(f"sample_mvt: mean shape {mean.shape} != ({p},)")
-    df = int(df)
-    if df < 1:
-        raise DomainError(f"sample_mvt: df must be >= 1, got {df}")
-    if size is None:
-        z = gen.standard_normal(p)
-        w = gen.chisquare(df)
-        return mean + _apply_lower(factor, z) * math.sqrt(df / w)
-    z = gen.standard_normal((size, p))
-    w = gen.chisquare(df, size)
-    return mean + _apply_lower(factor, z) * np.sqrt(df / w)[:, None]
+               size: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """Draw mean + L z sqrt(df/w) from a multivariate t, df an integer >= 1:
+    L factors the SCALE matrix Sigma (the covariance is df/(df-2) Sigma for
+    df > 2), z is standard normal and w chi-square(df), z first, then w,
+    from ``gen``. ``size`` and ``out`` are as in sample_mvn."""
+    return _sample("sample_mvt", mean, factor, gen, size, out, check_df(df, "sample_mvt"))

@@ -151,13 +151,13 @@ class ReplicateRecord:
 
 
 def _draw_dataset(pop: PopulationSpec, n1: int, n2: int, gen) -> Dataset:
-    if pop.distribution == STUDENT_T:
-        x1 = sample_mvt(pop.means[0], pop.chol, pop.df, gen, size=n1)
-        x2 = sample_mvt(pop.means[1], pop.chol, pop.df, gen, size=n2)
-    else:
-        x1 = sample_mvn(pop.means[0], pop.chol, gen, size=n1)
-        x2 = sample_mvn(pop.means[1], pop.chol, gen, size=n2)
-    features = np.vstack([x1, x2])
+    # class 1's rows, then class 2's, drawn straight into one array
+    features = np.empty((n1 + n2, pop.p))
+    for mean, rows in zip(pop.means, (features[:n1], features[n1:])):
+        if pop.distribution == STUDENT_T:
+            sample_mvt(mean, pop.chol, pop.df, gen, out=rows)
+        else:
+            sample_mvn(mean, pop.chol, gen, out=rows)
     labels = np.concatenate([np.ones(n1, dtype=int), np.full(n2, 2, dtype=int)])
     return Dataset(features=features, labels=labels, class_counts=(n1, n2))
 

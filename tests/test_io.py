@@ -524,15 +524,21 @@ class TestImportGraph:
 
     def test_operators_are_built_only_in_numerics(self):
         # the inverse of Sigma-tilde has one owner: no other module builds a
-        # SymOperator or calls LAPACK
+        # SymOperator, reads one of its private fields or calls LAPACK
+        import dataclasses
+        import re
         from pathlib import Path
 
         import slda
+        from slda.numerics import SymOperator
 
+        private = [f.name for f in dataclasses.fields(SymOperator) if f.name.startswith("_")]
+        field_read = re.compile(r"\.(%s)\b" % "|".join(private))
         for path in Path(slda.__file__).parent.glob("*.py"):
             if path.stem != "numerics":
                 text = path.read_text(encoding="utf-8")
                 assert "SymOperator(" not in text and "lapack" not in text, path.stem
+                assert not field_read.search(text), path.stem
 
     def test_no_export_shadows_a_submodule(self):
         # a name that slda/__init__.py imports replaces the submodule

@@ -1,5 +1,6 @@
 """Dataset validation, population invariants and rule semantics."""
 
+import math
 import re
 
 import numpy as np
@@ -109,6 +110,20 @@ class TestPopulationSpec:
         with pytest.raises(DomainError):
             PopulationSpec(means=np.array([[1.0], [0.0]]), covariance=np.eye(1),
                            distribution="student_t")
+
+    @pytest.mark.parametrize("df", [2.5, True, 0, -3, math.inf, math.nan, "3"])
+    def test_student_t_df_must_be_an_integer(self, df):
+        # a df of 2.5 (or True) was accepted: the training rows were drawn
+        # with df truncated to 2 (or 1), the Monte Carlo rates with 2.5
+        with pytest.raises(DomainError, match="df must be an integer >= 1"):
+            PopulationSpec(means=np.array([[1.0], [0.0]]), covariance=np.ones(1),
+                           distribution="student_t", df=df)
+
+    @pytest.mark.parametrize("df", [1, 3, np.int64(3), 3.0])
+    def test_student_t_integer_df_accepted(self, df):
+        pop = PopulationSpec(means=np.array([[1.0], [0.0]]), covariance=np.ones(1),
+                             distribution="student_t", df=df)
+        assert pop.df == df
 
     def test_delta_and_mid(self):
         pop = PopulationSpec(means=np.array([[2.0, 0.0], [0.0, 2.0]]),

@@ -14,7 +14,7 @@ import pytest
 from scipy.linalg import cho_solve
 from scipy.linalg.lapack import get_lapack_funcs
 
-from conftest import dense_lower
+from conftest import bits_equal, dense_lower
 from slda.errors import DomainError, NotPositiveDefiniteError, ShapeError
 from slda.numerics import (
     _SYM_BLOCK,
@@ -318,6 +318,58 @@ class TestSamplers:
             sample_mvt(np.zeros(3), f, 3, substream(0, 0))
         with pytest.raises(DomainError):
             sample_mvt(np.zeros(2), f, 0, substream(0, 0))
+
+    @pytest.mark.parametrize("df", [2.5, True, 1.5, 0.5])
+    def test_mvt_rejects_a_df_it_would_truncate(self, df):
+        # int(df) drew 2.5 as t(2), True as t(1) and 0.5 as an error of 0
+        with pytest.raises(DomainError, match="df must be an integer >= 1"):
+            sample_mvt(np.zeros(2), cholesky_spd(np.eye(2)), df, substream(0, 0), size=3)
+
+    @pytest.mark.parametrize("kind", ["diagonal", "cholesky"])
+    @pytest.mark.parametrize("df", [None, 3])
+    def test_out_gives_the_bits_of_size(self, rng, kind, df):
+        from conftest import random_spd
+
+        p = 33
+        f = cholesky_spd(rng.uniform(0.5, 2.0, p) if kind == "diagonal" else random_spd(rng, p))
+        mean = rng.standard_normal(p)
+
+        def draw(**kw):
+            gen = substream(9, 1)
+            if df is None:
+                return sample_mvn(mean, f, gen, **kw)
+            return sample_mvt(mean, f, df, gen, **kw)
+
+        for size, shape in ((5, (5, p)), (None, (p,))):
+            out = np.full(shape, np.nan)
+            assert draw(out=out) is out
+            assert bits_equal(out, draw(size=size))
+        rows = np.full((8, p), np.nan)
+        draw(out=rows[2:7])  # a block of rows of a larger array
+        assert bits_equal(rows[2:7], draw(size=5))
+        assert np.isnan(rows[:2]).all() and np.isnan(rows[7:]).all()
+
+    def test_single_draw_keeps_the_matrix_vector_bits(self, rng):
+        # one Cholesky draw is written as z L' into out; the bits are those
+        # of mean + L z, the product it replaced
+        from conftest import random_spd
+
+        for p in (2, 33, 200):
+            c = cholesky_spd(random_spd(rng, p))
+            mean = rng.standard_normal(p)
+            z = substream(4, p).standard_normal(p)
+            assert bits_equal(sample_mvn(mean, c, substream(4, p)), mean + dense_lower(c) @ z)
+
+    @pytest.mark.parametrize("out, size", [(np.zeros(3), None), (np.zeros((4, 3)), None),
+                                           (np.zeros((4, 2)), 4), (np.zeros((2, 4, 2)), None),
+                                           (np.zeros((4, 4))[:, :2], None),
+                                           (np.zeros((4, 2), dtype=np.float32), None)])
+    def test_out_must_be_a_float_block_of_rows(self, out, size):
+        f = cholesky_spd(np.ones(2))
+        with pytest.raises(ShapeError, match="out must be"):
+            sample_mvn(np.zeros(2), f, substream(0, 0), size=size, out=out)
+        with pytest.raises(ShapeError, match="out must be"):
+            sample_mvt(np.zeros(2), f, 3, substream(0, 0), size=size, out=out)
 
 
 def potrf_lower(a):

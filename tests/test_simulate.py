@@ -1,17 +1,21 @@
 """Population builders, the replicate runner and the preset catalog."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import bits_equal, dense_lower
 from slda.errors import DomainError
 from slda.evaluate import optimal_rate
 from slda.model import ThresholdConfig
+from slda.numerics import substream
 from slda.simulate import (
     GridSpec,
     PopulationRecipe,
     Scenario,
+    _draw_dataset,
     build_population,
     preset_scenarios,
     records_to_csv,
@@ -149,6 +153,58 @@ class TestRunScenario:
     def test_counts_below_one_rejected(self, field, value):
         with pytest.raises(DomainError, match=f"{field} must be >= 1"):
             small_scenario(**{field: value})
+
+
+def stacked_draw(pop, n1, n2, gen):
+    """The draw that _draw_dataset replaced, written out in numpy: each
+    class a size= draw of its own from ``gen`` (all z, then w for a t),
+    mean + z L' (z * l for a diagonal), then np.vstack."""
+    blocks = []
+    for mean, m in zip(pop.means, (n1, n2)):
+        z = gen.standard_normal((m, pop.p))
+        x = z * np.sqrt(pop.covariance) if pop.covariance.ndim == 1 else z @ dense_lower(pop.chol).T
+        if pop.distribution == "student_t":
+            x = x * np.sqrt(pop.df / gen.chisquare(pop.df, m))[:, None]
+        blocks.append(mean + x)
+    return np.vstack(blocks)
+
+
+SIGMAS = [("identity",), ("banded", 1, 0.3)]  # a (p,) diagonal factor, and a Cholesky one
+LAWS = [("normal", None), ("student_t", 3)]
+
+
+class TestDrawDataset:
+    @pytest.mark.parametrize("sigma", SIGMAS)
+    @pytest.mark.parametrize("law", LAWS)
+    def test_bits_equal_the_stacked_draw(self, sigma, law):
+        pop = build_population(PopulationRecipe(p=60, delta_pattern=(6, 1.0), sigma_pattern=sigma,
+                                                distribution=law[0], df=law[1]))
+        assert pop.chol.kind == ("diagonal" if sigma == ("identity",) else "cholesky")
+        ds = _draw_dataset(pop, 7, 11, substream(1105, 4))
+        assert bits_equal(ds.features, stacked_draw(pop, 7, 11, substream(1105, 4)))
+        assert np.array_equal(ds.labels, [1] * 7 + [2] * 11) and ds.class_counts == (7, 11)
+
+    @pytest.mark.parametrize("sigma", SIGMAS)
+    @pytest.mark.parametrize("law", LAWS)
+    def test_peak_memory_is_the_one_features_array(self, sigma, law):
+        # The stacked draw peaked at twice the features (a t, more): both
+        # class blocks, then their copy. One array drawn in place needs
+        # only numpy's ufunc buffer and O(p) on top; a Cholesky draw adds
+        # its z, one class block.
+        p, n1, n2 = 1000, 40, 60
+        pop = build_population(PopulationRecipe(p=p, delta_pattern=(6, 1.0), sigma_pattern=sigma,
+                                                distribution=law[0], df=law[1]))
+        gen = substream(1102, 0)
+        tracemalloc.start()
+        try:
+            ds = _draw_dataset(pop, n1, n2, gen)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = ds.features.nbytes + 8 * (np.getbufsize() + 2 * p)
+        if pop.chol.kind == "cholesky":
+            bound += 8 * max(n1, n2) * p
+        assert peak <= bound
 
 
 class TestPresets:
