@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NotPositiveDefiniteError, ShapeError, SldaError
+from .errors import DataError, DomainError, NotPositiveDefiniteError, ShapeError, SldaError
 from .estimation import (
     _threshold_in_place,
     centered_rows,
@@ -19,8 +19,9 @@ from .estimation import (
     compute_tn,
     diagonal_screen,
     nnz_offdiag,
+    pinv_solve,
     pooled_covariance,
-    pooled_pinv_solve,
+    pooled_spectrum,
     pooled_variances,
     threshold_delta,
 )
@@ -63,7 +64,7 @@ def build_lda(dataset: Dataset) -> LinearRule:
     """Classical LDA: w = S^{-1} delta_hat, or the Moore-Penrose
     generalized inverse of S when S is singular (p > n - K, or a failed
     Cholesky pivot), applied through the thin SVD of the centred rows
-    without forming S (pooled_pinv_solve)."""
+    without forming S (pooled_spectrum, pinv_solve)."""
     _two_class(dataset, "build_lda")
     means, centered = centered_rows(dataset)
     delta = means[0] - means[1]
@@ -74,7 +75,7 @@ def build_lda(dataset: Dataset) -> LinearRule:
         except NotPositiveDefiniteError:
             pass
     if w is None:
-        w = pooled_pinv_solve(centered, delta)
+        w = pinv_solve(*pooled_spectrum(centered), delta)
     return _rule(w, 0.5 * (means[0] + means[1]))
 
 
@@ -239,15 +240,30 @@ def maximin_labels(pair_scores: np.ndarray, pairs: list[tuple[int, int]],
     return np.argmax(worst, axis=1) + 1
 
 
-def classify_many(rule, x: np.ndarray) -> np.ndarray:
-    """Class labels of the rows of an (m, p) matrix under a LinearRule
-    (labels 1, 2) or a MultiRule (labels 1..K), by maximin_labels."""
+def contrast_scores(rule, x: np.ndarray) -> np.ndarray:
+    """The (m, len(pairs)) contrast scores w'x - c of the rows of an
+    (m, p) matrix, one column per pair of pair_columns(rule). A row with
+    a non-finite score (a NaN or Inf feature, or a w'x that overflows)
+    has no label, and raises DataError naming the first."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != rule.p:
-        raise ShapeError(f"classify_many: features shape {x.shape} incompatible with p={rule.p}")
-    k, pairs, columns = pair_columns(rule)
-    scores = np.column_stack([x @ r.weights - r.cutoff for r in columns])
-    return maximin_labels(scores, pairs, k)
+        raise ShapeError(f"features shape {x.shape} incompatible with p={rule.p}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = np.column_stack([x @ r.weights - r.cutoff for r in pair_columns(rule)[2]])
+    bad = np.argwhere(~np.isfinite(scores))
+    if bad.size:
+        i, j = bad[0]
+        raise DataError(f"row {i} has a non-finite score ({scores[i, j]}); "
+                        "a feature is NaN or Inf, or w'x overflows")
+    return scores
+
+
+def classify_many(rule, x: np.ndarray) -> np.ndarray:
+    """Class labels of the rows of an (m, p) matrix under a LinearRule
+    (labels 1, 2) or a MultiRule (labels 1..K), by maximin_labels of
+    contrast_scores."""
+    k, pairs, _ = pair_columns(rule)
+    return maximin_labels(contrast_scores(rule, x), pairs, k)
 
 
 def classify(rule, x: np.ndarray) -> int:

@@ -15,10 +15,10 @@ import numpy as np
 
 from . import diagnostics as diag
 from . import io as sio
-from .classify import build_slda, maximin_labels, pair_columns
+from .classify import build_slda, contrast_scores, maximin_labels, pair_columns
 from .errors import DataError, DomainError, ShapeError, SldaError
-from .estimation import (centered_rows, compute_an, compute_tn, pooled_covariance,
-                         pooled_pinv_solve, threshold_delta)
+from .estimation import (centered_rows, compute_an, compute_tn, pinv_solve, pooled_covariance,
+                         pooled_spectrum, threshold_delta)
 from .evaluate import cv_grid_search
 from .model import DEFAULT_ALPHA, NORMAL, ThresholdConfig
 from .simulate import (
@@ -109,16 +109,14 @@ def cmd_predict(args) -> int:
     features = sio.read_feature_csv(args.test)
     if features.shape[1] != rule.p:
         raise ShapeError(f"{args.test}: {features.shape[1]} feature columns, model expects {rule.p}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        scores = features @ rule.weights - rule.cutoff
-    bad = np.flatnonzero(~np.isfinite(scores))
-    if bad.size:
-        raise DataError(f"{args.test}: row {bad[0]} has a non-finite score "
-                        f"({scores[bad[0]]}); w'x overflows")
+    try:
+        scores = contrast_scores(rule, features)
+    except DataError as exc:
+        raise DataError(f"{args.test}: {exc}") from None
     k, pairs, _ = pair_columns(rule)
-    labels = maximin_labels(scores[:, None], pairs, k)
+    labels = maximin_labels(scores, pairs, k)
     lines = ["predicted,score"]
-    lines += [f"{label},{sio.fmt_float(score)}" for label, score in zip(labels, scores)]
+    lines += [f"{label},{sio.fmt_float(score)}" for label, score in zip(labels, scores[:, 0])]
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"predictions written to {args.out}")
     return OK
@@ -190,10 +188,12 @@ def cmd_diagnose(args) -> int:
         delta = means[0] - means[1]
         if not np.any(delta):
             raise DataError("delta_hat is the zero vector; nothing to diagnose")
-        sigma = pooled_covariance(centered)
         n, p = dataset.n, dataset.p
-        delta_p = float(np.sqrt(max(delta @ pooled_pinv_solve(centered, delta), 0.0)))
-        eig_min, eig_max = diag.eigen_range(sigma)
+        lam, vt = pooled_spectrum(centered)
+        delta_p = float(np.sqrt(max(delta @ pinv_solve(lam, vt, delta), 0.0)))
+        # S has rank at most n - 2, so for p > n - 2 its least eigenvalue is 0
+        eig_min, eig_max = 0.0 if p > n - 2 else float(lam[-1]), float(lam[0])
+        sigma = pooled_covariance(centered)
         source = "sample"
     else:
         scenario = _load_scenario(args.scenario)
@@ -215,15 +215,14 @@ def cmd_diagnose(args) -> int:
     q_n0, q_n = diag.lemma2_counts(delta, a_n, r)
     q_hat = np.count_nonzero(threshold_delta(delta, a_n))
     s_n, d_n, a_n, b_n = diag.rate_quantities(n, p, h, g, c_hp, d_gp, q_n, delta_p, alpha, m2=m2)
-    report = diag.DiagnosticsReport(
-        delta_p=delta_p, c_hp=c_hp, d_gp=d_gp, h=h, g=g,
-        q_n0=q_n0, q_n=q_n, q_hat=q_hat, s_n=s_n, d_n=d_n, a_n=a_n, b_n=b_n,
-        eig_min=eig_min, eig_max=eig_max,
-        max_delta_sq=float(np.max(delta ** 2)), norm_delta_sq=float(delta @ delta))
+    # the theory bounds the largest delta_j^2, and separation grows with ||delta||^2
+    report = dict(delta_p=delta_p, c_hp=c_hp, d_gp=d_gp, h=h, g=g,
+                  q_n0=q_n0, q_n=q_n, q_hat=q_hat, s_n=s_n, d_n=d_n, a_n=a_n, b_n=b_n,
+                  eig_min=eig_min, eig_max=eig_max,
+                  max_delta_sq=float(np.max(delta ** 2)), norm_delta_sq=float(delta @ delta))
     lines.insert(0, f"source {source}")
-    for field in dataclasses.fields(report):
-        value = getattr(report, field.name)
-        lines.append(f"{field.name} {sio.fmt_float(value) if isinstance(value, float) else value}")
+    lines += [f"{name} {sio.fmt_float(value) if isinstance(value, float) else value}"
+              for name, value in report.items()]
     lines.append(f"t_n_unit_m1 {sio.fmt_float(t_n)}")
     print("\n".join(lines))
     cum = diag.cumulative_proportions(delta)

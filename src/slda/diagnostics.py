@@ -163,31 +163,3 @@ def cumulative_proportions(delta_hat: np.ndarray) -> np.ndarray:
     if total <= 0.0:
         raise DomainError("cumulative_proportions requires a nonzero vector")
     return cum / total
-
-
-@dataclass(frozen=True)
-class DiagnosticsReport:
-    """Bundle of the sparsity/regularity quantities for one problem.
-
-    ``norm_delta_sq`` accompanies ``max_delta_sq`` because the theory
-    constrains the largest component while separation grows with the
-    full squared norm; both are reported and interpretation is left to
-    the experimenter.
-    """
-
-    delta_p: float
-    c_hp: float
-    d_gp: float
-    h: float
-    g: float
-    q_n0: int
-    q_n: int
-    q_hat: int
-    s_n: float
-    d_n: float
-    a_n: float
-    b_n: float
-    eig_min: float
-    eig_max: float
-    max_delta_sq: float
-    norm_delta_sq: float

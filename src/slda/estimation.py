@@ -1,7 +1,7 @@
 """Sample statistics and thresholding estimators: class means and the
 centred rows, the pooled covariance S (divisor n, the MLE) and its
 diagonal, the diagonal screen, hard-thresholded Sigma-tilde and
-delta-tilde, and the thin-SVD generalized inverse of S."""
+delta-tilde, and S's spectrum and generalized inverse from one thin SVD."""
 
 from __future__ import annotations
 
@@ -75,31 +75,36 @@ def pooled_variances(centered: np.ndarray) -> np.ndarray:
     return variances
 
 
-def pooled_pinv_solve(centered: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """S^+ b, the Moore-Penrose inverse of S = pooled_covariance(centered)
-    applied to the vector b, without forming S.
-
-    With the thin SVD C = U diag(sv) V' of the n x p centred rows,
-    S = V diag(lam) V' with lam = sv^2 / n, so S^+ b = V diag(1/lam) V' b
-    over the kept lam, in O(n^2 p) time rather than the O(p^3) of an
-    eigendecomposition of S (the rank is at most n - K when p > n - K).
-    lam > p eps lam_max is kept and the rest is zeroed, so a zero S
-    gives the zero vector. Non-finite rows (LAPACK's SVD may not return
-    on an Inf) or an S that overflows raise DomainError, an SVD that
-    fails to converge NumericalError.
+def pooled_spectrum(centered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, vt): S = pooled_covariance(centered) = vt' diag(lam) vt, from
+    the thin SVD C = U diag(sv) V' of the n x p centred rows, without
+    forming S: lam = sv^2 / n, descending, and the rows of vt are their
+    eigenvectors. It costs O(n^2 p) rather than the O(p^3) of an
+    eigendecomposition of S. S's other p - min(n, p) eigenvalues are
+    exact zeros, and its rank is at most n - K when p > n - K.
+    Non-finite rows (LAPACK's SVD may not return on an Inf) or an S that
+    overflows raise DomainError, an SVD that fails to converge
+    NumericalError.
     """
-    n, p = centered.shape
     if not np.isfinite(centered).all():
-        raise DomainError("pooled_pinv_solve: centred rows have NaN or Inf entries")
+        raise DomainError("pooled_spectrum: centred rows have NaN or Inf entries")
     try:
         _, sv, vt = np.linalg.svd(centered, full_matrices=False)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"pooled_pinv_solve: SVD failed to converge: {exc}") from exc
+        raise NumericalError(f"pooled_spectrum: SVD failed to converge: {exc}") from exc
     with np.errstate(over="ignore"):
-        lam = sv * sv / n
-    if not math.isfinite(lam[0]):  # sv is sorted descending
-        raise DomainError("pooled_pinv_solve: the pooled covariance overflows")
-    keep = lam > p * np.finfo(float).eps * lam.max()
+        lam = sv * sv / centered.shape[0]
+    if not math.isfinite(lam[0]):
+        raise DomainError("pooled_spectrum: the pooled covariance overflows")
+    return lam, vt
+
+
+def pinv_solve(lam: np.ndarray, vt: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """S^+ b, the Moore-Penrose inverse of S = vt' diag(lam) vt (as from
+    pooled_spectrum) applied to the vector b: V diag(1/lam) V' b over the
+    kept lam. lam > p eps lam_max is kept and the rest is zeroed, so a
+    zero S gives the zero vector."""
+    keep = lam > vt.shape[1] * np.finfo(float).eps * lam[0]
     kept = vt[keep]
     return kept.T @ ((kept @ b) / lam[keep])
 

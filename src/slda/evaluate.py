@@ -294,10 +294,10 @@ def cv_grid_search(dataset: Dataset, m1_grid=None, m2_grid=None, alpha: float = 
                      forced_worst=forced)
 
 
-def default_grids(dataset: Dataset, alpha: float = DEFAULT_ALPHA, size: int = 7):
+def default_grids(dataset: Dataset, alpha: float = DEFAULT_ALPHA):
     """Data-driven (M1, M2) grids when the caller supplies none.
 
-    M2 values are log-spaced so that a_n sweeps the 50th to 99.9th
+    Seven M2 values are log-spaced so that a_n sweeps the 50th to 99.9th
     percentile of |delta_hat_j|; M1 likewise from the off-diagonal
     |S_jl| percentiles against t_n's scale factor.
     """
@@ -316,7 +316,7 @@ def default_grids(dataset: Dataset, alpha: float = DEFAULT_ALPHA, size: int = 7)
     def log_spaced(values, scale):
         lo = max(float(np.quantile(values, 0.5)), 1e-12)
         hi = max(float(np.quantile(values, 0.999)), lo * (1.0 + 1e-9))
-        return list(np.exp(np.linspace(math.log(lo), math.log(hi), size)) / scale)
+        return list(np.exp(np.linspace(math.log(lo), math.log(hi), 7)) / scale)
 
     offdiag = s[np.triu(np.ones((p, p), dtype=bool), k=1)]
     np.abs(offdiag, out=offdiag)

@@ -34,7 +34,7 @@ from slda.classify import (
     maximin_labels,
 )
 from slda.diagnostics import lemma2_counts
-from slda.errors import DomainError, SldaError, UnusableMatrixError
+from slda.errors import DataError, DomainError, SldaError, UnusableMatrixError
 from slda.estimation import (
     compute_an,
     compute_tn,
@@ -274,6 +274,30 @@ class TestClassify:
         rule = LinearRule(weights=np.array([2.0, -1.0]), cutoff=3.0)
         x = np.array([[2.0, 1.0], [1.0, -1.0], [1.0, 0.0], [4.0, 0.0]])  # w'x = 3, 3, 2, 8
         assert classify_many(rule, x).tolist() == [1, 1, 2, 1]
+
+    # failed at the parent: each of these rows was labelled class 1
+    @pytest.mark.parametrize("row", [[math.nan, 0.0], [math.inf, math.inf],
+                                     [1e308, -1e308], [0.0, -math.inf]],
+                             ids=["nan", "inf_minus_inf", "overflow", "inf_score"])
+    def test_non_finite_score_has_no_label(self, row):
+        rule = LinearRule(weights=np.array([1.0, -1.0]), cutoff=0.0)
+        x = np.array([[1.0, 2.0], [3.0, 1.0], row, row])
+        with pytest.raises(DataError, match=r"^row 2 has a non-finite score"):
+            classify_many(rule, x)
+        with pytest.raises(DataError, match=r"^row 0 has a non-finite score"):
+            classify(rule, np.array(row))
+
+    def test_non_finite_score_of_any_contrast(self):
+        # a MultiRule row whose (2, 3) contrast alone overflows
+        w = np.array([1.0, 0.0])
+        rule = MultiRule(pairwise={(1, 2): LinearRule(weights=w, cutoff=0.0),
+                                   (1, 3): LinearRule(weights=w, cutoff=0.0),
+                                   (2, 3): LinearRule(weights=np.array([0.0, 1e300]),
+                                                      cutoff=0.0)},
+                         n_classes=3)
+        x = np.array([[1.0, 1.0], [1.0, 1e10]])
+        with pytest.raises(DataError, match=r"^row 1 has a non-finite score \(inf\)"):
+            classify_many(rule, x)
 
     def test_feature_rescaling_covariance(self, rng):
         # LDA rules transform covariantly: labels are unchanged when

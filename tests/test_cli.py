@@ -2,6 +2,7 @@
 determinism across reruns and thread counts."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -506,6 +507,26 @@ class TestDiagnose:
                              if line.startswith("delta_p ")))
         w, _ = eigh_pseudo_inverse_lda(ds)
         assert delta_p == pytest.approx(np.sqrt(summarize(ds).delta_hat @ w), rel=1e-10)
+
+    @pytest.mark.parametrize("n_per_class, p", [(6, 30), (6, 11), (6, 10), (20, 12)],
+                             ids=["p_above_n", "p_n_minus_1", "p_n_minus_2", "tall"])
+    def test_train_eigenvalues_from_the_thin_svd(self, tmp_path, capsys, rng, n_per_class, p):
+        # failed at the parent, which took eigvalsh of S: eig_min is an
+        # exact 0 when p > n - 2 (rank S <= n - 2), else S's least eigenvalue
+        x = rng.standard_normal((2 * n_per_class, p)) * rng.uniform(0.5, 3.0, p)
+        ds = two_class_dataset(x[:n_per_class] + 0.5, x[n_per_class:])
+        path = tmp_path / "train.csv"
+        write_dataset_csv(path, ds)
+        with mock.patch.object(np.linalg, "eigvalsh", side_effect=AssertionError("eigvalsh")):
+            assert main(["diagnose", "--train", str(path), "--out", str(tmp_path / "c.csv")]) == 0
+        values = dict(line.split() for line in capsys.readouterr().out.splitlines()
+                      if line.startswith("eig_"))
+        ref = np.linalg.eigvalsh(summarize(ds).pooled_cov)
+        assert float(values["eig_max"]) == pytest.approx(ref[-1], rel=1e-12, abs=0.0)
+        if p > ds.n - 2:
+            assert values["eig_min"] == "0"
+        else:
+            assert float(values["eig_min"]) == pytest.approx(ref[0], rel=1e-10, abs=0.0)
 
     def test_zero_delta_exits_2(self, tmp_path):
         row = "1.0,2.0"

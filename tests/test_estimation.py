@@ -26,8 +26,9 @@ from slda.estimation import (
     compute_tn,
     diagonal_screen,
     nnz_offdiag,
+    pinv_solve,
     pooled_covariance,
-    pooled_pinv_solve,
+    pooled_spectrum,
     pooled_variances,
     threshold_delta,
 )
@@ -622,13 +623,13 @@ class TestDiagonalVectorInput:
 
 
 class TestPseudoInverse:
-    # pooled_pinv_solve applies S^+ of S = C'C / n through the thin SVD of
-    # the centred rows C, so each case is given by its C
+    # pinv_solve applies S^+ of S = C'C / n from pooled_spectrum, the thin
+    # SVD of the centred rows C, so each case is given by its C
 
     def test_diagonal_with_null_direction(self):
         # C'C / 2 = diag(2, 0) exactly
         centered = np.array([[2.0, 0.0], [0.0, 0.0]])
-        w = pooled_pinv_solve(centered, np.array([1.0, 1.0]))
+        w = pinv_solve(*pooled_spectrum(centered), np.array([1.0, 1.0]))
         assert np.allclose(w, [0.5, 0.0])
         assert w[1] == 0.0
 
@@ -636,20 +637,20 @@ class TestPseudoInverse:
         # C'C / 4 = I exactly: every eigenvalue is 1 and nothing is cut
         centered = np.vstack([2.0 * np.eye(3), np.zeros(3)])
         v = np.array([1.0, 2.0, 3.0])
-        assert np.allclose(pooled_pinv_solve(centered, v), v, rtol=1e-14)
+        assert np.allclose(pinv_solve(*pooled_spectrum(centered), v), v, rtol=1e-14)
 
     def test_moore_penrose_property_rank_deficient(self, rng):
         # singular S from n = 5 draws in p = 10 dimensions
         x = rng.standard_normal((5, 10))
         xc = x - x.mean(axis=0)
         s = pooled_covariance(xc)
-        s_pinv = np.column_stack([pooled_pinv_solve(xc, e) for e in np.eye(10)])
+        s_pinv = np.column_stack([pinv_solve(*pooled_spectrum(xc), e) for e in np.eye(10)])
         assert np.linalg.norm(s @ s_pinv @ s - s) <= 1e-8 * np.linalg.norm(s)
         assert np.linalg.norm(s_pinv @ s @ s_pinv - s_pinv) <= 1e-8 * np.linalg.norm(s_pinv)
         assert np.allclose(s_pinv, s_pinv.T, rtol=0, atol=1e-12 * np.abs(s_pinv).max())
 
     def test_all_zero_gives_zero_operator(self):
-        w = pooled_pinv_solve(np.zeros((4, 3)), np.ones(3))
+        w = pinv_solve(*pooled_spectrum(np.zeros((4, 3))), np.ones(3))
         assert w.shape == (3,) and not np.any(w)
 
     @pytest.mark.parametrize("exponent, kept", [(-25, True), (-26, False)])
@@ -657,7 +658,7 @@ class TestPseudoInverse:
         # p = 2, lambda = (1, a^2) / 2: a^2 = 4 eps clears the cut at
         # p eps lambda_max, a^2 = eps does not
         a = 2.0 ** exponent
-        w = pooled_pinv_solve(np.array([[1.0, 0.0], [0.0, a]]), np.array([1.0, 1.0]))
+        w = pinv_solve(*pooled_spectrum(np.array([[1.0, 0.0], [0.0, a]])), np.array([1.0, 1.0]))
         assert w[0] == pytest.approx(2.0, rel=1e-15)
         assert (w[1] != 0.0) == kept
         if kept:
@@ -670,13 +671,28 @@ class TestPseudoInverse:
         # or a finite one whose square overflows
         centered = np.array([[bad, 1.0, 0.0], [-1.0, 2.0, 0.5], [0.0, -3.0, 1.0]])
         with pytest.raises(DomainError, match=message):
-            pooled_pinv_solve(centered, np.ones(3))
+            pooled_spectrum(centered)
 
     def test_svd_failure_is_numerical_error(self):
         with mock.patch.object(estimation.np.linalg, "svd",
                                side_effect=np.linalg.LinAlgError("SVD did not converge")):
-            with pytest.raises(NumericalError, match="pooled_pinv_solve"):
-                pooled_pinv_solve(np.eye(3), np.ones(3))
+            with pytest.raises(NumericalError, match="pooled_spectrum"):
+                pooled_spectrum(np.eye(3))
+
+    @pytest.mark.parametrize("n, p", [(8, 30), (40, 12)], ids=["wide", "tall"])
+    def test_spectrum_is_eigvalsh_of_s(self, rng, n, p):
+        # lam, descending, is S's spectrum on its row space, and the rest
+        # of eigvalsh(S) is rounding noise about 0
+        centered = rng.standard_normal((n, p)) * rng.uniform(0.5, 3.0, p)
+        centered -= centered.mean(axis=0)
+        lam, vt = pooled_spectrum(centered)
+        ref = np.linalg.eigvalsh(pooled_covariance(centered))[::-1]
+        tol = 1e-12 * ref[0]
+        assert lam.shape == (min(n, p),) and vt.shape == (min(n, p), p)
+        assert np.all(np.diff(lam) <= 0.0)
+        assert np.allclose(lam, ref[:lam.size], rtol=0.0, atol=tol)
+        assert np.all(np.abs(ref[lam.size:]) <= tol)
+        assert np.allclose(vt @ vt.T, np.eye(lam.size), rtol=0.0, atol=1e-12)
 class TestOperatorNormConsistency:
     def test_error_shrinks_with_n(self):
         # tridiagonal truth at p = 200; the thresholded estimator's

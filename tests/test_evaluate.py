@@ -539,12 +539,12 @@ class TestCvGridSearch:
         from slda.evaluate import default_grids
 
         ds = draw(random_population(rng, 12), 9, 8, substream(45, 0))
-        m1_grid, _ = default_grids(ds, alpha=0.3, size=5)
+        m1_grid, _ = default_grids(ds, alpha=0.3)
         s = summarize(ds).pooled_cov
         offdiag = np.abs(s[np.triu_indices(ds.p, k=1)])
         lo = max(float(np.quantile(offdiag, 0.5)), 1e-12)
         hi = max(float(np.quantile(offdiag, 0.999)), lo * (1.0 + 1e-9))
-        want = np.exp(np.linspace(math.log(lo), math.log(hi), 5)) / compute_tn(1.0, ds.n, ds.p)
+        want = np.exp(np.linspace(math.log(lo), math.log(hi), 7)) / compute_tn(1.0, ds.n, ds.p)
         assert [float(v) for v in m1_grid] == [float(v) for v in want]
 
     @pytest.mark.parametrize("omit", ["both", "m1", "m2"])
