@@ -9,7 +9,6 @@ from .classify import (
     build_oracle,
     build_slda,
     build_slda_multi,
-    classify,
     classify_many,
 )
 from .errors import (

@@ -37,7 +37,6 @@ class SparsityReport:
     q_hat: int
     nnz_offdiag: int
     pd_flag: bool
-    degenerate: bool
 
     @property
     def frac_delta_kept(self) -> float:
@@ -57,7 +56,7 @@ def _two_class(dataset: Dataset, what: str):
 
 def _rule(w: np.ndarray, mid: np.ndarray) -> LinearRule:
     # "class 1 iff w'x >= w'mid"; w = 0 is the degenerate rule (cutoff 0.0).
-    return LinearRule(weights=w, cutoff=float(w @ mid), degenerate=not np.any(w))
+    return LinearRule(weights=w, cutoff=float(w @ mid))
 
 
 def build_lda(dataset: Dataset) -> LinearRule:
@@ -153,8 +152,7 @@ def _fits_at_m1(sigma_tilde, nnz: int, deltas: list[dict], mids: dict, p: int) -
         rules = {pair: _rule(spd_solve(op, tilde) if tilde.any() else np.zeros(p), mids[pair])
                  for pair, tilde in tildes.items()}
         report = SparsityReport(p=p, q_hat=np.count_nonzero(tildes[(1, 2)]), nnz_offdiag=nnz,
-                                pd_flag=not needed or op.pd_flag,
-                                degenerate=rules[(1, 2)].degenerate)
+                                pd_flag=not needed or op.pd_flag)
         fits.append((rules, report))
     return fits
 

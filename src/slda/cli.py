@@ -97,8 +97,8 @@ def cmd_fit(args) -> int:
     print(f"frac_delta_kept {report.frac_delta_kept:.6g}")
     print(f"frac_cov_kept {report.frac_cov_kept:.6g}")
     print(f"pd_flag {1 if report.pd_flag else 0}")
-    print(f"degenerate {1 if report.degenerate else 0}")
-    if report.degenerate:
+    print(f"degenerate {1 if rule.degenerate else 0}")
+    if rule.degenerate:
         print("warning: thresholding removed every mean-difference component; "
               "the rule classifies everything to class 1", file=sys.stderr)
     return OK
@@ -179,7 +179,6 @@ def cmd_simulate(args) -> int:
 def cmd_diagnose(args) -> int:
     h, g, r = float(args.h), float(args.g), float(args.r)
     alpha, m2 = float(args.alpha), float(args.m2)
-    lines = []
     if args.train:
         dataset = sio.read_dataset_csv(args.train)
         if dataset.n_classes != 2:
@@ -204,23 +203,25 @@ def cmd_diagnose(args) -> int:
         sigma = pop.covariance
         n, p = scenario.n1 + scenario.n2, pop.p
         delta_p = diag.mahalanobis_delta(pop)
+        eig_min, eig_max = diag.eigen_range(sigma)
         source = "population"
-        check = diag.condition_check(pop, c0=float(args.c0))
-        eig_min, eig_max = check.eig_min, check.eig_max
-        lines.append(f"condition_check_passed {1 if check.passed else 0}")
+    # the theory bounds the largest delta_j^2, and separation grows with ||delta||^2
+    max_delta_sq = float(np.max(delta ** 2))
+    lines = [f"source {source}"]
+    if args.scenario:
+        passed = diag.condition_check(eig_min, eig_max, max_delta_sq, float(args.c0))
+        lines.append(f"condition_check_passed {1 if passed else 0}")
     a_n = compute_an(m2, n, p, alpha)
     t_n = compute_tn(1.0, n, p)
     c_hp = diag.sparsity_C(sigma, h)
     d_gp = diag.sparsity_D(delta, g)
     q_n0, q_n = diag.lemma2_counts(delta, a_n, r)
     q_hat = np.count_nonzero(threshold_delta(delta, a_n))
-    s_n, d_n, a_n, b_n = diag.rate_quantities(n, p, h, g, c_hp, d_gp, q_n, delta_p, alpha, m2=m2)
-    # the theory bounds the largest delta_j^2, and separation grows with ||delta||^2
+    s_n, d_n, b_n = diag.rate_quantities(n, p, h, g, c_hp, d_gp, q_n, delta_p, a_n)
     report = dict(delta_p=delta_p, c_hp=c_hp, d_gp=d_gp, h=h, g=g,
                   q_n0=q_n0, q_n=q_n, q_hat=q_hat, s_n=s_n, d_n=d_n, a_n=a_n, b_n=b_n,
                   eig_min=eig_min, eig_max=eig_max,
-                  max_delta_sq=float(np.max(delta ** 2)), norm_delta_sq=float(delta @ delta))
-    lines.insert(0, f"source {source}")
+                  max_delta_sq=max_delta_sq, norm_delta_sq=float(delta @ delta))
     lines += [f"{name} {sio.fmt_float(value) if isinstance(value, float) else value}"
               for name, value in report.items()]
     lines.append(f"t_n_unit_m1 {sio.fmt_float(t_n)}")

@@ -1,17 +1,15 @@
 """Sparsity and regularity diagnostics: the row-wise covariance
 sparsity measure C_{h,p}, the mean-difference measure D_{g,p}, the
 Mahalanobis separation, threshold bracket counts, the rate quantities
-s_n / d_n / a_n / b_n and eigenvalue/mean-gap condition checks."""
+s_n / d_n / b_n and the eigenvalue/mean-gap condition check."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .estimation import compute_an
 from .model import PopulationSpec
 from .numerics import spd_solve
 
@@ -72,9 +70,9 @@ def lemma2_counts(delta: np.ndarray, a_n: float, r: float) -> tuple[int, int]:
 
 
 def rate_quantities(n: int, p: int, h: float, g: float, c_hp: float, d_gp: float,
-                    q_n: int, delta_p: float, alpha: float,
-                    m2: float = 1.0) -> tuple[float, float, float, float]:
-    """Consistency-rate quantities (s_n, d_n, a_n, b_n), natural logs.
+                    q_n: int, delta_p: float, a_n: float) -> tuple[float, float, float]:
+    """Consistency-rate quantities (s_n, d_n, b_n), natural logs, at the
+    mean-difference threshold a_n >= 0.
 
     s_n = p sqrt(log p)/sqrt(n) governs plain-LDA consistency;
     d_n = C_{h,p} (log p / n)^{(1-h)/2} the thresholded-covariance error;
@@ -91,32 +89,17 @@ def rate_quantities(n: int, p: int, h: float, g: float, c_hp: float, d_gp: float
         raise DomainError(f"rate_quantities requires Delta_p > 0, got {delta_p}")
     if q_n < 0:
         raise DomainError(f"q_n must be >= 0, got {q_n}")
+    if a_n < 0.0:
+        raise DomainError(f"a_n must be >= 0, got {a_n}")
     log_p = math.log(p)
     s_n = p * math.sqrt(log_p) / math.sqrt(n)
     d_n = c_hp * (log_p / n) ** ((1.0 - h) / 2.0)
-    a_n = compute_an(m2, n, p, alpha)
     b_n = max(
         d_n,
         a_n ** (1.0 - g) * math.sqrt(d_gp) / delta_p,
         math.sqrt(c_hp * q_n) / (delta_p * math.sqrt(n)),
     )
-    return s_n, d_n, a_n, b_n
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    """Whether eigenvalues of Sigma and max_j delta_j^2 sit in [1/c0, c0]."""
-
-    c0: float
-    eig_min: float
-    eig_max: float
-    max_delta_sq: float
-    eig_ok: bool
-    delta_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.eig_ok and self.delta_ok
+    return s_n, d_n, b_n
 
 
 def eigen_range(sigma: np.ndarray) -> tuple[float, float]:
@@ -132,22 +115,14 @@ def eigen_range(sigma: np.ndarray) -> tuple[float, float]:
     return float(eigvals[0]), float(eigvals[-1])
 
 
-def condition_check(pop: PopulationSpec, c0: float) -> ConditionReport:
-    """Check the bounded-eigenvalue and bounded-mean-gap regularity
-    conditions with constant c0 > 1."""
+def condition_check(eig_min: float, eig_max: float, max_delta_sq: float, c0: float) -> bool:
+    """The bounded-eigenvalue and bounded-mean-gap regularity conditions
+    with constant c0 > 1: Sigma's eigenvalues (eig_min, eig_max, from
+    eigen_range) and max_j delta_j^2 all lie in [1/c0, c0]."""
     if c0 <= 1.0:
         raise DomainError(f"c0 must be > 1, got {c0}")
-    eig_min, eig_max = eigen_range(pop.covariance)
-    max_delta_sq = float(np.max(pop.delta ** 2))
     lo, hi = 1.0 / c0, c0
-    return ConditionReport(
-        c0=c0,
-        eig_min=eig_min,
-        eig_max=eig_max,
-        max_delta_sq=max_delta_sq,
-        eig_ok=(lo <= eig_min and eig_max <= hi),
-        delta_ok=(lo <= max_delta_sq <= hi),
-    )
+    return lo <= eig_min and eig_max <= hi and lo <= max_delta_sq <= hi
 
 
 def cumulative_proportions(delta_hat: np.ndarray) -> np.ndarray:

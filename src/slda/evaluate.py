@@ -32,7 +32,6 @@ class RateReport:
     method: str
     n_mc: int | None = None
     stderr: float | None = None
-    n_test: int | None = None
     degenerate: bool = False
 
 
@@ -159,7 +158,7 @@ def empirical_rate(rule, test: Dataset) -> RateReport:
         mask = test.labels == cls
         errors.append(float(np.mean(predicted[mask] != cls)))
     return RateReport(conditional_rate=float(np.mean(errors)),
-                      per_class_error=tuple(errors), method=EMPIRICAL, n_test=test.n)
+                      per_class_error=tuple(errors), method=EMPIRICAL)
 
 
 def _loocv_grid(dataset: Dataset, m1_grid, m2_grid, alpha: float, threads: int):

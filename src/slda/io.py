@@ -206,13 +206,13 @@ def read_model(path) -> tuple[LinearRule, dict]:
     bad = np.flatnonzero(~np.isfinite(weights))
     if bad.size:
         raise DataError(f"{path}: non-finite weight on line {i + 2 + bad[0]}")
-    degenerate = not np.any(weights)
-    expected = "1" if degenerate else "0"
+    rule = LinearRule(weights=weights, cutoff=cutoff)
+    expected = "1" if rule.degenerate else "0"
     flag = meta.get("degenerate", expected).strip()
     if flag != expected:
         raise DataError(f"{path}: degenerate {flag} contradicts the weights "
                         "(it is 1 exactly when every weight is 0)")
-    return LinearRule(weights=weights, cutoff=cutoff, degenerate=degenerate), meta
+    return rule, meta
 
 
 # ---------------------------------------------------------------------------

@@ -175,19 +175,20 @@ class PopulationSpec:
 
 @dataclass(frozen=True)
 class LinearRule:
-    """Fitted linear discriminant: assign class 1 iff w'x >= c.
-
-    ``degenerate`` is True exactly when w is the zero vector; such a
-    rule classifies everything to class 1 by the tie convention.
-    """
+    """Fitted linear discriminant: assign class 1 iff w'x >= c."""
 
     weights: np.ndarray
     cutoff: float
-    degenerate: bool = False
 
     @property
     def p(self) -> int:
         return self.weights.shape[0]
+
+    @property
+    def degenerate(self) -> bool:
+        """True exactly when w is the zero vector; such a rule classifies
+        everything to class 1 by the tie convention."""
+        return not self.weights.any()
 
 
 @dataclass(frozen=True)

@@ -26,14 +26,15 @@ METHODS = ("slda", "lda", "lda_known_sigma", "oracle")
 class PopulationRecipe:
     """Generator recipe for a synthetic two-class population.
 
-    ``delta_pattern`` is (count, magnitude) placing ``count`` equal
-    signal components at evenly spaced indices, or an explicit vector.
+    ``delta_pattern`` is a tuple (count, magnitude), with an integer
+    count, placing ``count`` equal signal components at evenly spaced
+    indices; a list or array is the explicit vector delta.
     ``sigma_pattern`` is ("identity",), ("ar1", rho), ("banded", width,
     value) or ("from_file", path). mu_2 = 0 and mu_1 = delta.
     """
 
     p: int
-    delta_pattern: tuple
+    delta_pattern: tuple | np.ndarray
     sigma_pattern: tuple = ("identity",)
     distribution: str = NORMAL
     df: int | None = None
@@ -41,7 +42,11 @@ class PopulationRecipe:
 
 def _build_delta(recipe: PopulationRecipe) -> np.ndarray:
     pattern = recipe.delta_pattern
-    if isinstance(pattern, tuple) and len(pattern) == 2 and np.isscalar(pattern[0]):
+    if isinstance(pattern, tuple):
+        if not (len(pattern) == 2 and isinstance(pattern[0], (int, np.integer))
+                and not isinstance(pattern[0], bool)):
+            raise DomainError(f"delta_pattern tuple {pattern!r} is not (count, magnitude) "
+                              "with an integer count; pass an explicit delta as an array")
         count, magnitude = int(pattern[0]), float(pattern[1])
         if not (1 <= count <= recipe.p):
             raise DomainError(f"delta count {count} outside 1..p={recipe.p}")
@@ -334,32 +339,27 @@ REPLICATE_COLUMNS = ("scenario", "replicate", "method", "rate", "stderr", "n_mc"
 
 
 def records_to_csv(scenario: Scenario, records: list[ReplicateRecord]) -> str:
-    """Long-format CSV, one row per replicate per method (boxplot-ready)."""
-    lines = [",".join(REPLICATE_COLUMNS)]
+    """Long-format CSV, one row per replicate per method (boxplot-ready),
+    or one row with the error of a failed replicate. Each row is a
+    mapping from REPLICATE_COLUMNS; a column it leaves out is empty."""
+    rows = []
     for rec in records:
+        base = dict(scenario=scenario.name, replicate=rec.replicate_index)
         if rec.error is not None:
-            lines.append(",".join(_fmt(v) for v in (
-                scenario.name, rec.replicate_index, "", "", "", "", "", "", "", "", "", "",
-                rec.error.replace(",", ";"))))
+            rows.append(dict(base, error=rec.error.replace(",", ";")))
             continue
         for method in scenario.methods:
             report = rec.rates[method]
-            is_slda = method == "slda"
-            sparsity = rec.sparsity if is_slda else None
-            lines.append(",".join(_fmt(v) for v in (
-                scenario.name,
-                rec.replicate_index,
-                method,
-                report.conditional_rate,
-                report.stderr,
-                report.n_mc,
-                rec.chosen_m1 if is_slda else None,
-                rec.chosen_m2 if is_slda else None,
-                sparsity.q_hat if sparsity else None,
-                sparsity.nnz_offdiag if sparsity else None,
-                sparsity.pd_flag if sparsity else None,
-                report.degenerate,
-                "")))
+            row = dict(base, method=method, rate=report.conditional_rate, stderr=report.stderr,
+                       n_mc=report.n_mc, degenerate=report.degenerate)
+            if method == "slda":
+                row.update(m1=rec.chosen_m1, m2=rec.chosen_m2)
+                if rec.sparsity is not None:
+                    row.update(q_hat=rec.sparsity.q_hat, nnz_offdiag=rec.sparsity.nnz_offdiag,
+                               pd_flag=rec.sparsity.pd_flag)
+            rows.append(row)
+    lines = [",".join(REPLICATE_COLUMNS)]
+    lines += [",".join(_fmt(row.get(col)) for col in REPLICATE_COLUMNS) for row in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -19,6 +19,7 @@ from slda.diagnostics import (
     sparsity_D,
 )
 from slda.errors import DomainError
+from slda.estimation import compute_an
 from slda.model import PopulationSpec
 
 
@@ -137,13 +138,15 @@ class TestLemma2Counts:
 
 class TestRateQuantities:
     def test_s_n_formula(self):
-        s_n, _, _, _ = rate_quantities(1000, 10, 0.0, 0.0, 1.0, 1.0, 1, 1.0, 0.3)
+        a_n = compute_an(1.0, 1000, 10, 0.3)
+        s_n, _, _ = rate_quantities(1000, 10, 0.0, 0.0, 1.0, 1.0, 1, 1.0, a_n)
         assert s_n == pytest.approx(10 * math.sqrt(math.log(10)) / math.sqrt(1000), rel=1e-15)
         assert s_n == pytest.approx(0.47985, abs=5e-5)
 
     def test_d_n_reduces_at_h_zero(self):
         for n, p in [(100, 272), (400, 1089)]:
-            _, d_n, _, _ = rate_quantities(n, p, 0.0, 0.0, 1.0, 1.0, 1, 1.0, 0.3)
+            a_n = compute_an(1.0, n, p, 0.3)
+            _, d_n, _ = rate_quantities(n, p, 0.0, 0.0, 1.0, 1.0, 1, 1.0, a_n)
             assert d_n == pytest.approx(math.sqrt(math.log(p) / n), rel=1e-14)
 
     def test_b_n_is_max_of_terms(self, rng):
@@ -156,8 +159,8 @@ class TestRateQuantities:
             d_gp = float(rng.uniform(0.1, 30))
             q_n = int(rng.integers(0, 50))
             delta_p = float(rng.uniform(0.2, 10))
-            m2 = float(rng.uniform(0.3, 5))
-            s_n, d_n, a_n, b_n = rate_quantities(n, p, h, g, c_hp, d_gp, q_n, delta_p, 0.3, m2=m2)
+            a_n = compute_an(float(rng.uniform(0.3, 5)), n, p, 0.3)
+            s_n, d_n, b_n = rate_quantities(n, p, h, g, c_hp, d_gp, q_n, delta_p, a_n)
             terms = [d_n,
                      a_n ** (1 - g) * math.sqrt(d_gp) / delta_p,
                      math.sqrt(c_hp * q_n) / (delta_p * math.sqrt(n))]
@@ -166,41 +169,71 @@ class TestRateQuantities:
     def test_monotone_in_n(self):
         prev = None
         for n in (100, 200, 400, 800):
-            s_n, d_n, a_n, _ = rate_quantities(n, 50, 0.2, 0.1, 2.0, 3.0, 5, 1.5, 0.3)
+            a_n = compute_an(1.0, n, 50, 0.3)
+            s_n, d_n, _ = rate_quantities(n, 50, 0.2, 0.1, 2.0, 3.0, 5, 1.5, a_n)
             if prev is not None:
                 assert s_n < prev[0] and d_n < prev[1] and a_n < prev[2]
             prev = (s_n, d_n, a_n)
 
     def test_zero_separation_rejected(self):
         with pytest.raises(DomainError):
-            rate_quantities(100, 10, 0.0, 0.0, 1.0, 1.0, 1, 0.0, 0.3)
+            rate_quantities(100, 10, 0.0, 0.0, 1.0, 1.0, 1, 0.0, 0.5)
+
+    @pytest.mark.parametrize("a_n", [-1.0, -5e-324])
+    def test_negative_a_n_rejected(self, a_n):
+        with pytest.raises(DomainError, match="a_n must be >= 0"):
+            rate_quantities(100, 10, 0.0, 0.0, 1.0, 1.0, 1, 1.0, a_n)
+
+    @pytest.mark.parametrize("a_n", [0.0, -0.0])
+    def test_zero_a_n_accepted(self, a_n):
+        # as in lemma2_counts, a_n = 0 keeps every nonzero component
+        _, d_n, b_n = rate_quantities(100, 10, 0.0, 0.0, 1.0, 1.0, 1, 1.0, a_n)
+        assert b_n == max(d_n, 0.0, 1.0 / math.sqrt(100))
+
+
+def regularity(pop: PopulationSpec, c0: float) -> bool:
+    """condition_check on the numbers slda diagnose --scenario passes it."""
+    eig_min, eig_max = eigen_range(pop.covariance)
+    return condition_check(eig_min, eig_max, float(np.max(pop.delta ** 2)), c0)
 
 
 class TestConditionCheck:
     def test_pass(self):
         pop = PopulationSpec(means=np.array([[1.0, 0.0], [0.0, 0.0]]),
                              covariance=np.eye(2))
-        report = condition_check(pop, 2.0)
-        assert report.passed and report.eig_ok and report.delta_ok
+        assert regularity(pop, 2.0) is True
 
     def test_eigenvalue_violation_reported(self):
         pop = PopulationSpec(means=np.array([[1.0, 0.0], [0.0, 0.0]]),
                              covariance=np.diag([10.0, 1.0]))
-        report = condition_check(pop, 2.0)
-        assert not report.passed and not report.eig_ok
-        assert report.eig_max == pytest.approx(10.0)
+        assert regularity(pop, 2.0) is False
+        assert eigen_range(pop.covariance)[1] == pytest.approx(10.0)
 
     def test_small_gap_fails(self):
         pop = PopulationSpec(means=np.array([[0.1, 0.1], [0.0, 0.0]]),
                              covariance=np.eye(2))
-        report = condition_check(pop, 2.0)
-        assert not report.delta_ok
-        assert report.max_delta_sq == pytest.approx(0.01)
+        assert regularity(pop, 2.0) is False
+        assert regularity(pop, 200.0) is True
 
     def test_c0_domain(self):
-        pop = PopulationSpec(means=np.array([[1.0], [0.0]]), covariance=np.eye(1))
-        with pytest.raises(DomainError):
-            condition_check(pop, 1.0)
+        for c0 in (1.0, 0.5, -2.0):
+            with pytest.raises(DomainError, match="c0 must be > 1"):
+                condition_check(1.0, 1.0, 1.0, c0)
+
+    @pytest.mark.parametrize("c0", [4.0, 3.0, 1.0 + 2.0 ** -40])
+    def test_bounds_are_inclusive(self, c0):
+        lo, hi = 1.0 / c0, c0
+        assert condition_check(lo, hi, lo, c0)
+        assert condition_check(lo, hi, hi, c0)
+        assert condition_check(lo, lo, lo, c0) and condition_check(hi, hi, hi, c0)
+        below, above = np.nextafter(lo, 0.0), np.nextafter(hi, np.inf)
+        for args in [(below, hi, lo), (lo, above, lo), (lo, hi, below), (lo, hi, above)]:
+            assert not condition_check(*args, c0), args
+
+    def test_nan_fails(self):
+        nan = float("nan")
+        for args in [(nan, 1.0, 1.0), (1.0, nan, 1.0), (1.0, 1.0, nan)]:
+            assert not condition_check(*args, 2.0), args
 
     @pytest.mark.parametrize("d", [[3.5, 0.25, 7.0, 1.0], [2.0], [-1.0, 0.0, 4.0, 0.5]])
     def test_diagonal_range_equals_eigvalsh(self, d):
@@ -208,19 +241,16 @@ class TestConditionCheck:
         sigma = np.diag(d)
         ref = np.linalg.eigvalsh(0.5 * (sigma + sigma.T))
         assert eigen_range(sigma) == (float(ref[0]), float(ref[-1]))
-        pop = PopulationSpec(means=np.vstack([np.ones(len(d)), np.zeros(len(d))]),
-                             covariance=sigma)
-        report = condition_check(pop, 4.0)
-        assert (report.eig_min, report.eig_max) == (float(ref[0]), float(ref[-1]))
+        assert eigen_range(np.array(d)) == (float(ref[0]), float(ref[-1]))
 
     def test_range_of_sigma_that_does_not_factor(self):
-        # condition_check reads eigen_range(Sigma), whether or not Sigma
-        # is positive definite
+        # eigen_range reads Sigma whether or not it is positive definite,
+        # and a negative eigenvalue fails the check
         sigma = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 0.5]])
         pop = PopulationSpec(means=np.vstack([np.ones(3), np.zeros(3)]), covariance=sigma)
-        report = condition_check(pop, 4.0)
-        assert (report.eig_min, report.eig_max) == eigen_range(sigma)
-        assert report.eig_min == pytest.approx(-1.0) and not report.eig_ok
+        eig_min, eig_max = eigen_range(sigma)
+        assert eig_min == pytest.approx(-1.0) and eig_max == pytest.approx(3.0)
+        assert regularity(pop, 4.0) is False
 
     def test_dense_range_unchanged(self, rng):
         sigma = random_spd(rng, 6)

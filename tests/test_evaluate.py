@@ -2,7 +2,6 @@
 rates, LOOCV and the (M1, M2) grid search."""
 
 import math
-import sys
 from unittest import mock
 
 import mpmath as mp
@@ -143,7 +142,7 @@ class TestConditionalRate:
 
     def test_degenerate_rule_is_half(self, rng):
         pop = random_population(rng, 3)
-        rule = LinearRule(weights=np.zeros(3), cutoff=0.0, degenerate=True)
+        rule = LinearRule(weights=np.zeros(3), cutoff=0.0)
         report = conditional_rate(rule, pop)
         assert report.conditional_rate == 0.5
         assert report.per_class_error == (0.0, 1.0)
@@ -189,7 +188,7 @@ class TestConditionalRate:
 class TestConditionalRateMc:
     def test_always_class_one(self, rng):
         pop = random_population(rng, 3)
-        rule = LinearRule(weights=np.zeros(3), cutoff=0.0, degenerate=True)
+        rule = LinearRule(weights=np.zeros(3), cutoff=0.0)
         report = conditional_rate_mc({"r": rule}, pop, 5000, substream(1, 0))["r"]
         assert report.per_class_error == (0.0, 1.0)
         assert report.conditional_rate == 0.5
@@ -460,7 +459,8 @@ class TestLoocv:
         # the reference fits it per fold in numpy, w_j = delta-tilde_j / s_jj
         ds = leukemia_like(72, 2000, signal=0.01)
         cfg = ThresholdConfig(m1=1e7, m2=3.0, alpha=0.3)
-        classify_module = sys.modules["slda.classify"]
+        import slda.classify as classify_module
+
         with mock.patch.object(classify_module, "pooled_covariance",
                                side_effect=AssertionError("S formed")):
             rate = loocv_rate(ds, cfg)

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import (bits_equal, reference_read_table, two_class_dataset, write_dataset_csv,
                       write_matrix)
-from slda.classify import SparsityReport
+from slda.classify import SparsityReport, build_lda, build_oracle, build_slda
 from slda.errors import DataError
 from slda.io import (
     _number,
@@ -23,7 +23,7 @@ from slda.io import (
     read_model,
     write_model,
 )
-from slda.model import LinearRule, ThresholdConfig
+from slda.model import LinearRule, PopulationSpec, ThresholdConfig
 from slda.simulate import GridSpec, PopulationRecipe, Scenario, read_scenario
 
 
@@ -274,7 +274,7 @@ class TestModelFile:
     def test_round_trip(self, rng, tmp_path):
         rule = LinearRule(weights=rng.standard_normal(7), cutoff=float(rng.standard_normal()))
         cfg = ThresholdConfig(m1=1.5, m2=2.5, alpha=0.25)
-        report = SparsityReport(p=7, q_hat=4, nnz_offdiag=2, pd_flag=True, degenerate=False)
+        report = SparsityReport(p=7, q_hat=4, nnz_offdiag=2, pd_flag=True)
         path = tmp_path / "model.txt"
         write_model(path, rule, cfg, report)
         back, meta = read_model(path)
@@ -286,11 +286,32 @@ class TestModelFile:
         assert path.read_text(encoding="utf-8").startswith("slda-model v1\n")
 
     def test_degenerate_flag_round_trip(self, tmp_path):
-        rule = LinearRule(weights=np.zeros(3), cutoff=0.0, degenerate=True)
+        rule = LinearRule(weights=np.zeros(3), cutoff=0.0)
         path = tmp_path / "model.txt"
         write_model(path, rule, ThresholdConfig(m1=1.0, m2=1e9, alpha=0.3))
         back, _ = read_model(path)
         assert back.degenerate
+
+    def test_builder_rules_survive_the_file(self, rng, tmp_path):
+        # every rule build_slda, build_lda and build_oracle return is
+        # written and read back, a degenerate SLDA fit among them
+        p = 6
+        ds = two_class_dataset(rng.standard_normal((8, p)) + 1.0, rng.standard_normal((7, p)))
+        pop = PopulationSpec(means=np.vstack([np.ones(p), np.zeros(p)]), covariance=np.ones(p))
+        fits = []
+        for m1, m2 in [(0.0, 0.0), (1.0, 0.5), (1e7, 0.5), (1.0, 1e9)]:
+            config = ThresholdConfig(m1=m1, m2=m2, alpha=0.3)
+            fits.append((*build_slda(ds, config), config))
+        fits += [(build_lda(ds), None, ThresholdConfig(m1=0.0, m2=0.0)),
+                 (build_oracle(pop), None, ThresholdConfig(m1=0.0, m2=0.0))]
+        assert [rule.degenerate for rule, _, _ in fits] == [False] * 3 + [True] + [False] * 2
+        for j, (rule, report, config) in enumerate(fits):
+            path = tmp_path / f"model{j}.txt"
+            write_model(path, rule, config, report)
+            back, meta = read_model(path)
+            assert bits_equal(back.weights, rule.weights) and bits_equal(back.cutoff, rule.cutoff)
+            assert back.degenerate == rule.degenerate
+            assert meta["degenerate"] == ("1" if rule.degenerate else "0")
 
     VALUES = st.one_of(st.sampled_from(EDGE), st.floats(allow_nan=False, allow_infinity=False))
 
@@ -302,11 +323,10 @@ class TestModelFile:
                                                  st.booleans())))
     def test_round_trip_is_value_exact(self, tmp_path_factory, weights, cutoff, config, report):
         path = tmp_path_factory.mktemp("model") / "model.txt"
-        rule = LinearRule(weights=weights, cutoff=cutoff, degenerate=not np.any(weights))
+        rule = LinearRule(weights=weights, cutoff=cutoff)
         cfg = ThresholdConfig(m1=config[0], m2=config[1], alpha=config[2])
         sparsity = None if report is None else SparsityReport(
-            p=weights.shape[0], q_hat=report[0], nnz_offdiag=report[1], pd_flag=report[2],
-            degenerate=rule.degenerate)
+            p=weights.shape[0], q_hat=report[0], nnz_offdiag=report[1], pd_flag=report[2])
         write_model(path, rule, cfg, sparsity)
         back, meta = read_model(path)
         assert bits_equal(back.weights, weights) and bits_equal(back.cutoff, cutoff)
@@ -522,6 +542,18 @@ class TestImportGraph:
         for mod in graph:
             visit(mod)
 
+    def test_diagnostics_takes_a_n_from_its_caller(self):
+        # rate_quantities takes the caller's a_n, so diagnostics computes
+        # no threshold and imports nothing from estimation
+        import ast
+        from pathlib import Path
+
+        import slda.diagnostics
+
+        tree = ast.parse(Path(slda.diagnostics.__file__).read_text(encoding="utf-8"))
+        assert "estimation" not in {node.module for node in ast.walk(tree)
+                                    if isinstance(node, ast.ImportFrom)}
+
     def test_operators_are_built_only_in_numerics(self):
         # the inverse of Sigma-tilde has one owner: no other module builds a
         # SymOperator, reads one of its private fields or calls LAPACK
@@ -543,17 +575,14 @@ class TestImportGraph:
     def test_no_export_shadows_a_submodule(self):
         # a name that slda/__init__.py imports replaces the submodule
         # attribute of the same name, so "import slda.<name> as m" binds
-        # the object and patching m patches nothing. The one known case is
-        # the function classify (a FOUND line in CHANGES.md): renaming the
-        # module fixes it, and goes with a benchmark change, since the
-        # benchmark names a "classify" layer
+        # the object and patching m patches nothing
         import ast
         import pkgutil
         from pathlib import Path
 
         import slda
 
-        known = {"classify"}
+        known = set()
         tree = ast.parse(Path(slda.__file__).read_text(encoding="utf-8"))
         exported = {alias.asname or alias.name for node in tree.body
                     if isinstance(node, ast.ImportFrom) for alias in node.names}

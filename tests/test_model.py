@@ -1,10 +1,14 @@
 """Dataset validation, population invariants and rule semantics."""
 
+import dataclasses
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import two_class_dataset
 from slda.errors import DataError, DomainError, NotPositiveDefiniteError, ShapeError
@@ -146,10 +150,35 @@ class TestLinearRule:
             assert np.array_equal(base, scaled)
 
     def test_degenerate_flag_semantics(self):
-        rule = LinearRule(weights=np.zeros(3), cutoff=0.0, degenerate=True)
+        rule = LinearRule(weights=np.zeros(3), cutoff=0.0)
         from slda.classify import classify
 
         assert classify(rule, np.array([5.0, -1.0, 2.0])) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(w=arrays(float, st.integers(1, 6),
+                    elements=st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -1.0]), st.floats())),
+           cutoff=st.floats(allow_nan=False))
+    @example(w=np.zeros(3), cutoff=0.0)
+    @example(w=np.array([-0.0, 0.0, -0.0]), cutoff=1.0)
+    @example(w=np.array([0.0, -5e-324]), cutoff=0.0)
+    @example(w=np.array([1.0, -2.0]), cutoff=0.5)
+    def test_degenerate_is_read_off_the_weights(self, w, cutoff):
+        rule = LinearRule(weights=w, cutoff=cutoff)
+        assert rule.degenerate == (not w.any())
+        assert type(rule.degenerate) is bool
+
+    def test_degenerate_cannot_be_set(self):
+        # a rule flagged degenerate whose weights label by w'x >= c would
+        # get a rate of 1/2 from conditional_rate and a model file that
+        # read_model rejects
+        assert [f.name for f in dataclasses.fields(LinearRule)] == ["weights", "cutoff"]
+        with pytest.raises(TypeError):
+            LinearRule(weights=np.array([1.0, -2.0]), cutoff=0.5, degenerate=True)
+        rule = LinearRule(weights=np.array([1.0, -2.0]), cutoff=0.5)
+        with pytest.raises(AttributeError):
+            rule.degenerate = True
+        assert not rule.degenerate
 
 
 class TestThresholdConfig:

@@ -70,7 +70,7 @@ def test_slda_grid_fits(k):
     fits = build_slda_grid(scaled(k), [m1 * 4.0 ** k for m1 in M1_GRID],
                            [m2 * 2.0 ** k for m2 in M2_GRID], ALPHA)
     for (rules, report), (rules_k, report_k) in zip(base, fits, strict=True):
-        assert report_k == report  # q_hat, nnz_offdiag, pd_flag, degenerate
+        assert report_k == report  # q_hat, nnz_offdiag, pd_flag
         rule, rule_k = rules[(1, 2)], rules_k[(1, 2)]
         assert bits_equal(rule_k.weights, rule.weights * 2.0 ** -k)
         assert bits_equal(rule_k.cutoff, rule.cutoff)

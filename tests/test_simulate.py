@@ -9,9 +9,11 @@ import pytest
 from conftest import bits_equal, dense_lower
 from slda.errors import DomainError
 from slda.evaluate import optimal_rate
+from slda.io import fmt_float
 from slda.model import ThresholdConfig
 from slda.numerics import substream
 from slda.simulate import (
+    REPLICATE_COLUMNS,
     GridSpec,
     PopulationRecipe,
     Scenario,
@@ -65,6 +67,29 @@ class TestBuildPopulation:
         delta = np.array([0.0, 2.0, -1.0])
         pop = build_population(PopulationRecipe(p=3, delta_pattern=delta))
         assert np.array_equal(pop.delta, delta)
+
+    @pytest.mark.parametrize("p, pattern", [
+        (2, (1.0, 0.5)),       # was delta = [0.5, 0]
+        (4, (2.5, 1.0)),       # was a count of 2
+        (3, (1.0, 0.5, 0.0)),  # was the explicit vector
+        (3, (True, 1.0)),
+        (3, (2,)),
+        (3, (2, 1.0, 1.0)),
+    ], ids=["float_count", "fractional_count", "three_floats", "bool_count", "one_item",
+            "three_items"])
+    def test_tuple_is_count_and_magnitude_only(self, p, pattern):
+        with pytest.raises(DomainError, match="pass an explicit delta as an array"):
+            build_population(PopulationRecipe(p=p, delta_pattern=pattern))
+
+    @pytest.mark.parametrize("count", [2, np.int64(2), np.int32(2)])
+    def test_integer_count_places_components(self, count):
+        pop = build_population(PopulationRecipe(p=4, delta_pattern=(count, 1.5)))
+        assert np.array_equal(pop.delta, [1.5, 0.0, 1.5, 0.0])
+
+    @pytest.mark.parametrize("explicit", [[1.0, 0.5], np.array([1.0, 0.5])])
+    def test_list_or_array_is_the_explicit_delta(self, explicit):
+        pop = build_population(PopulationRecipe(p=2, delta_pattern=explicit))
+        assert np.array_equal(pop.delta, [1.0, 0.5])
 
     def test_ar1_domain(self):
         with pytest.raises(DomainError):
@@ -139,6 +164,34 @@ class TestRunScenario:
         assert all(m.count == 2 for m in summary.methods)
         csv_text = records_to_csv(sc, broken)
         assert "boom" in csv_text
+
+    def test_csv_rows_fill_every_column(self):
+        # a failed replicate is one row with its scenario, index and error
+        # (commas turned to semicolons); a method's row leaves the columns
+        # of other methods empty
+        sc = small_scenario(reps=2)
+        records, _ = run_scenario(sc)
+        broken = [dataclasses.replace(records[0], rates={}, error="bad, worse"), records[1]]
+        lines = records_to_csv(sc, broken).splitlines()
+        assert lines[0] == ",".join(REPLICATE_COLUMNS)
+        assert lines[1] == "small,0,,,,,,,,,,,bad; worse"
+        rows = {row[2]: row for row in (line.split(",") for line in lines[2:])}
+        assert list(rows) == list(sc.methods)
+        assert all(len(row) == len(REPLICATE_COLUMNS) for row in rows.values())
+        sparsity = records[1].sparsity
+        assert rows["slda"][6:12] == [fmt_float(sc.cv.m1), fmt_float(sc.cv.m2),
+                                      str(sparsity.q_hat), str(sparsity.nnz_offdiag),
+                                      "1" if sparsity.pd_flag else "0", "0"]
+        assert rows["lda"][6:11] == [""] * 5 and rows["lda"][12] == ""
+
+    def test_failed_replicates_of_p_1(self):
+        sc = Scenario(name="p1", population=PopulationRecipe(p=1, delta_pattern=(1, 1.0)),
+                      n1=3, n2=3, methods=("slda", "lda"),
+                      cv=ThresholdConfig(m1=1.0, m2=0.5, alpha=0.3), reps=2, seed=7)
+        records, summary = run_scenario(sc)
+        assert summary.failed == 2
+        assert records_to_csv(sc, records).splitlines()[1:] == [
+            f"p1,{k},,,,,,,,,,,compute_tn requires p >= 2; got 1" for k in range(2)]
 
     def test_invalid_method_rejected(self):
         with pytest.raises(DomainError):
