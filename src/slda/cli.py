@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -33,31 +35,61 @@ from .simulate import (
 OK, BAD_INPUT, NUMERICAL = 0, 2, 3
 
 
-# Fallback values applied after the flag/config merge. Every optional
-# flag parses with default=None so that a config file can supply it;
-# explicit flags always win.
-_DEFAULTS = {
-    "fit": {"alpha": DEFAULT_ALPHA},
-    "predict": {},
-    "cv": {"alpha": DEFAULT_ALPHA, "grid_m1": None, "grid_m2": None, "threads": "1"},
-    "simulate": {"out": "slda_", "threads": "1"},
-    "diagnose": {"h": "0.0", "g": "0.0", "r": "2.0", "alpha": DEFAULT_ALPHA,
-                 "m2": "1.0", "c0": "4.0"},
-}
+REQUIRED = object()  # a flag without a default
 
-_REQUIRED = {
-    "fit": ("train", "m1", "m2", "out"),
-    "predict": ("model", "test", "out"),
-    "cv": ("train", "out"),
-    "simulate": ("scenario",),
-    "diagnose": ("out",),
+
+def _number(kind, least=None):
+    """A flag parser, (text, name) -> a finite ``kind`` >= ``least``, that
+    raises DataError naming the flag, as io.float_list does."""
+    def parse(text: str, name: str):
+        try:
+            value = kind(text)
+        except ValueError as exc:
+            raise DataError(f"{name}: {exc}") from None
+        if kind is float and not math.isfinite(value):
+            raise DataError(f"{name}: must be finite, got {text}")
+        if least is not None and value < least:
+            raise DataError(f"{name}: must be >= {least}, got {text}")
+        return value
+    return parse
+
+
+class _Flag(NamedTuple):
+    parse: Callable[[str, str], Any] | None = None  # None keeps the text
+    default: Any = REQUIRED
+    help: str | None = None
+
+
+_SCENARIO_HELP = "preset name or scenario file"
+_FLOAT, _COUNT = _number(float), _number(int, 1)
+
+# Every flag of every command, keyed by its attribute name. A flag given
+# on the command line wins over a config key, which wins over the
+# default; the winning text is then parsed once.
+_FLAGS = {
+    "fit": {"train": _Flag(), "m1": _Flag(_FLOAT), "m2": _Flag(_FLOAT),
+            "alpha": _Flag(_FLOAT, DEFAULT_ALPHA), "out": _Flag(help="model file path")},
+    "predict": {"model": _Flag(), "test": _Flag(), "out": _Flag(help="predictions CSV path")},
+    "cv": {"train": _Flag(), "grid_m1": _Flag(sio.float_list, None, "comma-separated M1 values"),
+           "grid_m2": _Flag(sio.float_list, None, "comma-separated M2 values"),
+           "alpha": _Flag(_FLOAT, DEFAULT_ALPHA), "threads": _Flag(_COUNT, 1),
+           "out": _Flag(help="surface CSV path")},
+    "simulate": {"scenario": _Flag(help=_SCENARIO_HELP), "seed": _Flag(_number(int), None),
+                 "reps": _Flag(_COUNT, None), "n_mc": _Flag(_COUNT, None),
+                 "threads": _Flag(_COUNT, 1), "out": _Flag(None, "slda_", "output file prefix")},
+    "diagnose": {"train": _Flag(default=None), "scenario": _Flag(None, None, _SCENARIO_HELP),
+                 "h": _Flag(_FLOAT, 0.0), "g": _Flag(_FLOAT, 0.0), "r": _Flag(_FLOAT, 2.0),
+                 "alpha": _Flag(_FLOAT, DEFAULT_ALPHA), "m2": _Flag(_number(float, 0), 1.0),
+                 "c0": _Flag(_FLOAT, 4.0), "out": _Flag(help="cumulative-proportions CSV path")},
 }
 
 
 def _merge_config(args: argparse.Namespace) -> None:
-    # flags (not None) > config file > built-in defaults
-    if getattr(args, "config", None):
-        flags = set(vars(args)) - {"command", "func", "config"}
+    """Give each flag of the command its typed value: from the command
+    line, else the config file, else its default. A bad value raises
+    DataError naming the flag."""
+    flags = _FLAGS[args.command]
+    if args.config:
         for key, value in sio.read_kv(args.config).items():
             attr = key.replace("-", "_")
             if attr not in flags:
@@ -65,29 +97,27 @@ def _merge_config(args: argparse.Namespace) -> None:
                                 f"{args.command} takes {', '.join(sorted(flags))}")
             if getattr(args, attr) is None:
                 setattr(args, attr, value)
-    for attr, value in _DEFAULTS[args.command].items():
-        if getattr(args, attr, None) is None:
-            setattr(args, attr, value)
-    for attr in _REQUIRED[args.command]:
-        if getattr(args, attr, None) is None:
-            raise DataError(f"missing required parameter --{attr.replace('_', '-')}")
     if args.command == "diagnose":
         if not (args.train or args.scenario):
             raise DataError("diagnose needs --train or --scenario")
         if args.train and args.scenario:
             raise DataError("diagnose takes --train or --scenario, not both")
-
-
-def _threads(args) -> int:
-    n = int(args.threads)
-    if n < 1:
-        raise DataError(f"--threads must be >= 1, got {n}")
-    return n
+        if args.train and args.c0 is not None:
+            raise DataError("--c0 applies only to diagnose --scenario")
+    for attr, flag in flags.items():
+        name = "--" + attr.replace("_", "-")
+        text = getattr(args, attr)
+        if text is None:
+            if flag.default is REQUIRED:
+                raise DataError(f"missing required parameter {name}")
+            setattr(args, attr, flag.default)
+        elif flag.parse:
+            setattr(args, attr, flag.parse(text, name))
 
 
 def cmd_fit(args) -> int:
     dataset = sio.read_dataset_csv(args.train)
-    config = ThresholdConfig(m1=float(args.m1), m2=float(args.m2), alpha=float(args.alpha))
+    config = ThresholdConfig(m1=args.m1, m2=args.m2, alpha=args.alpha)
     rule, report = build_slda(dataset, config)
     sio.write_model(args.out, rule, config, report)
     print(f"model written to {args.out}")
@@ -126,10 +156,8 @@ def cmd_cv(args) -> int:
     dataset = sio.read_dataset_csv(args.train)
     if min(dataset.class_counts) < 3:
         raise DataError("cross-validation requires every class count >= 3")
-    m1_grid = None if args.grid_m1 is None else sio.float_list(args.grid_m1, "--grid-m1")
-    m2_grid = None if args.grid_m2 is None else sio.float_list(args.grid_m2, "--grid-m2")
-    surface = cv_grid_search(dataset, m1_grid, m2_grid, float(args.alpha),
-                             threads=_threads(args))
+    surface = cv_grid_search(dataset, args.grid_m1, args.grid_m2, args.alpha,
+                             threads=args.threads)
     lines = ["m1,m2,loocv_rate"]
     lines += [f"{sio.fmt_float(m1)},{sio.fmt_float(m2)},{sio.fmt_float(score)}"
               for (m1, m2), score in zip(surface.grid, surface.scores)]
@@ -155,16 +183,11 @@ def _load_scenario(name: str) -> Scenario:
 
 def cmd_simulate(args) -> int:
     scenario = _load_scenario(args.scenario)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = int(args.seed)
-    if args.reps is not None:
-        overrides["reps"] = int(args.reps)
-    if args.n_mc is not None:
-        overrides["n_mc"] = int(args.n_mc)
+    overrides = {key: getattr(args, key) for key in ("seed", "reps", "n_mc")
+                 if getattr(args, key) is not None}
     if overrides:
         scenario = dataclasses.replace(scenario, **overrides)
-    records, summary = run_scenario(scenario, threads=_threads(args))
+    records, summary = run_scenario(scenario, threads=args.threads)
     prefix = args.out
     rep_path = f"{prefix}replicates.csv"
     sum_path = f"{prefix}summary.txt"
@@ -177,8 +200,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    h, g, r = float(args.h), float(args.g), float(args.r)
-    alpha, m2 = float(args.alpha), float(args.m2)
+    h, g, r = args.h, args.g, args.r
     if args.train:
         dataset = sio.read_dataset_csv(args.train)
         if dataset.n_classes != 2:
@@ -209,9 +231,9 @@ def cmd_diagnose(args) -> int:
     max_delta_sq = float(np.max(delta ** 2))
     lines = [f"source {source}"]
     if args.scenario:
-        passed = diag.condition_check(eig_min, eig_max, max_delta_sq, float(args.c0))
+        passed = diag.condition_check(eig_min, eig_max, max_delta_sq, args.c0)
         lines.append(f"condition_check_passed {1 if passed else 0}")
-    a_n = compute_an(m2, n, p, alpha)
+    a_n = compute_an(args.m2, n, p, args.alpha)
     t_n = compute_tn(1.0, n, p)
     c_hp = diag.sparsity_C(sigma, h)
     d_gp = diag.sparsity_D(delta, g)
@@ -240,52 +262,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sparse linear discriminant analysis by thresholding")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    fit = sub.add_parser("fit", help="fit an SLDA rule and write a model file")
-    fit.add_argument("--train")
-    fit.add_argument("--m1")
-    fit.add_argument("--m2")
-    fit.add_argument("--alpha")
-    fit.add_argument("--out", help="model file path")
-    fit.set_defaults(func=cmd_fit)
-
-    predict = sub.add_parser("predict", help="classify rows of a CSV with a fitted model")
-    predict.add_argument("--model")
-    predict.add_argument("--test")
-    predict.add_argument("--out", help="predictions CSV path")
-    predict.set_defaults(func=cmd_predict)
-
-    cv = sub.add_parser("cv", help="leave-one-out grid search over (M1, M2)")
-    cv.add_argument("--train")
-    cv.add_argument("--grid-m1", help="comma-separated M1 values")
-    cv.add_argument("--grid-m2", help="comma-separated M2 values")
-    cv.add_argument("--alpha")
-    cv.add_argument("--threads")
-    cv.add_argument("--out", help="surface CSV path")
-    cv.set_defaults(func=cmd_cv)
-
-    sim = sub.add_parser("simulate", help="run a preset or file-defined scenario")
-    sim.add_argument("--scenario", help="preset name or scenario file")
-    sim.add_argument("--seed")
-    sim.add_argument("--reps")
-    sim.add_argument("--n-mc", dest="n_mc")
-    sim.add_argument("--threads")
-    sim.add_argument("--out", help="output file prefix")
-    sim.set_defaults(func=cmd_simulate)
-
-    dg = sub.add_parser("diagnose", help="sparsity/regularity diagnostics")
-    dg.add_argument("--train")
-    dg.add_argument("--scenario", help="preset name or scenario file")
-    dg.add_argument("--h")
-    dg.add_argument("--g")
-    dg.add_argument("--r")
-    dg.add_argument("--alpha")
-    dg.add_argument("--m2")
-    dg.add_argument("--c0")
-    dg.add_argument("--out", help="cumulative-proportions CSV path")
-    dg.set_defaults(func=cmd_diagnose)
-
-    for p in (fit, predict, cv, sim, dg):
-        p.add_argument("--config", default=None, help="optional key = value config file")
+    commands = {"fit": (cmd_fit, "fit an SLDA rule and write a model file"),
+                "predict": (cmd_predict, "classify rows of a CSV with a fitted model"),
+                "cv": (cmd_cv, "leave-one-out grid search over (M1, M2)"),
+                "simulate": (cmd_simulate, "run a preset or file-defined scenario"),
+                "diagnose": (cmd_diagnose, "sparsity/regularity diagnostics")}
+    for command, (func, help_text) in commands.items():
+        cmd = sub.add_parser(command, help=help_text)
+        for attr, flag in _FLAGS[command].items():
+            cmd.add_argument("--" + attr.replace("_", "-"), help=flag.help)
+        cmd.add_argument("--config", default=None, help="optional key = value config file")
+        cmd.set_defaults(func=func)
     return parser
 
 

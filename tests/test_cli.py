@@ -9,7 +9,7 @@ import pytest
 
 from conftest import (eigh_pseudo_inverse_lda, summarize, two_class_dataset, write_dataset_csv,
                       write_matrix)
-from slda.cli import main
+from slda.cli import _FLAGS, REQUIRED, _merge_config, build_parser, main
 from slda.io import read_model
 
 
@@ -280,6 +280,14 @@ class TestCv:
         assert f"{flag} has an empty item" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_nan_grid_point_is_forced_worst(self, separable_csv, tmp_path, capsys):
+        # grid values are not held to the finite rule of scalar flags
+        out = tmp_path / "s.csv"
+        assert main(["cv", "--train", str(separable_csv), "--grid-m1", "nan,1",
+                     "--grid-m2", "0.5", "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8").splitlines()[1] == "nan,0.5,1"
+        assert "forced_worst 1\n" in capsys.readouterr().out
+
     def test_small_class_exits_2(self, tmp_path, rng):
         path = tmp_path / "small.csv"
         write_dataset_csv(path, two_class_dataset(rng.standard_normal((2, 2)),
@@ -323,6 +331,12 @@ def scenario_with_sigma_file(tmp_path, sigma):
                     "n1 = 8\nn2 = 8\nmethods = lda,oracle\nreps = 2\nseed = 7\n",
                     encoding="utf-8")
     return path
+
+
+def small_scenario(tmp_path):
+    """A two-replicate p = 6 scenario file for simulate and diagnose."""
+    return write_scenario_text(tmp_path, "small", "slda,oracle",
+                               "delta_count = 2\ndelta_magnitude = 1.5\n" + FIXED)
 
 
 BAD_MEANS = [("delta_values", "nan"), ("delta_values", "inf"), ("delta_magnitude", "inf"),
@@ -372,7 +386,7 @@ class TestSimulate:
     def test_n_mc_below_one_exits_2(self, tmp_path, capsys, scenario, n_mc):
         assert main(["simulate", "--scenario", scenario, "--reps", "2", "--n-mc", n_mc,
                      "--out", str(tmp_path / "m_")]) == 2
-        assert f"n_mc must be >= 1, got {n_mc}" in capsys.readouterr().err
+        assert f"--n-mc: must be >= 1, got {n_mc}" in capsys.readouterr().err
         assert not (tmp_path / "m_replicates.csv").exists()
 
     def test_scenario_file_n_mc_zero_exits_2(self, tmp_path, capsys):
@@ -537,6 +551,42 @@ class TestDiagnose:
                      "--out", str(tmp_path / "c.csv")]) == 2
 
 
+    # failed at the parent: --c0 was ignored without --scenario, exit 0
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_train_with_c0_exits_2(self, separable_csv, tmp_path, capsys, how):
+        out = tmp_path / "c.csv"
+        argv = ["diagnose", "--train", str(separable_csv), "--out", str(out)]
+        if how == "flag":
+            argv += ["--c0", "4"]
+        else:
+            cfg = tmp_path / "conf.txt"
+            cfg.write_text("c0 = 4\n", encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error [diagnose]: --c0 applies only to diagnose --scenario\n"
+        assert captured.out == "" and not out.exists()
+
+    def test_negative_m2_names_the_flag(self, tmp_path, capsys):
+        # failed at the parent: the message named a_n, which the user never set
+        out = tmp_path / "c.csv"
+        assert main(["diagnose", "--scenario", str(small_scenario(tmp_path)), "--m2", "-1",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error [diagnose]: --m2: must be >= 0, got -1\n"
+        assert not out.exists()
+
+    # failed at the parent: exit 0, with a_n nan printed next to a finite b_n
+    @pytest.mark.parametrize("flag, value", [("m2", "nan"), ("m2", "inf"), ("r", "inf"),
+                                             ("c0", "nan")])
+    def test_non_finite_scalar_exits_2(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "c.csv"
+        assert main(["diagnose", "--scenario", str(small_scenario(tmp_path)),
+                     f"--{flag}", value, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error [diagnose]: --{flag}: must be finite, got {value}\n"
+        assert captured.out == "" and not out.exists()
+
+
 class TestConfigFile:
     def test_config_supplies_missing_values(self, separable_csv, tmp_path):
         cfg = tmp_path / "conf.txt"
@@ -605,3 +655,72 @@ class TestConfigFile:
     def test_missing_required_after_merge_exits_2(self, tmp_path):
         assert main(["fit", "--m1", "1", "--m2", "1",
                      "--out", str(tmp_path / "m.txt")]) == 2
+
+
+# the valid flags of each command (scenario and train filled in per test);
+# every scalar numeric flag is probed on top of these
+BASE_FLAGS = {
+    "fit": {"train": None, "m1": "1", "m2": "0.5"},
+    "cv": {"train": None, "grid-m1": "1", "grid-m2": "0.5"},
+    "simulate": {"scenario": None, "reps": "2"},
+    "diagnose": {"scenario": None},
+}
+SCALAR_FLAGS = [("fit", "m1"), ("fit", "m2"), ("fit", "alpha"), ("cv", "alpha"),
+                ("cv", "threads"), ("simulate", "seed"), ("simulate", "reps"),
+                ("simulate", "n-mc"), ("simulate", "threads"), ("diagnose", "h"),
+                ("diagnose", "g"), ("diagnose", "r"), ("diagnose", "alpha"),
+                ("diagnose", "m2"), ("diagnose", "c0")]
+INTEGER_FLAGS = {"seed", "reps", "n-mc", "threads"}
+BAD_VALUES = ["abc", "", "nan", "inf"]
+
+
+class TestFlagBoundary:
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    @pytest.mark.parametrize("command, flag, value", [
+        (command, flag, value) for command, flag in SCALAR_FLAGS
+        for value in BAD_VALUES + (["1.5"] if flag in INTEGER_FLAGS else [])])
+    def test_bad_value_exits_2_naming_the_flag(self, separable_csv, tmp_path, capsys,
+                                               command, flag, value, how):
+        files = {"train": str(separable_csv), "scenario": str(small_scenario(tmp_path))}
+        given = {key: text or files[key] for key, text in BASE_FLAGS[command].items()
+                 if key != flag}
+        given["out"] = str(tmp_path / ("out_" if command == "simulate" else "out.txt"))
+        if how == "flag":
+            given[flag] = value
+        else:
+            cfg = tmp_path / "conf.txt"
+            cfg.write_text(f"{flag} = {value}\n", encoding="utf-8")
+            given["config"] = str(cfg)
+        argv = [command]
+        for key, text in given.items():
+            argv += [f"--{key}", text]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error [{command}]: --{flag}: ")
+        assert list(tmp_path.glob("out*")) == []
+
+    @pytest.mark.parametrize("command", sorted(_FLAGS))
+    def test_every_flag_is_a_config_key(self, tmp_path, command):
+        # "1" parses under every flag's parser; required flags ride along
+        # on the command line
+        for attr in _FLAGS[command]:
+            for key in {attr, attr.replace("_", "-")}:
+                cfg = tmp_path / "conf.txt"
+                cfg.write_text(f"{key} = 1\n", encoding="utf-8")
+                argv = [command, "--config", str(cfg)]
+                for other, flag in _FLAGS[command].items():
+                    if other != attr and flag.default is REQUIRED:
+                        argv += ["--" + other.replace("_", "-"), "1"]
+                if command == "diagnose" and attr not in ("train", "scenario"):
+                    argv += ["--scenario", "1"]
+                args = build_parser().parse_args(argv)
+                _merge_config(args)
+                assert getattr(args, attr) in ("1", 1, (1.0,))
+
+    @pytest.mark.parametrize("key", ["command", "func", "config"])
+    @pytest.mark.parametrize("command", sorted(_FLAGS))
+    def test_non_flag_key_exits_2(self, tmp_path, capsys, command, key):
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text(f"{key} = 1\n", encoding="utf-8")
+        assert main([command, "--config", str(cfg)]) == 2
+        assert f"{cfg}: unknown key '{key}'" in capsys.readouterr().err
