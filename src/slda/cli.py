@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -38,22 +37,6 @@ OK, BAD_INPUT, NUMERICAL = 0, 2, 3
 REQUIRED = object()  # a flag without a default
 
 
-def _number(kind, least=None):
-    """A flag parser, (text, name) -> a finite ``kind`` >= ``least``, that
-    raises DataError naming the flag, as io.float_list does."""
-    def parse(text: str, name: str):
-        try:
-            value = kind(text)
-        except ValueError as exc:
-            raise DataError(f"{name}: {exc}") from None
-        if kind is float and not math.isfinite(value):
-            raise DataError(f"{name}: must be finite, got {text}")
-        if least is not None and value < least:
-            raise DataError(f"{name}: must be >= {least}, got {text}")
-        return value
-    return parse
-
-
 class _Flag(NamedTuple):
     parse: Callable[[str, str], Any] | None = None  # None keeps the text
     default: Any = REQUIRED
@@ -61,7 +44,7 @@ class _Flag(NamedTuple):
 
 
 _SCENARIO_HELP = "preset name or scenario file"
-_FLOAT, _COUNT = _number(float), _number(int, 1)
+_FLOAT, _COUNT = sio.number(float), sio.number(int, 1)
 
 # Every flag of every command, keyed by its attribute name. A flag given
 # on the command line wins over a config key, which wins over the
@@ -74,12 +57,12 @@ _FLAGS = {
            "grid_m2": _Flag(sio.float_list, None, "comma-separated M2 values"),
            "alpha": _Flag(_FLOAT, DEFAULT_ALPHA), "threads": _Flag(_COUNT, 1),
            "out": _Flag(help="surface CSV path")},
-    "simulate": {"scenario": _Flag(help=_SCENARIO_HELP), "seed": _Flag(_number(int), None),
+    "simulate": {"scenario": _Flag(help=_SCENARIO_HELP), "seed": _Flag(sio.number(int), None),
                  "reps": _Flag(_COUNT, None), "n_mc": _Flag(_COUNT, None),
                  "threads": _Flag(_COUNT, 1), "out": _Flag(None, "slda_", "output file prefix")},
     "diagnose": {"train": _Flag(default=None), "scenario": _Flag(None, None, _SCENARIO_HELP),
                  "h": _Flag(_FLOAT, 0.0), "g": _Flag(_FLOAT, 0.0), "r": _Flag(_FLOAT, 2.0),
-                 "alpha": _Flag(_FLOAT, DEFAULT_ALPHA), "m2": _Flag(_number(float, 0), 1.0),
+                 "alpha": _Flag(_FLOAT, DEFAULT_ALPHA), "m2": _Flag(sio.number(float, 0), 1.0),
                  "c0": _Flag(_FLOAT, 4.0), "out": _Flag(help="cumulative-proportions CSV path")},
 }
 
@@ -154,8 +137,6 @@ def cmd_predict(args) -> int:
 
 def cmd_cv(args) -> int:
     dataset = sio.read_dataset_csv(args.train)
-    if min(dataset.class_counts) < 3:
-        raise DataError("cross-validation requires every class count >= 3")
     surface = cv_grid_search(dataset, args.grid_m1, args.grid_m2, args.alpha,
                              threads=args.threads)
     lines = ["m1,m2,loocv_rate"]

@@ -161,6 +161,13 @@ def empirical_rate(rule, test: Dataset) -> RateReport:
                       per_class_error=tuple(errors), method=EMPIRICAL)
 
 
+def _require_loocv(dataset: Dataset) -> None:
+    if min(dataset.class_counts) < 3:
+        raise DataError("leave-one-out cross-validation requires every class count >= 3")
+    if dataset.n_classes != 2:
+        raise DomainError("leave-one-out cross-validation requires a two-class dataset")
+
+
 def _loocv_grid(dataset: Dataset, m1_grid, m2_grid, alpha: float, threads: int):
     # Leave-one-out over a product grid, fold-major: each fold centres its
     # rows once and thresholds and factors at most once per M1, forming S
@@ -168,10 +175,6 @@ def _loocv_grid(dataset: Dataset, m1_grid, m2_grid, alpha: float, threads: int):
     # per point in grid order, the count of misclassified held-out samples
     # and the first (fold, SldaError) of a failed refit, or None. Folds run
     # on ``threads`` threads and are summed in fold order.
-    if min(dataset.class_counts) < 3:
-        raise DataError("loocv_rate requires every class count >= 3")
-    if dataset.n_classes != 2:
-        raise DomainError("leave-one-out cross-validation requires a two-class dataset")
     points = len(m1_grid) * len(m2_grid)
 
     def fold(i):
@@ -209,6 +212,7 @@ def loocv_rate(dataset: Dataset, config: ThresholdConfig) -> float:
     recomputed with n-1) and classifies the held-out point; the return
     value is the unweighted mean of the n error indicators.
     """
+    _require_loocv(dataset)
     wrong, failed = _loocv_grid(dataset, [config.m1], [config.m2], config.alpha, threads=1)
     if failed[0] is not None:
         i, exc = failed[0]
@@ -220,8 +224,8 @@ def loocv_rate(dataset: Dataset, config: ThresholdConfig) -> float:
 class CvSurface:
     """Grid of (M1, M2) pairs with their LOOCV scores and the winner.
 
-    ``forced_worst`` counts the points scored 1.0 because they could not
-    be cross-validated, not because every held-out sample was missed.
+    ``forced_worst`` counts the points scored 1.0 because a fold's refit
+    at them failed, not because every held-out sample was missed.
     """
 
     grid: tuple[tuple[float, float], ...]
@@ -231,32 +235,26 @@ class CvSurface:
     forced_worst: int
 
 
-def _valid(m1: float, m2: float, alpha: float) -> bool:
-    try:
-        ThresholdConfig(m1=m1, m2=m2, alpha=alpha)
-    except DomainError:
-        return False
-    return True
-
-
 def cv_grid_search(dataset: Dataset, m1_grid=None, m2_grid=None, alpha: float = DEFAULT_ALPHA,
                    threads: int = 1) -> CvSurface:
     """Leave-one-out rate of SLDA at every point of the product grid,
     and the point with the minimum.
 
-    A grid given as None is the data-driven one of ``default_grids``
-    (which raises for a dataset it cannot read).
+    A grid given as None is the data-driven one of ``default_grids``.
+    Before any fold runs, a dataset that cannot be cross-validated (K != 2,
+    a class with fewer than 3 samples) raises, and so does a grid point
+    that ThresholdConfig rejects (alpha outside (0, 1/2), or an M1 or M2
+    that is negative or not finite).
 
     Ties are broken toward the most sparse rule: largest M2, then
     largest M1. A point is scored 1.0 (worst) instead of aborting the
-    scan when a fold's refit at it fails, when ThresholdConfig rejects
-    its constants, or when the dataset cannot be cross-validated (a
-    class with fewer than 3 samples, K != 2); ``forced_worst`` counts
-    those points. The loop is fold-major (one variance screen per fold,
-    one factor per fold and M1, shared by every M2), and with threads > 1
+    scan when a fold's refit at it fails; ``forced_worst`` counts those
+    points. The loop is fold-major (one variance screen per fold, one
+    factor per fold and M1, shared by every M2), and with threads > 1
     the folds run concurrently; their counts are summed in fold order,
     so the surface is identical to the sequential one.
     """
+    _require_loocv(dataset)
     if m1_grid is None or m2_grid is None:
         auto_m1, auto_m2 = default_grids(dataset, alpha)
         m1_grid = auto_m1 if m1_grid is None else m1_grid
@@ -266,31 +264,14 @@ def cv_grid_search(dataset: Dataset, m1_grid=None, m2_grid=None, alpha: float = 
     if not m1_grid or not m2_grid:
         raise DomainError("cv_grid_search requires non-empty grids")
     grid = [(m1, m2) for m1 in m1_grid for m2 in m2_grid]
-    # validity of (M1, M2) is M1's and M2's, so the valid points are a grid
-    rows = [a for a, m1 in enumerate(m1_grid) if _valid(m1, 0.0, alpha)]
-    cols = [b for b, m2 in enumerate(m2_grid) if _valid(0.0, m2, alpha)]
-    scores = [1.0] * len(grid)
-    forced = len(grid)
-    if rows and cols:
-        try:
-            wrong, failed = _loocv_grid(dataset, [m1_grid[a] for a in rows],
-                                        [m2_grid[b] for b in cols], alpha, threads)
-        except SldaError:  # the dataset cannot be cross-validated: all stay 1.0
-            wrong, failed = [], []
-        valid = [a * len(m2_grid) + b for a in rows for b in cols]
-        for j, count, failure in zip(valid, wrong, failed):
-            if failure is None:
-                scores[j] = count / dataset.n
-                forced -= 1
-    best = None
-    best_score = None
-    for (m1, m2), rate in zip(grid, scores):
-        if (best is None or rate < best_score
-                or (rate == best_score and (m2, m1) > (best[1], best[0]))):
-            best = (m1, m2)
-            best_score = rate
-    return CvSurface(grid=tuple(grid), scores=tuple(scores), best=best, best_score=best_score,
-                     forced_worst=forced)
+    for m1, m2 in grid:
+        ThresholdConfig(m1=m1, m2=m2, alpha=alpha)  # raises for a bad value
+    wrong, failed = _loocv_grid(dataset, m1_grid, m2_grid, alpha, threads)
+    scores = [count / dataset.n if failure is None else 1.0
+              for count, failure in zip(wrong, failed)]
+    j = min(range(len(grid)), key=lambda j: (scores[j], -grid[j][1], -grid[j][0]))
+    return CvSurface(grid=tuple(grid), scores=tuple(scores), best=grid[j], best_score=scores[j],
+                     forced_worst=sum(failure is not None for failure in failed))
 
 
 def default_grids(dataset: Dataset, alpha: float = DEFAULT_ALPHA):

@@ -240,6 +240,22 @@ def read_kv(path) -> dict:
     return out
 
 
+def number(kind, least=None):
+    """A parser, (text, name) -> a finite ``kind`` >= ``least``, for a
+    flag or key value; it raises DataError naming ``name``."""
+    def parse(text: str, name: str):
+        try:
+            value = kind(text)
+        except ValueError as exc:
+            raise DataError(f"{name}: {exc}") from None
+        if kind is float and not np.isfinite(value):
+            raise DataError(f"{name}: must be finite, got {text}")
+        if least is not None and value < least:
+            raise DataError(f"{name}: must be >= {least}, got {text}")
+        return value
+    return parse
+
+
 def float_list(text: str, name: str) -> tuple[float, ...]:
     """The numbers of a comma-separated flag or key value. An empty value
     or item, or an item that is not a number, raises DataError naming

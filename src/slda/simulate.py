@@ -15,7 +15,7 @@ import numpy as np
 from .classify import SparsityReport, build_lda, build_lda_known_sigma, build_oracle, build_slda
 from .errors import DataError, DomainError, NotPositiveDefiniteError, SldaError
 from .evaluate import RateReport, conditional_rate, conditional_rate_mc, cv_grid_search
-from .io import float_list, fmt_float, read_kv, read_matrix
+from .io import float_list, fmt_float, number, read_kv, read_matrix
 from .model import DEFAULT_ALPHA, Dataset, NORMAL, STUDENT_T, PopulationSpec, ThresholdConfig
 from .numerics import sample_mvn, sample_mvt, substream
 
@@ -29,8 +29,9 @@ class PopulationRecipe:
     ``delta_pattern`` is a tuple (count, magnitude), with an integer
     count, placing ``count`` equal signal components at evenly spaced
     indices; a list or array is the explicit vector delta.
-    ``sigma_pattern`` is ("identity",), ("ar1", rho), ("banded", width,
-    value) or ("from_file", path). mu_2 = 0 and mu_1 = delta.
+    ``sigma_pattern`` is exactly ("identity",), ("ar1", rho), ("banded",
+    width, value) with an integer width >= 0, or ("from_file", path).
+    mu_2 = 0 and mu_1 = delta.
     """
 
     p: int
@@ -63,26 +64,37 @@ def _build_delta(recipe: PopulationRecipe) -> np.ndarray:
     return delta
 
 
+# each sigma pattern kind and the parameters that follow it in the tuple
+_SIGMA_PARAMS = {"identity": (), "ar1": ("rho",), "banded": ("width", "value"),
+                 "from_file": ("path",)}
+
+
 def _build_sigma(recipe: PopulationRecipe) -> np.ndarray:
-    kind = recipe.sigma_pattern[0]
-    p = recipe.p
+    pattern, p = recipe.sigma_pattern, recipe.p
+    kind = pattern[0] if pattern else None
+    if kind not in _SIGMA_PARAMS:
+        raise DomainError(f"unknown sigma pattern {kind!r}")
+    params = _SIGMA_PARAMS[kind]
+    if len(pattern) != 1 + len(params):
+        takes = f"exactly {' and '.join(params)}" if params else "no parameters"
+        raise DomainError(f"sigma pattern {pattern!r}: {kind} takes {takes}")
     if kind == "identity":
         return np.ones(p)  # the diagonal of I
     if kind == "ar1":
-        rho = float(recipe.sigma_pattern[1])
+        rho = float(pattern[1])
         if not abs(rho) < 1.0:
             raise DomainError(f"ar1 requires |rho| < 1, got {rho}")
         idx = np.arange(p)
         return rho ** np.abs(idx[:, None] - idx[None, :])
     if kind == "banded":
-        width, value = int(recipe.sigma_pattern[1]), float(recipe.sigma_pattern[2])
+        width, value = pattern[1], float(pattern[2])
+        if isinstance(width, bool) or not isinstance(width, (int, np.integer)) or width < 0:
+            raise DomainError(f"sigma pattern {pattern!r}: width must be an integer >= 0")
         sigma = np.eye(p)
         for k in range(1, width + 1):
             sigma += value * (np.eye(p, k=k) + np.eye(p, k=-k))
         return sigma
-    if kind == "from_file":
-        return read_matrix(recipe.sigma_pattern[1])
-    raise DomainError(f"unknown sigma pattern {kind!r}")
+    return read_matrix(pattern[1])
 
 
 def build_population(recipe: PopulationRecipe) -> PopulationSpec:
@@ -268,50 +280,56 @@ def read_scenario(path) -> Scenario:
     (sigma = identity | ar1 | banded | from_file with its parameters).
     Threshold selection, read only when methods has slda: fixed m1 + m2,
     or grid_m1 and/or grid_m2 (an omitted grid is the data-driven one),
-    each with an optional alpha. A key that the file's choices leave
-    unused raises DataError.
+    each with an optional alpha. A numeric value that does not parse (or
+    a float that is not finite), or a key that the file's choices leave
+    unused, raises DataError naming the key.
     """
     kv = read_kv(path)
     take = kv.pop  # each key is taken where it is used; what is left is unused
+    integer, real = number(int), number(float)
+
+    def num(parse, key, *default):
+        return parse(take(key, *default), key)
+
     try:
         methods = tuple(m.strip() for m in take("methods").split(","))
-        p = int(take("p"))
+        p = num(integer, "p")
         if "delta_values" in kv:
             delta_pattern: tuple = np.array(float_list(take("delta_values"), "delta_values"))
         else:
-            delta_pattern = (int(take("delta_count")), float(take("delta_magnitude")))
+            delta_pattern = (num(integer, "delta_count"), num(real, "delta_magnitude"))
         sigma_kind = take("sigma", "identity")
         if sigma_kind == "identity":
             sigma_pattern: tuple = ("identity",)
         elif sigma_kind == "ar1":
-            sigma_pattern = ("ar1", float(take("rho")))
+            sigma_pattern = ("ar1", num(real, "rho"))
         elif sigma_kind == "banded":
-            sigma_pattern = ("banded", int(take("width")), float(take("value")))
+            sigma_pattern = ("banded", num(integer, "width"), num(real, "value"))
         elif sigma_kind == "from_file":
             sigma_pattern = ("from_file", take("sigma_file"))
         else:
             raise DataError(f"unknown sigma pattern {sigma_kind!r}")
         distribution = take("distribution", NORMAL)
-        df = int(take("df")) if distribution == STUDENT_T else None
+        df = num(integer, "df") if distribution == STUDENT_T else None
         recipe = PopulationRecipe(p=p, delta_pattern=delta_pattern,
                                   sigma_pattern=sigma_pattern,
                                   distribution=distribution, df=df)
         if "slda" not in methods:
             cv: ThresholdConfig | GridSpec | None = None
         elif "m1" in kv and "m2" in kv:
-            cv = ThresholdConfig(m1=float(take("m1")), m2=float(take("m2")),
-                                 alpha=float(take("alpha", DEFAULT_ALPHA)))
+            cv = ThresholdConfig(m1=num(real, "m1"), m2=num(real, "m2"),
+                                 alpha=num(real, "alpha", DEFAULT_ALPHA))
         elif "grid_m1" in kv or "grid_m2" in kv:
             m1_grid, m2_grid = (float_list(take(key), key) if key in kv else None
                                 for key in ("grid_m1", "grid_m2"))
             cv = GridSpec(m1_grid=m1_grid, m2_grid=m2_grid,
-                          alpha=float(take("alpha", DEFAULT_ALPHA)))
+                          alpha=num(real, "alpha", DEFAULT_ALPHA))
         else:
             cv = None
         fields = dict(name=take("name", Path(path).stem), population=recipe,
-                      n1=int(take("n1")), n2=int(take("n2")), methods=methods, cv=cv,
-                      reps=int(take("reps")), seed=int(take("seed")),
-                      n_mc=int(take("n_mc", "100000")))
+                      n1=num(integer, "n1"), n2=num(integer, "n2"), methods=methods, cv=cv,
+                      reps=num(integer, "reps"), seed=num(integer, "seed"),
+                      n_mc=num(integer, "n_mc", "100000"))
         if kv:
             raise DataError(f"unused scenario key(s) {', '.join(map(repr, kv))}")
         return Scenario(**fields)

@@ -250,22 +250,27 @@ class TestCv:
 
     def test_threads_byte_identical_and_forced_count(self, tmp_path, capsys):
         # p > n: M1 = 0.64 takes the eigen_floor path at every fold, M1 = 50
-        # the diagonal one; M2 = -1 is rejected, so its two points are forced
+        # the diagonal one. Features constant within each class give S = 0,
+        # so the refit fails wherever delta keeps a component (M2 = 0.1):
+        # those two points are forced, and M2 = 1e9 (degenerate) is not
         gen = np.random.default_rng(7)
         x1 = gen.standard_normal((10, 30))
         x1[:, :3] += 1.5
-        path = tmp_path / "wide.csv"
-        write_dataset_csv(path, two_class_dataset(x1, gen.standard_normal((9, 30))))
-        outs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"surface{threads}.csv"
-            assert main(["cv", "--train", str(path), "--grid-m1", "0.64,50",
-                         "--grid-m2", "0,1,1e9,-1", "--threads", threads,
-                         "--out", str(out)]) == 0
-            outs.append(out.read_bytes())
-            assert "forced_worst 2\n" in capsys.readouterr().out
-        assert outs[0] == outs[1]
-        assert outs[0].decode().count(",1\n") >= 2
+        wide, flat = tmp_path / "wide.csv", tmp_path / "flat.csv"
+        write_dataset_csv(wide, two_class_dataset(x1, gen.standard_normal((9, 30))))
+        write_dataset_csv(flat, two_class_dataset(np.tile([1.0, 2.0, -1.0], (5, 1)),
+                                                  np.tile([0.0, 2.5, 1.0], (4, 1))))
+        for path, m2_grid, forced in ((wide, "0,1,1e9", 0), (flat, "0.1,1e9", 2)):
+            outs = []
+            for threads in ("1", "2"):
+                out = tmp_path / f"surface{threads}.csv"
+                assert main(["cv", "--train", str(path), "--grid-m1", "0.64,50",
+                             "--grid-m2", m2_grid, "--threads", threads,
+                             "--out", str(out)]) == 0
+                outs.append(out.read_bytes())
+                assert f"forced_worst {forced}\n" in capsys.readouterr().out
+            assert outs[0] == outs[1]
+            assert outs[0].decode().count(",1\n") == forced
 
     # an empty value must not fall back to the data-driven grid, and an
     # empty item must not be dropped
@@ -280,13 +285,40 @@ class TestCv:
         assert f"{flag} has an empty item" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_nan_grid_point_is_forced_worst(self, separable_csv, tmp_path, capsys):
-        # grid values are not held to the finite rule of scalar flags
+    def test_nan_grid_value_exits_2(self, separable_csv, tmp_path, capsys):
+        # failed at the parent: exit 0, with the nan point scored 1 and
+        # counted in forced_worst
         out = tmp_path / "s.csv"
         assert main(["cv", "--train", str(separable_csv), "--grid-m1", "nan,1",
-                     "--grid-m2", "0.5", "--out", str(out)]) == 0
-        assert out.read_text(encoding="utf-8").splitlines()[1] == "nan,0.5,1"
-        assert "forced_worst 1\n" in capsys.readouterr().out
+                     "--grid-m2", "0.5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error [cv]: M1 and M2 must be finite\n"
+        assert not out.exists()
+
+    # failed at the parent with explicit grids: exit 0, every point scored
+    # 1 and counted in forced_worst, while the default grids exited 2
+    @pytest.mark.parametrize("case", ["three_classes", "bad_alpha"])
+    def test_bad_input_exits_2_with_or_without_grids(self, tmp_path, capsys, rng, case):
+        path = tmp_path / "train.csv"
+        if case == "three_classes":
+            x = rng.standard_normal((12, 2)).tolist()
+            rows = "\n".join(f"{a!r},{b!r},{k}" for (a, b), k in zip(x, [1, 2, 3] * 4))
+            path.write_text("f1,f2,class\n" + rows + "\n", encoding="utf-8")
+            alpha = []
+        else:
+            write_dataset_csv(path, two_class_dataset(rng.standard_normal((5, 2)),
+                                                      rng.standard_normal((5, 2))))
+            alpha = ["--alpha", "0.6"]
+        errors = []
+        for grids in ([], ["--grid-m1", "1,2", "--grid-m2", "0.5"]):
+            out = tmp_path / "s.csv"
+            assert main(["cv", "--train", str(path), "--out", str(out)] + alpha + grids) == 2
+            assert not out.exists()
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0] == {
+            "three_classes": "error [cv]: leave-one-out cross-validation requires a two-class "
+                             "dataset\n",
+            "bad_alpha": "error [cv]: alpha must lie strictly inside (0, 1/2), got 0.6\n"}[case]
 
     def test_small_class_exits_2(self, tmp_path, rng):
         path = tmp_path / "small.csv"
@@ -319,6 +351,13 @@ def scenario_with_bad_mean(tmp_path, key, bad):
     delta = (f"delta_count = 2\ndelta_magnitude = {bad}\n" if key == "delta_magnitude"
              else f"delta_values = {bad},0.5,0,0,0,0\n")
     return write_scenario_text(tmp_path, "bad_mean", "slda,lda,oracle", delta + FIXED)
+
+
+def bad_mean_message(path, key, bad):
+    # delta_magnitude is a scalar key, held to the finite rule as it is read
+    if key == "delta_magnitude":
+        return f"{path}: delta_magnitude: must be finite, got {bad}"
+    return "population means must be finite"
 
 
 def scenario_with_sigma_file(tmp_path, sigma):
@@ -378,9 +417,22 @@ class TestSimulate:
     def test_non_finite_mean_exits_2(self, tmp_path, capsys, key, bad):
         path = scenario_with_bad_mean(tmp_path, key, bad)
         assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "b_")]) == 2
-        assert "population means must be finite" in capsys.readouterr().err
+        assert bad_mean_message(path, key, bad) in capsys.readouterr().err
         assert not (tmp_path / "b_replicates.csv").exists()
 
+
+    def test_grid_scenario_with_two_sample_class_fails_every_replicate(self, tmp_path, capsys):
+        # failed at the parent: failed 0, and every slda row reported the
+        # tie-break corner m1 2, m2 1 of a surface scored 1.0 everywhere
+        path = tmp_path / "sc.txt"
+        path.write_text("name = tiny\np = 6\nn1 = 2\nn2 = 8\nreps = 3\nseed = 7\n"
+                        "methods = slda,oracle\ndelta_count = 2\ndelta_magnitude = 1.5\n"
+                        "grid_m1 = 0.5,1,2\ngrid_m2 = 0.5,1\n", encoding="utf-8")
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "g_")]) == 0
+        assert "failed 3\n" in capsys.readouterr().out
+        rows = (tmp_path / "g_replicates.csv").read_text(encoding="utf-8").splitlines()
+        assert rows[1:] == [f"tiny,{k},,,,,,,,,,,leave-one-out cross-validation requires "
+                            "every class count >= 3" for k in range(3)]
 
     @pytest.mark.parametrize("scenario, n_mc", [("sec5_t3", "0"), ("thm3_sparse", "-5")])
     def test_n_mc_below_one_exits_2(self, tmp_path, capsys, scenario, n_mc):
@@ -470,7 +522,7 @@ class TestDiagnose:
         out_csv = tmp_path / "d.csv"
         assert main(["diagnose", "--scenario", str(path), "--out", str(out_csv)]) == 2
         captured = capsys.readouterr()
-        assert "population means must be finite" in captured.err
+        assert bad_mean_message(path, key, bad) in captured.err
         assert "delta_p" not in captured.out and not out_csv.exists()
 
     def test_identity_population_row_count_one(self, tmp_path, capsys):

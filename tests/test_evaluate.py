@@ -564,10 +564,12 @@ class TestCvGridSearch:
         assert bits_equal(np.array(got.scores), np.array(want.scores))
 
     def test_omitted_grid_raises_where_default_grids_does(self, rng):
-        # failed at the parent: a None grid was not accepted
+        # failed at the parent: a None grid was not accepted. The dataset is
+        # checked before default_grids runs, so the message is the one an
+        # explicit grid gets
         x = rng.standard_normal((3, 2))
         ds = validate_dataset(np.vstack([x, x + 1.0, x - 1.0]), np.repeat([1, 2, 3], 3))
-        with pytest.raises(DomainError, match="default_grids requires a two-class dataset"):
+        with pytest.raises(DomainError, match="cross-validation requires a two-class dataset"):
             cv_grid_search(ds, None, [1.0], 0.3)
 
     def test_chosen_threshold_recovers_support_bracket(self):
@@ -593,16 +595,14 @@ class TestCvGridSearch:
 
 def per_point_surface(dataset, m1_grid, m2_grid, alpha):
     """The grid-point-major loop cv_grid_search replaced: at every
-    (M1, M2), every fold refits with build_slda; a point whose config or
-    any refit raises scores 1.0. Kept as the reference of the fold-major
+    (M1, M2), every fold refits with build_slda; a point at which any
+    refit raises scores 1.0. Kept as the reference of the fold-major
     loop; returns the scores and the count of points scored that way."""
     scores, forced = [], 0
     for m1 in m1_grid:
         for m2 in m2_grid:
+            config = ThresholdConfig(m1=m1, m2=m2, alpha=alpha)
             try:
-                config = ThresholdConfig(m1=m1, m2=m2, alpha=alpha)
-                if min(dataset.class_counts) < 3:
-                    raise DataError("class count < 3")
                 wrong = 0
                 for i in range(dataset.n):
                     rule, _ = build_slda(dataset.drop(i), config)
@@ -628,7 +628,6 @@ class TestFoldMajorCv:
     def test_equals_per_point_reference(self):
         # p > n: a middle M1 leaves an indefinite Sigma-tilde (eigen_floor)
         # and M1 = 50 a diagonal one; M2 = 1e9 is degenerate at every fold
-        # and M2 = -1 is rejected by ThresholdConfig
         for seed in (7, 8):
             ds = shifted_two_class(seed, 10, 9, 30)
             s = summarize(ds).pooled_cov
@@ -636,11 +635,11 @@ class TestFoldMajorCv:
             tildes = [threshold_covariance(s, compute_tn(m1, ds.n, ds.p)) for m1 in m1_grid]
             assert invert_sparse_sym(tildes[0]).kind == "eigen_floor"
             assert nnz_offdiag(tildes[1]) == 0
-            m2_grid = [0.0, 1.0, 1e9, -1.0]
+            m2_grid = [0.0, 1.0, 1e9]
             surface = cv_grid_search(ds, m1_grid, m2_grid, 0.3)
             scores, forced = per_point_surface(ds, m1_grid, m2_grid, 0.3)
             assert list(surface.scores) == scores
-            assert surface.forced_worst == forced == 2
+            assert surface.forced_worst == forced == 0
             degenerate = [surface.scores[surface.grid.index((m1, 1e9))] for m1 in m1_grid]
             assert degenerate == [9 / 19, 9 / 19]
 
@@ -662,8 +661,10 @@ class TestFoldMajorCv:
             loocv_rate(ds, ThresholdConfig(m1=1.0, m2=0.1, alpha=0.3))
         assert loocv_rate(ds, ThresholdConfig(m1=1.0, m2=1e9, alpha=0.3)) == 4 / 9
 
+    # failed at the parent with explicit grids: every point scored 1.0 and
+    # was counted in forced_worst
     @pytest.mark.parametrize("case", ["small_class", "three_classes", "bad_alpha"])
-    def test_whole_dataset_failure_forces_every_point(self, case, rng):
+    def test_whole_dataset_failure_raises(self, case, rng):
         alpha = 0.3
         if case == "small_class":
             ds = two_class_dataset(rng.standard_normal((2, 3)), rng.standard_normal((5, 3)))
@@ -674,8 +675,24 @@ class TestFoldMajorCv:
         else:
             ds = two_class_dataset(rng.standard_normal((5, 3)), rng.standard_normal((5, 3)))
             alpha = 0.5
-        surface = cv_grid_search(ds, [0.5, 2.0], [0.5, 2.0], alpha)
-        assert surface.scores == (1.0,) * 4 and surface.forced_worst == 4
+        with mock.patch.object(evaluate, "build_slda_grid", side_effect=AssertionError("fold")):
+            with pytest.raises(SldaError) as default:
+                cv_grid_search(ds, None, None, alpha)
+            with pytest.raises(type(default.value)) as explicit:
+                cv_grid_search(ds, [0.5, 2.0], [0.5, 2.0], alpha)
+        assert str(explicit.value) == str(default.value)
+
+    # failed at the parent: the point was scored 1.0 and counted in
+    # forced_worst
+    @pytest.mark.parametrize("m1_grid, m2_grid, message", [
+        ([math.nan, 1.0], [0.5], "finite"), ([1.0], [0.5, math.inf], "finite"),
+        ([-1.0, 1.0], [0.5], "nonnegative"), ([1.0], [0.5, -1.0], "nonnegative"),
+    ], ids=["m1_nan", "m2_inf", "m1_negative", "m2_negative"])
+    def test_bad_grid_value_raises(self, m1_grid, m2_grid, message, rng):
+        ds = two_class_dataset(rng.standard_normal((5, 3)), rng.standard_normal((5, 3)))
+        with mock.patch.object(evaluate, "build_slda_grid", side_effect=AssertionError("fold")):
+            with pytest.raises(DomainError, match=f"M1 and M2 must be {message}"):
+                cv_grid_search(ds, m1_grid, m2_grid, 0.3)
 
     def test_same_surface_on_any_thread_count(self):
         ds = shifted_two_class(9, 10, 9, 30)

@@ -485,6 +485,25 @@ class TestScenarioFile:
             read_scenario(path)
 
 
+    # failed at the parent: Python's text without the key, or for
+    # delta_magnitude = nan the population's message without the path
+    @pytest.mark.parametrize("key, value, message", [
+        ("reps", "1.5", "invalid literal for int() with base 10: '1.5'"),
+        ("delta_count", "2.0", "invalid literal for int() with base 10: '2.0'"),
+        ("rho", "abc", "could not convert string to float: 'abc'"),
+        ("delta_magnitude", "nan", "must be finite, got nan"),
+    ], ids=["reps_float", "delta_count_float", "rho_text", "delta_magnitude_nan"])
+    def test_bad_number_names_the_key(self, tmp_path, key, value, message):
+        keys = {"p": "6", "delta_count": "2", "delta_magnitude": "1", "sigma": "ar1",
+                "rho": "0.5", "n1": "5", "n2": "5", "methods": "lda", "reps": "2",
+                "seed": "9", key: value}
+        path = tmp_path / "sc.txt"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()), encoding="utf-8")
+        with pytest.raises(DataError) as err:
+            read_scenario(path)
+        assert str(err.value) == f"{path}: {key}: {message}"
+
+
 class TestKeyValueFile:
     def test_pairs_comments_and_spacing(self, tmp_path):
         path = tmp_path / "kv.txt"

@@ -1,6 +1,7 @@
 """Population builders, the replicate runner and the preset catalog."""
 
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -90,6 +91,32 @@ class TestBuildPopulation:
     def test_list_or_array_is_the_explicit_delta(self, explicit):
         pop = build_population(PopulationRecipe(p=2, delta_pattern=explicit))
         assert np.array_equal(pop.delta, [1.0, 0.5])
+
+    # each ran at the parent: a negative width built I, a float or bool
+    # width was cast to int, extra items were dropped, and a missing rho
+    # raised IndexError
+    @pytest.mark.parametrize("pattern, message", [
+        (("banded", -3, 0.3), "width must be an integer >= 0"),
+        (("banded", 2.7, 0.3), "width must be an integer >= 0"),
+        (("banded", True, 0.3), "width must be an integer >= 0"),
+        (("identity", 5), "identity takes no parameters"),
+        (("ar1", 0.5, 9), "ar1 takes exactly rho"),
+        (("ar1",), "ar1 takes exactly rho"),
+        (("banded", 1), "banded takes exactly width and value"),
+    ], ids=["negative_width", "float_width", "bool_width", "identity_extra", "ar1_extra",
+            "ar1_no_rho", "banded_no_value"])
+    def test_sigma_pattern_takes_exactly_its_parameters(self, pattern, message):
+        with pytest.raises(DomainError, match=re.escape(f"sigma pattern {pattern!r}: {message}")):
+            build_population(PopulationRecipe(p=4, delta_pattern=(1, 1.0), sigma_pattern=pattern))
+
+    @pytest.mark.parametrize("width", [0, np.int64(2)])
+    def test_banded_integer_width(self, width):
+        pop = build_population(PopulationRecipe(p=4, delta_pattern=(1, 1.0),
+                                                sigma_pattern=("banded", width, 0.25)))
+        idx = np.arange(4)
+        near = np.abs(idx[:, None] - idx[None, :])
+        want = np.where(near == 0, 1.0, np.where(near <= width, 0.25, 0.0))
+        assert np.array_equal(pop.covariance, want)
 
     def test_ar1_domain(self):
         with pytest.raises(DomainError):
