@@ -58,7 +58,9 @@ _FLAGS = {
            "alpha": _Flag(_FLOAT, DEFAULT_ALPHA), "threads": _Flag(_COUNT, 1),
            "out": _Flag(help="surface CSV path")},
     "simulate": {"scenario": _Flag(help=_SCENARIO_HELP), "seed": _Flag(sio.number(int), None),
-                 "reps": _Flag(_COUNT, None), "n_mc": _Flag(_COUNT, None),
+                 "reps": _Flag(_COUNT, None),
+                 "n_mc": _Flag(_COUNT, None, "Monte Carlo size, checked but unused: "
+                               "every simulate rate is closed form"),
                  "threads": _Flag(_COUNT, 1), "out": _Flag(None, "slda_", "output file prefix")},
     "diagnose": {"train": _Flag(default=None), "scenario": _Flag(None, None, _SCENARIO_HELP),
                  "h": _Flag(_FLOAT, 0.0), "g": _Flag(_FLOAT, 0.0), "r": _Flag(_FLOAT, 2.0),

@@ -1,7 +1,8 @@
 """Misclassification-rate computation: closed-form conditional rates
-against normal populations, Monte Carlo rates for t and multi-class
-populations, empirical test rates, and leave-one-out cross-validation
-with grid search over the threshold constants (M1, M2)."""
+against two-class normal and t populations, Monte Carlo rates for
+multi-class rules and populations, empirical test rates, and
+leave-one-out cross-validation with grid search over the threshold
+constants (M1, M2)."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from .diagnostics import mahalanobis_delta
 from .errors import DataError, DomainError, ShapeError, SldaError
 from .estimation import centered_rows, compute_an, compute_tn, pooled_covariance
 from .model import DEFAULT_ALPHA, Dataset, LinearRule, PopulationSpec, ThresholdConfig, NORMAL
-from .numerics import std_normal_cdf
+from .numerics import std_normal_cdf, student_t_cdf
 
 CLOSED_FORM = "closed_form"
 MONTE_CARLO = "monte_carlo"
@@ -38,8 +39,8 @@ class RateReport:
 def optimal_rate(pop: PopulationSpec) -> RateReport:
     """Rate of the optimal (Bayes, equal priors) rule: Phi(-Delta_p/2).
 
-    Only defined in closed form for normal populations; use
-    conditional_rate_mc with the oracle rule for a t population.
+    Only defined here for normal populations; for a t population use
+    conditional_rate with build_oracle's rule, which gives its exact rate.
     """
     if pop.distribution != NORMAL:
         raise DomainError("optimal_rate has a closed form only for normal populations")
@@ -50,16 +51,16 @@ def optimal_rate(pop: PopulationSpec) -> RateReport:
 
 
 def conditional_rate(rule: LinearRule, pop: PopulationSpec) -> RateReport:
-    """Closed-form conditional rate of a linear rule under a normal
-    two-class population.
+    """Closed-form conditional rate of a linear rule under a normal or
+    t two-class population.
 
-    Class-1 error is P(w'x < c | mu_1) = Phi((c - w'mu_1)/sigma_w) and
-    class-2 error Phi((w'mu_2 - c)/sigma_w) with sigma_w = sqrt(w'Sigma w).
-    A degenerate rule classifies everything to class 1, so its errors
-    are (0, 1) and the rate exactly 1/2.
+    Class-1 error is P(w'x < c | mu_1) = F((c - w'mu_1)/sigma_w) and
+    class-2 error F((w'mu_2 - c)/sigma_w) with sigma_w = sqrt(w'Sigma w),
+    where F is Phi, or F_df under a t population: the score w'x of an
+    elliptical t vector is w'mu_k + sigma_w T with T ~ t(df) and Sigma
+    its scale matrix. A degenerate rule classifies everything to class
+    1, so its errors are (0, 1) and the rate exactly 1/2.
     """
-    if pop.distribution != NORMAL:
-        raise DomainError("conditional_rate needs a normal population; use conditional_rate_mc")
     if pop.n_classes != 2:
         raise DomainError("conditional_rate requires a two-class population")
     if rule.p != pop.p:
@@ -70,8 +71,12 @@ def conditional_rate(rule: LinearRule, pop: PopulationSpec) -> RateReport:
     w, c = rule.weights, rule.cutoff
     cov = pop.covariance  # a matrix, or the (p,) vector d of diag(d)
     sigma_w = math.sqrt(float(w @ (cov * w if cov.ndim == 1 else cov @ w)))
-    e1 = std_normal_cdf((c - float(w @ pop.means[0])) / sigma_w)
-    e2 = std_normal_cdf((float(w @ pop.means[1]) - c) / sigma_w)
+
+    def cdf(x):
+        return std_normal_cdf(x) if pop.distribution == NORMAL else student_t_cdf(x, pop.df)
+
+    e1 = cdf((c - float(w @ pop.means[0])) / sigma_w)
+    e2 = cdf((float(w @ pop.means[1]) - c) / sigma_w)
     return RateReport(conditional_rate=0.5 * (e1 + e2), per_class_error=(e1, e2),
                       method=CLOSED_FORM)
 

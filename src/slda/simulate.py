@@ -14,7 +14,7 @@ import numpy as np
 
 from .classify import SparsityReport, build_lda, build_lda_known_sigma, build_oracle, build_slda
 from .errors import DataError, DomainError, NotPositiveDefiniteError, SldaError
-from .evaluate import RateReport, conditional_rate, conditional_rate_mc, cv_grid_search
+from .evaluate import RateReport, conditional_rate, cv_grid_search
 from .io import float_list, fmt_float, number, read_kv, read_matrix
 from .model import DEFAULT_ALPHA, Dataset, NORMAL, STUDENT_T, PopulationSpec, ThresholdConfig
 from .numerics import sample_mvn, sample_mvt, substream
@@ -115,11 +115,19 @@ def build_population(recipe: PopulationRecipe) -> PopulationSpec:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Cross-validation grid over the threshold constants."""
+    """Cross-validation grid over the threshold constants. Every point
+    of the given grids is checked by ThresholdConfig when it is built."""
 
     m1_grid: tuple[float, ...] | None = None  # None = data-driven default
     m2_grid: tuple[float, ...] | None = None
     alpha: float = DEFAULT_ALPHA
+
+    def __post_init__(self):
+        if self.m1_grid == () or self.m2_grid == ():
+            raise DomainError("a cross-validation grid must be non-empty")
+        for m1 in self.m1_grid or (0.0,):  # 0.0 stands in for a data-driven grid
+            for m2 in self.m2_grid or (0.0,):
+                ThresholdConfig(m1=m1, m2=m2, alpha=self.alpha)
 
 
 @dataclass(frozen=True)
@@ -135,7 +143,7 @@ class Scenario:
     cv: ThresholdConfig | GridSpec | None
     reps: int
     seed: int
-    n_mc: int = 100_000
+    n_mc: int = 100_000  # checked, but unused: every rate of a replicate is closed form
 
     def __post_init__(self):
         if self.reps < 1:
@@ -144,6 +152,11 @@ class Scenario:
             raise DomainError(f"n_mc must be >= 1, got {self.n_mc}")
         if self.n1 < 2 or self.n2 < 2:
             raise DomainError("class sample sizes must be >= 2")
+        cross_validates = "slda" in self.methods and not isinstance(self.cv, ThresholdConfig)
+        if cross_validates and min(self.n1, self.n2) < 3:
+            raise DomainError("slda cross-validates its thresholds, and leave-one-out "
+                              "cross-validation requires every class count >= 3; "
+                              f"got n1 = {self.n1}, n2 = {self.n2}")
         for i, m in enumerate(self.methods):
             if m not in METHODS:
                 raise DomainError(f"unknown method {m!r}; expected subset of {METHODS}")
@@ -202,11 +215,7 @@ def _run_replicate(scenario: Scenario, pop: PopulationSpec, k: int) -> Replicate
                 rules[method] = build_lda_known_sigma(dataset, pop.chol)
             else:
                 rules[method] = build_oracle(pop)
-        if pop.distribution == NORMAL:
-            rates = {m: conditional_rate(rule, pop) for m, rule in rules.items()}
-        else:
-            # one Monte Carlo pass per replicate, shared across methods
-            rates = conditional_rate_mc(rules, pop, scenario.n_mc, gen)
+        rates = {m: conditional_rate(rule, pop) for m, rule in rules.items()}
         return ReplicateRecord(replicate_index=k, rates=rates, chosen_m1=chosen_m1,
                                chosen_m2=chosen_m2, sparsity=sparsity)
     except SldaError as exc:

@@ -223,7 +223,7 @@ def test_c11_determinism_across_runs_and_threads(tmp_path):
         pairs.append(((tmp_path / f"{tag}_replicates.csv").read_bytes(),
                       (tmp_path / f"{tag}_summary.txt").read_bytes()))
     same = pairs[0] == pairs[1] == pairs[2]
-    # and an MC (t) scenario, reduced size
+    # and a t scenario, reduced size (closed-form rates; --n-mc is unused)
     tbase = ["simulate", "--scenario", "sec5_t3", "--reps", "2", "--n-mc", "2000",
              "--seed", "778"]
     tpairs = []
@@ -233,7 +233,7 @@ def test_c11_determinism_across_runs_and_threads(tmp_path):
         tpairs.append((tmp_path / f"{tag}_replicates.csv").read_bytes())
     same_t = tpairs[0] == tpairs[1]
     report("C11 determinism", same and same_t,
-           f"closed-form outputs identical = {same}, monte-carlo outputs identical = {same_t}")
+           f"normal outputs identical = {same}, t outputs identical = {same_t}")
 
 
 def leukemia_path():

@@ -1,7 +1,11 @@
 """End-to-end command-line behavior: file outputs, exit codes,
 determinism across reruns and thread counts."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -421,18 +425,34 @@ class TestSimulate:
         assert not (tmp_path / "b_replicates.csv").exists()
 
 
-    def test_grid_scenario_with_two_sample_class_fails_every_replicate(self, tmp_path, capsys):
-        # failed at the parent: failed 0, and every slda row reported the
-        # tie-break corner m1 2, m2 1 of a surface scored 1.0 everywhere
+    @pytest.mark.parametrize("grids", ["grid_m1 = 0.5,1,2\ngrid_m2 = 0.5,1\n", ""],
+                             ids=["grid", "default_grid"])
+    def test_cross_validated_scenario_with_two_sample_class_exits_2(self, tmp_path, capsys,
+                                                                     grids):
+        # failed at the parent: exit 0 with failed 3, an error row per
+        # replicate, since every LOOCV needs every class count >= 3
         path = tmp_path / "sc.txt"
         path.write_text("name = tiny\np = 6\nn1 = 2\nn2 = 8\nreps = 3\nseed = 7\n"
                         "methods = slda,oracle\ndelta_count = 2\ndelta_magnitude = 1.5\n"
-                        "grid_m1 = 0.5,1,2\ngrid_m2 = 0.5,1\n", encoding="utf-8")
-        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "g_")]) == 0
-        assert "failed 3\n" in capsys.readouterr().out
-        rows = (tmp_path / "g_replicates.csv").read_text(encoding="utf-8").splitlines()
-        assert rows[1:] == [f"tiny,{k},,,,,,,,,,,leave-one-out cross-validation requires "
-                            "every class count >= 3" for k in range(3)]
+                        + grids, encoding="utf-8")
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "g_")]) == 2
+        assert ("leave-one-out cross-validation requires every class count >= 3; "
+                "got n1 = 2, n2 = 8") in capsys.readouterr().err
+        assert not (tmp_path / "g_replicates.csv").exists()
+
+    @pytest.mark.parametrize("keys, message", [
+        ("grid_m1 = 1,2\nalpha = 0.6\n", "alpha must lie strictly inside (0, 1/2), got 0.6"),
+        ("m1 = 1\nm2 = 0.5\nalpha = 0.6\n", "alpha must lie strictly inside (0, 1/2), got 0.6"),
+        ("grid_m2 = 0.5,-1\n", "M1 and M2 must be nonnegative"),
+        ("grid_m1 = 1,inf\ngrid_m2 = 0.5\n", "M1 and M2 must be finite"),
+    ], ids=["grid_alpha", "fixed_alpha", "negative_m2", "infinite_m1"])
+    def test_bad_threshold_keys_exit_2(self, tmp_path, capsys, keys, message):
+        # the grid cases failed at the parent: exit 0, failed = reps
+        path = write_scenario_text(tmp_path, "bad", "slda,oracle",
+                                   "delta_count = 2\ndelta_magnitude = 1.5\n" + keys)
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "a_")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "a_replicates.csv").exists()
 
     @pytest.mark.parametrize("scenario, n_mc", [("sec5_t3", "0"), ("thm3_sparse", "-5")])
     def test_n_mc_below_one_exits_2(self, tmp_path, capsys, scenario, n_mc):
@@ -776,3 +796,17 @@ class TestFlagBoundary:
         cfg.write_text(f"{key} = 1\n", encoding="utf-8")
         assert main([command, "--config", str(cfg)]) == 2
         assert f"{cfg}: unknown key '{key}'" in capsys.readouterr().err
+
+
+class TestStartup:
+    def test_import_leaves_scipy_special_unloaded(self):
+        # scipy.special adds about 60 ms to every command's start-up, and
+        # only t rates need it (numerics.student_t_cdf imports it on call)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys, slda.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "[]"

@@ -43,21 +43,15 @@ from slda.model import (
     ThresholdConfig,
     validate_dataset,
 )
-from slda.numerics import invert_sparse_sym, sample_mvn, std_normal_cdf, substream
+from slda.numerics import invert_sparse_sym, sample_mvn, std_normal_cdf, student_t_cdf, substream
 
 mp.mp.dps = 30
 
 
-def t_rate(rule, pop):
-    """Exact rate of a linear rule under a two-class t population: the
-    score w'x is univariate t(df) with scale sqrt(w' Sigma w)."""
-    from scipy.special import stdtr
-
-    w, c = rule.weights, rule.cutoff
-    sw = math.sqrt(w @ pop.covariance @ w)
-    e1 = stdtr(pop.df, (c - w @ pop.means[0]) / sw)
-    e2 = stdtr(pop.df, (w @ pop.means[1] - c) / sw)
-    return 0.5 * (e1 + e2)
+def t_population(pop, df=3):
+    """``pop``'s means and covariance as the scale matrix of a t(df)."""
+    return PopulationSpec(means=pop.means, covariance=pop.covariance,
+                          distribution="student_t", df=df)
 
 
 def full_dimensional_scores(pop, cls, weights, n_mc, gen):
@@ -141,27 +135,67 @@ class TestConditionalRate:
         assert report.per_class_error[1] == pytest.approx(0.066807, abs=5e-7)
 
     def test_degenerate_rule_is_half(self, rng):
-        pop = random_population(rng, 3)
+        normal = random_population(rng, 3)
         rule = LinearRule(weights=np.zeros(3), cutoff=0.0)
-        report = conditional_rate(rule, pop)
-        assert report.conditional_rate == 0.5
-        assert report.per_class_error == (0.0, 1.0)
-        assert report.degenerate
+        for pop in (normal, t_population(normal)):
+            report = conditional_rate(rule, pop)
+            assert report.conditional_rate == 0.5
+            assert report.per_class_error == (0.0, 1.0)
+            assert report.degenerate
 
     def test_scale_invariance(self, rng):
-        pop = random_population(rng, 5)
+        normal = random_population(rng, 5)
         w = rng.standard_normal(5)
-        c = float(w @ pop.mid)
-        base = conditional_rate(LinearRule(weights=w, cutoff=c), pop).conditional_rate
-        for s in (1e-4, 7.0, 1e5):
-            scaled = conditional_rate(LinearRule(weights=s * w, cutoff=s * c), pop)
-            assert scaled.conditional_rate == pytest.approx(base, rel=1e-12)
+        c = float(w @ normal.mid)
+        for pop in (normal, t_population(normal)):
+            base = conditional_rate(LinearRule(weights=w, cutoff=c), pop).conditional_rate
+            for s in (1e-4, 7.0, 1e5):
+                scaled = conditional_rate(LinearRule(weights=s * w, cutoff=s * c), pop)
+                assert scaled.conditional_rate == pytest.approx(base, rel=1e-12)
 
-    def test_t_population_rejected(self):
-        pop = PopulationSpec(means=np.array([[1.0], [0.0]]), covariance=np.eye(1),
-                             distribution="student_t", df=3)
-        with pytest.raises(DomainError):
-            conditional_rate(LinearRule(weights=np.ones(1), cutoff=0.0), pop)
+    def test_t_population_hand_computed(self):
+        # t(1) is the Cauchy law: with sigma_w = 1 the class errors are
+        # F(-1/2) = 1/2 - atan(1/2)/pi and F(-3/2) = 1/2 - atan(3/2)/pi
+        pop = PopulationSpec(means=np.array([[1.0, 0.0], [-1.0, 0.0]]), covariance=np.eye(2),
+                             distribution="student_t", df=1)
+        report = conditional_rate(LinearRule(weights=np.array([1.0, 0.0]), cutoff=0.5), pop)
+        e1, e2 = 0.5 - math.atan(0.5) / math.pi, 0.5 - math.atan(1.5) / math.pi
+        assert report.method == "closed_form"
+        assert report.per_class_error == pytest.approx((e1, e2), rel=1e-14)
+        assert report.conditional_rate == pytest.approx(0.5 * (e1 + e2), rel=1e-14)
+        assert report.n_mc is None and report.stderr is None
+
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_t_population_errors_are_student_t_cdf(self, rng, diagonal):
+        # the normal formula with F_df in place of Phi, at the same arguments
+        p, df = 7, 3
+        d = rng.uniform(0.5, 3.0, p)
+        pop = PopulationSpec(means=np.vstack([rng.standard_normal(p), np.zeros(p)]),
+                             covariance=d if diagonal else random_spd(rng, p),
+                             distribution="student_t", df=df)
+        cov = np.diag(d) if diagonal else pop.covariance
+        for _ in range(20):
+            w = rng.standard_normal(p)
+            c = float(w @ pop.mid) + rng.standard_normal()
+            sigma_w = math.sqrt(float(w @ (cov @ w)))
+            e1 = student_t_cdf((c - float(w @ pop.means[0])) / sigma_w, df)
+            e2 = student_t_cdf((float(w @ pop.means[1]) - c) / sigma_w, df)
+            report = conditional_rate(LinearRule(weights=w, cutoff=c), pop)
+            assert report.per_class_error == pytest.approx((e1, e2), rel=1e-14)
+
+    def test_t_rate_exceeds_normal_rate(self, rng):
+        # the same rule misclassifies more under t(3) tails than under the
+        # normal with the same scale matrix
+        normal = random_population(rng, 5)
+        rule = build_oracle(normal)
+        assert (conditional_rate(rule, t_population(normal)).conditional_rate
+                > conditional_rate(rule, normal).conditional_rate)
+
+    def test_multi_class_population_rejected(self, rng):
+        means = rng.standard_normal((3, 2))
+        pop = PopulationSpec(means=means, covariance=np.eye(2), distribution="student_t", df=3)
+        with pytest.raises(DomainError, match="two-class"):
+            conditional_rate(LinearRule(weights=np.ones(2), cutoff=0.0), pop)
 
     @pytest.mark.parametrize("diagonal", [True, False])
     def test_sigma_w_bit_exact_against_dense_product(self, rng, diagonal):
@@ -220,7 +254,8 @@ class TestConditionalRateMc:
 
     def test_t_population_matches_univariate_t_tail(self, rng):
         # linear scores of an elliptical t are univariate t after
-        # standardizing by sqrt(w' Sigma w): an independent closed form
+        # standardizing by sqrt(w' Sigma w): conditional_rate's closed form
+        # and the Monte Carlo engine check each other
         p = 6
         sigma = np.eye(p) + 0.2
         delta = rng.standard_normal(p)
@@ -228,7 +263,7 @@ class TestConditionalRateMc:
                              distribution="student_t", df=3)
         w = rng.standard_normal(p)
         rule = LinearRule(weights=w, cutoff=float(w @ (0.5 * delta)))
-        expected = t_rate(rule, pop)
+        expected = conditional_rate(rule, pop).conditional_rate
         mc = conditional_rate_mc({"r": rule}, pop, 200_000, substream(7, 3))["r"]
         assert abs(mc.conditional_rate - expected) <= 4 * mc.stderr
 
@@ -242,8 +277,7 @@ class TestConditionalRateMc:
     @pytest.mark.parametrize("distribution", ["normal", "student_t"])
     def test_joint_estimates_match_exact_rates(self, rng, distribution):
         # every rule of a joint call lies within 4 stderr of its own exact
-        # rate: the closed form under the normal, the univariate t tail
-        # under t(3)
+        # rate: conditional_rate's closed form under the normal and t(3)
         base = random_population(rng, 6)
         pop = PopulationSpec(means=base.means, covariance=base.covariance,
                              distribution=distribution, df=3)
@@ -251,10 +285,7 @@ class TestConditionalRateMc:
         rules = {"a": build_oracle(pop), "b": LinearRule(weights=w, cutoff=float(w @ pop.mid))}
         joint = conditional_rate_mc(rules, pop, 20_000, substream(10, 1))
         for name, rule in rules.items():
-            if distribution == "normal":
-                exact = conditional_rate(rule, pop).conditional_rate
-            else:
-                exact = t_rate(rule, pop)
+            exact = conditional_rate(rule, pop).conditional_rate
             assert abs(joint[name].conditional_rate - exact) <= 4 * joint[name].stderr
 
     @pytest.mark.parametrize("case", ["linear_normal", "linear_t3", "multi_k3"])

@@ -1,5 +1,5 @@
-"""Normal CDF / log-tail accuracy, tail inequalities, factorizations
-and seeded samplers.
+"""Normal CDF / log-tail and Student t CDF accuracy, tail inequalities,
+factorizations and seeded samplers.
 
 High-precision oracle: mpmath at 50 digits. The log-tail asymptotic
 check uses an in-test Mills series independent of the implementation's
@@ -25,6 +25,7 @@ from slda.numerics import (
     spd_solve,
     std_normal_cdf,
     std_normal_log_tail,
+    student_t_cdf,
     substream,
 )
 
@@ -72,6 +73,39 @@ class TestStdNormalCdf:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(DomainError):
             std_normal_cdf(bad)
+
+
+def t_cdf_oracle(x, df):
+    # F_df(x) = I_z(df/2, 1/2) / 2 with z = df/(df + x^2) for x <= 0,
+    # and 1 minus that for x > 0 (regularized incomplete beta)
+    x, df = mp.mpf(x), mp.mpf(df)
+    half_tail = mp.betainc(df / 2, mp.mpf(1) / 2, 0, df / (df + x * x), regularized=True) / 2
+    return half_tail if x <= 0 else 1 - half_tail
+
+
+class TestStudentTCdf:
+    @pytest.mark.parametrize("df", [1, 2, 3, 30])
+    def test_against_incomplete_beta_oracle(self, df):
+        xs = [-1e4, -1e3, -100.0, -30.0, -10.0, -3.0, -1.0, -0.25, 0.0, 0.5, 2.0, 3.0]
+        for x in xs:
+            want = t_cdf_oracle(x, df)
+            assert abs(student_t_cdf(x, df) - float(want)) <= 1e-13 * float(want), (x, df)
+
+    def test_cauchy_hand_values(self):
+        # df = 1 is the Cauchy law: F(x) = 1/2 + atan(x)/pi
+        assert student_t_cdf(0.0, 1) == 0.5
+        assert student_t_cdf(1.0, 1) == pytest.approx(0.75, rel=1e-15)
+        assert student_t_cdf(-1.0, 1) == pytest.approx(0.25, rel=1e-15)
+
+    def test_heavier_tail_than_normal(self):
+        for df in (1, 3, 30):
+            assert student_t_cdf(-3.0, df) > std_normal_cdf(-3.0)
+
+    @pytest.mark.parametrize("x, df", [(math.nan, 3), (math.inf, 3), (0.0, 0), (0.0, 2.5),
+                                       (0.0, True)])
+    def test_bad_input_rejected(self, x, df):
+        with pytest.raises(DomainError):
+            student_t_cdf(x, df)
 
 
 class TestStdNormalLogTail:

@@ -9,7 +9,8 @@ import pytest
 
 from conftest import bits_equal, dense_lower
 from slda.errors import DomainError
-from slda.evaluate import optimal_rate
+from slda.classify import build_oracle
+from slda.evaluate import conditional_rate, optimal_rate
 from slda.io import fmt_float
 from slda.model import ThresholdConfig
 from slda.numerics import substream
@@ -166,16 +167,23 @@ class TestRunScenario:
             assert rec.chosen_m2 in (0.5, 5.0)
             assert rec.sparsity is not None
 
-    def test_t_population_uses_monte_carlo(self):
+    def test_t_population_uses_closed_form(self):
+        # every method's rate under t(3) is conditional_rate's closed form,
+        # and n_mc changes nothing
         sc = small_scenario(
             population=PopulationRecipe(p=8, delta_pattern=(3, 1.2),
                                         distribution="student_t", df=3),
             reps=2, n_mc=5000)
+        pop = sc.resolve_population()
         records, _ = run_scenario(sc)
         for rec in records:
-            assert rec.rates["slda"].method == "monte_carlo"
-            assert rec.rates["slda"].n_mc == 5000
-            assert rec.rates["slda"].stderr is not None
+            for method in sc.methods:
+                report = rec.rates[method]
+                assert report.method == "closed_form"
+                assert report.n_mc is None and report.stderr is None
+            assert rec.rates["oracle"] == conditional_rate(build_oracle(pop), pop)
+        again, _ = run_scenario(dataclasses.replace(sc, n_mc=7))
+        assert records_to_csv(sc, again) == records_to_csv(sc, records)
 
     def test_normal_population_uses_closed_form(self):
         records, _ = run_scenario(small_scenario(reps=2))
@@ -233,6 +241,36 @@ class TestRunScenario:
     def test_counts_below_one_rejected(self, field, value):
         with pytest.raises(DomainError, match=f"{field} must be >= 1"):
             small_scenario(**{field: value})
+
+    @pytest.mark.parametrize("cv", [None, GridSpec(m1_grid=(1.0,))], ids=["default", "grid"])
+    def test_cross_validated_slda_needs_three_per_class(self, cv):
+        # failed at the parent: every replicate drew its data only to
+        # record the LOOCV class-count error
+        with pytest.raises(DomainError, match="requires every class count >= 3; "
+                                              "got n1 = 10, n2 = 2"):
+            small_scenario(n2=2, cv=cv)
+        small_scenario(n1=3, n2=3, cv=cv)
+        small_scenario(n2=2)  # fixed thresholds: no cross-validation
+        small_scenario(n2=2, cv=None, methods=("lda", "oracle"))
+
+
+class TestGridSpec:
+    @pytest.mark.parametrize("fields, message", [
+        (dict(m1_grid=(1.0, 2.0), alpha=0.6), r"alpha must lie strictly inside \(0, 1/2\)"),
+        (dict(alpha=0.0), r"alpha must lie strictly inside \(0, 1/2\)"),
+        (dict(m2_grid=(0.5, -1.0)), "M1 and M2 must be nonnegative"),
+        (dict(m1_grid=(1.0, float("nan")), m2_grid=(0.5,)), "M1 and M2 must be finite"),
+        (dict(m1_grid=()), "must be non-empty"),
+    ], ids=["grid_alpha", "default_grid_alpha", "negative_m2", "nan_m1", "empty"])
+    def test_bad_grid_rejected_when_built(self, fields, message):
+        # failed at the parent: the grid was first checked by each
+        # replicate's cv_grid_search, which recorded an error row
+        with pytest.raises(DomainError, match=message):
+            GridSpec(**fields)
+
+    def test_good_grids_accepted(self):
+        GridSpec()
+        GridSpec(m1_grid=(0.0, 1e7), m2_grid=(0.0, 2.5), alpha=0.49)
 
 
 def stacked_draw(pop, n1, n2, gen):
