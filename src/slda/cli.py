@@ -164,13 +164,21 @@ def _load_scenario(name: str) -> Scenario:
     raise DataError(f"unknown scenario {name!r}; presets: {catalog}")
 
 
+def _naming(source: str, build, *args):
+    """build(*args), which builds a scenario's population; its error names the scenario."""
+    try:
+        return build(*args)
+    except (DataError, DomainError, ShapeError, OSError) as exc:
+        raise DataError(f"{source}: {exc}") from None
+
+
 def cmd_simulate(args) -> int:
     scenario = _load_scenario(args.scenario)
     overrides = {key: getattr(args, key) for key in ("seed", "reps", "n_mc")
                  if getattr(args, key) is not None}
     if overrides:
         scenario = dataclasses.replace(scenario, **overrides)
-    records, summary = run_scenario(scenario, threads=args.threads)
+    records, summary = _naming(args.scenario, run_scenario, scenario, args.threads)
     prefix = args.out
     rep_path = f"{prefix}replicates.csv"
     sum_path = f"{prefix}summary.txt"
@@ -201,7 +209,7 @@ def cmd_diagnose(args) -> int:
         source = "sample"
     else:
         scenario = _load_scenario(args.scenario)
-        pop = scenario.resolve_population()
+        pop = _naming(args.scenario, scenario.resolve_population)
         if pop.distribution != NORMAL:
             print("note: t population; diagnostics use the scale matrix", file=sys.stderr)
         delta = pop.delta

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,93 +22,112 @@ from .numerics import sample_mvn, sample_mvt, substream
 METHODS = ("slda", "lda", "lda_known_sigma", "oracle")
 
 
+# the keys that each sigma kind reads
+_SIGMA_KEYS = {"identity": (), "ar1": ("rho",), "banded": ("width", "value"),
+               "from_file": ("sigma_file",)}
+# the parser of each optional population key in a scenario file (None keeps the text)
+_POPULATION_KEYS = {"delta_count": number(int), "delta_magnitude": number(float),
+                    "delta_values": float_list, "sigma": None, "rho": number(float),
+                    "width": number(int), "value": number(float), "sigma_file": None,
+                    "distribution": None, "df": number(int)}
+
+
+def _population_keys(sigma: str, distribution: str, explicit_delta: bool) -> tuple[str, ...]:
+    # the optional keys that this sigma kind, distribution and delta form read
+    delta = ("delta_values",) if explicit_delta else ("delta_count", "delta_magnitude")
+    df = ("df",) if distribution == STUDENT_T else ()
+    return ("sigma", "distribution", *delta, *_SIGMA_KEYS.get(sigma, ()), *df)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class PopulationRecipe:
-    """Generator recipe for a synthetic two-class population.
-
-    ``delta_pattern`` is a tuple (count, magnitude), with an integer
-    count, placing ``count`` equal signal components at evenly spaced
-    indices; a list or array is the explicit vector delta.
-    ``sigma_pattern`` is exactly ("identity",), ("ar1", rho), ("banded",
-    width, value) with an integer width >= 0, or ("from_file", path).
-    mu_2 = 0 and mu_1 = delta.
-    """
+    """A synthetic two-class population, mu_1 = delta and mu_2 = 0, in
+    the keys of a scenario file (see README). A key that the sigma kind,
+    distribution and delta form need and lack, or set but do not read,
+    or a bad value raises DomainError naming the key."""
 
     p: int
-    delta_pattern: tuple | np.ndarray
-    sigma_pattern: tuple = ("identity",)
+    delta_count: int | None = None
+    delta_magnitude: float | None = None
+    delta_values: tuple[float, ...] | None = None
+    sigma: str = "identity"
+    rho: float | None = None
+    width: int | None = None
+    value: float | None = None
+    sigma_file: str | None = None
     distribution: str = NORMAL
     df: int | None = None
 
+    def __post_init__(self):
+        if not _is_int(self.p) or self.p < 1:
+            raise DomainError(f"p: must be an integer >= 1, got {self.p!r}")
+        if self.sigma not in _SIGMA_KEYS:
+            raise DomainError(f"sigma: unknown kind {self.sigma!r}; expected {', '.join(_SIGMA_KEYS)}")
+        if self.distribution not in (NORMAL, STUDENT_T):
+            raise DomainError(f"distribution: unknown distribution {self.distribution!r}; "
+                              f"expected {NORMAL} or {STUDENT_T}")
+        reads = _population_keys(self.sigma, self.distribution, self.delta_values is not None)
+        given = [key for key in _POPULATION_KEYS if getattr(self, key) is not None]
+        for what, keys in (("missing", [key for key in reads if key not in given]),
+                           ("unused", [key for key in given if key not in reads])):
+            if keys:
+                raise DomainError(f"{what} population key(s) {', '.join(map(repr, keys))}")
+        if self.delta_values is not None:
+            object.__setattr__(self, "delta_values", tuple(map(float, self.delta_values)))
+            if len(self.delta_values) != self.p:
+                raise DomainError(f"delta_values: {len(self.delta_values)} values for p = {self.p}")
+            if not any(self.delta_values):
+                raise DomainError("delta_values: must not be all zero")
+        elif not _is_int(self.delta_count) or not 1 <= self.delta_count <= self.p:
+            raise DomainError(f"delta_count: must be an integer in 1..p = {self.p}, "
+                              f"got {self.delta_count!r}")
+        elif self.delta_magnitude == 0.0:
+            raise DomainError("delta_magnitude: must be nonzero")
+        if self.sigma == "ar1" and not abs(self.rho) < 1.0:
+            raise DomainError(f"rho: ar1 requires |rho| < 1, got {self.rho}")
+        if self.sigma == "banded" and (not _is_int(self.width) or self.width < 0):
+            raise DomainError(f"width: must be an integer >= 0, got {self.width!r}")
+        if self.distribution == STUDENT_T and (not _is_int(self.df) or self.df < 1):
+            raise DomainError(f"df: must be an integer >= 1, got {self.df!r}")
+
 
 def _build_delta(recipe: PopulationRecipe) -> np.ndarray:
-    pattern = recipe.delta_pattern
-    if isinstance(pattern, tuple):
-        if not (len(pattern) == 2 and isinstance(pattern[0], (int, np.integer))
-                and not isinstance(pattern[0], bool)):
-            raise DomainError(f"delta_pattern tuple {pattern!r} is not (count, magnitude) "
-                              "with an integer count; pass an explicit delta as an array")
-        count, magnitude = int(pattern[0]), float(pattern[1])
-        if not (1 <= count <= recipe.p):
-            raise DomainError(f"delta count {count} outside 1..p={recipe.p}")
-        if magnitude == 0.0:
-            raise DomainError("delta magnitude must be nonzero")
-        delta = np.zeros(recipe.p)
-        delta[np.arange(count) * (recipe.p // count)] = magnitude
-        return delta
-    delta = np.asarray(pattern, dtype=float)
-    if delta.shape != (recipe.p,):
-        raise DomainError(f"explicit delta has shape {delta.shape}, expected ({recipe.p},)")
-    if not np.any(delta):
-        raise DomainError("explicit delta must be nonzero")
+    if recipe.delta_values is not None:
+        return np.array(recipe.delta_values)
+    delta = np.zeros(recipe.p)
+    delta[np.arange(recipe.delta_count) * (recipe.p // recipe.delta_count)] = recipe.delta_magnitude
     return delta
 
 
-# each sigma pattern kind and the parameters that follow it in the tuple
-_SIGMA_PARAMS = {"identity": (), "ar1": ("rho",), "banded": ("width", "value"),
-                 "from_file": ("path",)}
-
-
 def _build_sigma(recipe: PopulationRecipe) -> np.ndarray:
-    pattern, p = recipe.sigma_pattern, recipe.p
-    kind = pattern[0] if pattern else None
-    if kind not in _SIGMA_PARAMS:
-        raise DomainError(f"unknown sigma pattern {kind!r}")
-    params = _SIGMA_PARAMS[kind]
-    if len(pattern) != 1 + len(params):
-        takes = f"exactly {' and '.join(params)}" if params else "no parameters"
-        raise DomainError(f"sigma pattern {pattern!r}: {kind} takes {takes}")
-    if kind == "identity":
+    p = recipe.p
+    if recipe.sigma == "identity":
         return np.ones(p)  # the diagonal of I
-    if kind == "ar1":
-        rho = float(pattern[1])
-        if not abs(rho) < 1.0:
-            raise DomainError(f"ar1 requires |rho| < 1, got {rho}")
-        idx = np.arange(p)
-        return rho ** np.abs(idx[:, None] - idx[None, :])
-    if kind == "banded":
-        width, value = pattern[1], float(pattern[2])
-        if isinstance(width, bool) or not isinstance(width, (int, np.integer)) or width < 0:
-            raise DomainError(f"sigma pattern {pattern!r}: width must be an integer >= 0")
-        sigma = np.eye(p)
-        for k in range(1, width + 1):
-            sigma += value * (np.eye(p, k=k) + np.eye(p, k=-k))
-        return sigma
-    return read_matrix(pattern[1])
+    if recipe.sigma == "from_file":
+        return read_matrix(recipe.sigma_file)
+    lag = np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
+    if recipe.sigma == "ar1":
+        return float(recipe.rho) ** lag
+    # the band with no loop over its width: entries are exactly 1, value or +0.0
+    sigma = np.where(lag <= min(recipe.width, p), float(recipe.value), 0.0)
+    np.fill_diagonal(sigma, 1.0)
+    return sigma
 
 
 def build_population(recipe: PopulationRecipe) -> PopulationSpec:
     """Materialize a PopulationSpec from a recipe, its covariance
     factored: a Sigma that is not positive definite raises DomainError."""
-    delta = _build_delta(recipe)
-    sigma = _build_sigma(recipe)
-    means = np.vstack([delta, np.zeros(recipe.p)])
-    pop = PopulationSpec(means=means, covariance=sigma,
+    means = np.vstack([_build_delta(recipe), np.zeros(recipe.p)])
+    pop = PopulationSpec(means=means, covariance=_build_sigma(recipe),
                          distribution=recipe.distribution, df=recipe.df)
     try:
         pop.chol  # cached: every consumer of the population needs the factor
     except NotPositiveDefiniteError as exc:
-        raise DomainError(f"sigma pattern {recipe.sigma_pattern[0]!r} is not positive "
+        raise DomainError(f"sigma pattern {recipe.sigma!r} is not positive "
                           f"definite (pivot {exc.pivot_index})") from None
     return pop
 
@@ -284,57 +303,38 @@ def run_scenario(scenario: Scenario, threads: int = 1):
 def read_scenario(path) -> Scenario:
     """Parse a flat key-value scenario file.
 
-    Required keys: p, n1, n2, methods, reps, seed plus a delta pattern
-    (delta_count + delta_magnitude, or delta_values) and a sigma pattern
-    (sigma = identity | ar1 | banded | from_file with its parameters).
-    Threshold selection, read only when methods has slda: fixed m1 + m2,
-    or grid_m1 and/or grid_m2 (an omitted grid is the data-driven one),
-    each with an optional alpha. A numeric value that does not parse (or
-    a float that is not finite), or a key that the file's choices leave
-    unused, raises DataError naming the key.
+    Required keys: p, n1, n2, methods, reps, seed plus the population's
+    keys, the fields of PopulationRecipe. Threshold selection, read only
+    when methods has slda: fixed m1 + m2, or grid_m1 and/or grid_m2 (an
+    omitted grid is the data-driven one), each with an optional alpha. A
+    value that does not parse (or a float that is not finite), a bad
+    population value, or a key that the file's choices leave unused,
+    raises DataError naming the key.
     """
     kv = read_kv(path)
     take = kv.pop  # each key is taken where it is used; what is left is unused
     integer, real = number(int), number(float)
 
     def num(parse, key, *default):
-        return parse(take(key, *default), key)
+        text = take(key, *default)
+        return text if parse is None else parse(text, key)
 
     try:
         methods = tuple(m.strip() for m in take("methods").split(","))
-        p = num(integer, "p")
-        if "delta_values" in kv:
-            delta_pattern: tuple = np.array(float_list(take("delta_values"), "delta_values"))
-        else:
-            delta_pattern = (num(integer, "delta_count"), num(real, "delta_magnitude"))
-        sigma_kind = take("sigma", "identity")
-        if sigma_kind == "identity":
-            sigma_pattern: tuple = ("identity",)
-        elif sigma_kind == "ar1":
-            sigma_pattern = ("ar1", num(real, "rho"))
-        elif sigma_kind == "banded":
-            sigma_pattern = ("banded", num(integer, "width"), num(real, "value"))
-        elif sigma_kind == "from_file":
-            sigma_pattern = ("from_file", take("sigma_file"))
-        else:
-            raise DataError(f"unknown sigma pattern {sigma_kind!r}")
-        distribution = take("distribution", NORMAL)
-        df = num(integer, "df") if distribution == STUDENT_T else None
-        recipe = PopulationRecipe(p=p, delta_pattern=delta_pattern,
-                                  sigma_pattern=sigma_pattern,
-                                  distribution=distribution, df=df)
-        if "slda" not in methods:
-            cv: ThresholdConfig | GridSpec | None = None
-        elif "m1" in kv and "m2" in kv:
+        kv.setdefault("sigma", PopulationRecipe.sigma)
+        kv.setdefault("distribution", PopulationRecipe.distribution)
+        reads = _population_keys(kv["sigma"], kv["distribution"], "delta_values" in kv)
+        recipe = PopulationRecipe(p=num(integer, "p"),
+                                  **{key: num(_POPULATION_KEYS[key], key) for key in reads})
+        cv: ThresholdConfig | GridSpec | None = None  # and without slda, no key is read
+        if "slda" in methods and "m1" in kv and "m2" in kv:
             cv = ThresholdConfig(m1=num(real, "m1"), m2=num(real, "m2"),
                                  alpha=num(real, "alpha", DEFAULT_ALPHA))
-        elif "grid_m1" in kv or "grid_m2" in kv:
+        elif "slda" in methods and ("grid_m1" in kv or "grid_m2" in kv):
             m1_grid, m2_grid = (float_list(take(key), key) if key in kv else None
                                 for key in ("grid_m1", "grid_m2"))
             cv = GridSpec(m1_grid=m1_grid, m2_grid=m2_grid,
                           alpha=num(real, "alpha", DEFAULT_ALPHA))
-        else:
-            cv = None
         fields = dict(name=take("name", Path(path).stem), population=recipe,
                       n1=num(integer, "n1"), n2=num(integer, "n2"), methods=methods, cv=cv,
                       reps=num(integer, "reps"), seed=num(integer, "seed"),
@@ -426,47 +426,38 @@ def preset_scenarios() -> dict[str, Scenario]:
     presets = {}
     presets["thm1_regime"] = Scenario(
         name="thm1_regime",
-        population=PopulationRecipe(p=15, delta_pattern=(15, 0.3)),
+        population=PopulationRecipe(p=15, delta_count=15, delta_magnitude=0.3),
         n1=5000, n2=5000,
         methods=("slda", "lda", "oracle"),
         cv=ThresholdConfig(m1=2.0, m2=1.0, alpha=0.3),
         reps=20, seed=1101)
     presets["thm2_worst"] = Scenario(
         name="thm2_worst",
-        population=PopulationRecipe(p=5000, delta_pattern=(1, 1.0)),
+        population=PopulationRecipe(p=5000, delta_count=1, delta_magnitude=1.0),
         n1=50, n2=50,
         methods=("lda_known_sigma", "oracle"),
         cv=None,
         reps=50, seed=1102)
-    presets["thm2_constant"] = Scenario(
-        name="thm2_constant",
-        population=PopulationRecipe(p=4000, delta_pattern=(4, 1.7783)),
-        n1=50, n2=50,
-        methods=("lda_known_sigma", "oracle"),
-        cv=None,
-        reps=50, seed=1103)
+    presets["thm2_constant"] = replace(
+        presets["thm2_worst"], name="thm2_constant", seed=1103,
+        population=PopulationRecipe(p=4000, delta_count=4, delta_magnitude=1.7783))
     presets["bicklev_worst"] = Scenario(
         name="bicklev_worst",
-        population=PopulationRecipe(p=500, delta_pattern=(9, 1.0)),
+        population=PopulationRecipe(p=500, delta_count=9, delta_magnitude=1.0),
         n1=20, n2=20,
         methods=("slda", "lda", "oracle"),
         cv=ThresholdConfig(m1=1.65, m2=1.40, alpha=0.3),
         reps=50, seed=1104)
     presets["thm3_sparse"] = Scenario(
         name="thm3_sparse",
-        population=PopulationRecipe(p=500, delta_pattern=(10, 1.0),
-                                    sigma_pattern=("banded", 1, 0.3)),
+        population=PopulationRecipe(p=500, delta_count=10, delta_magnitude=1.0,
+                                    sigma="banded", width=1, value=0.3),
         n1=30, n2=30,
         methods=("slda", "lda", "oracle"),
         cv=ThresholdConfig(m1=2.2, m2=1.55, alpha=0.3),
         reps=50, seed=1105)
-    presets["sec5_t3"] = Scenario(
-        name="sec5_t3",
-        population=PopulationRecipe(p=500, delta_pattern=(10, 1.0),
-                                    sigma_pattern=("banded", 1, 0.3),
-                                    distribution=STUDENT_T, df=3),
-        n1=30, n2=30,
-        methods=("slda", "lda", "oracle"),
-        cv=ThresholdConfig(m1=1.71, m2=1.78, alpha=0.3),
-        reps=50, seed=1106)
+    thm3 = presets["thm3_sparse"]
+    presets["sec5_t3"] = replace(
+        thm3, name="sec5_t3", cv=ThresholdConfig(m1=1.71, m2=1.78, alpha=0.3), seed=1106,
+        population=replace(thm3.population, distribution=STUDENT_T, df=3))
     return presets

@@ -487,6 +487,20 @@ class TestSimulate:
         assert "unused scenario key(s) 'm1', 'm2', 'alpha'" in capsys.readouterr().err
         assert not (tmp_path / "k_replicates.csv").exists()
 
+    # failed at the parent: "unused scenario key(s) 'df'" for the first,
+    # and for the second "delta count 0 outside 1..p=6" with no file or key
+    @pytest.mark.parametrize("population, message", [
+        ("delta_count = 2\ndelta_magnitude = 1\ndistribution = t\ndf = 3\n",
+         "distribution: unknown distribution 't'; expected normal or student_t"),
+        ("delta_count = 0\ndelta_magnitude = 1\n",
+         "delta_count: must be an integer in 1..p = 6, got 0"),
+    ], ids=["unknown_distribution", "zero_count"])
+    def test_bad_population_key_names_file_and_key(self, tmp_path, capsys, population, message):
+        path = write_scenario_text(tmp_path, "bad", "lda,oracle", population)
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "p_")]) == 2
+        assert capsys.readouterr().err == f"error [simulate]: {path}: {message}\n"
+        assert not (tmp_path / "p_replicates.csv").exists()
+
     def test_repeated_method_exits_2(self, tmp_path, capsys):
         # failed at the parent: exit 0, with every lda row written twice
         path = write_scenario_text(tmp_path, "twice", "lda,oracle,lda",

@@ -381,8 +381,8 @@ class TestModelFile:
 class TestScenarioFile:
     def test_reads_fixed_config(self, tmp_path):
         sc = Scenario(name="toy",
-                      population=PopulationRecipe(p=20, delta_pattern=(4, 1.25),
-                                                  sigma_pattern=("banded", 1, 0.3)),
+                      population=PopulationRecipe(p=20, delta_count=4, delta_magnitude=1.25,
+                                                  sigma="banded", width=1, value=0.3),
                       n1=12, n2=9, methods=("slda", "lda"),
                       cv=ThresholdConfig(m1=1.5, m2=0.75, alpha=0.3),
                       reps=7, seed=1234, n_mc=5000)
@@ -397,7 +397,7 @@ class TestScenarioFile:
 
     def test_reads_grid_and_t(self, tmp_path):
         sc = Scenario(name="toy_t",
-                      population=PopulationRecipe(p=10, delta_pattern=(2, 1.0),
+                      population=PopulationRecipe(p=10, delta_count=2, delta_magnitude=1.0,
                                                   distribution="student_t", df=3),
                       n1=8, n2=8, methods=("slda", "oracle"),
                       cv=GridSpec(m1_grid=(1.0, 2.0), m2_grid=(0.5,), alpha=0.25),
@@ -413,14 +413,14 @@ class TestScenarioFile:
 
     def test_reads_explicit_delta(self, tmp_path):
         sc = Scenario(name="explicit",
-                      population=PopulationRecipe(p=3, delta_pattern=np.array([0.5, 0.0, -1.0])),
+                      population=PopulationRecipe(p=3, delta_values=(0.5, 0.0, -1.0)),
                       n1=5, n2=5, methods=("lda",), cv=None, reps=2, seed=3)
         path = tmp_path / "sc.txt"
         path.write_text(
             "name = explicit\np = 3\ndelta_values = 0.5,0,-1\n"
             "n1 = 5\nn2 = 5\nmethods = lda\nreps = 2\nseed = 3\n", encoding="utf-8")
         back = read_scenario(path)
-        assert np.array_equal(back.population.delta_pattern, sc.population.delta_pattern)
+        assert back == sc
 
     def test_missing_key_reported(self, tmp_path):
         path = tmp_path / "sc.txt"

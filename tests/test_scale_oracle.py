@@ -43,8 +43,8 @@ ALPHA = 0.3
 M1_GRID = (0.3, 1.0, 1.5, 5.0, 1e7)
 M2_GRID = (0.5, 1.5)
 
-_POP = build_population(PopulationRecipe(p=40, delta_pattern=(4, 1.0),
-                                         sigma_pattern=("banded", 1, 0.3)))
+_POP = build_population(PopulationRecipe(p=40, delta_count=4, delta_magnitude=1.0,
+                                         sigma="banded", width=1, value=0.3))
 DATA = _draw_dataset(_POP, 15, 15, substream(2024, 0))
 SCALE_K = st.integers(-20, 20)
 

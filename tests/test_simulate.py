@@ -2,7 +2,9 @@
 
 import dataclasses
 import re
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,10 +17,13 @@ from slda.io import fmt_float
 from slda.model import ThresholdConfig
 from slda.numerics import substream
 from slda.simulate import (
+    _POPULATION_KEYS,
+    _SIGMA_KEYS,
     REPLICATE_COLUMNS,
     GridSpec,
     PopulationRecipe,
     Scenario,
+    _build_sigma,
     _draw_dataset,
     build_population,
     preset_scenarios,
@@ -31,7 +36,7 @@ from slda.simulate import (
 
 class TestBuildPopulation:
     def test_identity_with_count_pattern(self):
-        pop = build_population(PopulationRecipe(p=50, delta_pattern=(5, 1.0)))
+        pop = build_population(PopulationRecipe(p=50, delta_count=5, delta_magnitude=1.0))
         # I is its (p,) diagonal: no p x p matrix, and the O(p) factor
         assert np.array_equal(pop.covariance, np.ones(50)) and pop.covariance.shape == (50,)
         assert pop.chol.kind == "diagonal"
@@ -43,8 +48,8 @@ class TestBuildPopulation:
         assert np.array_equal(pop.means[1], np.zeros(50))
 
     def test_ar1_exact_matrix(self):
-        pop = build_population(PopulationRecipe(p=3, delta_pattern=(1, 1.0),
-                                                sigma_pattern=("ar1", 0.5)))
+        pop = build_population(PopulationRecipe(p=3, delta_count=1, delta_magnitude=1.0,
+                                                sigma="ar1", rho=0.5))
         expected = np.array([[1.0, 0.5, 0.25],
                              [0.5, 1.0, 0.5],
                              [0.25, 0.5, 1.0]])
@@ -52,8 +57,8 @@ class TestBuildPopulation:
 
     def test_banded_not_spd_rejected(self):
         with pytest.raises(DomainError, match="sigma pattern 'banded' is not positive definite"):
-            build_population(PopulationRecipe(p=10, delta_pattern=(1, 1.0),
-                                              sigma_pattern=("banded", 1, 0.8)))
+            build_population(PopulationRecipe(p=10, delta_count=1, delta_magnitude=1.0,
+                                              sigma="banded", width=1, value=0.8))
 
     def test_from_file_round_trip(self, tmp_path, rng):
         from conftest import random_spd, write_matrix
@@ -61,74 +66,146 @@ class TestBuildPopulation:
         sigma = random_spd(rng, 4)
         path = tmp_path / "sigma.csv"
         write_matrix(path, sigma)
-        pop = build_population(PopulationRecipe(p=4, delta_pattern=(2, 1.0),
-                                                sigma_pattern=("from_file", str(path))))
+        pop = build_population(PopulationRecipe(p=4, delta_count=2, delta_magnitude=1.0,
+                                                sigma="from_file", sigma_file=str(path)))
         assert np.array_equal(pop.covariance, sigma)
 
     def test_explicit_delta(self):
-        delta = np.array([0.0, 2.0, -1.0])
-        pop = build_population(PopulationRecipe(p=3, delta_pattern=delta))
+        delta = (0.0, 2.0, -1.0)
+        pop = build_population(PopulationRecipe(p=3, delta_values=delta))
         assert np.array_equal(pop.delta, delta)
 
-    @pytest.mark.parametrize("p, pattern", [
-        (2, (1.0, 0.5)),       # was delta = [0.5, 0]
-        (4, (2.5, 1.0)),       # was a count of 2
-        (3, (1.0, 0.5, 0.0)),  # was the explicit vector
-        (3, (True, 1.0)),
-        (3, (2,)),
-        (3, (2, 1.0, 1.0)),
+    # a count and a magnitude, or delta_values: the count is an integer
+    # in 1..p, not a float, a bool or a sequence
+    @pytest.mark.parametrize("p, fields, message", [
+        (2, dict(delta_count=1.0), "delta_count: must be an integer in 1..p = 2, got 1.0"),
+        (4, dict(delta_count=2.5), "delta_count: must be an integer in 1..p = 4, got 2.5"),
+        (3, dict(delta_count=(1.0, 0.5, 0.0)), "delta_count: must be an integer in 1..p = 3, "
+                                               "got (1.0, 0.5, 0.0)"),
+        (3, dict(delta_count=True), "delta_count: must be an integer in 1..p = 3, got True"),
+        (3, dict(delta_magnitude=None), "missing population key(s) 'delta_magnitude'"),
+        (3, dict(delta_values=(1.0, 1.0, 1.0)), "unused population key(s) 'delta_count', "
+                                                "'delta_magnitude'"),
+        (3, dict(delta_count=0), "delta_count: must be an integer in 1..p = 3, got 0"),
+        (3, dict(delta_count=4), "delta_count: must be an integer in 1..p = 3, got 4"),
     ], ids=["float_count", "fractional_count", "three_floats", "bool_count", "one_item",
-            "three_items"])
-    def test_tuple_is_count_and_magnitude_only(self, p, pattern):
-        with pytest.raises(DomainError, match="pass an explicit delta as an array"):
-            build_population(PopulationRecipe(p=p, delta_pattern=pattern))
+            "three_items", "zero_count", "count_above_p"])
+    def test_tuple_is_count_and_magnitude_only(self, p, fields, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            PopulationRecipe(**dict(dict(p=p, delta_count=2, delta_magnitude=0.5), **fields))
 
     @pytest.mark.parametrize("count", [2, np.int64(2), np.int32(2)])
     def test_integer_count_places_components(self, count):
-        pop = build_population(PopulationRecipe(p=4, delta_pattern=(count, 1.5)))
+        pop = build_population(PopulationRecipe(p=4, delta_count=count, delta_magnitude=1.5))
         assert np.array_equal(pop.delta, [1.5, 0.0, 1.5, 0.0])
 
-    @pytest.mark.parametrize("explicit", [[1.0, 0.5], np.array([1.0, 0.5])])
+    @pytest.mark.parametrize("explicit", [[1.0, 0.5], np.array([1.0, 0.5]), (1, 0.5)])
     def test_list_or_array_is_the_explicit_delta(self, explicit):
-        pop = build_population(PopulationRecipe(p=2, delta_pattern=explicit))
-        assert np.array_equal(pop.delta, [1.0, 0.5])
+        # any sequence is held as a tuple of floats, so recipes compare equal
+        recipe = PopulationRecipe(p=2, delta_values=explicit)
+        assert recipe == PopulationRecipe(p=2, delta_values=(1.0, 0.5))
+        assert np.array_equal(build_population(recipe).delta, [1.0, 0.5])
 
-    # each ran at the parent: a negative width built I, a float or bool
-    # width was cast to int, extra items were dropped, and a missing rho
-    # raised IndexError
-    @pytest.mark.parametrize("pattern, message", [
-        (("banded", -3, 0.3), "width must be an integer >= 0"),
-        (("banded", 2.7, 0.3), "width must be an integer >= 0"),
-        (("banded", True, 0.3), "width must be an integer >= 0"),
-        (("identity", 5), "identity takes no parameters"),
-        (("ar1", 0.5, 9), "ar1 takes exactly rho"),
-        (("ar1",), "ar1 takes exactly rho"),
-        (("banded", 1), "banded takes exactly width and value"),
+    # each key that the sigma kind, the distribution and the delta form
+    # read must be set, and no other; width is an integer >= 0
+    @pytest.mark.parametrize("fields, message", [
+        (dict(sigma="banded", width=-3, value=0.3), "width: must be an integer >= 0, got -3"),
+        (dict(sigma="banded", width=2.7, value=0.3), "width: must be an integer >= 0, got 2.7"),
+        (dict(sigma="banded", width=True, value=0.3),
+         "width: must be an integer >= 0, got True"),
+        (dict(rho=5), "unused population key(s) 'rho'"),
+        (dict(sigma="ar1", rho=0.5, value=9), "unused population key(s) 'value'"),
+        (dict(sigma="ar1"), "missing population key(s) 'rho'"),
+        (dict(sigma="banded", width=1), "missing population key(s) 'value'"),
+        (dict(df=3), "unused population key(s) 'df'"),
+        (dict(distribution="student_t"), "missing population key(s) 'df'"),
+        (dict(sigma="wishart"), "sigma: unknown kind 'wishart'; "
+                                "expected identity, ar1, banded, from_file"),
+        (dict(distribution="t"), "distribution: unknown distribution 't'; "
+                                 "expected normal or student_t"),
     ], ids=["negative_width", "float_width", "bool_width", "identity_extra", "ar1_extra",
-            "ar1_no_rho", "banded_no_value"])
-    def test_sigma_pattern_takes_exactly_its_parameters(self, pattern, message):
-        with pytest.raises(DomainError, match=re.escape(f"sigma pattern {pattern!r}: {message}")):
-            build_population(PopulationRecipe(p=4, delta_pattern=(1, 1.0), sigma_pattern=pattern))
+            "ar1_no_rho", "banded_no_value", "df_no_t", "t_no_df", "unknown_sigma",
+            "unknown_distribution"])
+    def test_sigma_pattern_takes_exactly_its_parameters(self, fields, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            PopulationRecipe(**dict(dict(p=4, delta_count=1, delta_magnitude=1.0), **fields))
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(p=0), "p: must be an integer >= 1, got 0"),
+        (dict(delta_magnitude=0.0), "delta_magnitude: must be nonzero"),
+        (dict(delta_count=None, delta_magnitude=None, delta_values=(1.0, 2.0)),
+         "delta_values: 2 values for p = 4"),
+        (dict(delta_count=None, delta_magnitude=None, delta_values=(0.0, -0.0, 0.0, 0.0)),
+         "delta_values: must not be all zero"),
+        (dict(sigma="ar1", rho=-1.0), "rho: ar1 requires |rho| < 1, got -1.0"),
+        (dict(distribution="student_t", df=0), "df: must be an integer >= 1, got 0"),
+    ], ids=["p_zero", "zero_magnitude", "short_values", "zero_values", "rho_minus_one",
+            "df_zero"])
+    def test_bad_value_rejected_when_built(self, fields, message):
+        # each was first rejected by build_population, at replicate time
+        with pytest.raises(DomainError, match=re.escape(message)):
+            PopulationRecipe(**dict(dict(p=4, delta_count=1, delta_magnitude=1.0), **fields))
 
     @pytest.mark.parametrize("width", [0, np.int64(2)])
     def test_banded_integer_width(self, width):
-        pop = build_population(PopulationRecipe(p=4, delta_pattern=(1, 1.0),
-                                                sigma_pattern=("banded", width, 0.25)))
+        pop = build_population(PopulationRecipe(p=4, delta_count=1, delta_magnitude=1.0,
+                                                sigma="banded", width=width, value=0.25))
         idx = np.arange(4)
         near = np.abs(idx[:, None] - idx[None, :])
         want = np.where(near == 0, 1.0, np.where(near <= width, 0.25, 0.0))
         assert np.array_equal(pop.covariance, want)
 
+    @pytest.mark.parametrize("p, width, value", [
+        (1, 0, 0.3), (5, 1, 0.3), (6, 2, -0.2), (7, 3, 0.1), (4, 4, 0.05), (4, 9, -0.01),
+        (30, 5, 1e-3),
+    ])
+    def test_banded_bits_equal_the_loop(self, p, width, value):
+        # the loop that built Sigma before: one p x p update per band
+        loop = np.eye(p)
+        for k in range(1, width + 1):
+            loop += value * (np.eye(p, k=k) + np.eye(p, k=-k))
+        recipe = PopulationRecipe(p=p, delta_count=1, delta_magnitude=1.0, sigma="banded",
+                                  width=width, value=value)
+        assert bits_equal(_build_sigma(recipe), loop)
+
+    def test_huge_band_width_is_one_pass(self):
+        # the loop ran width times: 10**9 at p = 6 did not end in 10 s
+        recipe = PopulationRecipe(p=6, delta_count=1, delta_magnitude=1.0, sigma="banded",
+                                  width=10**12, value=0.1)
+        start = time.perf_counter()
+        sigma = _build_sigma(recipe)
+        assert time.perf_counter() - start < 1.0
+        assert np.array_equal(sigma, np.where(np.eye(6) == 1.0, 1.0, 0.1))
+
+    def test_infinite_value_raises_no_warning(self):
+        # inf * 0 off the band was a RuntimeWarning (an error under pytest)
+        recipe = PopulationRecipe(p=3, delta_count=1, delta_magnitude=1.0, sigma="banded",
+                                  width=1, value=np.inf)
+        assert np.array_equal(_build_sigma(recipe), [[1.0, np.inf, 0.0], [np.inf, 1.0, np.inf],
+                                                     [0.0, np.inf, 1.0]])
+
     def test_ar1_domain(self):
         with pytest.raises(DomainError):
-            build_population(PopulationRecipe(p=3, delta_pattern=(1, 1.0),
-                                              sigma_pattern=("ar1", 1.0)))
+            build_population(PopulationRecipe(p=3, delta_count=1, delta_magnitude=1.0,
+                                              sigma="ar1", rho=1.0))
+
+
+def test_key_table_fields_and_readme_agree():
+    # a population key renamed or added in one of the three lists must
+    # be renamed or added in all of them
+    fields = {f.name for f in dataclasses.fields(PopulationRecipe)
+              if f.default is not dataclasses.MISSING}
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("\n  - population: "):]
+    section = section[:section.index("\n  - ", 1)]
+    named = set(re.findall(r"`([a-z][a-z0-9_]*)`", section)) - set(_SIGMA_KEYS)
+    assert set(_POPULATION_KEYS) == fields == named - {"normal", "student_t"}
 
 
 def small_scenario(**overrides):
     base = dict(
         name="small",
-        population=PopulationRecipe(p=8, delta_pattern=(3, 1.2)),
+        population=PopulationRecipe(p=8, delta_count=3, delta_magnitude=1.2),
         n1=10, n2=10,
         methods=("slda", "lda", "oracle"),
         cv=ThresholdConfig(m1=1.0, m2=0.8, alpha=0.3),
@@ -171,7 +248,7 @@ class TestRunScenario:
         # every method's rate under t(3) is conditional_rate's closed form,
         # and n_mc changes nothing
         sc = small_scenario(
-            population=PopulationRecipe(p=8, delta_pattern=(3, 1.2),
+            population=PopulationRecipe(p=8, delta_count=3, delta_magnitude=1.2,
                                         distribution="student_t", df=3),
             reps=2, n_mc=5000)
         pop = sc.resolve_population()
@@ -220,7 +297,7 @@ class TestRunScenario:
         assert rows["lda"][6:11] == [""] * 5 and rows["lda"][12] == ""
 
     def test_failed_replicates_of_p_1(self):
-        sc = Scenario(name="p1", population=PopulationRecipe(p=1, delta_pattern=(1, 1.0)),
+        sc = Scenario(name="p1", population=PopulationRecipe(p=1, delta_count=1, delta_magnitude=1.0),
                       n1=3, n2=3, methods=("slda", "lda"),
                       cv=ThresholdConfig(m1=1.0, m2=0.5, alpha=0.3), reps=2, seed=7)
         records, summary = run_scenario(sc)
@@ -287,7 +364,7 @@ def stacked_draw(pop, n1, n2, gen):
     return np.vstack(blocks)
 
 
-SIGMAS = [("identity",), ("banded", 1, 0.3)]  # a (p,) diagonal factor, and a Cholesky one
+SIGMAS = [dict(), dict(sigma="banded", width=1, value=0.3)]  # a (p,) diagonal factor, and a Cholesky one
 LAWS = [("normal", None), ("student_t", 3)]
 
 
@@ -295,9 +372,9 @@ class TestDrawDataset:
     @pytest.mark.parametrize("sigma", SIGMAS)
     @pytest.mark.parametrize("law", LAWS)
     def test_bits_equal_the_stacked_draw(self, sigma, law):
-        pop = build_population(PopulationRecipe(p=60, delta_pattern=(6, 1.0), sigma_pattern=sigma,
-                                                distribution=law[0], df=law[1]))
-        assert pop.chol.kind == ("diagonal" if sigma == ("identity",) else "cholesky")
+        pop = build_population(PopulationRecipe(p=60, delta_count=6, delta_magnitude=1.0,
+                                                distribution=law[0], df=law[1], **sigma))
+        assert pop.chol.kind == ("diagonal" if not sigma else "cholesky")
         ds = _draw_dataset(pop, 7, 11, substream(1105, 4))
         assert bits_equal(ds.features, stacked_draw(pop, 7, 11, substream(1105, 4)))
         assert np.array_equal(ds.labels, [1] * 7 + [2] * 11) and ds.class_counts == (7, 11)
@@ -310,8 +387,8 @@ class TestDrawDataset:
         # only numpy's ufunc buffer and O(p) on top; a Cholesky draw adds
         # its z, one class block.
         p, n1, n2 = 1000, 40, 60
-        pop = build_population(PopulationRecipe(p=p, delta_pattern=(6, 1.0), sigma_pattern=sigma,
-                                                distribution=law[0], df=law[1]))
+        pop = build_population(PopulationRecipe(p=p, delta_count=6, delta_magnitude=1.0,
+                                                distribution=law[0], df=law[1], **sigma))
         gen = substream(1102, 0)
         tracemalloc.start()
         try:
@@ -351,7 +428,8 @@ class TestPresets:
         assert t3.population.df == 3
         assert t3.population.p == base.population.p
         assert (t3.n1, t3.n2) == (base.n1, base.n2)
-        assert t3.population.sigma_pattern == base.population.sigma_pattern
+        assert (t3.population.sigma, t3.population.width, t3.population.value) == \
+               (base.population.sigma, base.population.width, base.population.value)
 
     def test_smoke_run_thm1(self):
         sc = dataclasses.replace(preset_scenarios()["thm1_regime"], reps=2)
