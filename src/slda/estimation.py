@@ -19,24 +19,34 @@ _ROW_BLOCK = 64
 
 
 def class_means(dataset: Dataset) -> np.ndarray:
-    """Per-class feature means, shape (K, p). A sum that overflows gives
-    an Inf mean, without a warning, as in pooled_covariance."""
+    """Per-class feature means, shape (K, p). Finite features whose class
+    sum overflows (values near 1e308) raise DomainError naming the class
+    and the first feature whose mean is not finite."""
     x = dataset.features
     means = np.empty((dataset.n_classes, dataset.p))
     with np.errstate(over="ignore"):
         for cls in range(1, dataset.n_classes + 1):
             means[cls - 1] = x[dataset.labels == cls].mean(axis=0)
+    bad = np.argwhere(~np.isfinite(means))
+    if bad.size:
+        cls, j = bad[0]
+        raise DomainError(f"class {cls + 1} mean of feature {j + 1} is not finite: "
+                          "the class sum overflows")
     return means
 
 
 def centered_rows(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Class means (K, p) and the rows less their class mean (n, p)."""
+    """Class means (K, p) and the rows less their class mean (n, p), in
+    the memory order of the rows. Each row's class mean is gathered into
+    the output, which then takes x - mean in place: every cell gets the
+    subtraction it would get class by class, so the bits are the same,
+    and no per-class copy of the rows is made."""
     x = dataset.features
     means = class_means(dataset)
     centered = np.empty_like(x)
-    for cls in range(1, dataset.n_classes + 1):
-        mask = dataset.labels == cls
-        centered[mask] = x[mask] - means[cls - 1]
+    # labels lie in 1..K, so "clip" never clips; it lets take write to out unbuffered
+    np.take(means, dataset.labels - 1, axis=0, out=centered, mode="clip")
+    np.subtract(x, centered, out=centered)
     return means, centered
 
 

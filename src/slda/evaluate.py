@@ -15,7 +15,7 @@ import numpy as np
 from .classify import build_slda_grid, classify, classify_many, maximin_labels, pair_columns
 from .diagnostics import mahalanobis_delta
 from .errors import DataError, DomainError, ShapeError, SldaError
-from .estimation import centered_rows, compute_an, compute_tn, pooled_covariance
+from .estimation import centered_rows, class_means, compute_an, compute_tn, pooled_covariance
 from .model import DEFAULT_ALPHA, Dataset, LinearRule, PopulationSpec, ThresholdConfig, NORMAL
 from .numerics import std_normal_cdf, student_t_cdf
 
@@ -247,9 +247,9 @@ def cv_grid_search(dataset: Dataset, m1_grid=None, m2_grid=None, alpha: float = 
 
     A grid given as None is the data-driven one of ``default_grids``.
     Before any fold runs, a dataset that cannot be cross-validated (K != 2,
-    a class with fewer than 3 samples) raises, and so does a grid point
-    that ThresholdConfig rejects (alpha outside (0, 1/2), or an M1 or M2
-    that is negative or not finite).
+    a class with fewer than 3 samples, a class mean that overflows)
+    raises, and so does a grid point that ThresholdConfig rejects (alpha
+    outside (0, 1/2), or an M1 or M2 that is negative or not finite).
 
     Ties are broken toward the most sparse rule: largest M2, then
     largest M1. A point is scored 1.0 (worst) instead of aborting the
@@ -260,6 +260,7 @@ def cv_grid_search(dataset: Dataset, m1_grid=None, m2_grid=None, alpha: float = 
     so the surface is identical to the sequential one.
     """
     _require_loocv(dataset)
+    class_means(dataset)  # raises for a class sum that overflows
     if m1_grid is None or m2_grid is None:
         auto_m1, auto_m2 = default_grids(dataset, alpha)
         m1_grid = auto_m1 if m1_grid is None else m1_grid

@@ -64,31 +64,37 @@ def _bad_line(path, rows, width: int, expected: str, parsers: dict,
 
 def _read_table(path, labeled: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """Header row, then numeric rows as a float matrix, parsed in one
-    loadtxt pass. The integer "class" column is required and returned
-    when ``labeled``; otherwise it is skipped if present and no labels
-    are returned."""
+    loadtxt pass as the file streams: no list of its lines is made, so
+    the table and the features cut from it are the only copies held.
+    Lines split at \\n, \\r\\n and \\r, as csv's do, and a blank line is
+    skipped. The integer "class" column is required and returned when
+    ``labeled``; otherwise it is skipped if present and no labels are
+    returned. A parse error names the 1-based file line."""
     with open(path, newline="", encoding="utf-8") as fh:
-        lines = fh.readlines()  # split at \n, \r\n and \r, as csv does
-    header = next(csv.reader(lines[:1]), None)
-    if header is None:
-        raise DataError(f"{path}: empty file")
-    label_idx = header.index(LABEL_COLUMN) if LABEL_COLUMN in header else None
-    if labeled and label_idx is None:
-        raise DataError(f'{path}: no "{LABEL_COLUMN}" column in header')
-    rows = [line for line in lines[1:] if line.strip("\r\n")]
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    # the label column goes through _label, or is read as 0 and dropped
-    parsers = {} if label_idx is None else {label_idx: _label if labeled else (lambda cell: 0.0)}
-    try:
-        table = np.loadtxt(rows, delimiter=",", quotechar='"', comments=None,
-                           converters=parsers, ndmin=2)
-        if table.shape[1] != len(header):
-            raise ValueError(f"{table.shape[1]} fields, header has {len(header)}")
-    except ValueError as exc:
-        numbered = ((line_no, next(csv.reader([line])))
-                    for line_no, line in enumerate(lines[1:], start=2) if line.strip("\r\n"))
-        raise _bad_line(path, numbered, len(header), "header", parsers, exc) from None
+        first = fh.readline()
+        if not first:
+            raise DataError(f"{path}: empty file")
+        header = next(csv.reader([first]))
+        label_idx = header.index(LABEL_COLUMN) if LABEL_COLUMN in header else None
+        if labeled and label_idx is None:
+            raise DataError(f'{path}: no "{LABEL_COLUMN}" column in header')
+        body = fh.tell()
+        # readline, not next(), keeps tell and seek usable
+        if not any(line.strip("\r\n") for line in iter(fh.readline, "")):
+            raise DataError(f"{path}: no data rows")  # before loadtxt could only warn
+        fh.seek(body)
+        # the label column goes through _label, or is read as 0 and dropped
+        parsers = {} if label_idx is None else {label_idx: _label if labeled else (lambda cell: 0.0)}
+        try:
+            table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
+                               converters=parsers, ndmin=2)
+            if table.shape[1] != len(header):
+                raise ValueError(f"{table.shape[1]} fields, header has {len(header)}")
+        except ValueError as exc:
+            fh.seek(body)
+            numbered = ((line_no, next(csv.reader([line])))
+                        for line_no, line in enumerate(fh, start=2) if line.strip("\r\n"))
+            raise _bad_line(path, numbered, len(header), "header", parsers, exc) from None
     if label_idx is None:
         return table, None
     labels = table[:, label_idx].astype(np.int64) if labeled else None
@@ -167,7 +173,8 @@ def write_model(path, rule: LinearRule, config: ThresholdConfig,
                   f"nnz_offdiag {report.nnz_offdiag}",
                   f"pd_flag {1 if report.pd_flag else 0}"]
     lines.append("weights")
-    lines.extend(fmt_float(w) for w in rule.weights)
+    # one format pass for all p weights: the bytes of fmt_float per weight
+    lines.append("\n".join(["%.17g"] * rule.p) % tuple(rule.weights.tolist()))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -108,7 +108,10 @@ def _build_sigma(recipe: PopulationRecipe) -> np.ndarray:
     if recipe.sigma == "identity":
         return np.ones(p)  # the diagonal of I
     if recipe.sigma == "from_file":
-        return read_matrix(recipe.sigma_file)
+        try:
+            return read_matrix(recipe.sigma_file)
+        except DataError as exc:
+            raise DataError(f"sigma_file: {exc}") from None
     lag = np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
     if recipe.sigma == "ar1":
         return float(recipe.rho) ** lag

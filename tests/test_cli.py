@@ -4,6 +4,7 @@ determinism across reruns and thread counts."""
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -56,6 +57,23 @@ class TestOverflowingCovariance:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command", [
+        ["fit", "--m1", "0.3", "--m2", "0"],
+        ["cv", "--grid-m1", "0.3", "--grid-m2", "0"],
+    ], ids=["fit", "cv_given_grid"])
+    def test_class_sum_overflow_names_the_class(self, tmp_path, capsys, command):
+        # failed at the parent: fit named only cholesky_spd's NaN or Inf
+        # input, and cv exited 0 with forced_worst 1 and the score 1.0
+        path = tmp_path / "overflow.csv"
+        write_dataset_csv(path, two_class_dataset([[0.5, 1.0], [-0.5, 2.0], [1.0, 0.0]],
+                                                  [[0.5, 1.0], [0.25, 1.7e308], [1.0, 1.7e308]]))
+        out = tmp_path / "out.txt"
+        assert main(command + ["--train", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error [{command[0]}]: class 2 mean of feature 2 "
+                                           "is not finite: the class sum overflows\n")
+        assert not out.exists()
+
+
 class TestFit:
     def test_fit_writes_model_and_report(self, separable_csv, tmp_path, capsys):
         model = tmp_path / "model.txt"
@@ -99,6 +117,32 @@ class TestFit:
                      "--out", str(model)]) == 2
         assert "label 9007199254740992 at row 4 exceeds n=5" in capsys.readouterr().err
         assert not model.exists()
+
+
+    def test_peak_is_the_table_and_its_features(self, tmp_path, capsys):
+        # the reader streams the CSV into one loadtxt pass and the rows are
+        # centred in one array, so fit and predict hold no list of row
+        # strings and no per-class copy: the traced peak is the table, the
+        # features cut from it and little more (2.2 tables, 4.7 when the
+        # lines were read into a list). p = 2000 at a screened M1 keeps
+        # the test under a second.
+        p = 2000
+        gen = np.random.default_rng(11)
+        train, model = tmp_path / "train.csv", tmp_path / "model.txt"
+        write_dataset_csv(train, two_class_dataset(gen.standard_normal((47, p)) + 0.5,
+                                                   gen.standard_normal((25, p))))
+        table_bytes = 72 * (p + 1) * 8
+        for command in (["fit", "--train", str(train), "--m1", "1e7", "--m2", "0.5",
+                         "--out", str(model)],
+                        ["predict", "--model", str(model), "--test", str(train),
+                         "--out", str(tmp_path / "predictions.csv")]):
+            tracemalloc.start()
+            try:
+                code = main(command)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0 and peak < 2.5 * table_bytes, (command[0], peak / table_bytes)
 
 
 class TestPredict:
@@ -397,6 +441,18 @@ class TestSimulate:
         assert (tmp_path / "a_summary.txt").read_bytes() == \
                (tmp_path / "b_summary.txt").read_bytes()
 
+    def test_overflowing_class_sum_names_the_overflow(self, tmp_path, capsys):
+        # delta_magnitude = 1e308 is finite, and eight draws near it
+        # overflow class 1's sum; failed at the parent, where each error
+        # row read "cholesky_spd: input has NaN or Inf entries"
+        path = write_scenario_text(tmp_path, "overflow", "slda,lda,oracle",
+                                   "delta_count = 2\ndelta_magnitude = 1e308\n" + FIXED)
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o_")]) == 0
+        lines = (tmp_path / "o_replicates.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[0].endswith(",error")
+        assert [line.rsplit(",", 1)[1] for line in lines[1:]] == \
+            ["class 1 mean of feature 1 is not finite: the class sum overflows"] * 2
+
     def test_summary_has_all_methods(self, tmp_path):
         assert main(["simulate", "--scenario", "thm1_regime", "--reps", "2",
                      "--out", str(tmp_path / "x_")]) == 0
@@ -528,6 +584,27 @@ class TestSimulate:
         identity, from_file = out.values()
         assert identity == from_file
         assert identity.count(b"\neye,") == 8
+
+
+    @pytest.mark.parametrize("command", ["simulate", "diagnose"])
+    @pytest.mark.parametrize("body, message", [
+        (None, "[Errno 2] No such file or directory"),
+        ("1,0\n0,x\n", "line 2: could not convert string to float: 'x'"),
+    ], ids=["missing", "malformed"])
+    def test_sigma_file_error_names_the_key(self, tmp_path, capsys, command, body, message):
+        # failed at the parent: the scenario and matrix files were named,
+        # the key sigma_file was not
+        path = scenario_with_sigma_file(tmp_path, np.eye(2))
+        sigma = tmp_path / "sigma.csv"
+        if body is None:
+            sigma.unlink()
+        else:
+            sigma.write_text(body, encoding="utf-8")
+        assert main([command, "--scenario", str(path), "--out", str(tmp_path / "o_")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [{command}]: {path}: sigma_file: {sigma}: ")
+        assert message in err and err.count("\n") == 1
+        assert list(tmp_path.glob("o_*")) == []
 
 
 class TestSigmaNotPositiveDefinite:

@@ -16,10 +16,12 @@ from slda.simulate import _POPULATION_KEYS, read_scenario
 
 POPULATION_KEYS = ("p", *_POPULATION_KEYS)
 # valid bases with p <= 12, so that no example builds a large Sigma;
-# from_file is left out, since a sigma_file's faults are the matrix
-# reader's (tests/test_io.py)
+# SIGMA_FILE stands for the test's 8 x 8 SPD matrix file, and any other
+# sigma_file value names a file that does not exist
+SIGMA_FILE = "<sigma.csv>"
 SIGMAS = [[], [("sigma", "ar1"), ("rho", "0.4")],
-          [("sigma", "banded"), ("width", "2"), ("value", "0.2")]]
+          [("sigma", "banded"), ("width", "2"), ("value", "0.2")],
+          [("sigma", "from_file"), ("sigma_file", SIGMA_FILE)]]
 DELTAS = [[("delta_count", "2"), ("delta_magnitude", "1.5")],
           [("delta_values", "1,0,-0.5,0,0,0,0,2")]]
 LAWS = [[], [("distribution", "student_t"), ("df", "3")]]
@@ -79,11 +81,18 @@ BANDED = [("p", "8")] + DELTAS[0] + SIGMAS[2] + REST
 @example(lines=BANDED[:5] + [("value", "1.5")] + REST)
 @example(lines=BANDED + [("distribution", "t"), ("df", "3")])
 @example(lines=BANDED[:5] + [("value", "0")] + REST)  # Sigma = I: exit 0
+# failed at the parent: a sigma_file that does not exist named no key
+@example(lines=BANDED[:3] + [("sigma", "from_file"), ("sigma_file", "abc")] + REST)
 def test_population_keys_exit_0_or_2_naming_file_and_key(tmp_path_factory, lines):
     tmp = tmp_path_factory.getbasetemp() / "population_fuzz"  # one folder for every example
     tmp.mkdir(exist_ok=True)
-    path, replicates = tmp / "sc.txt", tmp / "out_replicates.csv"
-    path.write_text("".join(f"{key} = {value}\n" for key, value in lines), encoding="utf-8")
+    path, replicates, sigma = tmp / "sc.txt", tmp / "out_replicates.csv", tmp / "sigma.csv"
+    # tridiagonal Toeplitz, 1 and 0.3: eigenvalues 1 + 0.6 cos(k pi / 9) > 0
+    sigma.write_text("".join(",".join("1" if i == j else "0.3" if abs(i - j) == 1 else "0"
+                                      for j in range(8)) + "\n" for i in range(8)),
+                     encoding="utf-8")
+    path.write_text("".join(f"{key} = {value.replace(SIGMA_FILE, str(sigma))}\n"
+                            for key, value in lines), encoding="utf-8")
     replicates.unlink(missing_ok=True)
     try:
         read_scenario(path)

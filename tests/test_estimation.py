@@ -22,6 +22,7 @@ from slda.errors import (
 from slda.estimation import (
     _threshold_in_place,
     centered_rows,
+    class_means,
     compute_an,
     compute_tn,
     diagonal_screen,
@@ -90,6 +91,49 @@ class TestSummarize:
         for ds in datasets:
             s = summarize(ds).pooled_cov
             assert np.array_equal(s, s.T)
+
+
+def masked_centering(ds):
+    """The rows less their class mean, one masked copy per class: the
+    loop that centered_rows' one gather-and-subtract pass replaced."""
+    means = class_means(ds)
+    centered = np.empty_like(ds.features)
+    for cls in range(1, ds.n_classes + 1):
+        mask = ds.labels == cls
+        centered[mask] = ds.features[mask] - means[cls - 1]
+    return centered
+
+
+# |cell| <= 1e307 in at most 16 rows keeps every class sum finite
+CELLS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e307, -1e307, 1.0]),
+                  st.floats(-1e307, 1e307))
+
+
+class TestCenteredRows:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), k=st.integers(2, 4), p=st.integers(1, 6), fortran=st.booleans())
+    def test_bits_equal_per_class_reference(self, data, k, p, fortran):
+        extra = data.draw(st.lists(st.integers(1, k), max_size=16 - 2 * k))
+        labels = data.draw(st.permutations(list(range(1, k + 1)) * 2 + extra))  # interleaved
+        x = data.draw(arrays(float, (len(labels), p), elements=CELLS))
+        ds = validate_dataset(np.asarray(x, order="F" if fortran else "C"), labels)
+        before = ds.features.copy()
+        means, centered = centered_rows(ds)
+        want = masked_centering(ds)
+        assert bits_equal(means, class_means(ds)) and bits_equal(centered, want)
+        assert centered.flags.f_contiguous == want.flags.f_contiguous
+        assert bits_equal(ds.features, before)  # the rows are not written
+
+    @pytest.mark.parametrize("cls", [1, 2])
+    def test_overflowing_class_sum_names_class_and_feature(self, cls):
+        # finite cells near 1e308 whose class sum overflows at feature 3
+        rows = [[[1.0, 2.0, 0.5], [3.0, 4.0, 0.25], [5.0, 6.0, 1.0]] for _ in range(2)]
+        rows[cls - 1] = [[1.0, 2.0, 1.7e308], [3.0, -4.0, 1.7e308], [5.0, 6.0, 1.0]]
+        ds = two_class_dataset(*rows)
+        for estimate in (class_means, centered_rows):
+            with pytest.raises(DomainError, match=f"^class {cls} mean of feature 3 is not "
+                                                  "finite: the class sum overflows$"):
+                estimate(ds)
 
 
 class TestThresholdFormulas:

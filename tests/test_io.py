@@ -339,6 +339,18 @@ class TestModelFile:
             assert (int(meta["q_hat"]), int(meta["nnz_offdiag"]), meta["pd_flag"]) == \
                 (report[0], report[1], "1" if report[2] else "0")
 
+    @settings(max_examples=150, deadline=None)
+    @given(weights=arrays(float, st.integers(1, 40), elements=FINITE))
+    def test_weight_lines_are_fmt_float_bytes(self, tmp_path_factory, weights):
+        # the one format pass over all weights writes the bytes of one
+        # fmt_float line per weight
+        path = tmp_path_factory.mktemp("model") / "model.txt"
+        write_model(path, LinearRule(weights=weights, cutoff=0.5),
+                    ThresholdConfig(m1=1.0, m2=0.5, alpha=0.3))
+        head, sep, body = path.read_bytes().partition(b"\nweights\n")
+        assert sep and b"weights" not in head
+        assert body == "".join(fmt_float(w) + "\n" for w in weights).encode("utf-8")
+
     def test_header_required(self, tmp_path):
         path = tmp_path / "model.txt"
         path.write_text("not a model\n", encoding="utf-8")
