@@ -59,7 +59,7 @@ _FLAGS = {
            "out": _Flag(help="surface CSV path")},
     "simulate": {"scenario": _Flag(help=_SCENARIO_HELP), "seed": _Flag(sio.number(int), None),
                  "reps": _Flag(_COUNT, None),
-                 "n_mc": _Flag(_COUNT, None, "Monte Carlo size, checked but unused: "
+                 "n_mc": _Flag(_COUNT, None, "checked as an integer >= 1, then ignored: "
                                "every simulate rate is closed form"),
                  "threads": _Flag(_COUNT, 1), "out": _Flag(None, "slda_", "output file prefix")},
     "diagnose": {"train": _Flag(default=None), "scenario": _Flag(None, None, _SCENARIO_HELP),
@@ -174,7 +174,7 @@ def _naming(source: str, build, *args):
 
 def cmd_simulate(args) -> int:
     scenario = _load_scenario(args.scenario)
-    overrides = {key: getattr(args, key) for key in ("seed", "reps", "n_mc")
+    overrides = {key: getattr(args, key) for key in ("seed", "reps")
                  if getattr(args, key) is not None}
     if overrides:
         scenario = dataclasses.replace(scenario, **overrides)

@@ -16,7 +16,8 @@ from .classify import build_slda_grid, classify, classify_many, maximin_labels, 
 from .diagnostics import mahalanobis_delta
 from .errors import DataError, DomainError, ShapeError, SldaError
 from .estimation import centered_rows, class_means, compute_an, compute_tn, pooled_covariance
-from .model import DEFAULT_ALPHA, Dataset, LinearRule, PopulationSpec, ThresholdConfig, NORMAL
+from .model import (DEFAULT_ALPHA, NORMAL, Dataset, GridSpec, LinearRule, PopulationSpec,
+                    ThresholdConfig)
 from .numerics import std_normal_cdf, student_t_cdf
 
 CLOSED_FORM = "closed_form"
@@ -248,8 +249,9 @@ def cv_grid_search(dataset: Dataset, m1_grid=None, m2_grid=None, alpha: float = 
     A grid given as None is the data-driven one of ``default_grids``.
     Before any fold runs, a dataset that cannot be cross-validated (K != 2,
     a class with fewer than 3 samples, a class mean that overflows)
-    raises, and so does a grid point that ThresholdConfig rejects (alpha
-    outside (0, 1/2), or an M1 or M2 that is negative or not finite).
+    raises, and so do grids and alpha that GridSpec rejects (an empty
+    grid, alpha outside (0, 1/2), or an M1 or M2 that is negative or not
+    finite).
 
     Ties are broken toward the most sparse rule: largest M2, then
     largest M1. A point is scored 1.0 (worst) instead of aborting the
@@ -265,14 +267,9 @@ def cv_grid_search(dataset: Dataset, m1_grid=None, m2_grid=None, alpha: float = 
         auto_m1, auto_m2 = default_grids(dataset, alpha)
         m1_grid = auto_m1 if m1_grid is None else m1_grid
         m2_grid = auto_m2 if m2_grid is None else m2_grid
-    m1_grid = [float(v) for v in m1_grid]
-    m2_grid = [float(v) for v in m2_grid]
-    if not m1_grid or not m2_grid:
-        raise DomainError("cv_grid_search requires non-empty grids")
-    grid = [(m1, m2) for m1 in m1_grid for m2 in m2_grid]
-    for m1, m2 in grid:
-        ThresholdConfig(m1=m1, m2=m2, alpha=alpha)  # raises for a bad value
-    wrong, failed = _loocv_grid(dataset, m1_grid, m2_grid, alpha, threads)
+    spec = GridSpec(m1_grid, m2_grid, alpha)  # raises for an empty grid or a bad point
+    grid = [(m1, m2) for m1 in spec.m1_grid for m2 in spec.m2_grid]
+    wrong, failed = _loocv_grid(dataset, spec.m1_grid, spec.m2_grid, alpha, threads)
     scores = [count / dataset.n if failure is None else 1.0
               for count, failure in zip(wrong, failed)]
     j = min(range(len(grid)), key=lambda j: (scores[j], -grid[j][1], -grid[j][0]))

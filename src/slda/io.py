@@ -6,6 +6,7 @@ value-exact."""
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,29 @@ def _bad_line(path, rows, width: int, expected: str, parsers: dict,
     return DataError(f"{path}: {exc}")
 
 
+@contextmanager
+def _open_text(path, newline=None):
+    """The file opened as UTF-8 text; a byte that does not decode, in
+    the body of the with, raises DataError naming the file."""
+    try:
+        with open(path, newline=newline, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
+def _records(fh):
+    # (file line where it starts, fields) of each non-blank record after
+    # the header line, split as loadtxt splits them: a quoted cell, and
+    # so its record, may span lines
+    reader = csv.reader(fh)
+    start = 2
+    for row in reader:
+        if row:
+            yield start, row
+        start = 2 + reader.line_num
+
+
 def _read_table(path, labeled: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """Header row, then numeric rows as a float matrix, parsed in one
     loadtxt pass as the file streams: no list of its lines is made, so
@@ -69,8 +93,9 @@ def _read_table(path, labeled: bool) -> tuple[np.ndarray, np.ndarray | None]:
     Lines split at \\n, \\r\\n and \\r, as csv's do, and a blank line is
     skipped. The integer "class" column is required and returned when
     ``labeled``; otherwise it is skipped if present and no labels are
-    returned. A parse error names the 1-based file line."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    returned. A parse error names the 1-based file line where its record
+    starts."""
+    with _open_text(path, newline="") as fh:
         first = fh.readline()
         if not first:
             raise DataError(f"{path}: empty file")
@@ -90,11 +115,9 @@ def _read_table(path, labeled: bool) -> tuple[np.ndarray, np.ndarray | None]:
                                converters=parsers, ndmin=2)
             if table.shape[1] != len(header):
                 raise ValueError(f"{table.shape[1]} fields, header has {len(header)}")
-        except ValueError as exc:
+        except ValueError as exc:  # a UnicodeDecodeError too, which the re-scan meets again
             fh.seek(body)
-            numbered = ((line_no, next(csv.reader([line])))
-                        for line_no, line in enumerate(fh, start=2) if line.strip("\r\n"))
-            raise _bad_line(path, numbered, len(header), "header", parsers, exc) from None
+            raise _bad_line(path, _records(fh), len(header), "header", parsers, exc) from None
     if label_idx is None:
         return table, None
     labels = table[:, label_idx].astype(np.int64) if labeled else None
@@ -180,7 +203,8 @@ def write_model(path, rule: LinearRule, config: ThresholdConfig,
 
 def read_model(path) -> tuple[LinearRule, dict]:
     """Read a v1 model file back into a rule plus its metadata dict."""
-    text = Path(path).read_text(encoding="utf-8").splitlines()
+    with _open_text(path) as fh:
+        text = fh.read().splitlines()
     if not text or text[0].strip() != MODEL_HEADER:
         raise DataError(f'{path}: missing "{MODEL_HEADER}" header')
     meta: dict = {}
@@ -231,7 +255,9 @@ def read_kv(path) -> dict:
     An empty key or a key given twice raises DataError."""
     out = {}
     seen = {}  # key -> line number
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    with _open_text(path) as fh:
+        lines = fh.read().splitlines()
+    for line_no, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

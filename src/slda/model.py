@@ -231,3 +231,24 @@ class ThresholdConfig:
             raise DomainError("M1 and M2 must be finite")
         if self.m1 < 0 or self.m2 < 0:
             raise DomainError("M1 and M2 must be nonnegative")
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """Cross-validation grids over the threshold constants, each stored
+    as a tuple of floats (None: the data-driven grid). An empty grid, or
+    a point that ThresholdConfig rejects, raises DomainError."""
+
+    m1_grid: tuple[float, ...] | None = None
+    m2_grid: tuple[float, ...] | None = None
+    alpha: float = DEFAULT_ALPHA
+
+    def __post_init__(self):
+        for name in ("m1_grid", "m2_grid"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
+        if self.m1_grid == () or self.m2_grid == ():
+            raise DomainError("a cross-validation grid must be non-empty")
+        for m1 in self.m1_grid or (0.0,):  # 0.0 stands in for a data-driven grid
+            for m2 in self.m2_grid or (0.0,):
+                ThresholdConfig(m1=m1, m2=m2, alpha=self.alpha)

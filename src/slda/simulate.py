@@ -16,7 +16,8 @@ from .classify import SparsityReport, build_lda, build_lda_known_sigma, build_or
 from .errors import DataError, DomainError, NotPositiveDefiniteError, SldaError
 from .evaluate import RateReport, conditional_rate, cv_grid_search
 from .io import float_list, fmt_float, number, read_kv, read_matrix
-from .model import DEFAULT_ALPHA, Dataset, NORMAL, STUDENT_T, PopulationSpec, ThresholdConfig
+from .model import (DEFAULT_ALPHA, NORMAL, STUDENT_T, Dataset, GridSpec, PopulationSpec,
+                    ThresholdConfig)
 from .numerics import sample_mvn, sample_mvt, substream
 
 METHODS = ("slda", "lda", "lda_known_sigma", "oracle")
@@ -136,45 +137,27 @@ def build_population(recipe: PopulationRecipe) -> PopulationSpec:
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    """Cross-validation grid over the threshold constants. Every point
-    of the given grids is checked by ThresholdConfig when it is built."""
-
-    m1_grid: tuple[float, ...] | None = None  # None = data-driven default
-    m2_grid: tuple[float, ...] | None = None
-    alpha: float = DEFAULT_ALPHA
-
-    def __post_init__(self):
-        if self.m1_grid == () or self.m2_grid == ():
-            raise DomainError("a cross-validation grid must be non-empty")
-        for m1 in self.m1_grid or (0.0,):  # 0.0 stands in for a data-driven grid
-            for m2 in self.m2_grid or (0.0,):
-                ThresholdConfig(m1=m1, m2=m2, alpha=self.alpha)
-
-
-@dataclass(frozen=True)
 class Scenario:
     """One simulation experiment: population, sample sizes, methods,
-    threshold selection policy, replicate count and master seed."""
+    replicate count, master seed and SLDA's fixed or cross-validated thresholds."""
 
     name: str
     population: PopulationRecipe
     n1: int
     n2: int
     methods: tuple[str, ...]
-    cv: ThresholdConfig | GridSpec | None
     reps: int
     seed: int
-    n_mc: int = 100_000  # checked, but unused: every rate of a replicate is closed form
+    cv: ThresholdConfig | GridSpec = GridSpec()
 
     def __post_init__(self):
         if self.reps < 1:
             raise DomainError(f"reps must be >= 1, got {self.reps}")
-        if self.n_mc < 1:
-            raise DomainError(f"n_mc must be >= 1, got {self.n_mc}")
+        if not isinstance(self.cv, (ThresholdConfig, GridSpec)):
+            raise DomainError(f"cv must be a ThresholdConfig or a GridSpec, got {self.cv!r}")
         if self.n1 < 2 or self.n2 < 2:
             raise DomainError("class sample sizes must be >= 2")
-        cross_validates = "slda" in self.methods and not isinstance(self.cv, ThresholdConfig)
+        cross_validates = "slda" in self.methods and isinstance(self.cv, GridSpec)
         if cross_validates and min(self.n1, self.n2) < 3:
             raise DomainError("slda cross-validates its thresholds, and leave-one-out "
                               "cross-validation requires every class count >= 3; "
@@ -224,11 +207,10 @@ def _run_replicate(scenario: Scenario, pop: PopulationSpec, k: int) -> Replicate
         for method in scenario.methods:
             if method == "slda":
                 config = scenario.cv
-                if config is None or isinstance(config, GridSpec):
-                    spec = config or GridSpec()
-                    surface = cv_grid_search(dataset, spec.m1_grid, spec.m2_grid, spec.alpha)
+                if isinstance(config, GridSpec):
+                    surface = cv_grid_search(dataset, config.m1_grid, config.m2_grid, config.alpha)
                     config = ThresholdConfig(m1=surface.best[0], m2=surface.best[1],
-                                             alpha=spec.alpha)
+                                             alpha=config.alpha)
                 rules[method], sparsity = build_slda(dataset, config)
                 chosen_m1, chosen_m2 = config.m1, config.m2
             elif method == "lda":
@@ -329,7 +311,7 @@ def read_scenario(path) -> Scenario:
         reads = _population_keys(kv["sigma"], kv["distribution"], "delta_values" in kv)
         recipe = PopulationRecipe(p=num(integer, "p"),
                                   **{key: num(_POPULATION_KEYS[key], key) for key in reads})
-        cv: ThresholdConfig | GridSpec | None = None  # and without slda, no key is read
+        cv: ThresholdConfig | GridSpec = GridSpec()  # and without slda, no key is read
         if "slda" in methods and "m1" in kv and "m2" in kv:
             cv = ThresholdConfig(m1=num(real, "m1"), m2=num(real, "m2"),
                                  alpha=num(real, "alpha", DEFAULT_ALPHA))
@@ -339,9 +321,8 @@ def read_scenario(path) -> Scenario:
             cv = GridSpec(m1_grid=m1_grid, m2_grid=m2_grid,
                           alpha=num(real, "alpha", DEFAULT_ALPHA))
         fields = dict(name=take("name", Path(path).stem), population=recipe,
-                      n1=num(integer, "n1"), n2=num(integer, "n2"), methods=methods, cv=cv,
-                      reps=num(integer, "reps"), seed=num(integer, "seed"),
-                      n_mc=num(integer, "n_mc", "100000"))
+                      n1=num(integer, "n1"), n2=num(integer, "n2"), methods=methods,
+                      reps=num(integer, "reps"), seed=num(integer, "seed"), cv=cv)
         if kv:
             raise DataError(f"unused scenario key(s) {', '.join(map(repr, kv))}")
         return Scenario(**fields)
@@ -364,8 +345,8 @@ def _fmt(x) -> str:
         return fmt_float(x)
     return str(x)
 
-REPLICATE_COLUMNS = ("scenario", "replicate", "method", "rate", "stderr", "n_mc",
-                     "m1", "m2", "q_hat", "nnz_offdiag", "pd_flag", "degenerate", "error")
+REPLICATE_COLUMNS = ("scenario", "replicate", "method", "rate", "m1", "m2", "q_hat",
+                     "nnz_offdiag", "pd_flag", "degenerate", "error")
 
 
 def records_to_csv(scenario: Scenario, records: list[ReplicateRecord]) -> str:
@@ -380,8 +361,8 @@ def records_to_csv(scenario: Scenario, records: list[ReplicateRecord]) -> str:
             continue
         for method in scenario.methods:
             report = rec.rates[method]
-            row = dict(base, method=method, rate=report.conditional_rate, stderr=report.stderr,
-                       n_mc=report.n_mc, degenerate=report.degenerate)
+            row = dict(base, method=method, rate=report.conditional_rate,
+                       degenerate=report.degenerate)
             if method == "slda":
                 row.update(m1=rec.chosen_m1, m2=rec.chosen_m2)
                 if rec.sparsity is not None:
@@ -439,7 +420,6 @@ def preset_scenarios() -> dict[str, Scenario]:
         population=PopulationRecipe(p=5000, delta_count=1, delta_magnitude=1.0),
         n1=50, n2=50,
         methods=("lda_known_sigma", "oracle"),
-        cv=None,
         reps=50, seed=1102)
     presets["thm2_constant"] = replace(
         presets["thm2_worst"], name="thm2_constant", seed=1103,

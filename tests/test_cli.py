@@ -16,6 +16,7 @@ from conftest import (eigh_pseudo_inverse_lda, summarize, two_class_dataset, wri
                       write_matrix)
 from slda.cli import _FLAGS, REQUIRED, _merge_config, build_parser, main
 from slda.io import read_model
+from slda.simulate import REPLICATE_COLUMNS
 
 
 @pytest.fixture
@@ -517,13 +518,29 @@ class TestSimulate:
         assert f"--n-mc: must be >= 1, got {n_mc}" in capsys.readouterr().err
         assert not (tmp_path / "m_replicates.csv").exists()
 
+    def test_n_mc_is_checked_then_ignored(self, tmp_path):
+        # every rate of simulate is closed form: --n-mc changes no byte,
+        # and the replicates CSV has no n_mc or stderr column
+        outs = []
+        for n_mc in (["--n-mc", "5"], ["--n-mc", "1000000"], []):
+            prefix = tmp_path / f"{len(outs)}_"
+            assert main(["simulate", "--scenario", "sec5_t3", "--reps", "2",
+                         "--out", str(prefix), *n_mc]) == 0
+            outs.append([(tmp_path / f"{prefix.name}{name}").read_bytes()
+                         for name in ("replicates.csv", "summary.txt")])
+        assert outs[0] == outs[1] == outs[2]
+        assert outs[0][0].decode().splitlines()[0] == ",".join(REPLICATE_COLUMNS)
+
     def test_scenario_file_n_mc_zero_exits_2(self, tmp_path, capsys):
-        path = write_scenario_text(tmp_path, "no_draws", "slda,oracle",
-                                   "delta_count = 2\ndelta_magnitude = 1.5\n" + FIXED
-                                   + "n_mc = 0\n")
-        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "m_")]) == 2
-        assert "n_mc must be >= 1, got 0" in capsys.readouterr().err
-        assert not (tmp_path / "m_replicates.csv").exists()
+        # n_mc is no longer a scenario key: a good value is unused too
+        for value in ("0", "5"):
+            path = write_scenario_text(tmp_path, "no_draws", "slda,oracle",
+                                       "delta_count = 2\ndelta_magnitude = 1.5\n" + FIXED
+                                       + f"n_mc = {value}\n")
+            assert main(["simulate", "--scenario", str(path),
+                         "--out", str(tmp_path / "m_")]) == 2
+            assert "unused scenario key(s) 'n_mc'" in capsys.readouterr().err
+            assert not (tmp_path / "m_replicates.csv").exists()
 
 
     def test_repeated_scenario_key_exits_2(self, tmp_path, capsys):
@@ -565,7 +582,7 @@ class TestSimulate:
         assert "method 'lda' is listed twice" in capsys.readouterr().err
         assert not (tmp_path / "t_replicates.csv").exists()
 
-    @pytest.mark.parametrize("population", ["", "distribution = student_t\ndf = 3\nn_mc = 3000\n"],
+    @pytest.mark.parametrize("population", ["", "distribution = student_t\ndf = 3\n"],
                              ids=["normal", "student_t"])
     def test_identity_file_matches_identity_pattern(self, tmp_path, population):
         # Sigma = I read from a file is a dense 6 x 6 matrix (potrf); the
@@ -748,6 +765,32 @@ class TestDiagnose:
         captured = capsys.readouterr()
         assert captured.err == f"error [diagnose]: --{flag}: must be finite, got {value}\n"
         assert captured.out == "" and not out.exists()
+
+
+class TestUndecodableFile:
+    # failed at the parent: each exited 2 with "'utf-8' codec can't
+    # decode byte 0xff ...", naming no file
+    @pytest.mark.parametrize("case", ["fit_train", "predict_test", "predict_model", "config",
+                                      "scenario"])
+    def test_exit_2_names_the_file(self, separable_csv, tmp_path, capsys, case):
+        model = tmp_path / "model.txt"
+        assert main(["fit", "--train", str(separable_csv), "--m1", "1", "--m2", "0.5",
+                     "--out", str(model)]) == 0
+        bad, out = tmp_path / "bad.txt", tmp_path / "out_"
+        valid, argv = {
+            "fit_train": (separable_csv, ["fit", "--train", bad, "--m1", "1", "--m2", "0.5"]),
+            "predict_test": (separable_csv, ["predict", "--model", model, "--test", bad]),
+            "predict_model": (model, ["predict", "--model", bad, "--test", separable_csv]),
+            "config": (None, ["fit", "--train", separable_csv, "--config", bad]),
+            "scenario": (small_scenario(tmp_path), ["simulate", "--scenario", bad]),
+        }[case]
+        text = valid.read_bytes() if valid else b"m1 = 1\nm2 = 0.5\n"
+        bad.write_bytes(text + b"\xff\n")
+        assert main([str(arg) for arg in argv] + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [{argv[0]}]: {bad}: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
+        assert list(tmp_path.glob("out_*")) == []
 
 
 class TestConfigFile:

@@ -1,5 +1,6 @@
 """File format round trips and parse errors."""
 
+import re
 import warnings
 
 import numpy as np
@@ -212,6 +213,24 @@ class TestCsvGrammar:
         assert np.array_equal(ds.features, [[1, 2], [1.5, 2.5], [3, 4], [3.5, 4.25]])
         assert ds.labels.tolist() == [1, 1, 2, 2]
 
+    def test_quoted_cell_spans_lines(self, tmp_path):
+        # loadtxt joins a quoted cell across a line end: "1 + newline is
+        # the cell 1, and the record starts on line 2 and ends on line 3
+        path = tmp_path / "d.csv"
+        path.write_text('f1,f2,class\n"1\n",2,1\n' + self.GOOD, encoding="utf-8")
+        ds = read_dataset_csv(path)
+        assert np.array_equal(ds.features[0], [1.0, 2.0]) and ds.labels[0] == 1
+
+    def test_error_after_spanning_cell_names_its_line(self, tmp_path):
+        # failed at the parent: the per-line re-scan read line 2 alone as
+        # one field and blamed it ("line 2 has 1 fields, header has 3")
+        path = tmp_path / "d.csv"
+        path.write_text('f1,f2,class\n"1\n",2,1\n3,4,2\n5,6,1\n5,x,2\n7,8,1\n',
+                        encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: line 6: could not "
+                                            "convert string to float: 'x'$"):
+            read_dataset_csv(path)
+
     @pytest.mark.parametrize("cell, where", [("nan", "row 2, column 1"),
                                              ("-inf", "row 2, column 1"),
                                              ("1e999", "row 2, column 1")])
@@ -397,13 +416,13 @@ class TestScenarioFile:
                                                   sigma="banded", width=1, value=0.3),
                       n1=12, n2=9, methods=("slda", "lda"),
                       cv=ThresholdConfig(m1=1.5, m2=0.75, alpha=0.3),
-                      reps=7, seed=1234, n_mc=5000)
+                      reps=7, seed=1234)
         path = tmp_path / "sc.txt"
         path.write_text(
             "name = toy\np = 20\ndelta_count = 4\ndelta_magnitude = 1.25\n"
             "sigma = banded\nwidth = 1\nvalue = 0.3\ndistribution = normal\n"
             "n1 = 12\nn2 = 9\nmethods = slda,lda\nm1 = 1.5\nm2 = 0.75\nalpha = 0.3\n"
-            "reps = 7\nseed = 1234\nn_mc = 5000\n", encoding="utf-8")
+            "reps = 7\nseed = 1234\n", encoding="utf-8")
         back = read_scenario(path)
         assert back == sc
 
@@ -419,14 +438,15 @@ class TestScenarioFile:
             "name = toy_t\np = 10\ndelta_count = 2\ndelta_magnitude = 1\n"
             "sigma = identity\ndistribution = student_t\ndf = 3\n"
             "n1 = 8\nn2 = 8\nmethods = slda,oracle\ngrid_m1 = 1,2\ngrid_m2 = 0.5\n"
-            "alpha = 0.25\nreps = 3\nseed = 55\nn_mc = 100000\n", encoding="utf-8")
+            "alpha = 0.25\nreps = 3\nseed = 55\n", encoding="utf-8")
         back = read_scenario(path)
         assert back == sc
 
     def test_reads_explicit_delta(self, tmp_path):
+        # without slda no threshold key is read, and cv is the default
         sc = Scenario(name="explicit",
                       population=PopulationRecipe(p=3, delta_values=(0.5, 0.0, -1.0)),
-                      n1=5, n2=5, methods=("lda",), cv=None, reps=2, seed=3)
+                      n1=5, n2=5, methods=("lda",), reps=2, seed=3)
         path = tmp_path / "sc.txt"
         path.write_text(
             "name = explicit\np = 3\ndelta_values = 0.5,0,-1\n"
@@ -446,18 +466,19 @@ class TestScenarioFile:
             "# a scenario\nname = c\np = 6\ndelta_count = 2\ndelta_magnitude = 1\n"
             "n1 = 5\nn2 = 5\nmethods = lda\nreps = 2\nseed = 9\n", encoding="utf-8")
         sc = read_scenario(path)
-        assert sc.population.p == 6 and sc.cv is None
+        assert sc.population.p == 6 and sc.cv == GridSpec()
 
     # each of these ran at the parent with the key silently dropped
     @pytest.mark.parametrize("extra, unused", [
         ("m1 = 2.0", "m1"),                            # m1 without m2
         ("nmc = 5", "nmc"),                            # misspelled n_mc
+        ("n_mc = 5", "n_mc"),                          # parsed at the parent, never read
         ("m1 = 1\nm2 = 1\ngrid_m1 = 1,2", "grid_m1"),  # fixed constants and a grid
         ("rho = 0.5", "rho"),                          # sigma is identity, not ar1
         ("df = 3", "df"),                              # distribution is normal
         ("delta_values = 1,0,0,0,0,0", "delta_count"),  # delta_values wins
         ("alpha = 0.25", "alpha"),                     # default-grid CV ran at 0.3
-    ], ids=["m1_alone", "misspelled", "fixed_and_grid", "rho_no_ar1", "df_no_t",
+    ], ids=["m1_alone", "misspelled", "n_mc", "fixed_and_grid", "rho_no_ar1", "df_no_t",
             "two_deltas", "alpha_alone"])
     def test_unused_key_rejected(self, tmp_path, extra, unused):
         path = tmp_path / "sc.txt"

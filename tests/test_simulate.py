@@ -12,13 +12,14 @@ import pytest
 from conftest import bits_equal, dense_lower
 from slda.errors import DomainError
 from slda.classify import build_oracle
-from slda.evaluate import conditional_rate, optimal_rate
+from slda.evaluate import conditional_rate, cv_grid_search, optimal_rate
 from slda.io import fmt_float
-from slda.model import ThresholdConfig
+from slda.model import ThresholdConfig, validate_dataset
 from slda.numerics import substream
 from slda.simulate import (
     _POPULATION_KEYS,
     _SIGMA_KEYS,
+    METHODS,
     REPLICATE_COLUMNS,
     GridSpec,
     PopulationRecipe,
@@ -202,6 +203,30 @@ def test_key_table_fields_and_readme_agree():
     assert set(_POPULATION_KEYS) == fields == named - {"normal", "student_t"}
 
 
+def readme_passage(start: str, end: str = "\n\n") -> str:
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    passage = readme[readme.index(start):]
+    return passage[:passage.index(end)]
+
+
+def test_readme_scenario_keys_agree():
+    # the keys read_scenario takes: the scenario's own fields, p and the
+    # population keys, and the threshold keys; a key left in the README
+    # after the code drops it (or one added to the code alone) fails here
+    own = {f.name for f in dataclasses.fields(Scenario)} - {"population", "cv"}
+    thresholds = {f.name for f in dataclasses.fields(ThresholdConfig)} | {"grid_m1", "grid_m2"}
+    keys = own | {"p"} | set(_POPULATION_KEYS) | thresholds
+    assert own == {"name", "n1", "n2", "methods", "reps", "seed"}
+    section = readme_passage("`slda.simulate.read_scenario`. Keys:")
+    named = set(re.findall(r"`([a-z][a-z0-9_]*)`", section))
+    assert named - set(METHODS) - set(_SIGMA_KEYS) - {"normal", "student_t"} == keys
+
+
+def test_readme_lists_the_replicate_columns():
+    bullet = readme_passage("- **Simulation output**")
+    assert tuple(re.findall(r"`([a-z][a-z0-9_]*)`", bullet)) == REPLICATE_COLUMNS
+
+
 def small_scenario(**overrides):
     base = dict(
         name="small",
@@ -246,11 +271,11 @@ class TestRunScenario:
 
     def test_t_population_uses_closed_form(self):
         # every method's rate under t(3) is conditional_rate's closed form,
-        # and n_mc changes nothing
+        # with no Monte Carlo size or stderr (the scenario has no n_mc)
         sc = small_scenario(
             population=PopulationRecipe(p=8, delta_count=3, delta_magnitude=1.2,
                                         distribution="student_t", df=3),
-            reps=2, n_mc=5000)
+            reps=2)
         pop = sc.resolve_population()
         records, _ = run_scenario(sc)
         for rec in records:
@@ -259,8 +284,7 @@ class TestRunScenario:
                 assert report.method == "closed_form"
                 assert report.n_mc is None and report.stderr is None
             assert rec.rates["oracle"] == conditional_rate(build_oracle(pop), pop)
-        again, _ = run_scenario(dataclasses.replace(sc, n_mc=7))
-        assert records_to_csv(sc, again) == records_to_csv(sc, records)
+        assert "n_mc" not in {field.name for field in dataclasses.fields(Scenario)}
 
     def test_normal_population_uses_closed_form(self):
         records, _ = run_scenario(small_scenario(reps=2))
@@ -286,15 +310,15 @@ class TestRunScenario:
         broken = [dataclasses.replace(records[0], rates={}, error="bad, worse"), records[1]]
         lines = records_to_csv(sc, broken).splitlines()
         assert lines[0] == ",".join(REPLICATE_COLUMNS)
-        assert lines[1] == "small,0,,,,,,,,,,,bad; worse"
+        assert lines[1] == "small,0,,,,,,,,,bad; worse"
         rows = {row[2]: row for row in (line.split(",") for line in lines[2:])}
         assert list(rows) == list(sc.methods)
         assert all(len(row) == len(REPLICATE_COLUMNS) for row in rows.values())
         sparsity = records[1].sparsity
-        assert rows["slda"][6:12] == [fmt_float(sc.cv.m1), fmt_float(sc.cv.m2),
+        assert rows["slda"][4:10] == [fmt_float(sc.cv.m1), fmt_float(sc.cv.m2),
                                       str(sparsity.q_hat), str(sparsity.nnz_offdiag),
                                       "1" if sparsity.pd_flag else "0", "0"]
-        assert rows["lda"][6:11] == [""] * 5 and rows["lda"][12] == ""
+        assert rows["lda"][4:9] == [""] * 5 and rows["lda"][10] == ""
 
     def test_failed_replicates_of_p_1(self):
         sc = Scenario(name="p1", population=PopulationRecipe(p=1, delta_count=1, delta_magnitude=1.0),
@@ -303,7 +327,7 @@ class TestRunScenario:
         records, summary = run_scenario(sc)
         assert summary.failed == 2
         assert records_to_csv(sc, records).splitlines()[1:] == [
-            f"p1,{k},,,,,,,,,,,compute_tn requires p >= 2; got 1" for k in range(2)]
+            f"p1,{k},,,,,,,,,compute_tn requires p >= 2; got 1" for k in range(2)]
 
     def test_invalid_method_rejected(self):
         with pytest.raises(DomainError):
@@ -314,12 +338,12 @@ class TestRunScenario:
         with pytest.raises(DomainError, match="method 'lda' is listed twice"):
             small_scenario(methods=("lda", "oracle", "lda"))
 
-    @pytest.mark.parametrize("field, value", [("reps", 0), ("n_mc", 0), ("n_mc", -5)])
+    @pytest.mark.parametrize("field, value", [("reps", 0), ("reps", -5)])
     def test_counts_below_one_rejected(self, field, value):
         with pytest.raises(DomainError, match=f"{field} must be >= 1"):
             small_scenario(**{field: value})
 
-    @pytest.mark.parametrize("cv", [None, GridSpec(m1_grid=(1.0,))], ids=["default", "grid"])
+    @pytest.mark.parametrize("cv", [GridSpec(), GridSpec(m1_grid=(1.0,))], ids=["default", "grid"])
     def test_cross_validated_slda_needs_three_per_class(self, cv):
         # failed at the parent: every replicate drew its data only to
         # record the LOOCV class-count error
@@ -328,7 +352,14 @@ class TestRunScenario:
             small_scenario(n2=2, cv=cv)
         small_scenario(n1=3, n2=3, cv=cv)
         small_scenario(n2=2)  # fixed thresholds: no cross-validation
-        small_scenario(n2=2, cv=None, methods=("lda", "oracle"))
+        small_scenario(n2=2, cv=GridSpec(), methods=("lda", "oracle"))
+
+    @pytest.mark.parametrize("cv", [None, (1.0, 0.5), "default"], ids=["none", "pair", "text"])
+    def test_cv_must_be_a_threshold_policy(self, cv):
+        # None was the default grid before; a replicate would now meet it
+        # as an AttributeError, so the scenario refuses it when built
+        with pytest.raises(DomainError, match="cv must be a ThresholdConfig or a GridSpec"):
+            small_scenario(cv=cv)
 
 
 class TestGridSpec:
@@ -348,6 +379,45 @@ class TestGridSpec:
     def test_good_grids_accepted(self):
         GridSpec()
         GridSpec(m1_grid=(0.0, 1e7), m2_grid=(0.0, 2.5), alpha=0.49)
+
+    def test_one_type_in_model(self):
+        from slda import model, simulate
+
+        assert simulate.GridSpec is model.GridSpec
+
+    @pytest.mark.parametrize("grid", [[], (), np.array([]), [1.0, -1.0], [float("nan")]],
+                             ids=["list", "tuple", "array", "negative", "nan"])
+    @pytest.mark.parametrize("axis", ["m1_grid", "m2_grid"])
+    def test_cv_grid_search_raises_what_grid_spec_raises(self, tiny_dataset, axis, grid):
+        # failed at the parent: GridSpec took [] and np.array([]) raised
+        # numpy's "operands could not be broadcast together", while
+        # cv_grid_search raised "requires non-empty grids" for both
+        grids = {"m1_grid": [1.0], "m2_grid": [0.5], axis: grid}
+        with pytest.raises(DomainError) as spec:
+            GridSpec(**grids)
+        with pytest.raises(DomainError) as search:
+            cv_grid_search(tiny_dataset, **grids)
+        assert type(spec.value) is type(search.value)
+        assert str(spec.value) == str(search.value)
+
+    @pytest.mark.parametrize("grid", [[2.0, 1], (2.0, 1), np.array([2.0, 1.0])],
+                             ids=["list", "tuple", "array"])
+    def test_any_sequence_is_stored_as_floats(self, tiny_dataset, grid):
+        # failed at the parent: GridSpec(m1_grid=np.array([2.0, 1.0]))
+        # raised numpy's broadcast error; cv_grid_search took the array
+        spec = GridSpec(m1_grid=grid, m2_grid=grid)
+        assert spec.m1_grid == spec.m2_grid == (2.0, 1.0)
+        assert all(type(v) is float for v in spec.m1_grid + spec.m2_grid)
+        assert spec == GridSpec(m1_grid=(2.0, 1.0), m2_grid=(2.0, 1.0))
+        surface = cv_grid_search(tiny_dataset, grid, grid)
+        assert surface.grid == ((2.0, 2.0), (2.0, 1.0), (1.0, 2.0), (1.0, 1.0))
+
+
+@pytest.fixture
+def tiny_dataset(rng):
+    x = rng.standard_normal((8, 3))
+    x[:4, 0] += 2.0
+    return validate_dataset(x, [1] * 4 + [2] * 4)
 
 
 def stacked_draw(pop, n1, n2, gen):
