@@ -18,7 +18,6 @@ from .estimation import (
     compute_an,
     compute_tn,
     diagonal_screen,
-    nnz_offdiag,
     pinv_solve,
     pooled_covariance,
     pooled_spectrum,
@@ -105,7 +104,9 @@ def build_slda_grid(dataset: Dataset, m1_grid, m2_grid, alpha: float) -> list:
     nest (an entry kept at t >= t' is kept at t' with the same value), so
     the unscreened t_n are taken in ascending order and each thresholds
     S in place, after the fits of the one before it are done; one that
-    keeps no pair is diag(S), and goes on as the variances. Sigma-tilde
+    keeps no pair is diag(S), and goes on as the variances. The last of
+    them is factored with overwrite_a, so an eigenvalue floor works in
+    S's buffer, which no later key reads. Sigma-tilde
     is factored at most once per distinct t_n, when the first M2 that
     keeps a component of some contrast needs it, so a failed factor fails
     only those points; an emptied contrast gets the degenerate rule. The
@@ -126,17 +127,17 @@ def build_slda_grid(dataset: Dataset, m1_grid, m2_grid, alpha: float) -> list:
     mids = {(a, b): 0.5 * (means[a - 1] + means[b - 1]) for a, b in pairs}
     deltas = [{(a, b): threshold_delta(means[a - 1] - means[b - 1], a_n) for a, b in pairs}
               for a_n in a_ns]
+    last = max((key for key in keys if key < screen), default=None)
     fits = {}
     for key in sorted(set(keys)):
-        nnz = 0
-        if key < screen:
-            _threshold_in_place(s, key)
-            nnz = nnz_offdiag(s)
-        fits[key] = _fits_at_m1(s if nnz else variances, nnz, deltas, mids, p)
+        nnz = _threshold_in_place(s, key) if key < screen else 0
+        fits[key] = _fits_at_m1(s if nnz else variances, nnz, deltas, mids, p,
+                                overwrite_a=key == last)
     return [fit for key in keys for fit in fits[key]]
 
 
-def _fits_at_m1(sigma_tilde, nnz: int, deltas: list[dict], mids: dict, p: int) -> list:
+def _fits_at_m1(sigma_tilde, nnz: int, deltas: list[dict], mids: dict, p: int, *,
+                overwrite_a: bool) -> list:
     # The fits of one Sigma-tilde (a matrix, or its (p,) diagonal) at every M2.
     # A point that needs no factor reports pd_flag True, as nothing was
     # factored for it.
@@ -145,7 +146,7 @@ def _fits_at_m1(sigma_tilde, nnz: int, deltas: list[dict], mids: dict, p: int) -
     for tildes in deltas:
         needed = any(tilde.any() for tilde in tildes.values())
         if needed and op is None:
-            op = _factor_or_error(sigma_tilde)
+            op = _factor_or_error(sigma_tilde, overwrite_a=overwrite_a)
         if needed and isinstance(op, SldaError):
             fits.append(op)
             continue
@@ -157,11 +158,11 @@ def _fits_at_m1(sigma_tilde, nnz: int, deltas: list[dict], mids: dict, p: int) -
     return fits
 
 
-def _factor_or_error(sigma_tilde: np.ndarray):
+def _factor_or_error(sigma_tilde: np.ndarray, *, overwrite_a: bool):
     # The error is returned without its traceback, whose frames would keep
     # Sigma-tilde alive for as long as a caller holds the error.
     try:
-        return invert_sparse_sym(sigma_tilde)
+        return invert_sparse_sym(sigma_tilde, overwrite_a=overwrite_a)
     except SldaError as exc:
         return exc.with_traceback(None)
 

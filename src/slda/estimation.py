@@ -173,28 +173,28 @@ def compute_an(m2: float, n: int, p: int, alpha: float) -> float:
     return float(m2) * (math.log(p) / n) ** alpha
 
 
-def _threshold_in_place(s: np.ndarray, t_n: float) -> np.ndarray:
+def _threshold_in_place(s: np.ndarray, t_n: float) -> int:
     """Sigma-tilde, written over the square float S, which the caller no
     longer needs: off-diagonal entries |s_jl| <= t_n are set to 0.0, those
-    with |s_jl| > t_n (strict) and the diagonal keep their value.
+    with |s_jl| > t_n (strict) and the diagonal keep their value. Returns
+    the kept off-diagonal entries over two: for t_n >= 0 and a symmetric
+    S, the number of kept pairs.
 
-    Row blocks of _ROW_BLOCK rows are masked at a time, so no p x p
-    temporary is made; a NaN is dropped, as by the comparison it fails.
+    Row blocks of _ROW_BLOCK rows are masked and counted at a time, so no
+    p x p temporary is made and S is read once; a NaN is dropped, as by
+    the comparison it fails.
     """
     diagonal = np.diagonal(s).copy()
+    kept = 0
     for i in range(0, s.shape[0], _ROW_BLOCK):
         block = s[i:i + _ROW_BLOCK]
         keep = block > t_n
         keep |= block < -t_n  # |s_jl| > t_n without a float temporary
+        np.fill_diagonal(keep[:, i:], False)
+        kept += int(np.count_nonzero(keep))
         block[~keep] = 0.0
     np.fill_diagonal(s, diagonal)
-    return s
-
-
-def nnz_offdiag(sigma_tilde: np.ndarray) -> int:
-    """Number of nonzero strictly-upper-triangle entries of a symmetric
-    matrix; for a t_n >= 0 threshold, the number of kept pairs."""
-    return (np.count_nonzero(sigma_tilde) - np.count_nonzero(np.diagonal(sigma_tilde))) // 2
+    return kept // 2
 
 
 def threshold_delta(delta_hat: np.ndarray, a_n: float) -> np.ndarray:

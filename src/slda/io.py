@@ -65,10 +65,11 @@ def _bad_line(path, rows, width: int, expected: str, parsers: dict,
 
 @contextmanager
 def _open_text(path, newline=None):
-    """The file opened as UTF-8 text; a byte that does not decode, in
-    the body of the with, raises DataError naming the file."""
+    """The file opened as UTF-8 text, less a byte-order mark at its start
+    (spreadsheet tools write one); a byte that does not decode, in the
+    body of the with, raises DataError naming the file."""
     try:
-        with open(path, newline=newline, encoding="utf-8") as fh:
+        with open(path, newline=newline, encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: {exc}") from None
@@ -158,18 +159,18 @@ def read_matrix(path) -> np.ndarray:
     is skipped. No data rows, a wrong field count or a cell that does
     not parse raise DataError, the last two naming the 1-based file line."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with _open_text(path) as fh:
             first = next(_data_lines(fh), None)
             if first is None:
                 raise DataError(f"{path}: no data rows")
             fh.seek(0)
             try:
                 return np.loadtxt(fh, delimiter=",", ndmin=2)
-            except ValueError as exc:
+            except ValueError as exc:  # a UnicodeDecodeError too, which the re-scan meets again
                 fh.seek(0)
                 raise _bad_line(path, _data_lines(fh), len(first[1]), f"line {first[0]}", {},
                                 exc) from None
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 

@@ -35,7 +35,8 @@ _SYM_RTOL = 1e-8
 FLOOR_EPS = 1e-8
 
 # Rows per block of the asymmetry check (p = 7129: 7 MiB of temporaries
-# where the whole a - a.T took 388 MiB).
+# where the whole a - a.T took 388 MiB), and of the in-place transpose and
+# reflector move of invert_sparse_sym.
 _SYM_BLOCK = 64
 
 
@@ -140,7 +141,8 @@ class SymOperator:
       p - 1 Householder reflectors and their tau, and T = Z diag(values) Z'
       from stevd. The eigenvectors V = Q Z are
       never formed. Z and Q are None when A was given as its (p,)
-      diagonal or is 1 x 1 (V = I).
+      diagonal or is 1 x 1 (V = I). The reflectors may be a view into
+      the buffer of the caller's A (invert_sparse_sym with overwrite_a).
 
     ``pd_flag`` is True on the two factored kinds; ``floor_count``
     counts floored eigenvalues.
@@ -226,7 +228,7 @@ def cholesky_spd(a: np.ndarray) -> SymOperator:
     return SymOperator(kind=CHOLESKY, dim=a.shape[0], _factor=c)
 
 
-def invert_sparse_sym(sigma_tilde: np.ndarray) -> SymOperator:
+def invert_sparse_sym(sigma_tilde: np.ndarray, *, overwrite_a: bool = False) -> SymOperator:
     """Invert a thresholded covariance, falling back to an eigenvalue floor.
 
     ``sigma_tilde`` is a square matrix, or the (p,) vector d of a
@@ -240,6 +242,13 @@ def invert_sparse_sym(sigma_tilde: np.ndarray) -> SymOperator:
     vectors Z come from stevd (ascending), so A's eigenvectors Q Z are
     never formed: spd_solve applies Q, Z, Z' and Q'. Thresholding can
     destroy positive definiteness, so callers should surface the flag.
+
+    The floor reduces a private C-ordered copy of the matrix, whose
+    buffer then holds Q's reflectors, so by default the input is never
+    changed. With ``overwrite_a`` a C-contiguous writeable float matrix
+    is not copied: it is reduced in its own buffer, the operator's
+    ``_reflectors`` is a view into it, and its values are gone. The
+    operator is the same, bit for bit.
     """
     try:
         return cholesky_spd(sigma_tilde)
@@ -248,15 +257,9 @@ def invert_sparse_sym(sigma_tilde: np.ndarray) -> SymOperator:
     a = np.asarray(sigma_tilde, dtype=float)  # checked by cholesky_spd
     vectors = reflectors = tau = None
     if a.ndim == 2 and a.shape[0] > 1:
-        lwork, _ = dsytrd_lwork(a.shape[0], lower=1)
-        # sytrd works on a Fortran copy, reading its lower triangle as potrf does
-        c, diag, off, tau, info = dsytrd(a, lower=1, lwork=int(lwork))
-        if info < 0:
-            raise NumericalError(f"invert_sparse_sym: illegal argument {-info} to LAPACK sytrd")
-        # Q = H(1)...H(p-1): the vector of H(i) lies below the diagonal of
-        # column i of c[1:, :-1], its leading 1 implied
-        reflectors = np.asfortranarray(c[1:, :-1])
-        del c
+        if not (overwrite_a and a.flags.c_contiguous and a.flags.writeable):
+            a = a.copy()
+        reflectors, diag, off, tau = _tridiagonalize(a)
         values, vectors, info = dstevd(diag, off)
         if info != 0:
             raise NumericalError(f"invert_sparse_sym: LAPACK stevd failed (info {info})")
@@ -273,6 +276,36 @@ def invert_sparse_sym(sigma_tilde: np.ndarray) -> SymOperator:
     return SymOperator(kind=EIGEN_FLOOR, dim=values.shape[0], pd_flag=False,
                        floor_count=n_floored, _vectors=vectors, _inv_values=1.0 / floored,
                        _reflectors=reflectors, _tau=tau)
+
+
+def _tridiagonalize(a: np.ndarray):
+    # A = Q T Q' by sytrd on the lower triangle, as potrf reads it, in the
+    # buffer of the C-contiguous a: Q's reflectors as a (p-1, p-1) Fortran
+    # view of that buffer, T's diagonal and off-diagonal, and Q's tau.
+    # a is first transposed where it lies, row strip with column strip, so
+    # that its Fortran view a.T holds a's bits in sytrd's memory order
+    # (a nearly symmetric a included), and sytrd overwrites a.T.
+    p = a.shape[0]
+    for i in range(0, p, _SYM_BLOCK):
+        j = min(i + _SYM_BLOCK, p)
+        strip = a[i:j, i:].copy()
+        a[i:j, i:] = a[i:, i:j].T
+        a[i:, i:j] = strip.T
+    lwork, _ = dsytrd_lwork(p, lower=1)
+    c, diag, off, tau, info = dsytrd(a.T, lower=1, lwork=int(lwork), overwrite_a=1)
+    if info < 0:
+        raise NumericalError(f"invert_sparse_sym: illegal argument {-info} to LAPACK sytrd")
+    # Q = H(1)...H(p-1): the vector of H(i) lies below the diagonal of
+    # column i of c[1:, :-1], its leading 1 implied. Those columns move to
+    # a (p-1, p-1) Fortran view at the start of the buffer, a block at a
+    # time: a block lands before the source of the next one starts, and
+    # numpy copies a source that overlaps its destination first.
+    m = p - 1
+    flat = a.reshape(-1)
+    for k in range(0, m, _SYM_BLOCK):
+        k1 = min(k + _SYM_BLOCK, m)
+        flat[k * m:k1 * m].reshape(k1 - k, m)[...] = c[1:, k:k1].T
+    return flat[:m * m].reshape((m, m), order="F"), diag, off, tau
 
 
 def _apply_q(op: SymOperator, b: np.ndarray, trans: str) -> np.ndarray:

@@ -166,3 +166,10 @@ def leukemia_like(seed, p, counts=(47, 25), signal=1.0):
     x1 = np.rint(base + shift + scale * gen.standard_normal((counts[0], p)))
     x2 = np.rint(base + scale * gen.standard_normal((counts[1], p)))
     return two_class_dataset(x1, x2)
+
+
+def nnz_offdiag(sigma_tilde):
+    """Number of nonzero strictly-upper-triangle entries of a symmetric
+    matrix; for a t_n >= 0 threshold, the number of kept pairs. The
+    reference of the count slda.estimation._threshold_in_place returns."""
+    return (np.count_nonzero(sigma_tilde) - np.count_nonzero(np.diagonal(sigma_tilde))) // 2

@@ -15,6 +15,7 @@ from conftest import (
     bits_equal,
     eigh_pseudo_inverse_lda,
     leukemia_like,
+    nnz_offdiag,
     random_population,
     random_spd,
     summarize,
@@ -39,7 +40,6 @@ from slda.estimation import (
     compute_an,
     compute_tn,
     diagonal_screen,
-    nnz_offdiag,
     threshold_delta,
 )
 from slda.model import (
@@ -582,6 +582,13 @@ def same_fit(fit, want) -> bool:
             and (report.q_hat, report.nnz_offdiag, report.pd_flag) == (q_hat, nnz, pd_flag))
 
 
+def as_want(fit):
+    # a fit of build_slda_grid in reference_fit's form, for same_fit
+    rules, report = fit
+    return ({ab: (r.weights, r.cutoff) for ab, r in rules.items()},
+            (report.q_hat, report.nnz_offdiag, report.pd_flag))
+
+
 def screen_m1(ds, factor):
     # the M1 whose t_n is ``factor`` times the screen's bound on ds
     variances = np.diag(summarize(ds).pooled_cov)
@@ -636,7 +643,7 @@ class TestVarianceScreen:
         ds = Dataset(features=x, labels=np.repeat(np.arange(1, k + 1), counts),
                      class_counts=tuple(counts))
         m1_grid = [screen_m1(ds, 1.001), 1e9]
-        forbidden = ("pooled_covariance", "_threshold_in_place", "nnz_offdiag")
+        forbidden = ("pooled_covariance", "_threshold_in_place")
         with mock.patch.multiple(CLASSIFY, **{name: mock.DEFAULT for name in forbidden}) as mocks:
             fits = build_slda_grid(ds, m1_grid, [0.0, 1e9], 0.3)
         assert not any(m.called for m in mocks.values())
@@ -682,8 +689,8 @@ class TestVarianceScreen:
         m2_grid = [0.0, 0.5, 1e9]
         ndims = []
         real = CLASSIFY.invert_sparse_sym
-        with mock.patch.object(CLASSIFY, "invert_sparse_sym",
-                               side_effect=lambda a: ndims.append(np.ndim(a)) or real(a)):
+        with mock.patch.object(CLASSIFY, "invert_sparse_sym", side_effect=lambda a, **kw:
+                               ndims.append(np.ndim(a)) or real(a, **kw)):
             fits = build_slda_grid(ds, [m1, screen_m1(ds, 2.0)], m2_grid, 0.3)
         assert ndims == [1, 1]
         for m2, fit, (rules, report) in zip(m2_grid, fits[:3], fits[3:]):
@@ -729,3 +736,56 @@ class TestVarianceScreen:
         for m1, fit in zip(m1_grid, fits):
             assert same_fit(fit, reference_fit(ds, m1, 1e9))
         assert matrix <= peak < 1.25 * matrix
+
+
+class TestFloorInSBuffer:
+    # The last unscreened Sigma-tilde of a grid is factored in S's buffer
+    # (invert_sparse_sym with overwrite_a): the earlier M1s still see S
+    # intact, and every fit has the bits of its own single-M1 fit.
+
+    def test_floor_grid_matches_single_m1_fits(self):
+        ds = leukemia_like(5, 120, counts=(7, 5))
+        m1_grid = [2e4, 3e3, screen_m1(ds, 2.0), 1e4, 3e3]
+        m2_grid = [0.0, 300.0, 1e9]
+        flags = []
+        real = CLASSIFY.invert_sparse_sym
+
+        def recorded(a, overwrite_a=False):
+            flags.append(overwrite_a)
+            return real(a, overwrite_a=overwrite_a)
+
+        with mock.patch.object(CLASSIFY, "invert_sparse_sym", side_effect=recorded):
+            fits = build_slda_grid(ds, m1_grid, m2_grid, 0.3)
+        assert flags == [False, False, True, False]  # ascending t_n, then the screened variances
+        assert len(fits) == len(m1_grid) * len(m2_grid)
+        for i, m1 in enumerate(m1_grid):
+            single = build_slda_grid(ds, [m1], m2_grid, 0.3)
+            for m2, fit, want in zip(m2_grid, fits[3 * i:3 * i + 3], single):
+                assert same_fit(fit, as_want(want))
+                assert same_fit(fit, reference_fit(ds, m1, m2))
+                assert want[1].pd_flag == (m2 == 1e9 or i == 2)  # unscreened M1s take the floor
+
+    def test_floor_fit_peaks_below_three_and_a_half_matrices(self):
+        # p = 800, M1 = 1e4 keeps 25 453 pairs and takes the floor. In S's
+        # buffer the fit peaks at S, stevd's Z and its p x p workspace
+        # (3.02 p^2 doubles traced); a floor that copies its input adds a
+        # fourth matrix (4.02)
+        ds = leukemia_like(5, 800, counts=(12, 8))
+        matrix = ds.p * ds.p * 8
+        real = CLASSIFY.invert_sparse_sym
+
+        def traced(factor):
+            with mock.patch.object(CLASSIFY, "invert_sparse_sym", side_effect=factor):
+                tracemalloc.start()
+                try:
+                    (fit,) = build_slda_grid(ds, [1e4], [0.0], 0.3)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert not fit[1].pd_flag and fit[1].nnz_offdiag > 0
+            return fit, peak
+
+        fit, peak = traced(real)
+        copied, copied_peak = traced(lambda a, overwrite_a: real(a))
+        assert peak < 3.5 * matrix <= 4 * matrix <= copied_peak
+        assert same_fit(fit, as_want(copied))

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg.lapack import dstevd, dsytrd, dsytrd_lwork
 
-from conftest import (bits_equal, dense_lower, eigh_descending, eigh_floor_solve, random_spd,
-                      summarize, threshold_covariance, two_class_dataset)
+from conftest import (bits_equal, dense_lower, eigh_descending, eigh_floor_solve, nnz_offdiag,
+                      random_spd, summarize, threshold_covariance, two_class_dataset)
 from slda import estimation, numerics
 from slda.errors import (
     DomainError,
@@ -26,7 +27,6 @@ from slda.estimation import (
     compute_an,
     compute_tn,
     diagonal_screen,
-    nnz_offdiag,
     pinv_solve,
     pooled_covariance,
     pooled_spectrum,
@@ -251,8 +251,9 @@ class TestThresholdCovariance:
         t = data.draw(st.sampled_from([0.0, 0.25, 2.0]))
         block = data.draw(st.sampled_from([1, 2, 64]))
         want = threshold_covariance(s, t)
+        got = s.copy()
         with mock.patch.object(estimation, "_ROW_BLOCK", block):
-            got = _threshold_in_place(s.copy(), t)
+            _threshold_in_place(got, t)
         assert bits_equal(got, want)
 
     @settings(max_examples=150, deadline=None)
@@ -275,9 +276,25 @@ class TestThresholdCovariance:
         chain = s.copy()
         for t in ts:
             with mock.patch.object(estimation, "_ROW_BLOCK", block):
-                got = _threshold_in_place(chain, t)
-            assert got is chain
+                kept = _threshold_in_place(chain, t)
             assert bits_equal(chain, threshold_covariance(s, t))
+            assert kept == nnz_offdiag(chain)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), p=st.integers(1, 9), block=st.sampled_from([1, 2, 64]))
+    def test_count_is_kept_pairs(self, data, p, block):
+        # the count the pass returns is nnz_offdiag of the reference
+        # Sigma-tilde, with NaN, +-Inf, +-0.0, t = 0 and entries a hair
+        # either side of t
+        t = data.draw(st.sampled_from([0.0, 0.25, 1.5]))
+        near = [t * (1.0 + 1e-12), t * (1.0 - 1e-12), t, -t * (1.0 + 1e-12), -t * (1.0 - 1e-12)]
+        elements = st.one_of(st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf] + near),
+                             st.floats(-5.0, 5.0))
+        a = data.draw(arrays(float, (p, p), elements=elements))
+        s = np.triu(a) + np.triu(a, 1).T
+        with mock.patch.object(estimation, "_ROW_BLOCK", block):
+            kept = _threshold_in_place(s.copy(), t)
+        assert kept == nnz_offdiag(threshold_covariance(s, t))
 
     def test_public_threshold_leaves_input_alone(self, rng):
         s = random_spd(rng, 6)
@@ -597,6 +614,105 @@ class TestInvertSparseSym:
         with mock.patch.object(numerics, "dstevd", side_effect=no_convergence):
             with pytest.raises(NumericalError, match="invert_sparse_sym.*stevd"):
                 invert_sparse_sym(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+OPERATOR_FIELDS = ("_factor", "_recip", "_vectors", "_inv_values", "_reflectors", "_tau")
+
+
+def same_operator(op, ref) -> bool:
+    """Same kind, dimension and flags, and the bits of every field."""
+    return ((op.kind, op.dim, op.pd_flag, op.floor_count)
+            == (ref.kind, ref.dim, ref.pd_flag, ref.floor_count)
+            and all(bits_equal(getattr(op, f), getattr(ref, f))
+                    if getattr(ref, f) is not None else getattr(op, f) is None
+                    for f in OPERATOR_FIELDS))
+
+
+def copied_floor(a):
+    """Reference eigen floor parts of a matrix, as the floor built them
+    from a Fortran copy: sytrd on f2py's copy, its reflectors copied out,
+    stevd, and the floored inverse eigenvalues. Returns (reflectors, tau,
+    vectors, inv_values)."""
+    lwork, _ = dsytrd_lwork(a.shape[0], lower=1)
+    c, diag, off, tau, _ = dsytrd(a, lower=1, lwork=int(lwork))
+    values, vectors, _ = dstevd(diag, off)
+    inv = 1.0 / np.maximum(values, FLOOR_EPS * float(values.max()))
+    return np.asfortranarray(c[1:, :-1]), tau, vectors, inv
+
+
+def nearly_symmetric(r, values, skew):
+    """Q diag(values) Q' from its lower triangle, with the upper triangle
+    scaled by 1 + U(-skew, skew) entry by entry."""
+    p = len(values)
+    q, _ = np.linalg.qr(r.standard_normal((p, p)))
+    a = (q * values) @ q.T
+    a = np.tril(a) + np.tril(a, -1).T
+    a[np.triu_indices(p, 1)] *= 1.0 + skew * r.uniform(-1.0, 1.0, p * (p - 1) // 2)
+    return a
+
+
+class TestOverwriteA:
+    @settings(max_examples=80, deadline=None)
+    @given(signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=2, max_size=12),
+           seed=st.integers(0, 2**32 - 1), skew=st.sampled_from([0.0, 1e-12, 5e-9]),
+           layout=st.sampled_from(["C", "F", "strided"]), block=st.sampled_from([1, 2, 5, 64]))
+    @example(signs=[1.0, -1.0], seed=0, skew=5e-9, layout="C", block=1)
+    @example(signs=[-1.0, 1.0], seed=1, skew=0.0, layout="C", block=64)
+    @example(signs=[1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0], seed=4, skew=5e-9, layout="C",
+             block=2)
+    @example(signs=[1.0, -1.0], seed=2, skew=5e-9, layout="F", block=64)
+    @example(signs=[1.0, -1.0], seed=3, skew=1e-12, layout="strided", block=64)
+    def test_in_place_matches_copy_bit_for_bit(self, signs, seed, skew, layout, block):
+        # a signed spectrum, its upper triangle off by up to 5e-9 relative
+        # (inside the 1e-8 the check accepts): overwrite_a gives the
+        # default call's operator and solves bit for bit, in blocks of any
+        # size, and a floor has the bits of sytrd on a Fortran copy. Only
+        # the floor of a C-contiguous matrix works in its buffer; any
+        # other input is left as it was.
+        r = np.random.default_rng(seed)
+        a = nearly_symmetric(r, np.array(signs) * r.uniform(0.01, 1.0, len(signs)), skew)
+        if layout == "F":
+            given = np.asfortranarray(a)
+        elif layout == "strided":
+            given = np.zeros((a.shape[0], 2 * a.shape[0]))[:, ::2]
+            given[...] = a
+        else:
+            given = a.copy()
+        if max(signs) < 0:
+            for matrix in (a, given):
+                with pytest.raises(UnusableMatrixError):
+                    invert_sparse_sym(matrix, overwrite_a=True)
+            return
+        ref = invert_sparse_sym(a)
+        with mock.patch.object(numerics, "_SYM_BLOCK", block):
+            op = invert_sparse_sym(given, overwrite_a=True)
+        assert same_operator(op, ref)
+        if op.kind == "eigen_floor":
+            parts = (op._reflectors, op._tau, op._vectors, op._inv_values)
+            assert all(bits_equal(x, y) for x, y in zip(parts, copied_floor(a)))
+        b = r.standard_normal((a.shape[0], 2))
+        for rhs in (b, b[:, 0]):
+            assert bits_equal(spd_solve(op, rhs), spd_solve(ref, rhs))
+        in_place = layout == "C" and op.kind == "eigen_floor"
+        assert np.shares_memory(given, op._reflectors) == in_place
+        assert in_place or bits_equal(given, a)
+
+    @pytest.mark.parametrize("kind, sigma", [
+        ("diagonal", np.array([2.0, 0.5, 3.0])),
+        ("eigen_floor", np.array([2.0, 0.0, -1.0])),
+        ("cholesky", np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 3.0]])),
+        ("cholesky", np.array([[4.0]])),
+        ("eigen_floor", np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.5], [0.0, 0.5, 3.0]])),
+    ])
+    @pytest.mark.parametrize("call", [lambda a: invert_sparse_sym(a),
+                                      lambda a: invert_sparse_sym(a, overwrite_a=False)])
+    def test_public_call_leaves_input_alone(self, kind, sigma, call):
+        before = sigma.copy()
+        op = call(sigma)
+        assert op.kind == kind
+        assert bits_equal(sigma, before)
+        assert not any(np.shares_memory(sigma, getattr(op, f)) for f in OPERATOR_FIELDS
+                       if getattr(op, f) is not None)
 
 
 DIAGONALS = {

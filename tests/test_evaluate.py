@@ -12,6 +12,7 @@ from conftest import (
     bits_equal,
     dense_lower,
     leukemia_like,
+    nnz_offdiag,
     random_population,
     random_spd,
     summarize,
@@ -22,11 +23,7 @@ from slda import evaluate
 from slda.classify import build_oracle, build_slda, classify
 from slda.diagnostics import lemma2_counts
 from slda.errors import DataError, DomainError, ShapeError, SldaError
-from slda.estimation import (
-    compute_an,
-    compute_tn,
-    nnz_offdiag,
-)
+from slda.estimation import compute_an, compute_tn
 from slda.evaluate import (
     conditional_rate,
     conditional_rate_mc,

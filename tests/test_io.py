@@ -559,6 +559,52 @@ class TestKeyValueFile:
             read_kv(path)
 
 
+
+BOM = "\ufeff"
+MARKED = {  # reader, file text, what it reads
+    "kv": (read_kv, "m1 = 1\nm2 = 0.5\n", {"m1": "1", "m2": "0.5"}),
+    "matrix": (read_matrix, "1,0.5\n0.5,2\n", [[1.0, 0.5], [0.5, 2.0]]),
+    "model": (lambda path: read_model(path)[0].weights,
+              "slda-model v1\np 2\nc 0.5\nweights\n1\n-2\n", [1.0, -2.0]),
+    "dataset": (lambda path: read_dataset_csv(path).labels, "class,a,b\n1,1,2\n2,3,4\n"
+                "1,2,2\n2,1,1\n", [1, 2, 1, 2]),
+    "features": (read_feature_csv, "class,a\n1,1\n2,3\n", [[1.0], [3.0]]),
+}
+
+
+class TestByteOrderMark:
+    # failed at the parent, which read the mark as part of the first key,
+    # cell or header: unknown key '\ufeffm1', '\ufeff1' not a float,
+    # missing "slda-model v1" header, no "class" column
+    @pytest.mark.parametrize("mark", ["", BOM], ids=["plain", "marked"])
+    @pytest.mark.parametrize("reader", sorted(MARKED))
+    def test_leading_mark_is_skipped(self, tmp_path, reader, mark):
+        read, text, want = MARKED[reader]
+        path = tmp_path / "file.txt"
+        path.write_text(mark + text, encoding="utf-8")
+        got = read(path)
+        assert got == want if isinstance(want, dict) else np.array_equal(got, want)
+
+    @pytest.mark.parametrize("reader, text, message", [
+        ("matrix", BOM + BOM + "1,2\n", "line 1"),
+        ("matrix", "1,2\n" + BOM + "3,4\n", "line 2"),
+        ("model", BOM + BOM + "slda-model v1\n", "header"),
+        ("dataset", BOM + BOM + "class,a\n1,1\n2,3\n", 'no "class" column'),
+        ("dataset", "class,a\n1,1\n2," + BOM + "3\n", "line 3"),
+    ])
+    def test_mark_elsewhere_is_an_error(self, tmp_path, reader, text, message):
+        path = tmp_path / "file.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError, match=message):
+            MARKED[reader][0](path)
+
+    def test_mark_elsewhere_stays_in_a_key(self, tmp_path):
+        # the consumer of the pairs (a config or scenario file) then
+        # rejects '\ufeffm2' as an unknown key
+        path = tmp_path / "kv.txt"
+        path.write_text(BOM + "m1 = 1\n" + BOM + "m2 = 0.5\n", encoding="utf-8")
+        assert read_kv(path) == {"m1": "1", BOM + "m2": "0.5"}
+
 class TestImportGraph:
     def test_package_imports_are_top_level_and_acyclic(self):
         # every intra-package import sits at module level, and the module
@@ -623,6 +669,38 @@ class TestImportGraph:
                 text = path.read_text(encoding="utf-8")
                 assert "SymOperator(" not in text and "lapack" not in text, path.stem
                 assert not field_read.search(text), path.stem
+
+    def test_only_the_grid_overwrites_sigma_tilde(self):
+        # invert_sparse_sym(..., overwrite_a=True) may destroy its input,
+        # so one caller decides to pass it: build_slda_grid, for the last
+        # S it thresholds. Its private helpers only forward their own
+        # keyword-only overwrite_a, and no other module passes one.
+        import ast
+        from pathlib import Path
+
+        import slda
+
+        trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+                 for path in Path(slda.__file__).parent.glob("*.py")}
+        functions = [(module, fn) for module, tree in trees.items() for fn in ast.walk(tree)
+                     if isinstance(fn, ast.FunctionDef)]
+        takers = {fn.name for _, fn in functions
+                  if "overwrite_a" in {arg.arg for arg in fn.args.kwonlyargs}}
+        assert "invert_sparse_sym" in takers
+        deciders, forwarders = set(), set()
+        for module, fn in functions:
+            for node in ast.walk(fn):
+                if not (isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1]
+                        in takers):
+                    continue
+                for kw in node.keywords:
+                    if kw.arg == "overwrite_a":
+                        forwarded = fn.name in takers and isinstance(kw.value, ast.Name) \
+                            and kw.value.id == "overwrite_a"
+                        (forwarders if forwarded else deciders).add((module, fn.name))
+        assert deciders == {("classify", "build_slda_grid")}
+        assert forwarders and all(module == "classify" and name.startswith("_")
+                                  for module, name in forwarders), forwarders
 
     def test_no_export_shadows_a_submodule(self):
         # a name that slda/__init__.py imports replaces the submodule
