@@ -25,7 +25,6 @@ from .evaluate import (
     CvSurface,
     RateReport,
     conditional_rate,
-    conditional_rate_mc,
     cv_grid_search,
     empirical_rate,
     loocv_rate,

@@ -6,12 +6,13 @@ s_n / d_n / b_n and the eigenvalue/mean-gap condition check."""
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
 from .errors import DomainError, ShapeError
 from .model import PopulationSpec
-from .numerics import spd_solve
+from .numerics import pow2_scaled, spd_solve
 
 
 def sparsity_C(sigma: np.ndarray, h: float) -> float:
@@ -47,9 +48,16 @@ def sparsity_D(delta: np.ndarray, g: float) -> float:
 
 
 def mahalanobis_delta(pop: PopulationSpec) -> float:
-    """Separation Delta_p = sqrt(delta' Sigma^{-1} delta), Cholesky solve."""
-    w = spd_solve(pop.chol, pop.delta)
-    return math.sqrt(float(pop.delta @ w))
+    """Separation Delta_p = sqrt(delta' Sigma^{-1} delta), Cholesky solve.
+    A quadratic form outside the normal range is taken again at
+    pow2_scaled(delta), and its root scaled back."""
+    delta = pop.delta
+    with np.errstate(over="ignore"):
+        quad = float(delta @ spd_solve(pop.chol, delta))
+    if sys.float_info.min <= quad < math.inf:
+        return math.sqrt(quad)
+    delta, e = pow2_scaled(delta)
+    return math.ldexp(math.sqrt(float(delta @ spd_solve(pop.chol, delta))), e)
 
 
 def lemma2_counts(delta: np.ndarray, a_n: float, r: float) -> tuple[int, int]:
@@ -130,10 +138,15 @@ def cumulative_proportions(delta_hat: np.ndarray) -> np.ndarray:
 
     Entry l is sum_{j<=l} delta_(j)^2 / ||delta||^2 with the squares
     sorted descending; monotone nondecreasing and ending exactly at 1.
+    A ||delta||^2 outside the normal range is taken again at
+    pow2_scaled(delta_hat), which leaves the shares unchanged.
     """
     d = np.asarray(delta_hat, dtype=float)
-    sq = np.sort(d * d)[::-1]
-    cum = np.cumsum(sq)
+    with np.errstate(over="ignore"):
+        cum = np.cumsum(np.sort(d * d)[::-1])
+    if not sys.float_info.min <= cum[-1] < math.inf:
+        d = pow2_scaled(d)[0]
+        cum = np.cumsum(np.sort(d * d)[::-1])
     total = cum[-1]
     if total <= 0.0:
         raise DomainError("cumulative_proportions requires a nonzero vector")

@@ -1,27 +1,26 @@
 """Misclassification-rate computation: closed-form conditional rates
-against two-class normal and t populations, Monte Carlo rates for
-multi-class rules and populations, empirical test rates, and
-leave-one-out cross-validation with grid search over the threshold
-constants (M1, M2)."""
+against two-class normal and t populations, empirical rates of any rule
+on a labelled test set, and leave-one-out cross-validation with grid
+search over the threshold constants (M1, M2)."""
 
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import build_slda_grid, classify, classify_many, maximin_labels, pair_columns
+from .classify import build_slda_grid, classify, classify_many, pair_columns
 from .diagnostics import mahalanobis_delta
 from .errors import DataError, DomainError, ShapeError, SldaError
 from .estimation import centered_rows, class_means, compute_an, compute_tn, pooled_covariance
 from .model import (DEFAULT_ALPHA, NORMAL, Dataset, GridSpec, LinearRule, PopulationSpec,
                     ThresholdConfig)
-from .numerics import std_normal_cdf, student_t_cdf
+from .numerics import pow2_scaled, std_normal_cdf, student_t_cdf
 
 CLOSED_FORM = "closed_form"
-MONTE_CARLO = "monte_carlo"
 EMPIRICAL = "empirical"
 
 
@@ -32,8 +31,6 @@ class RateReport:
     conditional_rate: float
     per_class_error: tuple[float, ...]
     method: str
-    n_mc: int | None = None
-    stderr: float | None = None
     degenerate: bool = False
 
 
@@ -60,7 +57,9 @@ def conditional_rate(rule: LinearRule, pop: PopulationSpec) -> RateReport:
     where F is Phi, or F_df under a t population: the score w'x of an
     elliptical t vector is w'mu_k + sigma_w T with T ~ t(df) and Sigma
     its scale matrix. A degenerate rule classifies everything to class
-    1, so its errors are (0, 1) and the rate exactly 1/2.
+    1, so its errors are (0, 1) and the rate exactly 1/2. A w'Sigma w
+    outside the normal range (0, subnormal or inf) is taken again at
+    pow2_scaled(w), with c scaled alike, which leaves the rate unchanged.
     """
     if pop.n_classes != 2:
         raise DomainError("conditional_rate requires a two-class population")
@@ -71,7 +70,17 @@ def conditional_rate(rule: LinearRule, pop: PopulationSpec) -> RateReport:
                           method=CLOSED_FORM, degenerate=True)
     w, c = rule.weights, rule.cutoff
     cov = pop.covariance  # a matrix, or the (p,) vector d of diag(d)
-    sigma_w = math.sqrt(float(w @ (cov * w if cov.ndim == 1 else cov @ w)))
+
+    def quad(v):
+        with np.errstate(over="ignore"):  # an overflow is taken again below
+            return float(v @ (cov * v if cov.ndim == 1 else cov @ v))
+
+    var = quad(w)
+    if not sys.float_info.min <= var < math.inf:
+        w, e = pow2_scaled(w)
+        c = math.ldexp(c, -e)
+        var = quad(w)
+    sigma_w = math.sqrt(var)
 
     def cdf(x):
         return std_normal_cdf(x) if pop.distribution == NORMAL else student_t_cdf(x, pop.df)
@@ -80,73 +89,6 @@ def conditional_rate(rule: LinearRule, pop: PopulationSpec) -> RateReport:
     e2 = cdf((float(w @ pop.means[1]) - c) / sigma_w)
     return RateReport(conditional_rate=0.5 * (e1 + e2), per_class_error=(e1, e2),
                       method=CLOSED_FORM)
-
-
-def _class_scores(pop: PopulationSpec, cls: int, weights: np.ndarray,
-                  n_mc: int, gen: np.random.Generator) -> np.ndarray:
-    # Scores of n_mc draws from class ``cls`` against each weight column,
-    # drawn in score space. The centred scores W'(x - mu) = W'L z are
-    # N(0, W'Sigma W), or elliptical t with that scale; with R from the
-    # QR of L'W, R'R = W'L L'W = W'Sigma W, so z @ R with z of width
-    # rows(R) = min(p, m) has exactly the same joint law. QR, unlike a
-    # Cholesky of W'Sigma W, cannot fail: a zero column of W (degenerate
-    # rule) gives an exactly zero column of R, so its scores stay +-0.0.
-    r = np.linalg.qr(pop.chol.lower_t(weights), mode="r")
-    z = gen.standard_normal((n_mc, r.shape[0]))
-    raw = z @ r
-    if pop.distribution != NORMAL:
-        raw = raw * np.sqrt(pop.df / gen.chisquare(pop.df, n_mc))[:, None]
-    return raw + pop.means[cls - 1] @ weights
-
-
-def _binomial_report(errors: list[float], n_mc: int, degenerate: bool = False) -> RateReport:
-    rate = float(np.mean(errors))
-    var = sum(e * (1.0 - e) / n_mc for e in errors) / (len(errors) ** 2)
-    return RateReport(conditional_rate=rate, per_class_error=tuple(errors),
-                      method=MONTE_CARLO, n_mc=n_mc, stderr=math.sqrt(var),
-                      degenerate=degenerate)
-
-
-def conditional_rate_mc(rules: dict, pop: PopulationSpec, n_mc: int,
-                        gen: np.random.Generator) -> dict[str, RateReport]:
-    """Monte Carlo conditional rates of named LinearRules or MultiRules.
-
-    Draws n_mc samples per class from the population's distribution
-    (normal or t), scores them against every rule's pair columns in one
-    pass, labels them by the maximin decision, and averages each rule's
-    per-class error rates with equal weights. The reported stderr is the
-    binomial standard error of that average. Each class's scores are
-    drawn in score space, n_mc rows of min(p, m) normals for m columns,
-    with their exact joint law; the rules share these draws (common
-    random numbers), so a rule's estimate in a joint call differs from
-    its estimate alone only by Monte Carlo noise.
-    """
-    if n_mc < 1:
-        raise DomainError(f"n_mc must be >= 1, got {n_mc}")
-    if not rules:
-        raise DomainError("conditional_rate_mc needs at least one rule")
-    k = pop.n_classes
-    names = list(rules)
-    layout = [pair_columns(rules[name]) for name in names]
-    for name, (k_rule, _, _) in zip(names, layout):
-        if k_rule != k:
-            raise ShapeError(f"rule has {k_rule} classes, population {k}")
-        if rules[name].p != pop.p:
-            raise ShapeError(f"rule dimension {rules[name].p} != population dimension {pop.p}")
-    columns = [rule for _, _, cols in layout for rule in cols]
-    weights = np.column_stack([rule.weights for rule in columns])
-    cutoffs = np.array([rule.cutoff for rule in columns])
-    errors = np.empty((len(names), k))
-    for cls in range(1, k + 1):
-        scores = _class_scores(pop, cls, weights, n_mc, gen) - cutoffs
-        start = 0
-        for j, (_, pairs, _) in enumerate(layout):
-            labels = maximin_labels(scores[:, start:start + len(pairs)], pairs, k)
-            errors[j, cls - 1] = np.mean(labels != cls)
-            start += len(pairs)
-    return {name: _binomial_report([float(e) for e in errors[j]], n_mc,
-                                   degenerate=getattr(rules[name], "degenerate", False))
-            for j, name in enumerate(names)}
 
 
 def empirical_rate(rule, test: Dataset) -> RateReport:

@@ -98,6 +98,14 @@ def student_t_cdf(x: float, df: int) -> float:
     return float(stdtr(df, x))
 
 
+def pow2_scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """(2^-e v, e) with max |2^-e v_j| in [1/2, 1), e = 0 for a zero v: a
+    scaling exact for every entry that stays normal, which brings a
+    quadratic form in v that under- or overflows back into range."""
+    e = math.frexp(float(np.abs(v).max()))[1]
+    return np.ldexp(v, -e), e
+
+
 # ---------------------------------------------------------------------------
 # RNG streams
 # ---------------------------------------------------------------------------
@@ -134,7 +142,7 @@ class SymOperator:
 
     ``kind`` follows from the shape of the input:
     - "diagonal": A = diag(d) given as its (p,) vector d > 0, held as
-      l = sqrt(d) and r = 1/l, so solves, draws and products cost O(p);
+      l = sqrt(d) and r = 1/l, so solves and draws cost O(p);
     - "cholesky": a (p, p) matrix A = L L' with L from LAPACK potrf;
     - "eigen_floor": Q Z diag(inv) Z' Q' with floored eigenvalues
       (invert_sparse_sym): A = Q T Q' from LAPACK sytrd, Q held as its
@@ -144,8 +152,8 @@ class SymOperator:
       diagonal or is 1 x 1 (V = I). The reflectors may be a view into
       the buffer of the caller's A (invert_sparse_sym with overwrite_a).
 
-    ``pd_flag`` is True on the two factored kinds; ``floor_count``
-    counts floored eigenvalues.
+    ``pd_flag`` is True on the two factored kinds, the only ones the
+    samplers draw from; ``floor_count`` counts floored eigenvalues.
     """
 
     kind: str
@@ -158,17 +166,6 @@ class SymOperator:
     _inv_values: np.ndarray | None = None  # inv (eigen_floor)
     _reflectors: np.ndarray | None = None  # Q's vectors, (p-1, p-1) Fortran (eigen_floor)
     _tau: np.ndarray | None = None         # Q's scalars, (p-1,) (eigen_floor)
-
-    def _require_factor(self, what: str) -> None:
-        if self.kind not in (DIAGONAL, CHOLESKY):
-            raise DomainError(f"{what} needs a factored operator, got kind {self.kind!r}")
-
-    def lower_t(self, w: np.ndarray) -> np.ndarray:
-        """L' w for a (p,) vector or a (p, m) matrix of columns."""
-        self._require_factor("lower_t")
-        if self.kind == CHOLESKY:
-            return self._factor.T @ w
-        return self._factor * w if w.ndim == 1 else self._factor[:, None] * w
 
 
 def _symmetrize(a: np.ndarray, what: str) -> np.ndarray:
@@ -369,9 +366,10 @@ def _sample(what, mean, factor: SymOperator, gen, size, out, df=None) -> np.ndar
     if factor.kind == DIAGONAL:
         gen.standard_normal(out=out)
         out *= factor._factor
-    else:
-        factor._require_factor("sampling")
+    elif factor.kind == CHOLESKY:
         np.matmul(gen.standard_normal(out.shape), factor._factor.T, out=out)
+    else:
+        raise DomainError(f"sampling needs a factored operator, got kind {factor.kind!r}")
     if df is not None:
         out *= np.sqrt(df / gen.chisquare(df, out.shape[:-1]))[..., None]
     out += mean

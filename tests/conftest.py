@@ -1,4 +1,5 @@
 import csv
+import math
 from pathlib import Path
 from typing import NamedTuple
 
@@ -98,6 +99,29 @@ def dense_lower(op):
     SymOperator; a diagonal one holds l = sqrt(d), so L = diag(l)."""
     assert op.kind in ("diagonal", "cholesky"), op.kind
     return np.diag(op._factor) if op.kind == "diagonal" else op._factor
+
+
+def mc_rate(rule, pop, n_mc, gen):
+    """Monte Carlo (rate, stderr) of a two-class LinearRule, the
+    reference of the closed-form conditional_rate. Each class's scores
+    are drawn in score space: w'(x - mu) = w'L z is N(0, w'Sigma w), or
+    elliptical t with that scale, and R from the QR of L'w has
+    R'R = w'Sigma w, so z @ R with z of shape (n_mc, rows of R) has the
+    same law. A draw goes to class 1 iff its score w'x - c is >= 0. The
+    stderr is the binomial one of the equal-weight mean of the two
+    class errors."""
+    w = rule.weights[:, None]
+    r = np.linalg.qr(dense_lower(pop.chol).T @ w, mode="r")
+    errors = []
+    for cls in (1, 2):
+        raw = gen.standard_normal((n_mc, r.shape[0])) @ r
+        if pop.distribution != "normal":
+            raw = raw * np.sqrt(pop.df / gen.chisquare(pop.df, n_mc))[:, None]
+        scores = raw + pop.means[cls - 1] @ w - np.array([rule.cutoff])
+        labels = np.where(scores[:, 0] >= 0, 1, 2)
+        errors.append(float(np.mean(labels != cls)))
+    var = sum(e * (1.0 - e) / n_mc for e in errors) / 4
+    return float(np.mean(errors)), math.sqrt(var)
 
 
 class Summary(NamedTuple):

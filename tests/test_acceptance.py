@@ -14,16 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_population, two_class_dataset
+from conftest import mc_rate, random_population, two_class_dataset
 from slda.classify import build_lda, build_oracle, build_slda, classify, classify_many
 from slda.diagnostics import lemma2_counts
 from slda.estimation import compute_an
-from slda.evaluate import (
-    conditional_rate,
-    conditional_rate_mc,
-    loocv_rate,
-    optimal_rate,
-)
+from slda.evaluate import conditional_rate, loocv_rate, optimal_rate
 from slda.model import LinearRule, ThresholdConfig
 from slda.numerics import sample_mvn, std_normal_cdf, std_normal_log_tail, substream
 from slda.simulate import preset_scenarios, run_scenario
@@ -52,8 +47,8 @@ def test_c01_rate_formula_oracle_equivalence():
         c = float(w @ pop.mid) + rng.uniform(-0.5, 0.5) * sigma_w
         rule = LinearRule(weights=w, cutoff=c)
         cf = conditional_rate(rule, pop).conditional_rate
-        mc = conditional_rate_mc({"r": rule}, pop, 100_000, substream(909, case))["r"]
-        worst = max(worst, abs(cf - mc.conditional_rate) / mc.stderr)
+        rate, stderr = mc_rate(rule, pop, 100_000, substream(909, case))
+        worst = max(worst, abs(cf - rate) / stderr)
     elapsed = time.time() - start
     report("C1 rate-formula oracle equivalence",
            worst <= 3.0 and elapsed <= 30.0,

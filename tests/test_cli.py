@@ -16,7 +16,9 @@ from conftest import (eigh_pseudo_inverse_lda, summarize, two_class_dataset, wri
                       write_matrix)
 from slda.cli import _FLAGS, REQUIRED, _merge_config, build_parser, main
 from slda.io import read_model
-from slda.simulate import REPLICATE_COLUMNS
+from slda.evaluate import optimal_rate
+from slda.model import PopulationSpec
+from slda.simulate import REPLICATE_COLUMNS, read_scenario
 
 
 @pytest.fixture
@@ -453,6 +455,25 @@ class TestSimulate:
         assert lines[0].endswith(",error")
         assert [line.rsplit(",", 1)[1] for line in lines[1:]] == \
             ["class 1 mean of feature 1 is not finite: the class sum overflows"] * 2
+
+    @pytest.mark.parametrize("distribution", ["normal", "student_t"])
+    def test_rule_whose_variance_underflows(self, tmp_path, capsys, distribution):
+        # at delta = (1e-200, 0, 0) the oracle's w'Sigma w is 0.0, and
+        # Delta_p^2 underflows too; failed at the parent: simulate with
+        # ZeroDivisionError, diagnose with "requires Delta_p > 0, got 0.0"
+        path = tmp_path / "tiny.txt"
+        path.write_text("p = 3\nn1 = 10\nn2 = 10\nmethods = lda, oracle\nreps = 2\nseed = 1\n"
+                        f"delta_values = 1e-200, 0, 0\ndistribution = {distribution}\n"
+                        + ("df = 3\n" if distribution == "student_t" else ""), encoding="utf-8")
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "u_")]) == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "u_replicates.csv").read_text(encoding="utf-8").splitlines()[1:]]
+        pop = read_scenario(path).resolve_population()
+        normal = PopulationSpec(means=pop.means, covariance=pop.covariance)
+        assert [float(row[3]) for row in rows if row[2] == "oracle"] == \
+            [optimal_rate(normal).conditional_rate] * 2 == [0.5] * 2
+        assert main(["diagnose", "--scenario", str(path), "--out", str(tmp_path / "c.csv")]) == 0
+        assert "delta_p 9.9999999999999998e-201\n" in capsys.readouterr().out
 
     def test_summary_has_all_methods(self, tmp_path):
         assert main(["simulate", "--scenario", "thm1_regime", "--reps", "2",

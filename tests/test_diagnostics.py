@@ -116,6 +116,21 @@ class TestMahalanobis:
             assert mahalanobis_delta(new) == pytest.approx(base, rel=1e-8)
 
 
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_underflowing_separation_scales_exactly(self, rng, diagonal):
+        # delta' Sigma^{-1} delta underflows at 2^-700 delta; Delta_p is
+        # then 2^-700 times the unscaled value, bit for bit (0.0 at the parent)
+        p = 6
+        sigma = rng.uniform(0.5, 2.0, p) if diagonal else random_spd(rng, p)
+        delta = rng.standard_normal(p)
+        base = mahalanobis_delta(PopulationSpec(means=np.vstack([delta, np.zeros(p)]),
+                                                covariance=sigma))
+        for k in (-700, 600):
+            pop = PopulationSpec(means=np.vstack([np.ldexp(delta, k), np.zeros(p)]),
+                                 covariance=sigma)
+            assert mahalanobis_delta(pop) == math.ldexp(base, k)
+
+
 class TestLemma2Counts:
     def test_enumerated(self):
         q_n0, q_n = lemma2_counts(np.array([0.5, 0.15, 0.05, 0.0]), 0.2, 2.0)
@@ -289,3 +304,11 @@ class TestCumulativeProportions:
     def test_zero_vector_rejected(self):
         with pytest.raises(DomainError):
             cumulative_proportions(np.zeros(4))
+
+    def test_under_and_overflowing_norm_scales_exactly(self, rng):
+        # ||delta||^2 underflows at 2^-600 delta and overflows at 2^520
+        # delta; the shares are those of delta, bit for bit
+        delta = rng.standard_normal(8)
+        base = cumulative_proportions(delta)
+        for k in (-600, 520):
+            assert np.array_equal(cumulative_proportions(np.ldexp(delta, k)), base)

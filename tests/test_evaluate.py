@@ -1,6 +1,7 @@
-"""Rate computation: closed forms, Monte Carlo cross-checks, empirical
-rates, LOOCV and the (M1, M2) grid search."""
+"""Rate computation: closed forms, their Monte Carlo cross-checks,
+empirical rates, LOOCV and the (M1, M2) grid search."""
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -10,8 +11,8 @@ import pytest
 
 from conftest import (
     bits_equal,
-    dense_lower,
     leukemia_like,
+    mc_rate,
     nnz_offdiag,
     random_population,
     random_spd,
@@ -19,21 +20,20 @@ from conftest import (
     threshold_covariance,
     two_class_dataset,
 )
+import slda
 from slda import evaluate
-from slda.classify import build_oracle, build_slda, classify
+from slda.classify import build_oracle, build_slda, classify, classify_many
 from slda.diagnostics import lemma2_counts
 from slda.errors import DataError, DomainError, ShapeError, SldaError
 from slda.estimation import compute_an, compute_tn
 from slda.evaluate import (
     conditional_rate,
-    conditional_rate_mc,
     cv_grid_search,
     empirical_rate,
     loocv_rate,
     optimal_rate,
 )
 from slda.model import (
-    NORMAL,
     Dataset,
     LinearRule,
     PopulationSpec,
@@ -49,31 +49,6 @@ def t_population(pop, df=3):
     """``pop``'s means and covariance as the scale matrix of a t(df)."""
     return PopulationSpec(means=pop.means, covariance=pop.covariance,
                           distribution="student_t", df=df)
-
-
-def full_dimensional_scores(pop, cls, weights, n_mc, gen):
-    """The draw that evaluate._class_scores made before it drew in score
-    space: n_mc x p standard normals z, projected as z @ (L' W). Kept as
-    the reference path of the equivalence test; it has the same joint
-    law as the score-space draw, so the two give the same rates within
-    Monte Carlo error."""
-    z = gen.standard_normal((n_mc, pop.p))
-    raw = z @ (dense_lower(pop.chol).T @ weights)
-    if pop.distribution != NORMAL:
-        raw = raw * np.sqrt(pop.df / gen.chisquare(pop.df, n_mc))[:, None]
-    return raw + pop.means[cls - 1] @ weights
-
-
-class IdentityNormals:
-    """Stand-in generator whose normal matrix is the identity, so that a
-    score draw returns its factor; records the shapes it was asked for."""
-
-    def __init__(self):
-        self.shapes = []
-
-    def standard_normal(self, shape):
-        self.shapes.append(shape)
-        return np.eye(*shape)
 
 
 def draw(pop, n1, n2, gen):
@@ -160,7 +135,6 @@ class TestConditionalRate:
         assert report.method == "closed_form"
         assert report.per_class_error == pytest.approx((e1, e2), rel=1e-14)
         assert report.conditional_rate == pytest.approx(0.5 * (e1 + e2), rel=1e-14)
-        assert report.n_mc is None and report.stderr is None
 
     @pytest.mark.parametrize("diagonal", [True, False])
     def test_t_population_errors_are_student_t_cdf(self, rng, diagonal):
@@ -194,6 +168,31 @@ class TestConditionalRate:
         with pytest.raises(DomainError, match="two-class"):
             conditional_rate(LinearRule(weights=np.ones(2), cutoff=0.0), pop)
 
+    def test_wrong_p_rule_rejected(self, rng):
+        pop = random_population(rng, 4)
+        with pytest.raises(ShapeError, match="rule dimension 3"):
+            conditional_rate(LinearRule(weights=np.ones(3), cutoff=0.0), pop)
+
+    @pytest.mark.parametrize("diagonal", [True, False])
+    @pytest.mark.parametrize("distribution", ["normal", "student_t"])
+    def test_power_of_two_scaling_is_bit_exact(self, rng, diagonal, distribution):
+        # w'Sigma w underflows at 2^-600 (w, c) and overflows at 2^520;
+        # both are taken again at the exact 2^-e scaling, which gives the
+        # bits of the unscaled rule
+        p = 5
+        pop = PopulationSpec(means=np.vstack([rng.standard_normal(p), np.zeros(p)]),
+                             covariance=rng.uniform(0.5, 2.0, p) if diagonal
+                             else random_spd(rng, p),
+                             distribution=distribution, df=3)
+        for _ in range(10):
+            w = rng.standard_normal(p)
+            c = float(w @ pop.mid) + rng.standard_normal()
+            base = conditional_rate(LinearRule(weights=w, cutoff=c), pop)
+            for k in (-600, 520):
+                scaled = conditional_rate(
+                    LinearRule(weights=np.ldexp(w, k), cutoff=math.ldexp(c, k)), pop)
+                assert scaled == base
+
     @pytest.mark.parametrize("diagonal", [True, False])
     def test_sigma_w_bit_exact_against_dense_product(self, rng, diagonal):
         # sigma_w^2 = w'(d * w) on a Sigma given as its (p,) diagonal d,
@@ -217,42 +216,32 @@ class TestConditionalRate:
 
 
 class TestConditionalRateMc:
-    def test_always_class_one(self, rng):
-        pop = random_population(rng, 3)
-        rule = LinearRule(weights=np.zeros(3), cutoff=0.0)
-        report = conditional_rate_mc({"r": rule}, pop, 5000, substream(1, 0))["r"]
-        assert report.per_class_error == (0.0, 1.0)
-        assert report.conditional_rate == 0.5
-        # next to a live rule, the zero column of the score factor keeps
-        # the degenerate scores at +-0.0, under the normal and under t(3)
-        for distribution in ("normal", "student_t"):
-            both = PopulationSpec(means=pop.means, covariance=pop.covariance,
-                                  distribution=distribution, df=3)
-            joint = conditional_rate_mc({"d": rule, "o": build_oracle(both)}, both, 5000,
-                                        substream(1, 1))
-            assert joint["d"].per_class_error == (0.0, 1.0)
-            assert joint["d"].conditional_rate == 0.5
-            assert 0.0 < joint["o"].conditional_rate < 0.5
+    """Rates by sampling from the population: conftest's mc_rate
+    reference against the closed form of two-class LinearRules, and
+    empirical_rate on a drawn test set for a K >= 3 rule."""
 
-    def test_deterministic(self, rng):
-        pop = random_population(rng, 4)
-        rule = build_oracle(pop)
-        a = conditional_rate_mc({"r": rule}, pop, 20_000, substream(5, 1))["r"]
-        b = conditional_rate_mc({"r": rule}, pop, 20_000, substream(5, 1))["r"]
-        assert a.conditional_rate == b.conditional_rate
+    def test_always_class_one(self, rng):
+        # a zero w gives an exactly zero score factor, so every draw's
+        # score is -c = +-0.0 and goes to class 1: the (0, 1) errors that
+        # conditional_rate reports for a degenerate rule, normal and t(3)
+        normal = random_population(rng, 3)
+        rule = LinearRule(weights=np.zeros(3), cutoff=0.0)
+        for pop in (normal, t_population(normal)):
+            assert conditional_rate(rule, pop).per_class_error == (0.0, 1.0)
+            assert mc_rate(rule, pop, 5000, substream(1, 0)) == (0.5, 0.0)
 
     def test_matches_closed_form(self, rng):
         pop = random_population(rng, 8)
         w = rng.standard_normal(8)
         rule = LinearRule(weights=w, cutoff=float(w @ pop.mid))
         cf = conditional_rate(rule, pop).conditional_rate
-        mc = conditional_rate_mc({"r": rule}, pop, 100_000, substream(6, 2))["r"]
-        assert abs(cf - mc.conditional_rate) <= 3.5 * mc.stderr
+        rate, stderr = mc_rate(rule, pop, 100_000, substream(6, 2))
+        assert abs(cf - rate) <= 3.5 * stderr
 
     def test_t_population_matches_univariate_t_tail(self, rng):
         # linear scores of an elliptical t are univariate t after
         # standardizing by sqrt(w' Sigma w): conditional_rate's closed form
-        # and the Monte Carlo engine check each other
+        # and the Monte Carlo reference check each other
         p = 6
         sigma = np.eye(p) + 0.2
         delta = rng.standard_normal(p)
@@ -261,136 +250,56 @@ class TestConditionalRateMc:
         w = rng.standard_normal(p)
         rule = LinearRule(weights=w, cutoff=float(w @ (0.5 * delta)))
         expected = conditional_rate(rule, pop).conditional_rate
-        mc = conditional_rate_mc({"r": rule}, pop, 200_000, substream(7, 3))["r"]
-        assert abs(mc.conditional_rate - expected) <= 4 * mc.stderr
-
-    def test_joint_reports_match_individual_distribution(self, rng):
-        # same rule twice in a joint pass gives identical estimates
-        pop = random_population(rng, 5)
-        rule = build_oracle(pop)
-        out = conditional_rate_mc({"a": rule, "b": rule}, pop, 50_000, substream(8, 0))
-        assert out["a"].conditional_rate == out["b"].conditional_rate
+        rate, stderr = mc_rate(rule, pop, 200_000, substream(7, 3))
+        assert abs(rate - expected) <= 4 * stderr
 
     @pytest.mark.parametrize("distribution", ["normal", "student_t"])
     def test_joint_estimates_match_exact_rates(self, rng, distribution):
-        # every rule of a joint call lies within 4 stderr of its own exact
-        # rate: conditional_rate's closed form under the normal and t(3)
+        # the oracle and a perturbed rule each lie within 4 stderr of
+        # their own exact rate: conditional_rate's closed form under the
+        # normal and t(3)
         base = random_population(rng, 6)
         pop = PopulationSpec(means=base.means, covariance=base.covariance,
                              distribution=distribution, df=3)
         w = rng.standard_normal(6)
         rules = {"a": build_oracle(pop), "b": LinearRule(weights=w, cutoff=float(w @ pop.mid))}
-        joint = conditional_rate_mc(rules, pop, 20_000, substream(10, 1))
-        for name, rule in rules.items():
+        for rule in rules.values():
             exact = conditional_rate(rule, pop).conditional_rate
-            assert abs(joint[name].conditional_rate - exact) <= 4 * joint[name].stderr
-
-    @pytest.mark.parametrize("case", ["linear_normal", "linear_t3", "multi_k3"])
-    def test_score_space_matches_full_dimensional_draw(self, rng, monkeypatch, case):
-        # the score-space draw against the n_mc x p draw it replaced, on
-        # independent substreams: the two rates agree within 4 stderr of
-        # their difference
-        from conftest import random_spd
-        from test_classify import oracle_multi_rule
-
-        p, n_mc = 8, 50_000
-        if case == "multi_k3":
-            means = rng.standard_normal((3, p))
-            sigma = random_spd(rng, p)
-            pop = PopulationSpec(means=means, covariance=sigma)
-            rule = oracle_multi_rule(means, sigma)
-        else:
-            base = random_population(rng, p)
-            pop = PopulationSpec(means=base.means, covariance=base.covariance,
-                                 distribution="normal" if case == "linear_normal" else "student_t",
-                                 df=3)
-            w = rng.standard_normal(p)
-            rule = LinearRule(weights=w, cutoff=float(w @ pop.mid))
-        new = conditional_rate_mc({"r": rule}, pop, n_mc, substream(15, 0))["r"]
-        monkeypatch.setattr(evaluate, "_class_scores", full_dimensional_scores)
-        old = conditional_rate_mc({"r": rule}, pop, n_mc, substream(15, 1))["r"]
-        bound = 4 * math.sqrt(old.stderr ** 2 + new.stderr ** 2)
-        assert abs(new.conditional_rate - old.conditional_rate) <= bound
-
-    @pytest.mark.parametrize("p, m", [(7, 3), (2, 6)])
-    def test_score_factor_reproduces_gram(self, rng, p, m):
-        # with z = I the scores are the factor R itself: R'R = W'Sigma W,
-        # and the draw is n_mc x min(p, m), never n_mc x p
-        pop = PopulationSpec(means=np.vstack([np.zeros(p), rng.standard_normal(p)]),
-                             covariance=random_population(rng, p).covariance)
-        w = rng.standard_normal((p, m))
-        rows = min(p, m)
-        gen = IdentityNormals()
-        r = evaluate._class_scores(pop, 1, w, rows, gen)
-        assert gen.shapes == [(rows, rows)]
-        assert r.shape == (rows, m)
-        gram = w.T @ pop.covariance @ w
-        np.testing.assert_allclose(r.T @ r, gram, rtol=1e-12, atol=1e-12 * np.abs(gram).max())
-
-    def test_wrong_p_linear_rule_rejected(self, rng):
-        pop = random_population(rng, 4)
-        rule = LinearRule(weights=np.ones(3), cutoff=0.0)
-        with pytest.raises(ShapeError):
-            conditional_rate_mc({"r": rule}, pop, 100, substream(11, 0))
-        with pytest.raises(ShapeError):
-            conditional_rate_mc({"ok": build_oracle(pop), "r": rule}, pop, 100, substream(11, 0))
-
-    def test_wrong_p_multi_rule_rejected(self, rng):
-        from test_classify import oracle_multi_rule
-        from conftest import random_spd
-
-        means = rng.standard_normal((3, 4))
-        pop = PopulationSpec(means=means, covariance=random_spd(rng, 4))
-        rule = oracle_multi_rule(means[:, :3], random_spd(rng, 3))
-        with pytest.raises(ShapeError):
-            conditional_rate_mc({"r": rule}, pop, 100, substream(12, 0))
-
-    def test_class_count_mismatch_rejected(self, rng):
-        from test_classify import oracle_multi_rule
-        from conftest import random_spd
-
-        means = rng.standard_normal((3, 4))
-        sigma = random_spd(rng, 4)
-        three = PopulationSpec(means=means, covariance=sigma)
-        two = PopulationSpec(means=means[:2], covariance=sigma)
-        with pytest.raises(ShapeError):
-            conditional_rate_mc({"r": LinearRule(weights=np.ones(4), cutoff=0.0)},
-                                three, 100, substream(13, 0))
-        with pytest.raises(ShapeError):
-            conditional_rate_mc({"r": oracle_multi_rule(means, sigma)}, two, 100, substream(13, 0))
-
-    def test_empty_rules_and_bad_n_mc_rejected(self, rng):
-        pop = random_population(rng, 3)
-        with pytest.raises(DomainError):
-            conditional_rate_mc({}, pop, 100, substream(14, 0))
-        with pytest.raises(DomainError):
-            conditional_rate_mc({"r": build_oracle(pop)}, pop, 0, substream(14, 0))
+            rate, stderr = mc_rate(rule, pop, 20_000, substream(10, 1))
+            assert abs(rate - exact) <= 4 * stderr
 
     @pytest.mark.parametrize("k, p", [(3, 4), (4, 2)], ids=["k3_p4", "k4_p2"])
     def test_multiclass_against_nearest_mean_oracle(self, rng, k, p):
-        # average per-class error of the all-pairs rule under a K = 3
-        # population, and under K = 4 at p = 2 (6 pair columns > p, so the
-        # score factor is 2 x 6), cross-checked by an independent
-        # full-dimensional sampler + nearest-Mahalanobis-mean brute force
+        # the K >= 3 rate recipe: draw a labelled test set with
+        # sample_mvn and take empirical_rate of the oracle MultiRule. The
+        # maximin labels of the all-pairs oracle are the nearest-
+        # Mahalanobis-mean labels of the same rows, so the rates are equal
         from test_classify import nearest_mahalanobis, oracle_multi_rule
 
         means = rng.standard_normal((k, p)) * 1.2
-        from conftest import random_spd
-
         sigma = random_spd(rng, p)
         pop = PopulationSpec(means=means, covariance=sigma)
+        gen, n = substream(9, 4), 2000
+        features = np.vstack([sample_mvn(mu, pop.chol, gen, size=n) for mu in means])
+        test = validate_dataset(features, np.repeat(np.arange(1, k + 1), n))
         rule = oracle_multi_rule(means, sigma)
-        mc = conditional_rate_mc({"r": rule}, pop, 100_000, substream(9, 4))["r"]
-        checker = np.random.default_rng(321)
-        errs = []
-        for cls in range(k):
-            x = checker.multivariate_normal(means[cls], sigma, size=100_000,
-                                            method="cholesky")
-            labels = nearest_mahalanobis(means, sigma, x)
-            errs.append(np.mean(labels != cls + 1))
-        expected = float(np.mean(errs))
-        assert abs(mc.conditional_rate - expected) <= 5 * mc.stderr + 0.003
-        assert len(mc.per_class_error) == k
+        report = empirical_rate(rule, test)
+        labels = nearest_mahalanobis(means, sigma, test.features)
+        assert np.array_equal(classify_many(rule, test.features), labels)
+        errors = tuple(float(np.mean(labels[test.labels == cls] != cls))
+                       for cls in range(1, k + 1))
+        assert report.per_class_error == errors
+        assert report.conditional_rate == float(np.mean(errors))
+        assert 0.0 < report.conditional_rate < 1.0 - 1.0 / k
+
+
+def test_rates_have_no_monte_carlo_engine():
+    # every two-class rate is closed form; a K >= 3 rate is empirical_rate
+    # on a drawn test set
+    assert not hasattr(slda, "conditional_rate_mc")
+    assert not hasattr(evaluate, "conditional_rate_mc")
+    assert [f.name for f in dataclasses.fields(evaluate.RateReport)] == [
+        "conditional_rate", "per_class_error", "method", "degenerate"]
 
 
 class TestEmpiricalRate:
@@ -421,6 +330,18 @@ class TestEmpiricalRate:
         two_cls = two_class_dataset(rng.standard_normal((3, 2)), rng.standard_normal((3, 2)))
         with pytest.raises(DataError):
             empirical_rate(rule, two_cls)
+
+    def test_wrong_p_rule_rejected(self, rng):
+        # a LinearRule or a MultiRule of p = 3 against a test set of p = 4
+        from test_classify import oracle_multi_rule
+
+        linear = LinearRule(weights=np.ones(3), cutoff=0.0)
+        multi = oracle_multi_rule(rng.standard_normal((3, 3)), random_spd(rng, 3))
+        for rule, k in ((linear, 2), (multi, 3)):
+            test = validate_dataset(rng.standard_normal((3 * k, 4)),
+                                    np.repeat(np.arange(1, k + 1), 3))
+            with pytest.raises(ShapeError, match="incompatible with p=3"):
+                empirical_rate(rule, test)
 
     def test_multiclass_counting(self, rng):
         from test_classify import oracle_multi_rule

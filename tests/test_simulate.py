@@ -12,7 +12,7 @@ import pytest
 from conftest import bits_equal, dense_lower
 from slda.errors import DomainError
 from slda.classify import build_oracle
-from slda.evaluate import conditional_rate, cv_grid_search, optimal_rate
+from slda.evaluate import RateReport, conditional_rate, cv_grid_search, optimal_rate
 from slda.io import fmt_float
 from slda.model import ThresholdConfig, validate_dataset
 from slda.numerics import substream
@@ -270,8 +270,8 @@ class TestRunScenario:
             assert rec.sparsity is not None
 
     def test_t_population_uses_closed_form(self):
-        # every method's rate under t(3) is conditional_rate's closed form,
-        # with no Monte Carlo size or stderr (the scenario has no n_mc)
+        # every method's rate under t(3) is conditional_rate's closed form;
+        # a RateReport has no Monte Carlo size or stderr, nor the scenario an n_mc
         sc = small_scenario(
             population=PopulationRecipe(p=8, delta_count=3, delta_magnitude=1.2,
                                         distribution="student_t", df=3),
@@ -282,8 +282,8 @@ class TestRunScenario:
             for method in sc.methods:
                 report = rec.rates[method]
                 assert report.method == "closed_form"
-                assert report.n_mc is None and report.stderr is None
             assert rec.rates["oracle"] == conditional_rate(build_oracle(pop), pop)
+        assert not {"n_mc", "stderr"} & {field.name for field in dataclasses.fields(RateReport)}
         assert "n_mc" not in {field.name for field in dataclasses.fields(Scenario)}
 
     def test_normal_population_uses_closed_form(self):
