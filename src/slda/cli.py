@@ -218,8 +218,10 @@ def cmd_diagnose(args) -> int:
         delta_p = diag.mahalanobis_delta(pop)
         eig_min, eig_max = diag.eigen_range(sigma)
         source = "population"
-    # the theory bounds the largest delta_j^2, and separation grows with ||delta||^2
-    max_delta_sq = float(np.max(delta ** 2))
+    # the theory bounds the largest delta_j^2, and separation grows with
+    # ||delta||^2; a square that overflows is inf, without a warning
+    with np.errstate(over="ignore"):
+        max_delta_sq, norm_delta_sq = float(np.max(delta ** 2)), float(delta @ delta)
     lines = [f"source {source}"]
     if args.scenario:
         passed = diag.condition_check(eig_min, eig_max, max_delta_sq, args.c0)
@@ -234,7 +236,7 @@ def cmd_diagnose(args) -> int:
     report = dict(delta_p=delta_p, c_hp=c_hp, d_gp=d_gp, h=h, g=g,
                   q_n0=q_n0, q_n=q_n, q_hat=q_hat, s_n=s_n, d_n=d_n, a_n=a_n, b_n=b_n,
                   eig_min=eig_min, eig_max=eig_max,
-                  max_delta_sq=max_delta_sq, norm_delta_sq=float(delta @ delta))
+                  max_delta_sq=max_delta_sq, norm_delta_sq=norm_delta_sq)
     lines += [f"{name} {sio.fmt_float(value) if isinstance(value, float) else value}"
               for name, value in report.items()]
     lines.append(f"t_n_unit_m1 {sio.fmt_float(t_n)}")

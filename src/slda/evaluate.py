@@ -136,6 +136,7 @@ def _loocv_grid(dataset: Dataset, m1_grid, m2_grid, alpha: float, threads: int):
         return [fit if isinstance(fit, SldaError) else classify(fit[0][(1, 2)], x) != label
                 for fit in fits]
 
+    # no pool for one thread: one-worker pools here and in run_scenario raised sim_t3's RSS 84 -> 88 MB
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             outcomes = list(pool.map(fold, range(dataset.n)))

@@ -4,10 +4,9 @@ cholesky_spd factors a symmetric positive definite matrix, or a diagonal
 one given as its (p,) vector, after one input check; invert_sparse_sym
 falls back from it to an eigenvalue floor, and spd_solve applies either.
 
-The normal CDF goes through the complementary error function; the tail
-has a dedicated log-domain path (Laplace continued fraction for the
-Mills ratio) so quantities like log Phi(-40) are computed without
-underflow.
+The normal CDF goes through the complementary error function; the log
+of its tail is scipy's log_ndtr, so quantities like log Phi(-40) are
+computed without underflow.
 """
 
 from __future__ import annotations
@@ -22,11 +21,6 @@ from scipy.linalg.lapack import dormqr, dstevd, dsytrd, dsytrd_lwork, get_lapack
 from .errors import DomainError, NotPositiveDefiniteError, NumericalError, ShapeError, UnusableMatrixError
 
 _SQRT2 = math.sqrt(2.0)
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-# x above this uses the continued-fraction log-tail; below it, erfc is
-# exact and nowhere near underflow.
-_TAIL_SWITCH = 8.0
 
 # Relative asymmetry tolerated before factorization refuses the input.
 _SYM_RTOL = 1e-8
@@ -56,30 +50,17 @@ def std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
-def _mills_ratio_cf(x: float, depth: int = 80) -> float:
-    # Laplace continued fraction for Phi(-x)/phi(x):
-    #   m(x) = 1/(x + 1/(x + 2/(x + 3/(x + ...))))
-    # Converges rapidly for x of a few and up; depth 80 is far past
-    # double precision for x >= 8.
-    t = 0.0
-    for k in range(depth, 0, -1):
-        t = k / (x + t)
-    return 1.0 / (x + t)
-
-
 def std_normal_log_tail(x: float) -> float:
-    """Natural log of the upper tail Phi(-x) for x >= 0.
-
-    For moderate x this is log(erfc(x/sqrt(2))/2); past the switch point
-    the Mills ratio continued fraction keeps full relative accuracy at
-    arguments where the tail itself underflows.
+    """Natural log of the upper tail Phi(-x) for x >= 0, by scipy's
+    log_ndtr, which keeps full relative accuracy at arguments where the
+    tail itself underflows.
     """
+    from scipy.special import log_ndtr  # imported on first call, as in student_t_cdf
+
     x = float(x)
     if not math.isfinite(x) or x < 0.0:
         raise DomainError(f"std_normal_log_tail requires finite x >= 0, got {x}")
-    if x <= _TAIL_SWITCH:
-        return math.log(0.5 * math.erfc(x / _SQRT2))
-    return -0.5 * x * x - _LOG_SQRT_2PI + math.log(_mills_ratio_cf(x))
+    return float(log_ndtr(-x))
 
 
 def student_t_cdf(x: float, df: int) -> float:
@@ -158,7 +139,6 @@ class SymOperator:
 
     kind: str
     dim: int
-    pd_flag: bool = True
     floor_count: int = 0
     _factor: np.ndarray | None = None      # l (diagonal) or L (cholesky)
     _recip: np.ndarray | None = None       # r = 1/l (diagonal)
@@ -166,6 +146,10 @@ class SymOperator:
     _inv_values: np.ndarray | None = None  # inv (eigen_floor)
     _reflectors: np.ndarray | None = None  # Q's vectors, (p-1, p-1) Fortran (eigen_floor)
     _tau: np.ndarray | None = None         # Q's scalars, (p-1,) (eigen_floor)
+
+    @property
+    def pd_flag(self) -> bool:
+        return self.kind != EIGEN_FLOOR
 
 
 def _symmetrize(a: np.ndarray, what: str) -> np.ndarray:
@@ -270,9 +254,8 @@ def invert_sparse_sym(sigma_tilde: np.ndarray, *, overwrite_a: bool = False) -> 
     floor = FLOOR_EPS * lam_max
     floored = np.maximum(values, floor)
     n_floored = int(np.sum(values < floor))
-    return SymOperator(kind=EIGEN_FLOOR, dim=values.shape[0], pd_flag=False,
-                       floor_count=n_floored, _vectors=vectors, _inv_values=1.0 / floored,
-                       _reflectors=reflectors, _tau=tau)
+    return SymOperator(kind=EIGEN_FLOOR, dim=values.shape[0], floor_count=n_floored,
+                       _vectors=vectors, _inv_values=1.0 / floored, _reflectors=reflectors, _tau=tau)
 
 
 def _tridiagonalize(a: np.ndarray):

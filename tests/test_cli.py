@@ -429,6 +429,16 @@ def small_scenario(tmp_path):
                                "delta_count = 2\ndelta_magnitude = 1.5\n" + FIXED)
 
 
+def huge_delta_scenario(tmp_path):
+    """p = 3 with delta = (1e200, 0, 0): delta_1^2 overflows, and so does
+    S's (1, 1) entry in a replicate, where the rows of feature 1 are
+    1e200 + N(0, 1) and their centring leaves the rounding of 1e200."""
+    path = tmp_path / "huge.txt"
+    path.write_text("p = 3\nn1 = 10\nn2 = 10\nmethods = lda, oracle\nreps = 2\nseed = 1\n"
+                    "delta_values = 1e200, 0, 0\n", encoding="utf-8")
+    return path
+
+
 BAD_MEANS = [("delta_values", "nan"), ("delta_values", "inf"), ("delta_magnitude", "inf"),
              ("delta_magnitude", "-inf")]
 
@@ -474,6 +484,16 @@ class TestSimulate:
             [optimal_rate(normal).conditional_rate] * 2 == [0.5] * 2
         assert main(["diagnose", "--scenario", str(path), "--out", str(tmp_path / "c.csv")]) == 0
         assert "delta_p 9.9999999999999998e-201\n" in capsys.readouterr().out
+
+    def test_lda_whose_pooled_covariance_overflows(self, tmp_path):
+        # n - 2 >= p sends LDA to Cholesky of S; failed at the parent, where
+        # each error row read "cholesky_spd: input has NaN or Inf entries"
+        path = huge_delta_scenario(tmp_path)
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "h_")]) == 0
+        lines = (tmp_path / "h_replicates.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[0].endswith(",error")
+        assert [line.rsplit(",", 1)[1] for line in lines[1:]] == \
+            ["build_lda: the pooled covariance overflows"] * 2
 
     def test_summary_has_all_methods(self, tmp_path):
         assert main(["simulate", "--scenario", "thm1_regime", "--reps", "2",
@@ -702,6 +722,16 @@ class TestDiagnose:
                       if line.startswith("eig_"))
         assert float(values["eig_min"]) == pytest.approx(5e307, rel=1e-12)
         assert float(values["eig_max"]) == pytest.approx(1.5e308, rel=1e-12)
+
+    def test_delta_squares_that_overflow_read_inf(self, tmp_path, capsys):
+        # failed at the parent, where numpy warned of the overflow in
+        # delta ** 2 and delta @ delta
+        path = huge_delta_scenario(tmp_path)
+        assert main(["diagnose", "--scenario", str(path), "--out", str(tmp_path / "c.csv")]) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert "max_delta_sq inf" in lines and "norm_delta_sq inf" in lines
+        assert captured.err == ""
 
     def test_train_input(self, separable_csv, tmp_path, capsys):
         assert main(["diagnose", "--train", str(separable_csv),

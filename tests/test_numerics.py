@@ -2,10 +2,10 @@
 factorizations and seeded samplers.
 
 High-precision oracle: mpmath at 50 digits. The log-tail asymptotic
-check uses an in-test Mills series independent of the implementation's
-continued fraction.
+check uses an in-test Mills series independent of the implementation.
 """
 
+import dataclasses
 import math
 
 import mpmath as mp
@@ -18,6 +18,7 @@ from conftest import bits_equal, dense_lower
 from slda.errors import DomainError, NotPositiveDefiniteError, ShapeError
 from slda.numerics import (
     _SYM_BLOCK,
+    SymOperator,
     cholesky_spd,
     invert_sparse_sym,
     sample_mvn,
@@ -134,6 +135,15 @@ class TestStdNormalLogTail:
     def test_domain(self, bad):
         with pytest.raises(DomainError):
             std_normal_log_tail(bad)
+
+    def test_relative_error_against_mpmath(self):
+        # 0, the old branch point 8, and the far tail, where Phi(-x) is
+        # about e^(-5e7) and far below the smallest double
+        xs = np.concatenate([np.linspace(0.0, 40.0, 401), np.geomspace(40.0, 1e4, 200)[1:]])
+        assert {0.0, 8.0, 1e4} <= set(xs.tolist())
+        for x in xs:  # mp.dps is 50
+            ref = mp.log(mp.ncdf(-mp.mpf(x)))
+            assert abs((mp.mpf(std_normal_log_tail(x)) - ref) / ref) <= 1e-15, x
 
 
 class TestMillsBounds:
@@ -485,3 +495,15 @@ class TestDiagonalFastPath:
         op = invert_sparse_sym(np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(DomainError, match="sampling needs a factored operator"):
             sample_mvn(np.zeros(2), op, substream(0, 0))
+
+
+def test_pd_flag_is_read_from_kind():
+    # not a stored field: False exactly on the eigen floor, as each kind
+    # reported it when it was one
+    assert "pd_flag" not in {field.name for field in dataclasses.fields(SymOperator)}
+    ops = [cholesky_spd(np.array([2.0, 3.0])), cholesky_spd(np.eye(2)),
+           invert_sparse_sym(np.eye(2)), invert_sparse_sym(np.array([1.0, -1.0])),
+           invert_sparse_sym(np.array([[1.0, 2.0], [2.0, 1.0]]))]
+    assert [(op.kind, op.pd_flag) for op in ops] == [
+        ("diagonal", True), ("cholesky", True), ("cholesky", True), ("eigen_floor", False),
+        ("eigen_floor", False)]
