@@ -6,7 +6,6 @@ s_n / d_n / b_n and the eigenvalue/mean-gap condition check."""
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
@@ -49,14 +48,10 @@ def sparsity_D(delta: np.ndarray, g: float) -> float:
 
 def mahalanobis_delta(pop: PopulationSpec) -> float:
     """Separation Delta_p = sqrt(delta' Sigma^{-1} delta), Cholesky solve.
-    A quadratic form outside the normal range is taken again at
-    pow2_scaled(delta), and its root scaled back."""
-    delta = pop.delta
-    with np.errstate(over="ignore"):
-        quad = float(delta @ spd_solve(pop.chol, delta))
-    if sys.float_info.min <= quad < math.inf:
-        return math.sqrt(quad)
-    delta, e = pow2_scaled(delta)
+    Delta_p is homogeneous in delta, so the form is taken at
+    pow2_scaled(delta), where it neither under- nor overflows, and its
+    root scaled back: the bits of the unscaled formula."""
+    delta, e = pow2_scaled(pop.delta)
     return math.ldexp(math.sqrt(float(delta @ spd_solve(pop.chol, delta))), e)
 
 
@@ -138,15 +133,12 @@ def cumulative_proportions(delta_hat: np.ndarray) -> np.ndarray:
 
     Entry l is sum_{j<=l} delta_(j)^2 / ||delta||^2 with the squares
     sorted descending; monotone nondecreasing and ending exactly at 1.
-    A ||delta||^2 outside the normal range is taken again at
-    pow2_scaled(delta_hat), which leaves the shares unchanged.
+    The shares do not depend on the length of delta_hat, so it is first
+    scaled by pow2_scaled, which keeps ||delta||^2 from under- or
+    overflowing and leaves the bits of the shares unchanged.
     """
-    d = np.asarray(delta_hat, dtype=float)
-    with np.errstate(over="ignore"):
-        cum = np.cumsum(np.sort(d * d)[::-1])
-    if not sys.float_info.min <= cum[-1] < math.inf:
-        d = pow2_scaled(d)[0]
-        cum = np.cumsum(np.sort(d * d)[::-1])
+    d = pow2_scaled(np.asarray(delta_hat, dtype=float))[0]
+    cum = np.cumsum(np.sort(d * d)[::-1])
     total = cum[-1]
     if total <= 0.0:
         raise DomainError("cumulative_proportions requires a nonzero vector")

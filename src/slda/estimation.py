@@ -184,17 +184,16 @@ def _threshold_in_place(s: np.ndarray, t_n: float) -> int:
     p x p temporary is made and S is read once; a NaN is dropped, as by
     the comparison it fails.
     """
-    diagonal = np.diagonal(s).copy()
+    p = s.shape[0]
     kept = 0
-    for i in range(0, s.shape[0], _ROW_BLOCK):
+    for i in range(0, p, _ROW_BLOCK):
         block = s[i:i + _ROW_BLOCK]
         keep = block > t_n
         keep |= block < -t_n  # |s_jl| > t_n without a float temporary
-        np.fill_diagonal(keep[:, i:], False)
+        np.fill_diagonal(keep[:, i:], True)
         kept += int(np.count_nonzero(keep))
         block[~keep] = 0.0
-    np.fill_diagonal(s, diagonal)
-    return kept // 2
+    return (kept - p) // 2
 
 
 def threshold_delta(delta_hat: np.ndarray, a_n: float) -> np.ndarray:

@@ -6,7 +6,6 @@ asymptotic regimes at desk scale."""
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -14,7 +13,7 @@ import numpy as np
 
 from .classify import SparsityReport, build_lda, build_lda_known_sigma, build_oracle, build_slda
 from .errors import DataError, DomainError, NotPositiveDefiniteError, SldaError
-from .evaluate import RateReport, conditional_rate, cv_grid_search
+from .evaluate import RateReport, conditional_rate, cv_grid_search, map_in_order
 from .io import float_list, fmt_float, number, read_kv, read_matrix
 from .model import (DEFAULT_ALPHA, NORMAL, STUDENT_T, Dataset, GridSpec, PopulationSpec,
                     ThresholdConfig)
@@ -272,13 +271,8 @@ def run_scenario(scenario: Scenario, threads: int = 1):
     resampled.
     """
     pop = scenario.resolve_population()
-    indices = range(scenario.reps)
-    # no pool for one thread: a one-worker pool raised perfbench sim_known's peak RSS 79 -> 92 MB
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(lambda k: _run_replicate(scenario, pop, k), indices))
-    else:
-        records = [_run_replicate(scenario, pop, k) for k in indices]
+    records = map_in_order(lambda k: _run_replicate(scenario, pop, k), range(scenario.reps),
+                           threads)
     return records, summarize_records(scenario, records)
 
 

@@ -21,6 +21,7 @@ from slda.diagnostics import (
 from slda.errors import DomainError
 from slda.estimation import compute_an
 from slda.model import PopulationSpec
+from slda.numerics import spd_solve
 
 
 class TestSparsityC:
@@ -129,6 +130,19 @@ class TestMahalanobis:
             pop = PopulationSpec(means=np.vstack([np.ldexp(delta, k), np.zeros(p)]),
                                  covariance=sigma)
             assert mahalanobis_delta(pop) == math.ldexp(base, k)
+
+
+    @pytest.mark.parametrize("k", [-300, 0, 300])
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_scaled_first_gives_the_unscaled_formula(self, rng, k, diagonal):
+        # at 2^k delta the form is in range unscaled: Delta_p, taken at
+        # pow2_scaled(delta), has the bits of sqrt(delta' Sigma^{-1} delta)
+        p = 9
+        sigma = rng.uniform(0.5, 2.0, p) if diagonal else random_spd(rng, p)
+        for _ in range(20):
+            delta = np.ldexp(rng.standard_normal(p), k)
+            pop = PopulationSpec(means=np.vstack([delta, np.zeros(p)]), covariance=sigma)
+            assert mahalanobis_delta(pop) == math.sqrt(float(delta @ spd_solve(pop.chol, delta)))
 
 
 class TestLemma2Counts:
@@ -312,3 +326,12 @@ class TestCumulativeProportions:
         base = cumulative_proportions(delta)
         for k in (-600, 520):
             assert np.array_equal(cumulative_proportions(np.ldexp(delta, k)), base)
+
+    @pytest.mark.parametrize("k", [-300, 0, 300])
+    def test_scaled_first_gives_the_unscaled_formula(self, rng, k):
+        # at 2^k delta ||delta||^2 is in range unscaled: the shares, taken at
+        # pow2_scaled(delta), have the bits of the plain cumulative sum
+        for _ in range(20):
+            d = np.ldexp(rng.standard_normal(12), k)
+            cum = np.cumsum(np.sort(d * d)[::-1])
+            assert np.array_equal(cumulative_proportions(d), cum / cum[-1])

@@ -193,6 +193,31 @@ class TestConditionalRate:
                     LinearRule(weights=np.ldexp(w, k), cutoff=math.ldexp(c, k)), pop)
                 assert scaled == base
 
+    @pytest.mark.parametrize("k", [-300, 0, 300])
+    @pytest.mark.parametrize("diagonal", [True, False])
+    @pytest.mark.parametrize("distribution", ["normal", "student_t"])
+    def test_scaled_first_gives_the_unscaled_formula(self, rng, k, diagonal, distribution):
+        # at 2^k (w, c), k in {-300, 0, 300}, w'Sigma w is in range unscaled:
+        # the rate, taken at pow2_scaled(w), has the bits of the plain formula
+        p = 7
+        cov = rng.uniform(0.5, 2.0, p) if diagonal else random_spd(rng, p)
+        pop = PopulationSpec(means=np.vstack([rng.standard_normal(p), rng.standard_normal(p)]),
+                             covariance=cov, distribution=distribution, df=3)
+
+        def cdf(x):
+            return std_normal_cdf(x) if distribution == "normal" else student_t_cdf(x, 3)
+
+        for _ in range(20):
+            w = rng.standard_normal(p)
+            c = math.ldexp(float(w @ pop.mid) + rng.standard_normal(), k)
+            w = np.ldexp(w, k)
+            sigma_w = math.sqrt(float(w @ (cov * w if diagonal else cov @ w)))
+            e1 = cdf((c - float(w @ pop.means[0])) / sigma_w)
+            e2 = cdf((float(w @ pop.means[1]) - c) / sigma_w)
+            report = conditional_rate(LinearRule(weights=w, cutoff=c), pop)
+            assert report.per_class_error == (e1, e2)
+            assert report.conditional_rate == 0.5 * (e1 + e2)
+
     @pytest.mark.parametrize("diagonal", [True, False])
     def test_sigma_w_bit_exact_against_dense_product(self, rng, diagonal):
         # sigma_w^2 = w'(d * w) on a Sigma given as its (p,) diagonal d,

@@ -126,10 +126,12 @@ class TestStdNormalLogTail:
             ref = float(mp.ncdf(-x))
             assert math.exp(std_normal_log_tail(x)) == pytest.approx(ref, rel=1e-12)
 
-    def test_continuous_at_branch_switch(self):
+    def test_continuous_and_decreasing_through_8(self):
         below = std_normal_log_tail(8.0)
         above = std_normal_log_tail(8.0 + 1e-12)
         assert abs(below - above) < 1e-10
+        tail = [std_normal_log_tail(x) for x in np.linspace(7.0, 9.0, 201)]
+        assert all(a > b for a, b in zip(tail, tail[1:]))
 
     @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
     def test_domain(self, bad):
