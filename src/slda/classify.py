@@ -24,7 +24,8 @@ from .estimation import (
     pooled_variances,
     threshold_delta,
 )
-from .model import Dataset, LinearRule, MultiRule, PopulationSpec, ThresholdConfig
+from .model import (Dataset, LinearRule, MultiRule, PopulationSpec, ThresholdConfig,
+                    require_two_class)
 from .numerics import SymOperator, cholesky_spd, invert_sparse_sym, spd_solve
 
 
@@ -48,11 +49,6 @@ class SparsityReport:
         return 2.0 * self.nnz_offdiag / (self.p * (self.p - 1))
 
 
-def _two_class(dataset: Dataset, what: str):
-    if dataset.n_classes != 2:
-        raise DomainError(f"{what} requires a two-class dataset")
-
-
 def _rule(w: np.ndarray, mid: np.ndarray) -> LinearRule:
     # "class 1 iff w'x >= w'mid"; w = 0 is the degenerate rule (cutoff 0.0).
     return LinearRule(weights=w, cutoff=float(w @ mid))
@@ -64,7 +60,7 @@ def build_lda(dataset: Dataset) -> LinearRule:
     Cholesky pivot), applied through the thin SVD of the centred rows
     without forming S (pooled_spectrum, pinv_solve). An S that overflows
     raises DomainError on either path."""
-    _two_class(dataset, "build_lda")
+    require_two_class(dataset.n_classes, "build_lda")
     means, centered = centered_rows(dataset)
     delta = means[0] - means[1]
     w = None
@@ -88,7 +84,7 @@ def build_lda_known_sigma(dataset: Dataset, sigma) -> LinearRule:
     ``sigma`` is the SPD matrix or its precomputed SymOperator (reused
     across replicates by the simulation harness).
     """
-    _two_class(dataset, "build_lda_known_sigma")
+    require_two_class(dataset.n_classes, "build_lda_known_sigma")
     means = class_means(dataset)
     factor = sigma if isinstance(sigma, SymOperator) else cholesky_spd(sigma)
     if factor.dim != dataset.p:
@@ -183,7 +179,7 @@ def build_slda(dataset: Dataset, config: ThresholdConfig) -> tuple[LinearRule, S
     (w = 0, everything classified to class 1) rather than failing, so
     cross-validation scans stay total.
     """
-    _two_class(dataset, "build_slda")
+    require_two_class(dataset.n_classes, "build_slda")
     rules, report = _one_fit(dataset, config)
     return rules[(1, 2)], report
 

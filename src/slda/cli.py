@@ -21,7 +21,7 @@ from .errors import DataError, DomainError, ShapeError, SldaError
 from .estimation import (centered_rows, compute_an, compute_tn, pinv_solve, pooled_covariance,
                          pooled_spectrum, threshold_delta)
 from .evaluate import cv_grid_search
-from .model import DEFAULT_ALPHA, NORMAL, ThresholdConfig
+from .model import DEFAULT_ALPHA, NORMAL, ThresholdConfig, require_two_class
 from .simulate import (
     Scenario,
     preset_scenarios,
@@ -194,8 +194,7 @@ def cmd_diagnose(args) -> int:
     h, g, r = args.h, args.g, args.r
     if args.train:
         dataset = sio.read_dataset_csv(args.train)
-        if dataset.n_classes != 2:
-            raise DataError("diagnose --train requires a two-class dataset")
+        require_two_class(dataset.n_classes, "diagnose --train")
         means, centered = centered_rows(dataset)
         delta = means[0] - means[1]
         if not np.any(delta):

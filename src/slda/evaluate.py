@@ -16,7 +16,7 @@ from .diagnostics import mahalanobis_delta
 from .errors import DataError, DomainError, ShapeError, SldaError
 from .estimation import centered_rows, class_means, compute_an, compute_tn, pooled_covariance
 from .model import (DEFAULT_ALPHA, NORMAL, Dataset, GridSpec, LinearRule, PopulationSpec,
-                    ThresholdConfig)
+                    ThresholdConfig, require_two_class)
 from .numerics import pow2_scaled, std_normal_cdf, student_t_cdf
 
 CLOSED_FORM = "closed_form"
@@ -41,8 +41,7 @@ def optimal_rate(pop: PopulationSpec) -> RateReport:
     """
     if pop.distribution != NORMAL:
         raise DomainError("optimal_rate has a closed form only for normal populations")
-    if pop.n_classes != 2:
-        raise DomainError("optimal_rate requires a two-class population")
+    require_two_class(pop.n_classes, "optimal_rate", of="population")
     rate = std_normal_cdf(-0.5 * mahalanobis_delta(pop))
     return RateReport(conditional_rate=rate, per_class_error=(rate, rate), method=CLOSED_FORM)
 
@@ -61,8 +60,7 @@ def conditional_rate(rule: LinearRule, pop: PopulationSpec) -> RateReport:
     power of two of pow2_scaled(w), which keeps w'Sigma w from under- or
     overflowing and leaves the bits of the rate unchanged.
     """
-    if pop.n_classes != 2:
-        raise DomainError("conditional_rate requires a two-class population")
+    require_two_class(pop.n_classes, "conditional_rate", of="population")
     if rule.p != pop.p:
         raise ShapeError(f"rule dimension {rule.p} != population dimension {pop.p}")
     if rule.degenerate:
@@ -101,10 +99,11 @@ def empirical_rate(rule, test: Dataset) -> RateReport:
 
 
 def _require_loocv(dataset: Dataset) -> None:
+    # every check of the dataset that runs before any fold
     if min(dataset.class_counts) < 3:
         raise DataError("leave-one-out cross-validation requires every class count >= 3")
-    if dataset.n_classes != 2:
-        raise DomainError("leave-one-out cross-validation requires a two-class dataset")
+    require_two_class(dataset.n_classes, "leave-one-out cross-validation")
+    class_means(dataset)  # raises for a class sum that overflows
 
 
 def map_in_order(fn, items, threads: int) -> list:
@@ -201,7 +200,6 @@ def cv_grid_search(dataset: Dataset, m1_grid=None, m2_grid=None, alpha: float = 
     so the surface is identical to the sequential one.
     """
     _require_loocv(dataset)
-    class_means(dataset)  # raises for a class sum that overflows
     if m1_grid is None or m2_grid is None:
         auto_m1, auto_m2 = default_grids(dataset, alpha)
         m1_grid = auto_m1 if m1_grid is None else m1_grid
@@ -223,8 +221,7 @@ def default_grids(dataset: Dataset, alpha: float = DEFAULT_ALPHA):
     percentile of |delta_hat_j|; M1 likewise from the off-diagonal
     |S_jl| percentiles against t_n's scale factor.
     """
-    if dataset.n_classes != 2:
-        raise DomainError("default_grids requires a two-class dataset")
+    require_two_class(dataset.n_classes, "default_grids")
     means, centered = centered_rows(dataset)
     s = pooled_covariance(centered)
     delta = means[0] - means[1]

@@ -40,21 +40,16 @@ class Dataset:
         return len(self.class_counts)
 
     def drop(self, i: int) -> "Dataset":
-        """Dataset with sample i removed (for leave-one-out refits).
+        """Dataset with sample i removed (for leave-one-out refits),
+        through validate_dataset: a class left with fewer than 2 samples
+        raises DataError."""
+        return validate_dataset(np.delete(self.features, i, axis=0), np.delete(self.labels, i))
 
-        Bypasses revalidation; callers must ensure the remaining class
-        still has at least 2 members.
-        """
-        label = int(self.labels[i])
-        counts = list(self.class_counts)
-        counts[label - 1] -= 1
-        if counts[label - 1] < 2:
-            raise DataError(f"dropping sample {i} leaves class {label} with < 2 samples")
-        return Dataset(
-            features=np.delete(self.features, i, axis=0),
-            labels=np.delete(self.labels, i),
-            class_counts=tuple(counts),
-        )
+
+def require_two_class(n_classes: int, what: str, of: str = "dataset") -> None:
+    """Raise DomainError unless a dataset or population has two classes."""
+    if n_classes != 2:
+        raise DomainError(f"{what} requires a two-class {of}")
 
 
 def require_finite(features: np.ndarray) -> None:
@@ -159,18 +154,14 @@ class PopulationSpec:
     @property
     def delta(self) -> np.ndarray:
         """Mean difference mu_1 - mu_2 (two-class populations)."""
-        self._require_two_class()
+        require_two_class(self.n_classes, "delta", of="population")
         return self.means[0] - self.means[1]
 
     @property
     def mid(self) -> np.ndarray:
         """Midpoint (mu_1 + mu_2)/2 (two-class populations)."""
-        self._require_two_class()
+        require_two_class(self.n_classes, "mid", of="population")
         return 0.5 * (self.means[0] + self.means[1])
-
-    def _require_two_class(self):
-        if self.n_classes != 2:
-            raise DomainError(f"operation requires a two-class population, got K={self.n_classes}")
 
 
 @dataclass(frozen=True)
