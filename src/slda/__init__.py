@@ -3,7 +3,6 @@ high-dimensional data: estimation, classification, misclassification
 rates, diagnostics and a reproducible simulation harness."""
 
 from .classify import (
-    SparsityReport,
     build_lda,
     build_lda_known_sigma,
     build_oracle,
@@ -35,6 +34,7 @@ from .model import (
     LinearRule,
     MultiRule,
     PopulationSpec,
+    SparsityReport,
     ThresholdConfig,
     validate_dataset,
 )

@@ -6,8 +6,6 @@ kinds of rule. A LinearRule is the K = 2 case with the single pair
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DataError, DomainError, NotPositiveDefiniteError, ShapeError, SldaError
@@ -24,29 +22,9 @@ from .estimation import (
     pooled_variances,
     threshold_delta,
 )
-from .model import (Dataset, LinearRule, MultiRule, PopulationSpec, ThresholdConfig,
-                    require_two_class)
+from .model import (Dataset, LinearRule, MultiRule, PopulationSpec, SparsityReport,
+                    ThresholdConfig, require_two_class)
 from .numerics import SymOperator, cholesky_spd, invert_sparse_sym, spd_solve
-
-
-@dataclass(frozen=True)
-class SparsityReport:
-    """Sparsity of a fitted SLDA rule: kept counts and their fractions."""
-
-    p: int
-    q_hat: int
-    nnz_offdiag: int
-    pd_flag: bool
-
-    @property
-    def frac_delta_kept(self) -> float:
-        return self.q_hat / self.p
-
-    @property
-    def frac_cov_kept(self) -> float:
-        if self.p < 2:
-            return 0.0
-        return 2.0 * self.nnz_offdiag / (self.p * (self.p - 1))
 
 
 def _rule(w: np.ndarray, mid: np.ndarray) -> LinearRule:

@@ -275,7 +275,7 @@ def main(argv=None) -> int:
     try:
         _merge_config(args)
         return args.func(args)
-    except (DataError, DomainError, ShapeError, OSError, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # DataError, DomainError, ShapeError too
         print(f"error [{stage}]: {exc}", file=sys.stderr)
         return BAD_INPUT
     except SldaError as exc:

@@ -103,6 +103,8 @@ def _require_loocv(dataset: Dataset) -> None:
     if min(dataset.class_counts) < 3:
         raise DataError("leave-one-out cross-validation requires every class count >= 3")
     require_two_class(dataset.n_classes, "leave-one-out cross-validation")
+    if dataset.p < 2:
+        raise DomainError(f"leave-one-out cross-validation requires p >= 2, got {dataset.p}")
     class_means(dataset)  # raises for a class sum that overflows
 
 
@@ -154,7 +156,8 @@ def loocv_rate(dataset: Dataset, config: ThresholdConfig) -> float:
 
     Each fold refits on the remaining n-1 samples (thresholds t_n, a_n
     recomputed with n-1) and classifies the held-out point; the return
-    value is the unweighted mean of the n error indicators.
+    value is the unweighted mean of the n error indicators. A dataset
+    that cv_grid_search rejects before any fold raises here too.
     """
     _require_loocv(dataset)
     wrong, failed = _loocv_grid(dataset, [config.m1], [config.m2], config.alpha, threads=1)
@@ -186,7 +189,7 @@ def cv_grid_search(dataset: Dataset, m1_grid=None, m2_grid=None, alpha: float = 
 
     A grid given as None is the data-driven one of ``default_grids``.
     Before any fold runs, a dataset that cannot be cross-validated (K != 2,
-    a class with fewer than 3 samples, a class mean that overflows)
+    a class with fewer than 3 samples, p < 2, a class mean that overflows)
     raises, and so do grids and alpha that GridSpec rejects (an empty
     grid, alpha outside (0, 1/2), or an M1 or M2 that is negative or not
     finite).

@@ -11,9 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .classify import SparsityReport
 from .errors import DataError
-from .model import Dataset, LinearRule, ThresholdConfig, require_finite, validate_dataset
+from .model import (Dataset, LinearRule, SparsityReport, ThresholdConfig, require_finite,
+                    validate_dataset)
 
 LABEL_COLUMN = "class"
 

@@ -183,6 +183,26 @@ class LinearRule:
 
 
 @dataclass(frozen=True)
+class SparsityReport:
+    """Sparsity of a fitted SLDA rule: kept counts and their fractions."""
+
+    p: int
+    q_hat: int
+    nnz_offdiag: int
+    pd_flag: bool
+
+    @property
+    def frac_delta_kept(self) -> float:
+        return self.q_hat / self.p
+
+    @property
+    def frac_cov_kept(self) -> float:
+        if self.p < 2:
+            return 0.0
+        return 2.0 * self.nnz_offdiag / (self.p * (self.p - 1))
+
+
+@dataclass(frozen=True)
 class MultiRule:
     """Pairwise linear rules for K >= 2 classes.
 

@@ -35,11 +35,16 @@ from slda.classify import (
     maximin_labels,
 )
 from slda.diagnostics import lemma2_counts
-from slda.errors import DataError, DomainError, SldaError, UnusableMatrixError
+from slda.errors import (DataError, DomainError, NotPositiveDefiniteError, SldaError,
+                         UnusableMatrixError)
 from slda.estimation import (
+    centered_rows,
     compute_an,
     compute_tn,
     diagonal_screen,
+    pinv_solve,
+    pooled_covariance,
+    pooled_spectrum,
     threshold_delta,
 )
 from slda.model import (
@@ -101,6 +106,20 @@ class TestBuildLda:
             assert not forms_s.called
             build_lda(tall)
             assert forms_s.call_count == 1
+
+    def test_failed_cholesky_falls_back_to_the_svd(self):
+        # n - 2 >= p, but a constant feature makes S singular: potrf fails
+        # and the weights are the thin-SVD pseudo-inverse's, bit for bit
+        gen = np.random.default_rng(0)
+        x = gen.standard_normal((40, 5))
+        x[:20, 0] += 1.0
+        x[:, 2] = 1.0
+        ds = two_class_dataset(x[:20], x[20:])
+        means, centered = centered_rows(ds)
+        with pytest.raises(NotPositiveDefiniteError):
+            cholesky_spd(pooled_covariance(centered))
+        want = pinv_solve(*pooled_spectrum(centered), means[0] - means[1])
+        assert bits_equal(build_lda(ds).weights, want)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 40),

@@ -148,6 +148,19 @@ class TestFit:
             assert code == 0 and peak < 2.5 * table_bytes, (command[0], peak / table_bytes)
 
 
+    def test_numerical_failure_exits_3(self, tmp_path, capsys):
+        # features constant within each class give S = 0, which has no
+        # positive part to invert once M2 = 0.1 keeps a component of delta
+        train, model = tmp_path / "flat.csv", tmp_path / "model.txt"
+        write_dataset_csv(train, two_class_dataset(np.tile([1.0, 2.0, -1.0], (5, 1)),
+                                                   np.tile([0.0, 2.5, 1.0], (4, 1))))
+        assert main(["fit", "--train", str(train), "--m1", "1", "--m2", "0.1",
+                     "--out", str(model)]) == 3
+        assert capsys.readouterr().err == ("numerical failure [fit]: thresholded covariance has "
+                                           "no positive part (lambda_max=0.000e+00)\n")
+        assert not model.exists()
+
+
 class TestPredict:
     def test_round_trip_labels(self, separable_csv, tmp_path):
         model = tmp_path / "model.txt"
@@ -347,14 +360,17 @@ class TestCv:
 
     # failed at the parent with explicit grids: exit 0, every point scored
     # 1 and counted in forced_worst, while the default grids exited 2
-    @pytest.mark.parametrize("case", ["three_classes", "bad_alpha"])
+    @pytest.mark.parametrize("case", ["three_classes", "bad_alpha", "one_feature"])
     def test_bad_input_exits_2_with_or_without_grids(self, tmp_path, capsys, rng, case):
         path = tmp_path / "train.csv"
+        alpha = []
         if case == "three_classes":
             x = rng.standard_normal((12, 2)).tolist()
             rows = "\n".join(f"{a!r},{b!r},{k}" for (a, b), k in zip(x, [1, 2, 3] * 4))
             path.write_text("f1,f2,class\n" + rows + "\n", encoding="utf-8")
-            alpha = []
+        elif case == "one_feature":
+            write_dataset_csv(path, two_class_dataset(rng.standard_normal((4, 1)),
+                                                      rng.standard_normal((4, 1))))
         else:
             write_dataset_csv(path, two_class_dataset(rng.standard_normal((5, 2)),
                                                       rng.standard_normal((5, 2))))
@@ -369,7 +385,9 @@ class TestCv:
         assert errors[0] == {
             "three_classes": "error [cv]: leave-one-out cross-validation requires a two-class "
                              "dataset\n",
-            "bad_alpha": "error [cv]: alpha must lie strictly inside (0, 1/2), got 0.6\n"}[case]
+            "bad_alpha": "error [cv]: alpha must lie strictly inside (0, 1/2), got 0.6\n",
+            "one_feature": "error [cv]: leave-one-out cross-validation requires p >= 2, "
+                           "got 1\n"}[case]
 
     def test_small_class_exits_2(self, tmp_path, rng):
         path = tmp_path / "small.csv"
@@ -694,6 +712,18 @@ class TestDiagnose:
         assert bad_mean_message(path, key, bad) in captured.err
         assert "delta_p" not in captured.out and not out_csv.exists()
 
+    @pytest.mark.parametrize("sources, message", [
+        ([], "diagnose needs --train or --scenario"),
+        (["--train", "train.csv", "--scenario", "thm3_sparse"],
+         "diagnose takes --train or --scenario, not both"),
+    ], ids=["neither", "both"])
+    def test_train_xor_scenario(self, separable_csv, tmp_path, capsys, sources, message):
+        sources = [str(separable_csv) if arg == "train.csv" else arg for arg in sources]
+        out_csv = tmp_path / "d.csv"
+        assert main(["diagnose", "--out", str(out_csv)] + sources) == 2
+        assert capsys.readouterr().err == f"error [diagnose]: {message}\n"
+        assert not out_csv.exists()
+
     def test_identity_population_row_count_one(self, tmp_path, capsys):
         path = tmp_path / "sc.txt"
         path.write_text("name = diag\np = 12\ndelta_count = 3\ndelta_magnitude = 1\n"
@@ -874,6 +904,16 @@ class TestConfigFile:
         assert main(["fit", "--train", str(separable_csv), "--m1", "1",
                      "--config", str(cfg), "--out", str(model)]) == 2
         assert "key 'alpha' on line 3 repeats line 1" in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_line_without_equals_exits_2(self, separable_csv, tmp_path, capsys):
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text("m2 0.5\n", encoding="utf-8")
+        model = tmp_path / "model.txt"
+        assert main(["fit", "--train", str(separable_csv), "--m1", "1",
+                     "--config", str(cfg), "--out", str(model)]) == 2
+        assert capsys.readouterr().err == (f"error [fit]: {cfg}: line 1 is not key = value: "
+                                           "'m2 0.5'\n")
         assert not model.exists()
 
     # each of these ran at the parent with the key skipped

@@ -637,11 +637,13 @@ class TestFoldMajorCv:
 
     # failed at the parent with explicit grids: every point scored 1.0 and
     # was counted in forced_worst
-    @pytest.mark.parametrize("case", ["small_class", "three_classes", "bad_alpha"])
+    @pytest.mark.parametrize("case", ["small_class", "three_classes", "bad_alpha", "one_feature"])
     def test_whole_dataset_failure_raises(self, case, rng):
         alpha = 0.3
         if case == "small_class":
             ds = two_class_dataset(rng.standard_normal((2, 3)), rng.standard_normal((5, 3)))
+        elif case == "one_feature":
+            ds = two_class_dataset(rng.standard_normal((4, 1)), rng.standard_normal((4, 1)))
         elif case == "three_classes":
             x = rng.standard_normal((12, 3))
             labels = np.repeat([1, 2, 3], 4)
@@ -655,6 +657,21 @@ class TestFoldMajorCv:
             with pytest.raises(type(default.value)) as explicit:
                 cv_grid_search(ds, [0.5, 2.0], [0.5, 2.0], alpha)
         assert str(explicit.value) == str(default.value)
+
+    # failed at the parent: fold 0's refit raised, as "LOOCV refit failed
+    # on fold 0: ..."
+    @pytest.mark.parametrize("x1, x2, message", [
+        ([[0.5], [1.5], [-1.0]], [[0.0], [2.0], [1.0]],
+         "leave-one-out cross-validation requires p >= 2, got 1"),
+        ([[0.5, 1.0], [-0.5, 2.0], [1.0, 0.0]], [[0.5, 1.0], [0.25, 1.7e308], [1.0, 1.7e308]],
+         "class 2 mean of feature 2 is not finite: the class sum overflows"),
+    ], ids=["one_feature", "class_sum_overflows"])
+    def test_loocv_rate_checks_the_dataset_before_any_fold(self, x1, x2, message):
+        ds = two_class_dataset(x1, x2)
+        with mock.patch.object(evaluate, "build_slda_grid", side_effect=AssertionError("fold")):
+            with pytest.raises(DomainError) as err:
+                loocv_rate(ds, ThresholdConfig(m1=1.0, m2=0.5, alpha=0.3))
+        assert str(err.value) == message
 
     # failed at the parent: the point was scored 1.0 and counted in
     # forced_worst

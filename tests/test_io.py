@@ -387,8 +387,10 @@ class TestModelFile:
         # p 0 would read a model that labels every row 1
         ("p 0\n", "", "line 2: p must be >= 1, got 0"),
         ("p -2\n", "1.0\n2.0\n", "line 2: p must be >= 1, got -2"),
+        ("p 2\nc\n", "1.0\n2.0\n", "malformed line 3: 'c'"),
     ], ids=["too_few", "too_many", "repeated_p", "repeated_c", "degenerate_nonzero",
-            "not_degenerate_zero", "degenerate_not_0_or_1", "p_zero", "p_negative"])
+            "not_degenerate_zero", "degenerate_not_0_or_1", "p_zero", "p_negative",
+            "one_token_line"])
     def test_truncated_weights_rejected(self, tmp_path, meta, weights, message):
         # too few or too many weight lines, a repeated key, a degenerate
         # flag that contradicts the weights, or a p below 1
@@ -398,6 +400,13 @@ class TestModelFile:
         with pytest.raises(DataError, match=message):
             read_model(path)
 
+
+    def test_missing_weights_section_rejected(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text("slda-model v1\np 2\nalpha 0.3\nm1 1\nm2 1\nc 0\n", encoding="utf-8")
+        with pytest.raises(DataError) as err:
+            read_model(path)
+        assert str(err.value) == f'{path}: no "weights" section'
 
     @pytest.mark.parametrize("cutoff, weight", [("inf", "1.0"), ("nan", "1.0"),
                                                 ("0", "nan"), ("0", "-inf")])
@@ -639,6 +648,18 @@ class TestImportGraph:
 
         for mod in graph:
             visit(mod)
+
+    def test_io_imports_no_rule_construction(self):
+        # io reads and writes records; from the package it needs only the
+        # errors and the model types
+        import ast
+        from pathlib import Path
+
+        import slda.io
+
+        tree = ast.parse(Path(slda.io.__file__).read_text(encoding="utf-8"))
+        assert {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1} == {"errors", "model"}
 
     def test_diagnostics_takes_a_n_from_its_caller(self):
         # rate_quantities takes the caller's a_n, so diagnostics computes
