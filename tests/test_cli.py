@@ -147,7 +147,6 @@ class TestFit:
                 tracemalloc.stop()
             assert code == 0 and peak < 2.5 * table_bytes, (command[0], peak / table_bytes)
 
-
     def test_numerical_failure_exits_3(self, tmp_path, capsys):
         # features constant within each class give S = 0, which has no
         # positive part to invert once M2 = 0.1 keeps a component of delta

@@ -393,13 +393,13 @@ class TestModelFile:
             "one_token_line"])
     def test_truncated_weights_rejected(self, tmp_path, meta, weights, message):
         # too few or too many weight lines, a repeated key, a degenerate
-        # flag that contradicts the weights, or a p below 1
+        # flag that contradicts the weights, a p below 1, or a key line
+        # with no value
         path = tmp_path / "model.txt"
         path.write_text(f"slda-model v1\n{meta}alpha 0.3\nm1 1\nm2 1\nc 0\n"
                         f"weights\n{weights}", encoding="utf-8")
         with pytest.raises(DataError, match=message):
             read_model(path)
-
 
     def test_missing_weights_section_rejected(self, tmp_path):
         path = tmp_path / "model.txt"
