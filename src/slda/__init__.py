@@ -7,7 +7,6 @@ from .classify import (
     build_lda_known_sigma,
     build_oracle,
     build_slda,
-    build_slda_multi,
     classify_many,
 )
 from .errors import (
@@ -32,7 +31,6 @@ from .evaluate import (
 from .model import (
     Dataset,
     LinearRule,
-    MultiRule,
     PopulationSpec,
     SparsityReport,
     ThresholdConfig,

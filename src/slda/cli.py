@@ -16,7 +16,7 @@ import numpy as np
 
 from . import diagnostics as diag
 from . import io as sio
-from .classify import build_slda, contrast_scores, maximin_labels, pair_columns
+from .classify import build_slda, contrast_scores, labels_from_scores
 from .errors import DataError, DomainError, ShapeError, SldaError
 from .estimation import (centered_rows, compute_an, compute_tn, pinv_solve, pooled_covariance,
                          pooled_spectrum, threshold_delta)
@@ -128,10 +128,9 @@ def cmd_predict(args) -> int:
         scores = contrast_scores(rule, features)
     except DataError as exc:
         raise DataError(f"{args.test}: {exc}") from None
-    k, pairs, _ = pair_columns(rule)
-    labels = maximin_labels(scores, pairs, k)
     lines = ["predicted,score"]
-    lines += [f"{label},{sio.fmt_float(score)}" for label, score in zip(labels, scores[:, 0])]
+    lines += [f"{label},{sio.fmt_float(score)}"
+              for label, score in zip(labels_from_scores(scores), scores)]
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"predictions written to {args.out}")
     return OK

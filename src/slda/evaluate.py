@@ -1,7 +1,7 @@
 """Misclassification-rate computation: closed-form conditional rates
-against two-class normal and t populations, empirical rates of any rule
-on a labelled test set, and leave-one-out cross-validation with grid
-search over the threshold constants (M1, M2)."""
+against two-class normal and t populations, empirical rates of a rule
+on a two-class labelled test set, and leave-one-out cross-validation
+with grid search over the threshold constants (M1, M2)."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import build_slda_grid, classify, classify_many, pair_columns
+from .classify import build_slda_grid, classify, classify_many
 from .diagnostics import mahalanobis_delta
 from .errors import DataError, DomainError, ShapeError, SldaError
 from .estimation import centered_rows, class_means, compute_an, compute_tn, pooled_covariance
@@ -80,22 +80,15 @@ def conditional_rate(rule: LinearRule, pop: PopulationSpec) -> RateReport:
                       method=CLOSED_FORM)
 
 
-def empirical_rate(rule, test: Dataset) -> RateReport:
-    """Per-class misclassified fraction on a labeled test set,
+def empirical_rate(rule: LinearRule, test: Dataset) -> RateReport:
+    """Per-class misclassified fraction on a two-class labeled test set,
     averaged with equal class weights."""
-    n_classes = pair_columns(rule)[0]
-    if test.n_classes != n_classes:
-        raise DataError(
-            f"test set has {test.n_classes} classes; rule expects {n_classes} "
-            "(a class with no test samples has undefined error)"
-        )
-    predicted = classify_many(rule, test.features)
-    errors = []
-    for cls in range(1, n_classes + 1):
-        mask = test.labels == cls
-        errors.append(float(np.mean(predicted[mask] != cls)))
-    return RateReport(conditional_rate=float(np.mean(errors)),
-                      per_class_error=tuple(errors), method=EMPIRICAL)
+    if test.n_classes != 2:
+        raise DataError(f"test set has {test.n_classes} classes; the rule labels 1 and 2")
+    wrong = classify_many(rule, test.features) != test.labels
+    errors = (float(np.mean(wrong[test.labels == 1])), float(np.mean(wrong[test.labels == 2])))
+    return RateReport(conditional_rate=float(np.mean(errors)), per_class_error=errors,
+                      method=EMPIRICAL)
 
 
 def _require_loocv(dataset: Dataset) -> None:
@@ -135,7 +128,7 @@ def _loocv_grid(dataset: Dataset, m1_grid, m2_grid, alpha: float, threads: int):
         except SldaError as exc:
             return [exc.with_traceback(None)] * points  # its frames hold S
         x, label = dataset.features[i], int(dataset.labels[i])
-        return [fit if isinstance(fit, SldaError) else classify(fit[0][(1, 2)], x) != label
+        return [fit if isinstance(fit, SldaError) else classify(fit[0], x) != label
                 for fit in fits]
 
     outcomes = map_in_order(fold, range(dataset.n), threads)

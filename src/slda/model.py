@@ -202,22 +202,6 @@ class SparsityReport:
         return 2.0 * self.nnz_offdiag / (self.p * (self.p - 1))
 
 
-@dataclass(frozen=True)
-class MultiRule:
-    """Pairwise linear rules for K >= 2 classes.
-
-    ``pairwise[(k, l)]`` with k < l scores the k-vs-l contrast; the
-    reversed contrast is its sign negation by construction.
-    """
-
-    pairwise: dict[tuple[int, int], LinearRule]
-    n_classes: int
-
-    @property
-    def p(self) -> int:
-        return next(iter(self.pairwise.values())).p
-
-
 # alpha of ThresholdConfig, and of every command, grid and scenario that
 # does not set one.
 DEFAULT_ALPHA = 0.3

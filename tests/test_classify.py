@@ -1,5 +1,5 @@
-"""Rule families: LDA, known-covariance LDA, SLDA, oracle and the
-pairwise multi-class extension."""
+"""Rule families: LDA, known-covariance LDA, SLDA and oracle, and the
+two-class labelling step."""
 
 import math
 import tracemalloc
@@ -29,10 +29,9 @@ from slda.classify import (
     build_oracle,
     build_slda,
     build_slda_grid,
-    build_slda_multi,
     classify,
     classify_many,
-    maximin_labels,
+    labels_from_scores,
 )
 from slda.diagnostics import lemma2_counts
 from slda.errors import (DataError, DomainError, NotPositiveDefiniteError, SldaError,
@@ -50,9 +49,9 @@ from slda.estimation import (
 from slda.model import (
     Dataset,
     LinearRule,
-    MultiRule,
     PopulationSpec,
     ThresholdConfig,
+    validate_dataset,
 )
 from slda.numerics import cholesky_spd, invert_sparse_sym, sample_mvn, spd_solve, substream
 
@@ -218,10 +217,10 @@ class TestBuildSlda:
         fits = build_slda_grid(ds, m1_grid, m2_grid, 0.3)
         points = [(m1, m2) for m1 in m1_grid for m2 in m2_grid]
         assert len(fits) == len(points)
-        for (m1, m2), (rules, report) in zip(points, fits):
-            rule, want = build_slda(ds, ThresholdConfig(m1=m1, m2=m2, alpha=0.3))
-            assert np.array_equal(rules[(1, 2)].weights, rule.weights)
-            assert rules[(1, 2)].cutoff == rule.cutoff
+        for (m1, m2), (rule, report) in zip(points, fits):
+            want_rule, want = build_slda(ds, ThresholdConfig(m1=m1, m2=m2, alpha=0.3))
+            assert np.array_equal(rule.weights, want_rule.weights)
+            assert rule.cutoff == want_rule.cutoff
             assert report == want
         assert [report.pd_flag for _, report in fits] == [False, False, True, True, True, True]
 
@@ -232,9 +231,16 @@ class TestBuildSlda:
                                np.tile([0.0, 2.5, 1.0], (4, 1)))
         failed, degenerate = build_slda_grid(ds, [1.0], [0.1, 1e9], 0.3)
         assert isinstance(failed, UnusableMatrixError) and failed.__traceback__ is None
-        assert degenerate[0][(1, 2)].degenerate and degenerate[1].pd_flag
+        assert degenerate[0].degenerate and degenerate[1].pd_flag
         with pytest.raises(UnusableMatrixError):
             build_slda(ds, ThresholdConfig(m1=1.0, m2=0.1, alpha=0.3))
+
+    def test_grid_rejects_three_classes(self, rng):
+        # the two-class check runs before t_n is computed, whatever the grid
+        ds = validate_dataset(rng.standard_normal((9, 4)), np.repeat([1, 2, 3], 3))
+        with mock.patch.object(CLASSIFY, "compute_tn", side_effect=AssertionError("t_n")):
+            with pytest.raises(DomainError, match=r"^build_slda requires a two-class dataset$"):
+                build_slda_grid(ds, [1.0], [1.0], 0.3)
 
     def test_qhat_within_lemma_bracket(self):
         # sparse scenario: p = 200, ten unit signals, identity covariance,
@@ -299,22 +305,31 @@ class TestClassify:
     def test_non_finite_score_has_no_label(self, row):
         rule = LinearRule(weights=np.array([1.0, -1.0]), cutoff=0.0)
         x = np.array([[1.0, 2.0], [3.0, 1.0], row, row])
-        with pytest.raises(DataError, match=r"^row 2 has a non-finite score"):
+        with pytest.raises(DataError, match=r"^row 2 has a non-finite score \((nan|inf)\); "):
             classify_many(rule, x)
         with pytest.raises(DataError, match=r"^row 0 has a non-finite score"):
             classify(rule, np.array(row))
 
-    def test_non_finite_score_of_any_contrast(self):
-        # a MultiRule row whose (2, 3) contrast alone overflows
-        w = np.array([1.0, 0.0])
-        rule = MultiRule(pairwise={(1, 2): LinearRule(weights=w, cutoff=0.0),
-                                   (1, 3): LinearRule(weights=w, cutoff=0.0),
-                                   (2, 3): LinearRule(weights=np.array([0.0, 1e300]),
-                                                      cutoff=0.0)},
-                         n_classes=3)
-        x = np.array([[1.0, 1.0], [1.0, 1e10]])
-        with pytest.raises(DataError, match=r"^row 1 has a non-finite score \(inf\)"):
-            classify_many(rule, x)
+    def test_labels_from_scores_ties_go_to_class_one(self):
+        # a tie at either signed zero goes to class 1; the least subnormal
+        # below it goes to class 2
+        scores = np.array([0.0, -0.0, -5e-324, 5e-324, -np.inf, np.inf])
+        assert labels_from_scores(scores).tolist() == [1, 1, 2, 1, 2, 1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), p=st.integers(1, 4), m=st.integers(1, 30),
+           cutoff=st.integers(-6, 6).filter(bool))
+    def test_labels_are_the_linear_rule(self, data, p, m, cutoff):
+        # "class 1 iff w'x >= c". Small integers make w'x exact, so
+        # w'x == c ties happen exactly.
+        ints = st.integers(-3, 3).map(float)
+        w = data.draw(arrays(np.float64, p, elements=ints))
+        x = data.draw(arrays(np.float64, (m, p), elements=ints))
+        c = float(cutoff)
+        expected = np.where(x @ w >= c, 1, 2)
+        rule = LinearRule(weights=w, cutoff=c)
+        assert np.array_equal(classify_many(rule, x), expected)
+        assert [classify(rule, row) for row in x] == expected.tolist()
 
     def test_feature_rescaling_covariance(self, rng):
         # LDA rules transform covariantly: labels are unchanged when
@@ -334,151 +349,6 @@ class TestClassify:
         r1, _ = build_slda(ds, cfg)
         r2, _ = build_slda(scaled, cfg_scaled)
         assert np.array_equal(classify_many(r1, probes), classify_many(r2, probes * s))
-
-
-def oracle_multi_rule(means, sigma):
-    """Pairwise rules from true parameters (test-local oracle builder)."""
-    factor = cholesky_spd(sigma)
-    k = means.shape[0]
-    pairwise = {}
-    for a in range(1, k):
-        for b in range(a + 1, k + 1):
-            w = spd_solve(factor, means[a - 1] - means[b - 1])
-            c = float(w @ (0.5 * (means[a - 1] + means[b - 1])))
-            pairwise[(a, b)] = LinearRule(weights=w, cutoff=c)
-    return MultiRule(pairwise=pairwise, n_classes=k)
-
-
-def nearest_mahalanobis(means, sigma, probes):
-    """Brute-force assignment to the closest class mean, lowest index wins."""
-    inv = np.linalg.inv(sigma)
-    d = np.stack([np.einsum("ij,jk,ik->i", probes - mu, inv, probes - mu) for mu in means])
-    return np.argmin(d, axis=0) + 1
-
-
-class TestMultiClass:
-    def test_pairwise_antisymmetry(self, rng):
-        k, p = 3, 6
-        means = rng.standard_normal((k, p)) * 2
-        x = [means[c] + 0.3 * rng.standard_normal((8, p)) for c in range(k)]
-        ds = Dataset(features=np.vstack(x),
-                     labels=np.repeat(np.arange(1, k + 1), 8),
-                     class_counts=(8, 8, 8))
-        rule = build_slda_multi(ds, ThresholdConfig(m1=1.0, m2=0.1, alpha=0.3))
-        probes = rng.standard_normal((50, p))
-        pairs = sorted(rule.pairwise)
-        s = np.column_stack([probes @ rule.pairwise[ab].weights - rule.pairwise[ab].cutoff
-                             for ab in pairs])
-        labels = classify_many(rule, probes)
-        assert np.array_equal(labels, maximin_labels(s, pairs, k))
-        # s_ba = -s_ab: stating every contrast reversed gives the same labels
-        assert np.array_equal(maximin_labels(-s, [(b, a) for a, b in pairs], k), labels)
-        # pairwise sign: the (1, 2) contrast on its own is the linear rule
-        r12 = rule.pairwise[(1, 2)]
-        pair_only = MultiRule(pairwise={(1, 2): r12}, n_classes=2)
-        assert np.array_equal(classify_many(pair_only, probes), classify_many(r12, probes))
-
-    def test_maximin_hand_cases(self):
-        pairs = [(1, 2), (1, 3), (2, 3)]
-        s = np.array([
-            [1.0, 2.0, 3.0],    # class 1 beats both rivals
-            [-1.0, 2.0, 3.0],   # class 2 beats both rivals
-            [1.0, -1.0, -2.0],  # class 3 beats both rivals
-            [1.0, -1.0, 1.0],   # a cycle: every worst score is -1, lowest index wins
-            [0.0, 0.0, 0.0],    # all ties go to class 1
-        ])
-        assert maximin_labels(s, pairs, 3).tolist() == [1, 2, 3, 1, 1]
-        # K = 2: a tie at either signed zero goes to class 1
-        s2 = np.array([[0.0], [-0.0], [-np.inf], [np.inf], [-5e-324]])
-        assert maximin_labels(s2, [(1, 2)], 2).tolist() == [1, 1, 2, 1, 2]
-
-    @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), p=st.integers(1, 4), m=st.integers(1, 30),
-           cutoff=st.integers(-6, 6).filter(bool))
-    def test_maximin_two_class_is_linear_rule(self, data, p, m, cutoff):
-        # K = 2 with the single pair (1, 2) is "class 1 iff w'x >= c".
-        # Small integers make w'x exact, so w'x == c ties happen exactly.
-        ints = st.integers(-3, 3).map(float)
-        w = data.draw(arrays(np.float64, p, elements=ints))
-        x = data.draw(arrays(np.float64, (m, p), elements=ints))
-        c = float(cutoff)
-        expected = np.where(x @ w >= c, 1, 2)
-        assert np.array_equal(maximin_labels((x @ w - c)[:, None], [(1, 2)], 2), expected)
-        rule = LinearRule(weights=w, cutoff=c)
-        assert np.array_equal(classify_many(rule, x), expected)
-        assert [classify(rule, row) for row in x] == expected.tolist()
-
-    def test_three_separated_classes_zero_training_error(self, rng):
-        k, p = 3, 4
-        means = np.array([[10.0, 0, 0, 0], [0, 10.0, 0, 0], [0, 0, 10.0, 0]])
-        x = [means[c] + rng.standard_normal((10, p)) for c in range(k)]
-        ds = Dataset(features=np.vstack(x),
-                     labels=np.repeat(np.arange(1, k + 1), 10),
-                     class_counts=(10, 10, 10))
-        rule = build_slda_multi(ds, ThresholdConfig(m1=1.0, m2=0.5, alpha=0.3))
-        assert np.array_equal(classify_many(rule, ds.features), ds.labels)
-
-    def test_collinear_means_middle_interval(self):
-        means = np.array([[-2.0, 0.0], [0.0, 0.0], [2.0, 0.0]])
-        sigma = np.eye(2)
-        rule = oracle_multi_rule(means, sigma)
-        grid = np.column_stack([np.linspace(-4, 4, 81), np.zeros(81)])
-        got = classify_many(rule, grid)
-        expected = nearest_mahalanobis(means, sigma, grid)
-        assert np.array_equal(got, expected)
-        # interval structure: class 2 exactly between the boundaries
-        assert np.all(got[np.abs(grid[:, 0]) < 1.0] == 2)
-        assert np.all(got[grid[:, 0] < -1.0] == 1)
-        assert np.all(got[grid[:, 0] > 1.0] == 3)
-
-    def test_matches_nearest_mean_oracle_k4(self, rng):
-        k, p = 4, 6
-        means = rng.standard_normal((k, p)) * 1.5
-        sigma = random_spd(rng, p)
-        rule = oracle_multi_rule(means, sigma)
-        probes = rng.standard_normal((1000, p)) + means.mean(axis=0)
-        assert np.array_equal(classify_many(rule, probes),
-                              nearest_mahalanobis(means, sigma, probes))
-
-    def test_equidistant_tie_lowest_index(self):
-        # origin is exactly equidistant from classes 1 and 2 (norms 1),
-        # both of which dominate class 3; lowest index wins the tie
-        means = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0]])
-        rule = oracle_multi_rule(means, np.eye(2))
-        assert classify(rule, np.zeros(2)) == 1
-
-    def test_probe_at_class_mean(self, rng):
-        means = np.array([[8.0, 0.0, 0.0], [0.0, 8.0, 0.0], [0.0, 0.0, 8.0]])
-        rule = oracle_multi_rule(means, np.eye(3))
-        for c in range(3):
-            assert classify(rule, means[c]) == c + 1
-
-    def test_reduces_to_two_class_rule(self, rng):
-        pop = random_population(rng, 5)
-        rule2 = build_oracle(pop)
-        multi = oracle_multi_rule(pop.means, pop.covariance)
-        probes = rng.standard_normal((400, 5))
-        assert np.array_equal(classify_many(multi, probes),
-                              classify_many(rule2, probes))
-
-    def test_every_pair_degenerate_needs_no_inverse(self):
-        # within-class-constant features give S = 0, so Sigma-tilde has no
-        # positive part; a huge M2 empties every contrast, and the fit
-        # returns degenerate rules instead of factoring Sigma-tilde
-        means = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 2.0], [0.0, 0.0, 3.0]])
-        ds = Dataset(features=np.repeat(means, 3, axis=0),
-                     labels=np.repeat(np.arange(1, 4), 3), class_counts=(3, 3, 3))
-        rule = build_slda_multi(ds, ThresholdConfig(m1=1.0, m2=1e9, alpha=0.3))
-        assert sorted(rule.pairwise) == [(1, 2), (1, 3), (2, 3)]
-        for pair_rule in rule.pairwise.values():
-            assert pair_rule.degenerate and pair_rule.cutoff == 0.0
-            assert not np.any(pair_rule.weights)
-        assert np.array_equal(classify_many(rule, means), [1, 1, 1])
-
-    def test_requires_three_classes(self, rng):
-        ds = two_class_dataset(rng.standard_normal((4, 3)), rng.standard_normal((4, 3)))
-        with pytest.raises(DomainError):
-            build_slda_multi(ds, ThresholdConfig(m1=1.0, m2=1.0, alpha=0.3))
 
 
 # Sigma-tilde configurations of the SLDA property tests: a huge M1 keeps
@@ -565,47 +435,39 @@ class TestSldaProperties:
 def reference_fit(ds, m1, m2, alpha=0.3):
     # The fit from the public pieces, with S always formed: summarize
     # (conftest), threshold_covariance, invert_sparse_sym, spd_solve. Returns
-    # ({pair: (w, cutoff)}, (q_hat, nnz_offdiag, pd_flag)), or the error
-    # that factoring raised.
-    n, p, k = ds.n, ds.p, ds.n_classes
+    # ((w, cutoff), (q_hat, nnz_offdiag, pd_flag)), or the error that
+    # factoring raised.
+    n, p = ds.n, ds.p
     summary = summarize(ds)
     sigma = threshold_covariance(summary.pooled_cov, compute_tn(m1, n, p))
-    a_n = compute_an(m2, n, p, alpha)
     means = summary.class_means
-    pairs = [(a, b) for a in range(1, k) for b in range(a + 1, k + 1)]
-    tildes = {(a, b): threshold_delta(means[a - 1] - means[b - 1], a_n) for a, b in pairs}
-    needed = any(np.count_nonzero(t) for t in tildes.values())
+    tilde = threshold_delta(means[0] - means[1], compute_an(m2, n, p, alpha))
+    needed = np.count_nonzero(tilde) > 0
     op = None
     if needed:
         try:
             op = invert_sparse_sym(sigma)
         except SldaError as exc:
             return exc
-    rules = {}
-    for a, b in pairs:
-        t = tildes[(a, b)]
-        w = spd_solve(op, t) if np.count_nonzero(t) else np.zeros(p)
-        rules[(a, b)] = (w, float(w @ (0.5 * (means[a - 1] + means[b - 1]))))
-    return rules, (np.count_nonzero(tildes[(1, 2)]), nnz_offdiag(sigma), not needed or op.pd_flag)
+    w = spd_solve(op, tilde) if needed else np.zeros(p)
+    return ((w, float(w @ (0.5 * (means[0] + means[1])))),
+            (np.count_nonzero(tilde), nnz_offdiag(sigma), not needed or op.pd_flag))
 
 
 def same_fit(fit, want) -> bool:
     if isinstance(want, SldaError) or isinstance(fit, SldaError):
         return type(fit) is type(want) and str(fit) == str(want)
-    rules, report = fit
-    want_rules, (q_hat, nnz, pd_flag) = want
-    return (sorted(rules) == sorted(want_rules)
-            and all(bits_equal(rules[ab].weights, w) and bits_equal(rules[ab].cutoff, c)
-                    and rules[ab].degenerate == (not np.any(w))
-                    for ab, (w, c) in want_rules.items())
+    rule, report = fit
+    (w, c), (q_hat, nnz, pd_flag) = want
+    return (bits_equal(rule.weights, w) and bits_equal(rule.cutoff, c)
+            and rule.degenerate == (not np.any(w))
             and (report.q_hat, report.nnz_offdiag, report.pd_flag) == (q_hat, nnz, pd_flag))
 
 
 def as_want(fit):
     # a fit of build_slda_grid in reference_fit's form, for same_fit
-    rules, report = fit
-    return ({ab: (r.weights, r.cutoff) for ab, r in rules.items()},
-            (report.q_hat, report.nnz_offdiag, report.pd_flag))
+    rule, report = fit
+    return (rule.weights, rule.cutoff), (report.q_hat, report.nnz_offdiag, report.pd_flag)
 
 
 def screen_m1(ds, factor):
@@ -617,9 +479,9 @@ def screen_m1(ds, factor):
 class TestVarianceScreen:
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), p=st.sampled_from([2, 5, 63, 64, 65, 129]),
-           k=st.sampled_from([2, 3]), extra=st.integers(0, 3),
-           constant=st.booleans(), m2=st.sampled_from([0.0, 0.3, 1.0, 1e9]), data=st.data())
-    def test_screened_fit_equals_public_pieces(self, seed, p, k, extra, constant, m2, data):
+           extra=st.integers(0, 3), constant=st.booleans(),
+           m2=st.sampled_from([0.0, 0.3, 1.0, 1e9]), data=st.data())
+    def test_screened_fit_equals_public_pieces(self, seed, p, extra, constant, m2, data):
         # Two M1s above the bound (screened), one just below it (S formed,
         # and Sigma-tilde still diagonal) and a small one, repeated (S
         # formed, off-diagonal entries kept), in a drawn order that is not
@@ -627,13 +489,12 @@ class TestVarianceScreen:
         # point equals the reference bit for bit and S is formed once. A
         # constant feature has variance 0: eigen_floor, pd_flag 0.
         gen = np.random.default_rng(seed)
-        counts = [3 + extra + c for c in range(k)]
-        x = np.vstack([gen.standard_normal((m, p)) + gen.standard_normal(p) for m in counts])
+        n1 = 3 + extra
+        x = np.vstack([gen.standard_normal((m, p)) + gen.standard_normal(p) for m in (n1, n1 + 1)])
         x *= np.exp(gen.uniform(-3.0, 3.0, p))
         if constant:
             x[:, gen.integers(p)] = 7.0
-        ds = Dataset(features=x, labels=np.repeat(np.arange(1, k + 1), counts),
-                     class_counts=tuple(counts))
+        ds = two_class_dataset(x[:n1], x[n1:])
         factors = data.draw(st.permutations([1.0 + 1e-12, 3.0, 1.0 - 1e-12, 0.05, 0.05])
                             .filter(lambda f: list(f) != sorted(f)))
         m1_grid = [screen_m1(ds, f) for f in factors]
@@ -647,20 +508,16 @@ class TestVarianceScreen:
             assert same_fit(fit, reference_fit(ds, m1, m2))
         screened = fits[factors.index(1.0 + 1e-12)]
         if not isinstance(screened, SldaError):
-            rules, report = screened
-            factored = not all(rule.degenerate for rule in rules.values())
+            rule, report = screened
             assert report.nnz_offdiag == 0
-            assert report.pd_flag == (not constant or not factored)
+            assert report.pd_flag == (not constant or rule.degenerate)
 
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_screened_grid_touches_no_p_by_p_matrix(self, k):
+    def test_screened_grid_touches_no_p_by_p_matrix(self):
         # every M1 passes the screen: S is never formed, thresholded,
         # counted or checked
         gen = np.random.default_rng(8)
-        counts = [4] * k
-        x = gen.standard_normal((4 * k, 70)) + np.repeat(gen.standard_normal((k, 70)), 4, axis=0)
-        ds = Dataset(features=x, labels=np.repeat(np.arange(1, k + 1), counts),
-                     class_counts=tuple(counts))
+        x = gen.standard_normal((8, 70)) + np.repeat(gen.standard_normal((2, 70)), 4, axis=0)
+        ds = two_class_dataset(x[:4], x[4:])
         m1_grid = [screen_m1(ds, 1.001), 1e9]
         forbidden = ("pooled_covariance", "_threshold_in_place")
         with mock.patch.multiple(CLASSIFY, **{name: mock.DEFAULT for name in forbidden}) as mocks:
@@ -686,20 +543,17 @@ class TestVarianceScreen:
                 build_slda(ds, ThresholdConfig(m1=1e300, m2=m2, alpha=0.3))
 
     @pytest.mark.parametrize("constant", [False, True])
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_unscreened_m1_keeping_no_pair_is_the_vector(self, k, constant):
+    def test_unscreened_m1_keeping_no_pair_is_the_vector(self, constant):
         # an M1 below the screen whose t_n is above every |s_jl|, j != l:
         # S is formed and thresholded, keeps no pair, and Sigma-tilde goes
         # to invert_sparse_sym as the (p,) variances (a matrix at the
         # parent), so each fit has the bits of the screened fit and of the
         # dense reference. A constant feature takes the floor.
         gen = np.random.default_rng(11)
-        counts = [5] * k
-        x = gen.standard_normal((5 * k, 40)) + np.repeat(gen.standard_normal((k, 40)), 5, axis=0)
+        x = gen.standard_normal((10, 40)) + np.repeat(gen.standard_normal((2, 40)), 5, axis=0)
         if constant:
             x[:, 3] = 7.0
-        ds = Dataset(features=x, labels=np.repeat(np.arange(1, k + 1), counts),
-                     class_counts=tuple(counts))
+        ds = two_class_dataset(x[:5], x[5:])
         s = summarize(ds).pooled_cov
         largest = float(np.max(np.abs(s - np.diag(np.diag(s)))))
         m1 = 0.5 * (largest / math.sqrt(math.log(ds.p) / ds.n) + screen_m1(ds, 1.0))
@@ -712,10 +566,8 @@ class TestVarianceScreen:
                                ndims.append(np.ndim(a)) or real(a, **kw)):
             fits = build_slda_grid(ds, [m1, screen_m1(ds, 2.0)], m2_grid, 0.3)
         assert ndims == [1, 1]
-        for m2, fit, (rules, report) in zip(m2_grid, fits[:3], fits[3:]):
-            screened = ({ab: (r.weights, r.cutoff) for ab, r in rules.items()},
-                        (report.q_hat, report.nnz_offdiag, report.pd_flag))
-            assert same_fit(fit, screened)
+        for m2, fit, screened in zip(m2_grid, fits[:3], fits[3:]):
+            assert same_fit(fit, as_want(screened))
             assert same_fit(fit, reference_fit(ds, m1, m2))
             assert fit[1].pd_flag == (not constant or m2 == 1e9)
 

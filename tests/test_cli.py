@@ -17,7 +17,7 @@ from conftest import (eigh_pseudo_inverse_lda, summarize, two_class_dataset, wri
 from slda.cli import _FLAGS, REQUIRED, _merge_config, build_parser, main
 from slda.io import read_model
 from slda.evaluate import optimal_rate
-from slda.model import PopulationSpec
+from slda.model import PopulationSpec, validate_dataset
 from slda.simulate import REPLICATE_COLUMNS, read_scenario
 
 
@@ -157,6 +157,14 @@ class TestFit:
                      "--out", str(model)]) == 3
         assert capsys.readouterr().err == ("numerical failure [fit]: thresholded covariance has "
                                            "no positive part (lambda_max=0.000e+00)\n")
+        assert not model.exists()
+
+    def test_three_classes_exits_2(self, tmp_path, capsys, rng):
+        train, model = tmp_path / "train.csv", tmp_path / "model.txt"
+        write_dataset_csv(train, validate_dataset(rng.standard_normal((9, 2)), [1, 2, 3] * 3))
+        assert main(["fit", "--train", str(train), "--m1", "1", "--m2", "0.5",
+                     "--out", str(model)]) == 2
+        assert capsys.readouterr().err == "error [fit]: build_slda requires a two-class dataset\n"
         assert not model.exists()
 
 

@@ -22,7 +22,7 @@ from conftest import (
 )
 import slda
 from slda import evaluate
-from slda.classify import build_oracle, build_slda, classify, classify_many
+from slda.classify import build_oracle, build_slda, classify
 from slda.diagnostics import lemma2_counts
 from slda.errors import DataError, DomainError, ShapeError, SldaError
 from slda.estimation import compute_an, compute_tn
@@ -242,8 +242,7 @@ class TestConditionalRate:
 
 class TestConditionalRateMc:
     """Rates by sampling from the population: conftest's mc_rate
-    reference against the closed form of two-class LinearRules, and
-    empirical_rate on a drawn test set for a K >= 3 rule."""
+    reference against the closed form of two-class LinearRules."""
 
     def test_always_class_one(self, rng):
         # a zero w gives an exactly zero score factor, so every draw's
@@ -293,34 +292,9 @@ class TestConditionalRateMc:
             rate, stderr = mc_rate(rule, pop, 20_000, substream(10, 1))
             assert abs(rate - exact) <= 4 * stderr
 
-    @pytest.mark.parametrize("k, p", [(3, 4), (4, 2)], ids=["k3_p4", "k4_p2"])
-    def test_multiclass_against_nearest_mean_oracle(self, rng, k, p):
-        # the K >= 3 rate recipe: draw a labelled test set with
-        # sample_mvn and take empirical_rate of the oracle MultiRule. The
-        # maximin labels of the all-pairs oracle are the nearest-
-        # Mahalanobis-mean labels of the same rows, so the rates are equal
-        from test_classify import nearest_mahalanobis, oracle_multi_rule
-
-        means = rng.standard_normal((k, p)) * 1.2
-        sigma = random_spd(rng, p)
-        pop = PopulationSpec(means=means, covariance=sigma)
-        gen, n = substream(9, 4), 2000
-        features = np.vstack([sample_mvn(mu, pop.chol, gen, size=n) for mu in means])
-        test = validate_dataset(features, np.repeat(np.arange(1, k + 1), n))
-        rule = oracle_multi_rule(means, sigma)
-        report = empirical_rate(rule, test)
-        labels = nearest_mahalanobis(means, sigma, test.features)
-        assert np.array_equal(classify_many(rule, test.features), labels)
-        errors = tuple(float(np.mean(labels[test.labels == cls] != cls))
-                       for cls in range(1, k + 1))
-        assert report.per_class_error == errors
-        assert report.conditional_rate == float(np.mean(errors))
-        assert 0.0 < report.conditional_rate < 1.0 - 1.0 / k
-
 
 def test_rates_have_no_monte_carlo_engine():
-    # every two-class rate is closed form; a K >= 3 rate is empirical_rate
-    # on a drawn test set
+    # every rate against a population is closed form
     assert not hasattr(slda, "conditional_rate_mc")
     assert not hasattr(evaluate, "conditional_rate_mc")
     assert [f.name for f in dataclasses.fields(evaluate.RateReport)] == [
@@ -349,37 +323,17 @@ class TestEmpiricalRate:
         assert report.per_class_error == (0.25, 0.0)
 
     def test_class_count_mismatch_rejected(self, rng):
-        from test_classify import oracle_multi_rule
-
-        rule = oracle_multi_rule(rng.standard_normal((3, 2)), np.eye(2))
-        two_cls = two_class_dataset(rng.standard_normal((3, 2)), rng.standard_normal((3, 2)))
-        with pytest.raises(DataError):
-            empirical_rate(rule, two_cls)
+        # a two-class rule has no label for class 3
+        three_cls = validate_dataset(rng.standard_normal((6, 2)), np.repeat([1, 2, 3], 2))
+        with pytest.raises(DataError, match=r"^test set has 3 classes"):
+            empirical_rate(self.make_rule(), three_cls)
 
     def test_wrong_p_rule_rejected(self, rng):
-        # a LinearRule or a MultiRule of p = 3 against a test set of p = 4
-        from test_classify import oracle_multi_rule
-
-        linear = LinearRule(weights=np.ones(3), cutoff=0.0)
-        multi = oracle_multi_rule(rng.standard_normal((3, 3)), random_spd(rng, 3))
-        for rule, k in ((linear, 2), (multi, 3)):
-            test = validate_dataset(rng.standard_normal((3 * k, 4)),
-                                    np.repeat(np.arange(1, k + 1), 3))
-            with pytest.raises(ShapeError, match="incompatible with p=3"):
-                empirical_rate(rule, test)
-
-    def test_multiclass_counting(self, rng):
-        from test_classify import oracle_multi_rule
-
-        means = np.array([[6.0, 0.0], [0.0, 6.0], [-6.0, -6.0]])
-        rule = oracle_multi_rule(means, np.eye(2))
-        features = np.vstack([means[c] + 0.1 * rng.standard_normal((4, 2))
-                              for c in range(3)])
-        ds = Dataset(features=features, labels=np.repeat([1, 2, 3], 4),
-                     class_counts=(4, 4, 4))
-        report = empirical_rate(rule, ds)
-        assert report.conditional_rate == 0.0
-        assert report.per_class_error == (0.0, 0.0, 0.0)
+        # a rule of p = 3 against a test set of p = 4
+        rule = LinearRule(weights=np.ones(3), cutoff=0.0)
+        test = validate_dataset(rng.standard_normal((6, 4)), np.repeat([1, 2], 3))
+        with pytest.raises(ShapeError, match="incompatible with p=3"):
+            empirical_rate(rule, test)
 
 
 class TestLoocv:
